@@ -5,21 +5,15 @@ refinement with a free shift parameter), a spectral cell-problem solver to
 validate them on voxel microstructures, the constructive test-field pipeline
 behind the refined bound, and dyadic BMO / John-Nirenberg analysis of the
 potential fields.
+
+The package root exports the documented API; helpers and the intermediate
+terms of the bounds stay importable from their submodules.
 """
 
-from .bmo import (
-    BmoEstimate,
-    JohnNirenbergFit,
-    bmo_norm,
-    full_dyadic_depth,
-    john_nirenberg_fit,
-    lemma1_ratio,
-    superlevel_masks,
-)
+from .bmo import bmo_norm, full_dyadic_depth, john_nirenberg_fit, lemma1_ratio
 from .bounds import (
     BoundConfig,
     BoundReport,
-    h_term,
     hs_upper,
     milton_gap,
     optimize_S,
@@ -32,12 +26,7 @@ from .cell_solver import (
     PotentialField,
     SolverConfig,
     build_optimal_potential,
-    constructive_upper,
     constructive_value,
-    evaluate_I1,
-    evaluate_I2,
-    oscillation_closed_form,
-    oscillation_of_theta,
     solve_effective_tensor,
     traceless_hessian,
 )
@@ -51,64 +40,38 @@ from .microstructure import (
     load_grid,
     save_grid,
 )
-from .phases import (
-    DistributionFunction,
-    Phase,
-    PhaseSet,
-    distribution_from_phases,
-    distribution_weight,
-    parse_phase_config,
-    read_phase_config,
-    shifted_harmonic_L,
-    tail_integral,
-)
+from .phases import PhaseSet, read_phase_config
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BmoEstimate",
     "BoundConfig",
     "BoundReport",
     "ConfigError",
     "ConvergenceError",
-    "DistributionFunction",
     "EffectiveTensor",
     "GridFormatError",
-    "JohnNirenbergFit",
-    "Phase",
     "PhaseSet",
     "PotentialField",
     "SolverConfig",
     "VoxelGrid",
     "bmo_norm",
     "build_optimal_potential",
-    "constructive_upper",
     "constructive_value",
-    "distribution_from_phases",
-    "distribution_weight",
     "empirical_phase_set",
-    "evaluate_I1",
-    "evaluate_I2",
     "full_dyadic_depth",
     "generate_checkerboard",
     "generate_laminate",
     "generate_random",
-    "h_term",
     "hs_upper",
     "john_nirenberg_fit",
     "lemma1_ratio",
     "load_grid",
     "milton_gap",
     "optimize_S",
-    "oscillation_closed_form",
-    "oscillation_of_theta",
-    "parse_phase_config",
     "read_phase_config",
     "save_grid",
-    "shifted_harmonic_L",
     "solve_effective_tensor",
-    "superlevel_masks",
-    "tail_integral",
     "theorem1_upper",
     "three_phase_refined",
     "traceless_hessian",

@@ -31,7 +31,7 @@ Differentiation conventions (these are constraints, not taste):
 * The potential p is supported on modes with no Nyquist component (and zero
   mean).  laplacian_p is therefore theta with its Nyquist-plane content
   removed, i.e. theta at grid resolution; the raw theta field is stored
-  separately and is what evaluate_I1 integrates, matching the closed form
+  separately and is what PotentialField.I1 integrates, matching the closed form
   -(n-1)S + L to round-off.  constructive_upper integrates the grid-resolved
   fields instead, so its admissibility (value >= sigma_bar) is exact at the
   discrete level; on band-limited media such as laminates and checkerboards
@@ -40,13 +40,13 @@ Differentiation conventions (these are constraints, not taste):
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConvergenceError
 from .microstructure import VoxelGrid
+from .spectral import wavenumbers
 
 __all__ = [
     "SolverConfig",
@@ -54,30 +54,11 @@ __all__ = [
     "PotentialField",
     "solve_effective_tensor",
     "build_optimal_potential",
-    "evaluate_I1",
-    "evaluate_I2",
     "constructive_upper",
     "constructive_value",
     "traceless_hessian",
-    "oscillation_of_theta",
     "oscillation_closed_form",
 ]
-
-_TWO_PI = 2.0 * math.pi
-
-
-def _wavenumbers(shape: tuple[int, ...], zero_nyquist: bool) -> list[np.ndarray]:
-    """Per-axis 2*pi*xi arrays shaped for broadcasting; xi are integer modes."""
-    out = []
-    for ax, n in enumerate(shape):
-        k = _TWO_PI * np.fft.fftfreq(n, d=1.0 / n)
-        if zero_nyquist and n % 2 == 0:
-            k[n // 2] = 0.0
-        sl = [np.newaxis] * len(shape)
-        sl[ax] = slice(None)
-        out.append(k[tuple(sl)])
-    return out
-
 
 def _subnyquist_mask(shape: tuple[int, ...]) -> np.ndarray:
     """Modes with no component at the Nyquist frequency, excluding the mean."""
@@ -95,15 +76,12 @@ def _subnyquist_mask(shape: tuple[int, ...]) -> np.ndarray:
 class SolverConfig:
     relative_tolerance: float = 1e-8
     max_iterations: int = 1000
-    reference_conductivity: float | None = None  # None: midpoint of the sigma range
 
     def __post_init__(self):
         if not 0.0 < self.relative_tolerance < 1.0:
             raise ValueError(f"relative_tolerance must be in (0, 1), got {self.relative_tolerance}")
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
-        if self.reference_conductivity is not None and not self.reference_conductivity > 0.0:
-            raise ValueError("reference_conductivity must be positive")
 
 
 @dataclass(frozen=True)
@@ -168,13 +146,8 @@ def solve_effective_tensor(grid: VoxelGrid, config: SolverConfig | None = None) 
     sigma = grid.conductivity_field()
     n = grid.dimension
     shape = sigma.shape
-    ks = _wavenumbers(shape, zero_nyquist=True)
-    k2 = np.zeros(shape)
-    for k in ks:
-        k2 = k2 + k * k
-    sigma0 = config.reference_conductivity
-    if sigma0 is None:
-        sigma0 = 0.5 * (float(sigma.min()) + float(sigma.max()))
+    ks, k2 = wavenumbers(shape, zero_nyquist=True)
+    sigma0 = 0.5 * (float(sigma.min()) + float(sigma.max()))
     green = np.where(k2 > 0.0, 1.0 / (sigma0 * np.where(k2 > 0.0, k2, 1.0)), 0.0)
 
     def apply_operator(u):
@@ -233,7 +206,13 @@ def solve_effective_tensor(grid: VoxelGrid, config: SolverConfig | None = None) 
 
 @dataclass(frozen=True)
 class PotentialField:
-    """Optimal-Laplacian potential and its derived fields on one grid."""
+    """Optimal-Laplacian potential and its derived fields on one grid.
+
+    I1 is the quadrature of the raw theta field and agrees with the closed
+    form -(n-1)S + L of the empirical phase set to round-off.  I2 is never
+    above I2_positive_part, which uses the positive part of sigma - S and
+    vanishes identically at S = sup sigma.
+    """
 
     grid: VoxelGrid
     S: float
@@ -246,7 +225,7 @@ class PotentialField:
     I2_positive_part: float
 
     def __post_init__(self):
-        for name in ("theta", "laplacian_p", "hessian_p"):
+        for name in ("theta", "p_hat", "laplacian_p", "hessian_p"):
             arr = getattr(self, name)
             arr.setflags(write=False)
 
@@ -281,10 +260,7 @@ def build_optimal_potential(grid: VoxelGrid, S: float) -> PotentialField:
     theta = n * L / w - n
 
     theta_hat = np.fft.fftn(theta)
-    ks = _wavenumbers(shape, zero_nyquist=False)
-    k2 = np.zeros(shape)
-    for k in ks:
-        k2 = k2 + k * k
+    ks, k2 = wavenumbers(shape, zero_nyquist=False)
     mask = _subnyquist_mask(shape)
     p_hat = np.zeros_like(theta_hat)
     p_hat[mask] = -theta_hat[mask] / k2[mask]
@@ -321,25 +297,6 @@ def _i2_quadrature(sigma, hessian, lap, n, S) -> tuple[float, float]:
     return i2, i2_pos
 
 
-def evaluate_I1(pf: PotentialField) -> float:
-    """Quadrature of the I1 energy of the optimal Laplacian field.
-
-    Agrees with the closed form -(n-1)S + L of the empirical phase set to
-    round-off; the pair gives a two-route consistency check.
-    """
-    sigma = pf.grid.conductivity_field()
-    return _i1_quadrature(sigma, pf.theta, pf.grid.dimension, pf.S)
-
-
-def evaluate_I2(pf: PotentialField) -> tuple[float, float]:
-    """(I2, I2 with the positive part of sigma - S); I2 <= the positive-part value.
-
-    The positive-part value vanishes identically at S = sup sigma.
-    """
-    sigma = pf.grid.conductivity_field()
-    return _i2_quadrature(sigma, pf.hessian_p, pf.laplacian_p, pf.grid.dimension, pf.S)
-
-
 def constructive_value(pf: PotentialField) -> float:
     """Upper bound carried by the test field I + D^2 p.
 
@@ -366,10 +323,6 @@ def traceless_hessian(pf: PotentialField) -> np.ndarray:
     for i in range(n):
         out[i, i] -= pf.laplacian_p / n
     return out
-
-
-def oscillation_of_theta(pf: PotentialField) -> float:
-    return float(pf.theta.max() - pf.theta.min())
 
 
 def oscillation_closed_form(grid: VoxelGrid, S: float) -> float:

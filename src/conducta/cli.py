@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -23,7 +22,6 @@ from .bmo import bmo_norm, full_dyadic_depth, john_nirenberg_fit, lemma1_ratio, 
 from .bounds import (
     BoundConfig,
     BoundReport,
-    _refined_terms,
     hs_upper,
     optimize_S,
     theorem1_upper,
@@ -34,10 +32,7 @@ from .cell_solver import (
     SolverConfig,
     build_optimal_potential,
     constructive_value,
-    evaluate_I1,
-    evaluate_I2,
     oscillation_closed_form,
-    oscillation_of_theta,
     solve_effective_tensor,
     traceless_hessian,
 )
@@ -88,12 +83,6 @@ def _save_manifest(manifest: RunManifest) -> None:
     out = manifest.options.get("out")
     if out:
         Path(str(out) + ".manifest.json").write_text(manifest.to_json())
-
-
-def _workers(options: dict) -> int:
-    if options.get("workers"):
-        return int(options["workers"])
-    return int(os.environ.get("CONDUCTA_WORKERS", "1"))
 
 
 def _bound_cfg(options: dict) -> BoundConfig:
@@ -177,11 +166,10 @@ def run_sweep(options: dict) -> int:
     for mu3 in mu3_values:
         if mu3 > 0.0:
             sub = PhaseSet.from_pairs((s1, s2, s3), (m1 * (1 - mu3), m2 * (1 - mu3), mu3), ps.dimension)
+            gap = three_phase_refined(sub, cfg).value - hs2
         else:
-            sub = two_phase
+            sub, gap = two_phase, 0.0
         opt = optimize_S(sub, cfg)
-        h_part, e_part, _ = _refined_terms(ps.dimension, (s1, s2, s3), (m1 * (1 - mu3), m2 * (1 - mu3), mu3), cfg.C)
-        gap = (h_part + e_part) - hs2
         rows.append(
             ",".join(
                 _g(v)
@@ -235,9 +223,8 @@ def run_solve(options: dict) -> int:
     lines.append(f"{'S':>16}{'I1':>20}{'I2':>20}{'I2_positive':>20}{'constructive':>20}")
     for s in s_values:
         pf = build_optimal_potential(grid, s)
-        i2, i2p = evaluate_I2(pf)
         lines.append(
-            f"{_g(s):>16}{_g(evaluate_I1(pf)):>20}{_g(i2):>20}{_g(i2p):>20}{_g(constructive_value(pf)):>20}"
+            f"{_g(s):>16}{_g(pf.I1):>20}{_g(pf.I2):>20}{_g(pf.I2_positive_part):>20}{_g(constructive_value(pf)):>20}"
         )
     lines.append("")
     checks = [
@@ -255,93 +242,61 @@ def run_solve(options: dict) -> int:
 
 # ----------------------------------------------------------------- verify
 
-def _corpus_phase_set(rng: np.random.Generator, options: dict, dim: int) -> PhaseSet:
+def _corpus_grid(seed: int, options: dict) -> VoxelGrid:
+    """Corpus member ``seed``: a phase set drawn from the seed, then its random grid.
+
+    Conductivities are redrawn until every gap is at least 1e-3 of the range.
+    """
+    dim = int(options["dim"])
     k = int(options["num_phases"])
     lo, hi = float(options["sigma_min"]), float(options["sigma_max"])
+    rng = np.random.default_rng(seed)
     sig = np.sort(rng.uniform(lo, hi, k))
     while k > 1 and float(np.diff(sig).min()) < 1e-3 * (hi - lo):
         sig = np.sort(rng.uniform(lo, hi, k))
-    mu = rng.dirichlet(np.ones(k))
-    return PhaseSet.from_pairs(sig, mu, dim)
+    ps = PhaseSet.from_pairs(sig, rng.dirichlet(np.ones(k)), dim)
+    return generate_random(ps, (int(options["shape"]),) * dim, seed=seed, mode=options.get("mode", "iid"))
 
 
-def _verify_one(seed: int, options: dict) -> dict:
-    dim = int(options["dim"])
-    shape = (int(options["shape"]),) * dim
-    rng = np.random.default_rng(seed)
-    ps = _corpus_phase_set(rng, options, dim)
-    grid = generate_random(ps, shape, seed=seed, mode=options.get("mode", "iid"))
+_VERIFY_HEADER = (
+    "seed,k,sigma_bar,trivial,hs,constructive,theorem1_opt,S_opt,slack_trivial,slack_hs,slack_constructive,status"
+)
+
+
+def _verify_one(seed: int, options: dict) -> tuple[str, bool]:
+    """CSV row of one corpus grid, and whether a hard bound was violated."""
+    grid = _corpus_grid(seed, options)
     tensor = solve_effective_tensor(grid, _solver_cfg(options))
     emp = empirical_phase_set(grid)
-    cfg = _bound_cfg(options)
     triv = trivial_upper(emp).value
     hs = hs_upper(emp).value
-    opt = optimize_S(emp, cfg)
+    opt = optimize_S(emp, _bound_cfg(options))
     mid_s = 0.5 * (emp.inf_sigma + emp.sup_sigma)
     constructive = constructive_value(build_optimal_potential(grid, mid_s))
     sb = tensor.sigma_bar
-    slack_triv = (triv - sb) / triv
-    slack_hs = (hs - sb) / hs
-    slack_con = (constructive - sb) / constructive
-    violated = min(slack_triv, slack_hs, slack_con) < -_SLACK_TOL
-    return {
-        "seed": seed,
-        "k": emp.num_phases,
-        "sigma_bar": sb,
-        "trivial": triv,
-        "hs": hs,
-        "constructive": constructive,
-        "theorem1_opt": opt.value,
-        "S_opt": opt.S_used,
-        "slack_trivial": slack_triv,
-        "slack_hs": slack_hs,
-        "slack_constructive": slack_con,
-        "status": "VIOLATION" if violated else "ok",
-    }
-
-
-_VERIFY_COLUMNS = (
-    "seed",
-    "k",
-    "sigma_bar",
-    "trivial",
-    "hs",
-    "constructive",
-    "theorem1_opt",
-    "S_opt",
-    "slack_trivial",
-    "slack_hs",
-    "slack_constructive",
-    "status",
-)
+    slacks = [(bound - sb) / bound for bound in (triv, hs, constructive)]
+    violated = min(slacks) < -_SLACK_TOL
+    values = [sb, triv, hs, constructive, opt.value, opt.S_used] + slacks
+    cells = [str(seed), str(emp.num_phases)] + [_g(v) for v in values]
+    return ",".join(cells + ["VIOLATION" if violated else "ok"]), violated
 
 
 def run_verify(options: dict) -> int:
     count = int(options["count"])
     base_seed = int(options["seed"])
     seeds = [base_seed + i for i in range(count)]
-    workers = _workers(options)
+    workers = int(options.get("workers") or 1)  # manifests may record 0 for "one"
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(lambda s: _verify_one(s, options), seeds))
     else:
         results = [_verify_one(s, options) for s in seeds]
-    results.sort(key=lambda r: r["seed"])
 
-    rows = [",".join(_VERIFY_COLUMNS)]
-    for r in results:
-        rows.append(
-            ",".join(
-                [str(r["seed"]), str(r["k"])]
-                + [_g(r[c]) for c in _VERIFY_COLUMNS[2:-1]]
-                + [r["status"]]
-            )
-        )
-    _emit("\n".join(rows) + "\n", options.get("out"))
+    _emit("\n".join([_VERIFY_HEADER] + [row for row, _ in results]) + "\n", options.get("out"))
 
-    violations = [r for r in results if r["status"] == "VIOLATION"]
+    violations = sum(violated for _, violated in results)
     print(
-        f"verify: {count} grids, {len(violations)} violation(s)"
+        f"verify: {count} grids, {violations} violation(s)"
         f" (theorem1 reported with C={_g(options.get('C', 1.0))}, not enforced)",
         file=sys.stderr,
     )
@@ -355,17 +310,14 @@ def run_verify(options: dict) -> int:
 
 # ----------------------------------------------------------------- bmo
 
-def _bmo_one(grid: VoxelGrid, label: str, s_spec: str, sample_levels: int) -> tuple[list[str], float]:
+def _bmo_one(grid: VoxelGrid, label: str, s_spec: str, sample_levels: int) -> tuple[str, float]:
     emp = empirical_phase_set(grid)
     s = 0.5 * (emp.inf_sigma + emp.sup_sigma) if s_spec == "mid" else float(s_spec)
     pf = build_optimal_potential(grid, s)
-    osc = oscillation_of_theta(pf)
+    osc = float(pf.theta.max() - pf.theta.min())
     osc_closed = oscillation_closed_form(grid, s)
     if osc == 0.0:
-        return (
-            [f"{label:<14}{'degenerate':>12}" + f"{'-':>20}" * 6 + f"{_g(osc):>20}{_g(osc_closed):>20}"],
-            0.0,
-        )
+        return f"{label:<14}{'degenerate':>12}" + f"{'-':>20}" * 6 + f"{_g(osc):>20}{_g(osc_closed):>20}", 0.0
     field = traceless_hessian(pf)
     depth = full_dyadic_depth(grid.shape)
     est = bmo_norm(field, depth, spatial_ndim=grid.dimension)
@@ -380,7 +332,7 @@ def _bmo_one(grid: VoxelGrid, label: str, s_spec: str, sample_levels: int) -> tu
         f"{_g(fit.max_violation):>20}{_g(max_ratio):>20}{_g(est.norm_value / osc):>20}"
         f"{_g(osc):>20}{_g(osc_closed):>20}"
     )
-    return [row], max_ratio
+    return row, max_ratio
 
 
 def run_bmo(options: dict) -> int:
@@ -390,15 +342,8 @@ def run_bmo(options: dict) -> int:
     if options.get("grid"):
         grids.append((Path(options["grid"]).name, load_grid(options["grid"])))
     else:
-        base_seed = int(options["seed"])
-        dim = int(options["dim"])
-        shape = (int(options["shape"]),) * dim
-        rng_opts = options
-        for i in range(int(options["count"])):
-            seed = base_seed + i
-            rng = np.random.default_rng(seed)
-            ps = _corpus_phase_set(rng, rng_opts, dim)
-            grids.append((f"seed{seed}", generate_random(ps, shape, seed=seed, mode=options.get("mode", "iid"))))
+        seeds = range(int(options["seed"]), int(options["seed"]) + int(options["count"]))
+        grids.extend((f"seed{seed}", _corpus_grid(seed, options)) for seed in seeds)
 
     header = (
         f"{'field':<14}{'status':>12}{'bmo_norm':>20}{'b':>20}{'B':>20}"
@@ -407,8 +352,8 @@ def run_bmo(options: dict) -> int:
     lines = ["# conducta bmo", f"S: {s_spec}", "", header]
     overall = 0.0
     for label, grid in grids:
-        rows, max_ratio = _bmo_one(grid, label, s_spec, sample_levels)
-        lines.extend(rows)
+        row, max_ratio = _bmo_one(grid, label, s_spec, sample_levels)
+        lines.append(row)
         overall = max(overall, max_ratio)
     lines.append("")
     lines.append(f"recommended_C: {_g(overall * 1.1)}  # max lemma1 ratio with a 10% margin")
@@ -448,6 +393,29 @@ def _add_bound_flags(p):
     p.add_argument("--S-tolerance", dest="S_tolerance", type=float, default=1e-6)
 
 
+def _num_phases(text: str) -> int:
+    # _corpus_grid redraws the conductivities until every gap is at least 1e-3
+    # of the range; past about 100 phases that practically never happens
+    try:
+        k = int(text)
+    except ValueError:
+        k = 0
+    if not 1 <= k <= 100:
+        raise argparse.ArgumentTypeError(f"must be an integer in [1, 100], got {text!r}")
+    return k
+
+
+def _add_corpus_flags(p, count: int):
+    p.add_argument("--count", type=int, default=count)
+    p.add_argument("--shape", type=int, default=64)
+    p.add_argument("--dim", type=int, default=2, choices=(2, 3))
+    p.add_argument("--num-phases", dest="num_phases", type=_num_phases, default=2)
+    p.add_argument("--sigma-min", dest="sigma_min", type=float, default=1.0)
+    p.add_argument("--sigma-max", dest="sigma_max", type=float, default=5.0)
+    p.add_argument("--mode", choices=("iid", "smooth"), default="iid")
+    p.add_argument("--seed", type=int, default=0)
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="conducta", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -476,31 +444,17 @@ def build_parser() -> _Parser:
     p.add_argument("--out")
 
     p = sub.add_parser("verify", help="generate -> solve -> bound-check a seeded corpus (CSV)")
-    p.add_argument("--count", type=int, default=20)
-    p.add_argument("--shape", type=int, default=64)
-    p.add_argument("--dim", type=int, default=2, choices=(2, 3))
-    p.add_argument("--num-phases", dest="num_phases", type=int, default=2)
-    p.add_argument("--sigma-min", dest="sigma_min", type=float, default=1.0)
-    p.add_argument("--sigma-max", dest="sigma_max", type=float, default=5.0)
-    p.add_argument("--mode", choices=("iid", "smooth"), default="iid")
-    p.add_argument("--seed", type=int, default=0)
+    _add_corpus_flags(p, count=20)
     p.add_argument("--tolerance", type=float, default=1e-8)
     p.add_argument("--max-iterations", dest="max_iterations", type=int, default=1000)
-    p.add_argument("--workers", type=int, default=0, help="0: use CONDUCTA_WORKERS or 1")
+    p.add_argument("--workers", type=int, default=1)
     _add_bound_flags(p)
     p.add_argument("--out")
 
     p = sub.add_parser("bmo", help="BMO / tail-fit report for a grid or a seeded corpus")
     p.add_argument("--grid")
     p.add_argument("--S", default="mid", help="shift parameter: a number, or 'mid'")
-    p.add_argument("--count", type=int, default=6)
-    p.add_argument("--shape", type=int, default=64)
-    p.add_argument("--dim", type=int, default=2, choices=(2, 3))
-    p.add_argument("--num-phases", dest="num_phases", type=int, default=2)
-    p.add_argument("--sigma-min", dest="sigma_min", type=float, default=1.0)
-    p.add_argument("--sigma-max", dest="sigma_max", type=float, default=5.0)
-    p.add_argument("--mode", choices=("iid", "smooth"), default="iid")
-    p.add_argument("--seed", type=int, default=0)
+    _add_corpus_flags(p, count=6)
     p.add_argument("--sample-levels", dest="sample_levels", type=int, default=48)
     p.add_argument("--out")
 

@@ -27,6 +27,7 @@ import numpy as np
 
 from .errors import GridFormatError
 from .phases import PhaseSet
+from .spectral import wavenumbers
 
 __all__ = [
     "VoxelGrid",
@@ -144,12 +145,7 @@ def _smooth_noise(rng: np.random.Generator, shape: tuple[int, ...], length: floa
     # Gaussian low-pass in Fourier space; length is in voxels of axis 0
     noise = rng.standard_normal(shape)
     ell = length / shape[0]
-    k2 = np.zeros(shape)
-    for ax, n in enumerate(shape):
-        freq = 2.0 * np.pi * np.fft.fftfreq(n, d=1.0 / n)
-        sl = [np.newaxis] * len(shape)
-        sl[ax] = slice(None)
-        k2 = k2 + freq[tuple(sl)] ** 2
+    _, k2 = wavenumbers(shape, zero_nyquist=False)
     kernel = np.exp(-0.5 * ell * ell * k2)
     return np.fft.ifftn(np.fft.fftn(noise) * kernel).real
 

@@ -14,10 +14,7 @@ from conducta.bounds import BoundConfig, hs_upper, milton_gap, theorem1_upper, t
 from conducta.cell_solver import (
     build_optimal_potential,
     constructive_value,
-    evaluate_I1,
-    evaluate_I2,
     oscillation_closed_form,
-    oscillation_of_theta,
     solve_effective_tensor,
     traceless_hessian,
 )
@@ -168,12 +165,12 @@ def test_criterion_7_constructive_proof_consistency():
             pf = build_optimal_potential(grid, S)
             # (a) quadrature vs closed form
             closed = -(n - 1) * S + shifted_harmonic_L(emp, S)
-            rel = abs(evaluate_I1(pf) - closed) / abs(closed)
+            rel = abs(pf.I1 - closed) / abs(closed)
             worst["i1"] = max(worst["i1"], rel)
             assert rel <= 1e-8
             # (b) positive part vanishes at S = sup sigma
             if S == emp.sup_sigma:
-                assert evaluate_I2(pf)[1] == 0.0
+                assert pf.I2_positive_part == 0.0
             # (c) admissibility
             cu = constructive_value(pf)
             worst["margin"] = min(worst["margin"], (cu - sb) / sb)
@@ -210,7 +207,7 @@ def test_criterion_8_bmo_lemma_constants():
         for S in (0.5 * (emp.inf_sigma + emp.sup_sigma), emp.sup_sigma):
             pf = build_optimal_potential(grid, S)
             osc_worst = max(
-                osc_worst, abs(oscillation_of_theta(pf) - oscillation_closed_form(grid, S))
+                osc_worst, abs((pf.theta.max() - pf.theta.min()) - oscillation_closed_form(grid, S))
             )
             field = traceless_hessian(pf)
             est = bmo_norm(field, full_dyadic_depth(grid.shape), spatial_ndim=2)

@@ -9,10 +9,7 @@ from conducta.cell_solver import (
     build_optimal_potential,
     constructive_upper,
     constructive_value,
-    evaluate_I1,
-    evaluate_I2,
     oscillation_closed_form,
-    oscillation_of_theta,
     solve_effective_tensor,
     traceless_hessian,
 )
@@ -25,6 +22,7 @@ from conducta.microstructure import (
     generate_random,
 )
 from conducta.phases import PhaseSet, shifted_harmonic_L
+from conducta.spectral import wavenumbers
 
 from conftest import random_phase_set
 
@@ -41,12 +39,31 @@ class TestSolverConfig:
             SolverConfig(relative_tolerance=0.0)
         with pytest.raises(ValueError):
             SolverConfig(max_iterations=0)
-        with pytest.raises(ValueError):
-            SolverConfig(reference_conductivity=-1.0)
+
+    def test_result_arrays_are_read_only(self):
+        g = generate_random(TWO_14, (8, 8), seed=2)
+        pf = build_optimal_potential(g, 2.0)
+        arrays = [pf.p_hat, pf.theta, pf.hessian_p, solve_effective_tensor(g).matrix, g.phase_index]
+        for arr in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                arr[(0,) * arr.ndim] = 1
 
     def test_tensor_symmetry_enforced(self):
         with pytest.raises(ValueError, match="symmetric"):
             EffectiveTensor(2, np.array([[1.0, 0.5], [0.0, 1.0]]), 1.0, (1, 1), (0.0, 0.0), 0.0)
+
+
+class TestWavenumbers:
+    def test_modes_nyquist_and_k2(self):
+        ks, k2 = wavenumbers((4, 3), zero_nyquist=False)
+        assert ks[0].shape == (4, 1) and ks[1].shape == (1, 3)
+        assert np.array_equal(ks[0].ravel() / (2 * np.pi), [0, 1, -2, -1])
+        assert np.array_equal(ks[1].ravel() / (2 * np.pi), [0, 1, -1])
+        assert np.array_equal(k2, ks[0] ** 2 + ks[1] ** 2)
+        ks, k2 = wavenumbers((4, 3), zero_nyquist=True)
+        assert np.array_equal(ks[0].ravel() / (2 * np.pi), [0, 1, 0, -1])
+        assert np.array_equal(ks[1].ravel() / (2 * np.pi), [0, 1, -1])  # odd axis: no Nyquist mode
+        assert np.array_equal(k2[2], ks[1].ravel() ** 2)
 
 
 class TestEffectiveTensor:
@@ -132,7 +149,7 @@ class TestOptimalPotential:
         assert np.abs(pf.theta).max() == 0.0
         assert np.abs(pf.hessian_p).max() == 0.0
         assert pf.I2 == 0.0 and pf.I2_positive_part == 0.0
-        assert evaluate_I1(pf) == pytest.approx(3.0, rel=1e-14)
+        assert pf.I1 == pytest.approx(3.0, rel=1e-14)
 
     def test_two_phase_theta_values_and_oscillation(self):
         # sigma=(1,2) at 50/50, n=2, S=1: theta = +-0.4, osc = 0.8
@@ -142,7 +159,7 @@ class TestOptimalPotential:
         sigma = g.conductivity_field()
         assert pf.theta[sigma == 1.0] == pytest.approx(0.4, rel=1e-12)
         assert pf.theta[sigma == 2.0] == pytest.approx(-0.4, rel=1e-12)
-        assert oscillation_of_theta(pf) == pytest.approx(0.8, rel=1e-12)
+        assert (pf.theta.max() - pf.theta.min()) == pytest.approx(0.8, rel=1e-12)
         assert oscillation_closed_form(g, 1.0) == pytest.approx(0.8, rel=1e-12)
 
     def test_theta_zero_mean_and_p_zero_frequency(self):
@@ -183,7 +200,7 @@ class TestOptimalPotential:
         g = generate_random(PhaseSet.from_pairs((1.0, 2.0, 5.0), (0.4, 0.4, 0.2), 2), (32, 32), seed=8)
         for S in (1.0, 3.0, 5.0):
             pf = build_optimal_potential(g, S)
-            assert abs(oscillation_of_theta(pf) - oscillation_closed_form(g, S)) < 1e-10
+            assert abs((pf.theta.max() - pf.theta.min()) - oscillation_closed_form(g, S)) < 1e-10
 
 
 class TestI1I2:
@@ -194,14 +211,14 @@ class TestI1I2:
             for S in (1.0, 2.5, 4.0):
                 pf = build_optimal_potential(g, S)
                 closed = -(emp.dimension - 1) * S + shifted_harmonic_L(emp, S)
-                assert evaluate_I1(pf) == pytest.approx(closed, rel=1e-8)
+                assert pf.I1 == pytest.approx(closed, rel=1e-8)
 
     def test_i1_closed_form_on_dyadic_laminate(self):
         ps = PhaseSet.from_pairs((1.0, 2.0, 5.0), (0.25, 0.25, 0.5), 3)
         g = generate_laminate(ps, 0, (16, 16, 16))
         pf = build_optimal_potential(g, 2.0)
         closed = -2 * 2.0 + shifted_harmonic_L(ps, 2.0)
-        assert evaluate_I1(pf) == pytest.approx(closed, rel=1e-12)
+        assert pf.I1 == pytest.approx(closed, rel=1e-12)
 
     def test_i2_laminate_closed_form(self):
         # 1D Hessian: the traceless square is (1 - 1/n) theta^2
@@ -213,16 +230,17 @@ class TestI1I2:
         for s, m in zip(TWO_14.conductivities, TWO_14.fractions):
             theta = n * L / (s + (n - 1) * S) - n
             expected += m * (s - S) * (1 - 1 / n) * theta**2 / n
-        i2, i2_pos = evaluate_I2(pf)
+        i2, i2_pos = pf.I2, pf.I2_positive_part
         assert i2 == pytest.approx(expected, rel=1e-6)
         assert i2 == pytest.approx(27.0 / 98.0, rel=1e-6)
 
     def test_i2_below_positive_part_and_zero_at_sup(self):
         g = generate_random(TWO_14, (32, 32), seed=9)
         for S in (1.0, 2.0, 4.0):
-            i2, i2_pos = evaluate_I2(build_optimal_potential(g, S))
+            pf = build_optimal_potential(g, S)
+            i2, i2_pos = pf.I2, pf.I2_positive_part
             assert i2 <= i2_pos
-        assert evaluate_I2(build_optimal_potential(g, 4.0))[1] == 0.0
+        assert build_optimal_potential(g, 4.0).I2_positive_part == 0.0
 
     def test_i2_positive_part_layer_cake_identity(self):
         # pointwise (sigma - S)^+ = integral over t > S of 1_{sigma > t},
@@ -240,8 +258,7 @@ class TestI1I2:
             integral = 0.0
             for lo, hi in zip(thresholds, thresholds[1:]):
                 integral += (hi - lo) * float(q[sigma > lo].sum()) / q.size
-            _, i2_pos = evaluate_I2(pf)
-            assert i2_pos == pytest.approx(integral / n, rel=1e-12)
+            assert pf.I2_positive_part == pytest.approx(integral / n, rel=1e-12)
 
 
 class TestConstructiveBound:

@@ -149,6 +149,17 @@ class TestVerifyCommand:
         assert main(self.ARGS + ["--out", str(b), "--workers", "4"]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_replays_manifest_with_workers_zero(self, tmp_path):
+        # manifests from before --workers defaulted to 1 record 0 for one worker
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main(self.ARGS + ["--out", str(a)]) == 0
+        manifest = json.loads((tmp_path / "a.csv.manifest.json").read_text())
+        manifest["options"].update(workers=0, out=str(b))
+        path = tmp_path / "old.manifest.json"
+        path.write_text(json.dumps(manifest))
+        assert main(["replay", str(path)]) == 0
+        assert b.read_bytes() == a.read_bytes()
+
     def test_three_phase_smooth_corpus(self, tmp_path, capsys):
         out = tmp_path / "v3.csv"
         assert main(["verify", "--count", "3", "--shape", "32", "--dim", "2",
@@ -158,6 +169,15 @@ class TestVerifyCommand:
         assert "VIOLATION" not in body
         # constructive admissibility is part of the checked columns
         assert "slack_constructive" in body.splitlines()[0]
+
+
+class TestCorpusFlags:
+    @pytest.mark.parametrize("command", ["verify", "bmo"])
+    @pytest.mark.parametrize("k", ["0", "1000", "x"])
+    def test_num_phases_out_of_range_exit_one(self, command, k, capsys):
+        # the conductivity draw would never finish for 1000 phases
+        assert main([command, "--count", "1", "--num-phases", k]) == 1
+        assert "[1, 100]" in capsys.readouterr().err
 
 
 class TestBmoCommand:
