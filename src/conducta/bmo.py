@@ -35,7 +35,6 @@ _DEGENERATE_RTOL = 1e-12
 
 @dataclass(frozen=True)
 class BmoEstimate:
-    dyadic_depth: int
     norm_value: float
 
 
@@ -95,7 +94,7 @@ def bmo_norm(field, depth: int, spatial_ndim: int | None = None) -> BmoEstimate:
         means = view.mean(axis=inner, keepdims=True)
         deviation = np.abs(view - means).mean(axis=inner)
         best = max(best, float(deviation.max()))
-    return BmoEstimate(dyadic_depth=depth, norm_value=best)
+    return BmoEstimate(norm_value=best)
 
 
 def john_nirenberg_fit(

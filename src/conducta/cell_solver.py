@@ -5,11 +5,14 @@ e_i the periodic corrector u_i minimizes the cell energy
 
     mean( sigma |e_i + grad u_i|^2 )
 
-over grid potentials, solved by conjugate gradients preconditioned with the
-Green operator of a homogeneous reference medium (multiplication by
-1 / (sigma_0 |k|^2) in Fourier space).  The reported tensor uses the energy
-bilinear form, which is variationally one-sided; the mismatch against the
-flux average is kept as a convergence diagnostic.
+over grid potentials.  Conjugate gradients run in Fourier space on the
+``numpy.fft.rfftn`` half spectrum of u_i: the right-hand side i k_i sigma_hat
+needs no transform, the Green operator of a homogeneous reference medium is
+a diagonal multiply by 1 / (sigma_0 |k|^2), and only the operator
+-div(sigma grad .) visits real space, with 2n real transforms per iteration.
+The reported tensor uses the energy bilinear form, which is variationally
+one-sided; the mismatch against the flux average is kept as a convergence
+diagnostic.
 
 Second, the constructive upper bound: the scalar potential p whose Laplacian
 equals the pointwise optimal field
@@ -17,9 +20,10 @@ equals the pointwise optimal field
     theta = n L / (sigma + (n-1) S) - n,
 
 inverted spectrally, with the Hessian obtained from the multiplier
--k (x) k / |k|^2 applied to the spectrum of theta.  The split value
-I1 + I2 of the energy of the test field I + D^2 p is then a certified upper
-bound for sigma_bar on the same grid.
+-k (x) k / |k|^2 applied to the rfftn half spectrum of theta, which is also
+where PotentialField.p_hat lives.  The split value I1 + I2 of the energy of
+the test field I + D^2 p is then a certified upper bound for sigma_bar on the
+same grid.
 
 Differentiation conventions (these are constraints, not taste):
 
@@ -46,7 +50,7 @@ import numpy as np
 
 from .errors import ConvergenceError
 from .microstructure import VoxelGrid
-from .spectral import wavenumbers
+from .spectral import half_wavenumbers
 
 __all__ = [
     "SolverConfig",
@@ -61,8 +65,8 @@ __all__ = [
 ]
 
 def _subnyquist_mask(shape: tuple[int, ...]) -> np.ndarray:
-    """Modes with no component at the Nyquist frequency, excluding the mean."""
-    mask = np.ones(shape, dtype=bool)
+    """Half-spectrum modes with no Nyquist component, excluding the mean."""
+    mask = np.ones(shape[:-1] + (shape[-1] // 2 + 1,), dtype=bool)
     for ax, n in enumerate(shape):
         if n % 2 == 0:
             sl = [slice(None)] * len(shape)
@@ -109,27 +113,47 @@ class EffectiveTensor:
         return np.linalg.eigvalsh(self.matrix)
 
 
-def _pcg(apply_op, apply_prec, b: np.ndarray, rel_tol: float, max_iter: int, label: str):
-    """Preconditioned conjugate gradients; returns (x, iterations, residual)."""
-    b_norm = float(np.linalg.norm(b))
+def _half_spectrum_dot(shape: tuple[int, ...]):
+    """Real part of the Hermitian-weighted sum over rfftn half spectra.
+
+    Interior columns of the last axis stand for themselves and their
+    conjugates (weight 2); column 0 and, on an even axis, the Nyquist column
+    are their own conjugates (weight 1).  By Parseval the value is the
+    real-space dot product times the number of voxels.
+    """
+    last = shape[-1]
+    self_conjugate = [0] + ([last // 2] if last % 2 == 0 else [])
+
+    def dot(a: np.ndarray, b: np.ndarray) -> float:
+        total = 2.0 * np.vdot(a, b).real
+        for c in self_conjugate:
+            total -= np.vdot(a[..., c], b[..., c]).real
+        return float(total)
+
+    return dot
+
+
+def _spectral_cg(apply_op, green: np.ndarray, dot, b: np.ndarray, rel_tol: float, max_iter: int, label: str):
+    """Green-preconditioned conjugate gradients on half spectra; returns (x, iterations, residual)."""
+    b_norm = float(np.sqrt(dot(b, b)))
     if b_norm == 0.0:
         return np.zeros_like(b), 0, 0.0
     x = np.zeros_like(b)
     r = b.copy()
-    z = apply_prec(r)
+    z = green * r
     p = z.copy()
-    rz = float(np.vdot(r, z).real)
+    rz = dot(r, z)
     residual = 1.0
     for it in range(1, max_iter + 1):
         ap = apply_op(p)
-        alpha = rz / float(np.vdot(p, ap).real)
+        alpha = rz / dot(p, ap)
         x += alpha * p
         r -= alpha * ap
-        residual = float(np.linalg.norm(r)) / b_norm
+        residual = float(np.sqrt(dot(r, r))) / b_norm
         if residual <= rel_tol:
             return x, it, residual
-        z = apply_prec(r)
-        rz_new = float(np.vdot(r, z).real)
+        z = green * r
+        rz_new = dot(r, z)
         p = z + (rz_new / rz) * p
         rz = rz_new
     raise ConvergenceError(f"cell solve for {label} did not converge", residual, max_iter)
@@ -146,37 +170,36 @@ def solve_effective_tensor(grid: VoxelGrid, config: SolverConfig | None = None) 
     sigma = grid.conductivity_field()
     n = grid.dimension
     shape = sigma.shape
-    ks, k2 = wavenumbers(shape, zero_nyquist=True)
+    axes = tuple(range(n))
+    ks, k2 = half_wavenumbers(shape, zero_nyquist=True)
     sigma0 = 0.5 * (float(sigma.min()) + float(sigma.max()))
     green = np.where(k2 > 0.0, 1.0 / (sigma0 * np.where(k2 > 0.0, k2, 1.0)), 0.0)
+    dot = _half_spectrum_dot(shape)
 
-    def apply_operator(u):
-        u_hat = np.fft.fftn(u)
+    def gradient(u_hat, k):
+        return np.fft.irfftn(1j * k * u_hat, s=shape, axes=axes)
+
+    def apply_operator(u_hat):
         div_hat = np.zeros_like(u_hat)
         for k in ks:
-            g = np.fft.ifftn(1j * k * u_hat).real
-            div_hat += 1j * k * np.fft.fftn(sigma * g)
-        return -np.fft.ifftn(div_hat).real
+            div_hat += 1j * k * np.fft.rfftn(sigma * gradient(u_hat, k))
+        return -div_hat
 
-    def apply_preconditioner(r):
-        return np.fft.ifftn(np.fft.fftn(r) * green).real
-
-    sigma_hat = np.fft.fftn(sigma)
+    sigma_hat = np.fft.rfftn(sigma)
     total_gradients: list[list[np.ndarray]] = []
     iterations: list[int] = []
     residuals: list[float] = []
     for i in range(n):
-        b = np.fft.ifftn(1j * ks[i] * sigma_hat).real
-        u, its, res = _pcg(
+        u_hat, its, res = _spectral_cg(
             apply_operator,
-            apply_preconditioner,
-            b,
+            green,
+            dot,
+            1j * ks[i] * sigma_hat,
             config.relative_tolerance,
             config.max_iterations,
             label=f"direction {i}",
         )
-        u_hat = np.fft.fftn(u)
-        grads = [np.fft.ifftn(1j * k * u_hat).real for k in ks]
+        grads = [gradient(u_hat, k) for k in ks]
         grads[i] = grads[i] + 1.0
         total_gradients.append(grads)
         iterations.append(its)
@@ -259,17 +282,18 @@ def build_optimal_potential(grid: VoxelGrid, S: float) -> PotentialField:
     L = 1.0 / float(np.mean(1.0 / w))
     theta = n * L / w - n
 
-    theta_hat = np.fft.fftn(theta)
-    ks, k2 = wavenumbers(shape, zero_nyquist=False)
+    theta_hat = np.fft.rfftn(theta)
+    ks, k2 = half_wavenumbers(shape, zero_nyquist=False)
     mask = _subnyquist_mask(shape)
     p_hat = np.zeros_like(theta_hat)
     p_hat[mask] = -theta_hat[mask] / k2[mask]
 
-    laplacian = np.fft.ifftn(-k2 * p_hat).real
+    axes = tuple(range(n))
+    laplacian = np.fft.irfftn(-k2 * p_hat, s=shape, axes=axes)
     hessian = np.empty((n, n) + shape)
     for i in range(n):
         for j in range(i, n):
-            h = np.fft.ifftn(-ks[i] * ks[j] * p_hat).real
+            h = np.fft.irfftn(-ks[i] * ks[j] * p_hat, s=shape, axes=axes)
             hessian[i, j] = h
             if i != j:
                 hessian[j, i] = h

@@ -242,6 +242,33 @@ def run_solve(options: dict) -> int:
 
 # ----------------------------------------------------------------- verify
 
+def _checked_corpus(command: str, options: dict) -> dict:
+    """Options with the corpus flags validated and made integers.
+
+    Parsed flags and replayed manifests both pass through here, so a
+    hand-written manifest is held to the command line's limits.  The corpus
+    needs ``count >= 1`` and ``num_phases`` in [1, 100]: _corpus_grid redraws
+    the conductivities until every gap is at least 1e-3 of the range, which
+    past about 100 phases practically never happens.  Raises ConfigError.
+    """
+    if command not in ("verify", "bmo"):
+        return options
+    k = _as_int(options.get("num_phases"))
+    if k is None or not 1 <= k <= 100:
+        raise ConfigError(f"--num-phases must be an integer in [1, 100], got {options.get('num_phases')!r}")
+    count = _as_int(options.get("count"))
+    if count is None or count < 1:
+        raise ConfigError(f"--count must be an integer >= 1, got {options.get('count')!r}")
+    return {**options, "num_phases": k, "count": count}
+
+
+def _as_int(value) -> int | None:
+    try:
+        return int(str(value))  # through str, so 2.5 and True are rejected, not truncated
+    except ValueError:
+        return None
+
+
 def _corpus_grid(seed: int, options: dict) -> VoxelGrid:
     """Corpus member ``seed``: a phase set drawn from the seed, then its random grid.
 
@@ -376,7 +403,7 @@ def run_replay(options: dict) -> int:
     manifest = RunManifest.from_json(Path(options["manifest"]).read_text())
     if manifest.command not in _RUNNERS:
         raise ConfigError(f"manifest has unknown command {manifest.command!r}")
-    return _RUNNERS[manifest.command](manifest.options)
+    return _RUNNERS[manifest.command](_checked_corpus(manifest.command, manifest.options))
 
 
 # ----------------------------------------------------------------- parser
@@ -393,23 +420,12 @@ def _add_bound_flags(p):
     p.add_argument("--S-tolerance", dest="S_tolerance", type=float, default=1e-6)
 
 
-def _num_phases(text: str) -> int:
-    # _corpus_grid redraws the conductivities until every gap is at least 1e-3
-    # of the range; past about 100 phases that practically never happens
-    try:
-        k = int(text)
-    except ValueError:
-        k = 0
-    if not 1 <= k <= 100:
-        raise argparse.ArgumentTypeError(f"must be an integer in [1, 100], got {text!r}")
-    return k
-
-
 def _add_corpus_flags(p, count: int):
-    p.add_argument("--count", type=int, default=count)
+    # --count and --num-phases are converted and bounded by _checked_corpus
+    p.add_argument("--count", default=count)
     p.add_argument("--shape", type=int, default=64)
     p.add_argument("--dim", type=int, default=2, choices=(2, 3))
-    p.add_argument("--num-phases", dest="num_phases", type=_num_phases, default=2)
+    p.add_argument("--num-phases", dest="num_phases", default=2)
     p.add_argument("--sigma-min", dest="sigma_min", type=float, default=1.0)
     p.add_argument("--sigma-max", dest="sigma_max", type=float, default=5.0)
     p.add_argument("--mode", choices=("iid", "smooth"), default="iid")
@@ -472,6 +488,7 @@ def main(argv: list[str] | None = None) -> int:
         options = {k: v for k, v in vars(args).items() if k != "command"}
         if command == "replay":
             return run_replay(options)
+        options = _checked_corpus(command, options)
         manifest = RunManifest(command, options)
         _save_manifest(manifest)
         return _RUNNERS[command](options)

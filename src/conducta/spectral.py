@@ -26,3 +26,16 @@ def wavenumbers(shape: tuple[int, ...], zero_nyquist: bool) -> tuple[list[np.nda
     for k in ks:
         k2 = k2 + k * k
     return ks, k2
+
+
+def half_wavenumbers(shape: tuple[int, ...], zero_nyquist: bool) -> tuple[list[np.ndarray], np.ndarray]:
+    """``wavenumbers`` restricted to the ``numpy.fft.rfftn`` half spectrum.
+
+    The last axis keeps its first ``shape[-1] // 2 + 1`` modes; the values are
+    sliced from the full arrays, so k2 is summed in the same order.  On an even
+    last axis the Nyquist column keeps fftfreq's sign (-n/2); only even
+    multipliers such as k2 or k_i k_j may be nonzero there.
+    """
+    ks, k2 = wavenumbers(shape, zero_nyquist)
+    half = slice(0, shape[-1] // 2 + 1)
+    return [k[..., half] for k in ks], k2[..., half]

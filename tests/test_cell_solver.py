@@ -22,7 +22,7 @@ from conducta.microstructure import (
     generate_random,
 )
 from conducta.phases import PhaseSet, shifted_harmonic_L
-from conducta.spectral import wavenumbers
+from conducta.spectral import half_wavenumbers, wavenumbers
 
 from conftest import random_phase_set
 
@@ -65,6 +65,22 @@ class TestWavenumbers:
         assert np.array_equal(ks[1].ravel() / (2 * np.pi), [0, 1, -1])  # odd axis: no Nyquist mode
         assert np.array_equal(k2[2], ks[1].ravel() ** 2)
 
+    @pytest.mark.parametrize("shape", [(4, 6), (4, 5), (6, 4, 4)])
+    def test_half_spectrum_is_a_slice(self, shape):
+        m = shape[-1] // 2 + 1
+        for zero_nyquist in (False, True):
+            ks, k2 = wavenumbers(shape, zero_nyquist)
+            hks, hk2 = half_wavenumbers(shape, zero_nyquist)
+            assert hk2.shape == shape[:-1] + (m,)
+            assert np.array_equal(hk2, k2[..., :m])
+            for k, hk in zip(ks, hks):
+                assert np.array_equal(hk, k[..., :m])
+            # the magnitudes are rfftn's modes along the halved axis
+            expected = 2 * np.pi * np.fft.rfftfreq(shape[-1], d=1.0 / shape[-1])
+            if zero_nyquist and shape[-1] % 2 == 0:
+                expected[-1] = 0.0
+            assert np.array_equal(np.abs(hks[-1].ravel()), expected)
+
 
 class TestEffectiveTensor:
     def test_homogeneous_exact_no_iterations(self):
@@ -73,26 +89,37 @@ class TestEffectiveTensor:
         assert t.iterations == (0, 0)
         assert t.sigma_bar == 3.0
 
-    def test_laminate_harmonic_arithmetic(self):
-        g = generate_laminate(TWO_14, 0, (64, 64))
+    # every normal axis, the last (the halved rfftn axis) included; axes of
+    # length 2 carry only the mean and Nyquist modes, so no corrector exists
+    # along them and they are left out
+    @pytest.mark.parametrize(
+        "shape, normal",
+        [(shape, axis) for shape in ((64, 64), (4, 64), (64, 4), (16, 16, 16), (8, 4, 4))
+         for axis in range(len(shape))],
+        ids=lambda v: "x".join(map(str, v)) if isinstance(v, tuple) else f"axis{v}",
+    )
+    def test_laminate_oracle(self, shape, normal):
+        n = len(shape)
+        g = generate_laminate(PhaseSet.from_pairs((1.0, 4.0), (0.5, 0.5), n), normal, shape)
         t = solve_effective_tensor(g)
         # along the lamination normal: harmonic mean, across: arithmetic
-        assert t.matrix[0, 0] == pytest.approx(1.6, rel=1e-9)
-        assert t.matrix[1, 1] == pytest.approx(2.5, rel=1e-9)
-        assert abs(t.matrix[0, 1]) < 1e-10
-        assert t.sigma_bar == pytest.approx(2.05, rel=1e-9)
+        expected = np.full(n, 2.5)
+        expected[normal] = 1.6
+        assert np.diag(t.matrix) == pytest.approx(expected, rel=1e-9)
+        assert np.abs(t.matrix - np.diag(np.diag(t.matrix))).max() < 1e-10
+        assert t.sigma_bar == pytest.approx((1.6 + (n - 1) * 2.5) / n, rel=1e-9)
+        pf = build_optimal_potential(g, 2.0)
+        assert pf.p_hat.shape == shape[:-1] + (shape[-1] // 2 + 1,)
+        # p varies along the normal only: D^2 p has one entry, lap p
+        hessian = pf.hessian_p.copy()
+        assert np.abs(hessian[normal, normal] - pf.laplacian_p).max() < 1e-12
+        hessian[normal, normal] = 0.0
+        assert np.abs(hessian).max() < 1e-12
 
     def test_checkerboard_geometric_mean(self):
         g = generate_checkerboard(1.0, 4.0, (64, 64))
         t = solve_effective_tensor(g)
         assert t.sigma_bar == pytest.approx(2.0, rel=2e-2)
-
-    def test_3d_laminate_oracle(self):
-        ps = PhaseSet.from_pairs((1.0, 4.0), (0.5, 0.5), 3)
-        t = solve_effective_tensor(generate_laminate(ps, 2, (16, 16, 16)))
-        assert t.matrix[2, 2] == pytest.approx(1.6, rel=1e-9)
-        assert t.matrix[0, 0] == pytest.approx(2.5, rel=1e-9)
-        assert t.matrix[1, 1] == pytest.approx(2.5, rel=1e-9)
 
     def test_high_contrast_converges(self):
         ps = PhaseSet.from_pairs((1.0, 100.0), (0.5, 0.5), 2)
@@ -137,6 +164,47 @@ class TestEffectiveTensor:
             solve_effective_tensor(g, SolverConfig(relative_tolerance=1e-14, max_iterations=2))
         assert err.value.iterations == 2
         assert err.value.residual > 0.0
+
+
+FFT_NAMES = ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn",
+             "rfft", "irfft", "rfft2", "irfft2", "rfftn", "irfftn", "hfft", "ihfft")
+
+
+@pytest.fixture
+def fft_calls(monkeypatch):
+    """Counts the numpy.fft transforms called through the public namespace."""
+    calls = {}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in FFT_NAMES:
+        monkeypatch.setattr(np.fft, name, counting(name, getattr(np.fft, name)))
+    return calls
+
+
+class TestTransformBudget:
+    @pytest.mark.parametrize("shape", [(64, 64), (16, 16, 16)])
+    def test_solve_uses_2n_real_transforms_per_iteration(self, shape, fft_calls):
+        n = len(shape)
+        ps = PhaseSet.from_pairs((1.0, 2.0, 5.0), (0.4, 0.4, 0.2), n)
+        g = generate_random(ps, shape, seed=11)
+        t = solve_effective_tensor(g)
+        assert min(t.iterations) > 0
+        # rfftn(sigma) once; per direction 2n per iteration and n gradients
+        assert sum(fft_calls.values()) == 1 + sum(it * 2 * n + n for it in t.iterations)
+        assert set(fft_calls) == {"rfftn", "irfftn"}
+
+    @pytest.mark.parametrize("shape", [(32, 32), (8, 8, 8)])
+    def test_potential_uses_real_transforms(self, shape, fft_calls):
+        n = len(shape)
+        g = generate_random(PhaseSet.from_pairs((1.0, 4.0), (0.5, 0.5), n), shape, seed=2)
+        build_optimal_potential(g, 2.0)
+        # rfftn(theta), then one irfftn for lap p and each Hessian entry
+        assert fft_calls == {"rfftn": 1, "irfftn": 1 + n * (n + 1) // 2}
 
 
 class TestOptimalPotential:

@@ -179,6 +179,27 @@ class TestCorpusFlags:
         assert main([command, "--count", "1", "--num-phases", k]) == 1
         assert "[1, 100]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["verify", "bmo"])
+    @pytest.mark.parametrize("count", ["-1", "0", "x"])
+    def test_count_below_one_exit_one(self, command, count, capsys):
+        assert main([command, "--count", count, "--shape", "8"]) == 1
+        assert ">= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "bad", [{"num_phases": 1000}, {"num_phases": 2.5}, {"count": -1}, {"count": 0}]
+    )
+    def test_replay_holds_manifest_to_flag_limits(self, bad, tmp_path, capsys):
+        out = tmp_path / "v.csv"
+        assert main(["verify", "--count", "1", "--shape", "8", "--out", str(out)]) == 0
+        manifest = json.loads((tmp_path / "v.csv.manifest.json").read_text())
+        assert manifest["options"]["num_phases"] == 2 and manifest["options"]["count"] == 1
+        manifest["options"].update(bad)
+        path = tmp_path / "bad.manifest.json"
+        path.write_text(json.dumps(manifest))
+        # 1000 phases would spin forever in the conductivity redraw
+        assert main(["replay", str(path)]) == 1
+        assert "error:" in capsys.readouterr().err
+
 
 class TestBmoCommand:
     def test_homogeneous_grid_flagged_degenerate(self, tmp_path, capsys):
