@@ -1,10 +1,17 @@
 """Dyadic BMO norms, John-Nirenberg tail fits, and empirical lemma constants.
 
 The BMO norm here is the L1 mean oscillation taken over dyadic cubes only
-(all cubes of side 2^-k, k = 0..depth).  On power-of-two grids every dyadic
-cube is a whole block of voxels, so the statistic is exact; restricting to
-dyadic cubes changes the constant relative to the all-cubes norm but not the
-structure, and the constant is free anyway.
+(all cubes of side 2^-k, k = 0..depth).  2^depth must divide every grid axis,
+so every dyadic cube is a whole block of voxels and the statistic is exact;
+restricting to dyadic cubes changes the constant relative to the all-cubes
+norm but not the structure, and the constant is free anyway.
+
+bmo_norm works on one centered copy of the field in dyadic order: each axis
+index is written as depth bits plus a remainder, the bits of all axes are
+interleaved most significant first and the remainders go innermost.  In that
+order every dyadic cube of every level is one contiguous run of voxels, so
+level k is a (components, cubes, voxels per cube) reshape and each reduction
+runs along the last axis.
 
 Matrix-valued fields are handled component-wise: each component is centered
 and measured on its own, and the norm is the maximum over components.  The
@@ -69,31 +76,69 @@ def _centered(comp: np.ndarray) -> np.ndarray:
     return comp - comp.mean(axis=axes, keepdims=True)
 
 
+def _dyadic_order(comp: np.ndarray, depth: int) -> np.ndarray:
+    """View of the (m, *spatial) stack with its axes in dyadic order.
+
+    Each spatial axis of length n splits into ``depth`` bits and the
+    remainder ``n >> depth``.  The bits of all axes are interleaved, most
+    significant first, and the remainders go innermost, so the first
+    ``k * dim`` bit axes index the dyadic cubes of side 2^-k and the axes
+    after them run over one cube.
+    """
+    dim = comp.ndim - 1
+    split = [comp.shape[0]]
+    for n in comp.shape[1:]:
+        split.extend((2,) * depth + (n >> depth,))
+    stride = depth + 1  # axes per spatial axis in ``split``
+    bits = [1 + d * stride + j for j in range(depth) for d in range(dim)]
+    remainders = [1 + d * stride + depth for d in range(dim)]
+    return comp.reshape(split).transpose([0, *bits, *remainders])
+
+
+def _block_sums(blocks: np.ndarray) -> np.ndarray:
+    """Sums along the last axis; short rows are added column by column,
+    which avoids numpy's per-row reduction overhead."""
+    if blocks.shape[-1] >= 8:
+        return blocks.sum(axis=-1)
+    total = blocks[..., 0].copy()
+    for j in range(1, blocks.shape[-1]):
+        total += blocks[..., j]
+    return total
+
+
 def bmo_norm(field, depth: int, spatial_ndim: int | None = None) -> BmoEstimate:
     """Max over dyadic cubes of side 2^-k, k = 0..depth, of the mean absolute
     deviation from the cube mean.
 
-    The field is centered first (component-wise).  depth must not exceed
-    log2 of the smallest grid axis.
+    depth must not exceed log2 of the smallest grid axis, and 2^depth must
+    divide every axis, so that each dyadic cube is a whole block of voxels.
+    The field is centered component-wise into one copy in dyadic order (see
+    the module docstring); each level then reduces contiguous runs, reusing
+    one scratch buffer.
     """
     comp, spatial = _as_components(field, spatial_ndim)
     if depth < 0 or (1 << depth) > min(spatial):
         raise ValueError(f"depth {depth} exceeds the grid resolution {spatial}")
-    comp = _centered(comp)
-    m = comp.shape[0]
+    if any(n % (1 << depth) for n in spatial):
+        raise ValueError(
+            f"2**depth = {1 << depth} (depth {depth}) does not divide every axis of the grid {spatial}"
+        )
+    m, dim = comp.shape[0], len(spatial)
+    view = _dyadic_order(comp, depth)
+    mean = comp.mean(axis=tuple(range(1, comp.ndim))).reshape((m,) + (1,) * (view.ndim - 1))
+    z = np.empty(view.shape)  # C order in dyadic axes; a ufunc's own output would keep the grid's order
+    np.subtract(view, mean, out=z)
+    scratch = np.empty(z.size)
     best = 0.0
     for k in range(depth + 1):
-        cubes = 1 << k
-        blocked_shape = [m]
-        inner_axes = []
-        for d, n in enumerate(spatial):
-            blocked_shape.extend((cubes, n // cubes))
-            inner_axes.append(2 + 2 * d)
-        view = comp.reshape(blocked_shape)
-        inner = tuple(inner_axes)
-        means = view.mean(axis=inner, keepdims=True)
-        deviation = np.abs(view - means).mean(axis=inner)
-        best = max(best, float(deviation.max()))
+        cubes = z.reshape(m, 1 << (k * dim), -1)
+        size = cubes.shape[-1]
+        if size == 1:  # single-voxel cubes have zero oscillation
+            continue
+        deviation = scratch.reshape(cubes.shape)
+        np.subtract(cubes, (_block_sums(cubes) / size)[..., None], out=deviation)
+        np.abs(deviation, out=deviation)
+        best = max(best, float(_block_sums(deviation).max()) / size)
     return BmoEstimate(norm_value=best)
 
 
@@ -114,8 +159,9 @@ def john_nirenberg_fit(
     if sample_levels < 2:
         raise ValueError(f"sample_levels must be >= 2, got {sample_levels}")
     comp, _ = _as_components(field, spatial_ndim)
-    comp = _centered(comp)
-    values = np.sort(np.abs(comp).ravel())
+    values = _centered(comp).ravel()  # a fresh copy: made absolute and sorted in place
+    np.abs(values, out=values)
+    values.sort()
     s_max = float(values[-1])
     norm = bmo.norm_value
     if norm <= _DEGENERATE_RTOL * max(1.0, s_max) or s_max == 0.0:
@@ -166,7 +212,8 @@ def lemma1_ratio(
         bmo = bmo_norm(comp, full_dyadic_depth(spatial), spatial_ndim=len(spatial))
     if bmo.norm_value <= 0.0:
         raise ValueError("field has zero BMO norm")
-    quad = float((comp[:, mask] ** 2).sum()) / mask.size
+    np.square(comp, out=comp)  # comp is a fresh copy, squared only after the norm
+    quad = float(comp[:, mask].sum()) / mask.size
     return quad / (bmo.norm_value**2 * (1.0 - math.log(measure)) ** 2 * measure)
 
 

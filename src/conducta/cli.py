@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -247,9 +248,11 @@ def _checked_corpus(command: str, options: dict) -> dict:
 
     Parsed flags and replayed manifests both pass through here, so a
     hand-written manifest is held to the command line's limits.  The corpus
-    needs ``count >= 1`` and ``num_phases`` in [1, 100]: _corpus_grid redraws
+    needs ``count >= 1``, ``num_phases`` in [1, 100] (_corpus_grid redraws
     the conductivities until every gap is at least 1e-3 of the range, which
-    past about 100 phases practically never happens.  Raises ConfigError.
+    past about 100 phases practically never happens) and a finite
+    conductivity range with ``0 < sigma_min <= sigma_max``, so no drawn phase
+    is non-positive.  Raises ConfigError.
     """
     if command not in ("verify", "bmo"):
         return options
@@ -259,12 +262,25 @@ def _checked_corpus(command: str, options: dict) -> dict:
     count = _as_int(options.get("count"))
     if count is None or count < 1:
         raise ConfigError(f"--count must be an integer >= 1, got {options.get('count')!r}")
-    return {**options, "num_phases": k, "count": count}
+    lo, hi = _as_float(options.get("sigma_min")), _as_float(options.get("sigma_max"))
+    if lo is None or hi is None or not (math.isfinite(lo) and math.isfinite(hi) and 0.0 < lo <= hi):
+        raise ConfigError(
+            "--sigma-min and --sigma-max must be finite with 0 < sigma_min <= sigma_max,"
+            f" got {options.get('sigma_min')!r} and {options.get('sigma_max')!r}"
+        )
+    return {**options, "num_phases": k, "count": count, "sigma_min": lo, "sigma_max": hi}
 
 
 def _as_int(value) -> int | None:
     try:
         return int(str(value))  # through str, so 2.5 and True are rejected, not truncated
+    except ValueError:
+        return None
+
+
+def _as_float(value) -> float | None:
+    try:
+        return float(str(value))  # through str, so True is rejected, not read as 1.0
     except ValueError:
         return None
 

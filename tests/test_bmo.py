@@ -1,4 +1,6 @@
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +23,18 @@ def sign_field(shape=(32, 32)):
     f = np.ones(shape)
     f[shape[0] // 2 :, :] = -1.0
     return f
+
+
+def brute_force_bmo(components, depth):
+    """Max over every component and every dyadic cube, one cube at a time."""
+    best = 0.0
+    for comp in components:
+        for k in range(depth + 1):
+            sides = [n >> k for n in comp.shape]
+            for corner in itertools.product(range(1 << k), repeat=comp.ndim):
+                cube = comp[tuple(slice(i * s, (i + 1) * s) for i, s in zip(corner, sides))]
+                best = max(best, float(np.abs(cube - cube.mean()).mean()))
+    return best
 
 
 class TestBmoNorm:
@@ -57,6 +71,36 @@ class TestBmoNorm:
             bmo_norm(np.zeros((8, 8)), 4)
         with pytest.raises(ValueError, match="depth"):
             bmo_norm(np.zeros((8, 8)), -1)
+
+    def test_depth_must_divide_every_axis(self):
+        with pytest.raises(ValueError, match=r"does not divide.*\(6, 6\)"):
+            bmo_norm(np.zeros((6, 6)), 2)
+        with pytest.raises(ValueError, match=r"depth 3.*\(8, 12\)"):
+            bmo_norm(np.zeros((8, 12)), 3)
+        assert bmo_norm(np.zeros((8, 12)), 2).norm_value == 0.0
+
+    @pytest.mark.parametrize("shape", [(16, 16), (8, 32), (8, 8, 16)])
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_matches_brute_force_over_every_cube(self, shape, stacked):
+        rng = np.random.default_rng(sum(shape) + stacked)
+        lead = (2, 3) if stacked else ()
+        f = rng.standard_normal(lead + shape) + 0.3
+        spatial_ndim = len(shape) if stacked else None
+        for depth in range(full_dyadic_depth(shape) + 1):
+            expected = brute_force_bmo(f.reshape((-1,) + shape), depth)
+            got = bmo_norm(f, depth, spatial_ndim=spatial_ndim).norm_value
+            assert got == pytest.approx(expected, rel=1e-12)
+
+    def test_scratch_memory_below_three_fields(self):
+        # one centered copy in dyadic order plus one scratch buffer of its size
+        f = np.random.default_rng(2).standard_normal((2, 2, 256, 256))
+        tracemalloc.start()
+        try:
+            bmo_norm(f, 8, spatial_ndim=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * f.nbytes
 
     def test_matrix_field_component_wise_max(self):
         f = sign_field((16, 16))
@@ -96,6 +140,13 @@ class TestJohnNirenberg:
         fit_s = john_nirenberg_fit(scaled, bmo_norm(scaled, 6, spatial_ndim=2), spatial_ndim=2)
         assert fit_s.b == pytest.approx(fit.b, rel=1e-9)
 
+    def test_field_left_unchanged(self):
+        f = np.random.default_rng(6).standard_normal((2, 2, 16, 16))
+        before = f.copy()
+        john_nirenberg_fit(f, bmo_norm(f, 4, spatial_ndim=2), spatial_ndim=2)
+        lemma1_ratio(f, np.ones((16, 16), bool), spatial_ndim=2)
+        assert np.array_equal(f, before)
+
     def test_degenerate_field_rejected(self):
         f = np.zeros((16, 16))
         est = bmo_norm(f, 3)
@@ -110,6 +161,13 @@ class TestLemma1Ratio:
         ratio = lemma1_ratio(f, np.ones((32, 32), bool), bmo=est)
         # |A| = 1: the ratio is the quadratic mass over the squared norm
         assert ratio == pytest.approx(float((f**2).mean()) / est.norm_value**2, rel=1e-12)
+
+    def test_default_norm_is_the_full_depth_norm(self):
+        f = np.random.default_rng(7).standard_normal((2, 2, 32, 32))
+        mask = f[0, 0] > 0.5
+        est = bmo_norm(f, full_dyadic_depth((32, 32)), spatial_ndim=2)
+        default = lemma1_ratio(f, mask, spatial_ndim=2)
+        assert default == pytest.approx(lemma1_ratio(f, mask, bmo=est, spatial_ndim=2), rel=1e-12)
 
     def test_empty_mask_rejected(self):
         f = sign_field()

@@ -201,6 +201,29 @@ class TestCorpusFlags:
         assert "error:" in capsys.readouterr().err
 
 
+    BAD_SIGMAS = [("nan", "5"), ("1", "inf"), ("5", "1"), ("-1", "5"), ("0", "5"), ("1", "x")]
+
+    @pytest.mark.parametrize("command", ["verify", "bmo"])
+    @pytest.mark.parametrize("lo,hi", BAD_SIGMAS)
+    def test_bad_sigma_range_exit_one(self, command, lo, hi, capsys):
+        # a negative --sigma-min used to solve grids until a seed drew a negative phase
+        code = main([command, "--count", "6", "--shape", "8", "--sigma-min", lo, "--sigma-max", hi])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "sigma" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("lo,hi", BAD_SIGMAS + [(True, 5.0), (None, 5.0)])
+    def test_replay_holds_manifest_to_sigma_range(self, lo, hi, tmp_path, capsys):
+        out = tmp_path / "b.txt"
+        assert main(["bmo", "--count", "1", "--shape", "8", "--out", str(out)]) == 0
+        manifest = json.loads((tmp_path / "b.txt.manifest.json").read_text())
+        manifest["options"].update(sigma_min=lo, sigma_max=hi)
+        path = tmp_path / "bad.manifest.json"
+        path.write_text(json.dumps(manifest))
+        assert main(["replay", str(path)]) == 1
+        assert "--sigma-min and --sigma-max" in capsys.readouterr().err
+
+
 class TestBmoCommand:
     def test_homogeneous_grid_flagged_degenerate(self, tmp_path, capsys):
         grid_path = tmp_path / "homog.cnda"
