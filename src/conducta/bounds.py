@@ -51,28 +51,24 @@ BOUND_NAMES = (
 )
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_S_SEARCH_POINTS = 64  # grid points of optimize_S's scan of (0, sup sigma]
+_S_TOLERANCE = 1e-6  # width at which optimize_S's golden-section search stops
 
 
 @dataclass(frozen=True)
 class BoundConfig:
     """Evaluation settings for the refined bound.
 
-    C is the dimensional constant in the E term; S_search_points and
-    S_tolerance control the grid + golden-section search of optimize_S.
+    C is the dimensional constant in the E term; use_simplified_E drops the
+    L^2 / (sup sigma + (n-1)S)^2 factor of E (see the module docstring).
     """
 
     C: float = 1.0
     use_simplified_E: bool = True
-    S_search_points: int = 64
-    S_tolerance: float = 1e-6
 
     def __post_init__(self):
         if not self.C > 0.0:
             raise ValueError(f"C must be positive, got {self.C}")
-        if not self.S_tolerance > 0.0:
-            raise ValueError(f"S_tolerance must be positive, got {self.S_tolerance}")
-        if self.S_search_points < 16:
-            raise ValueError(f"S_search_points must be >= 16, got {self.S_search_points}")
 
 
 @dataclass(frozen=True)
@@ -207,10 +203,10 @@ def optimize_S(ps: PhaseSet, cfg: BoundConfig | None = None) -> BoundReport:
 
     The search never needs to leave (0, sup sigma]: the tail integral is
     identically zero from sup sigma on, so E = 0 there while H keeps growing.
-    S is scanned on a grid of S_search_points that includes every sigma_i
-    (the tail integral has kinks there), then the bracket around the best
-    grid point is refined by golden section down to S_tolerance.  Ties are
-    resolved toward the larger S.
+    S is scanned on a grid of _S_SEARCH_POINTS (64) that includes every
+    sigma_i (the tail integral has kinks there), then the bracket around the
+    best grid point is refined by golden section down to _S_TOLERANCE (1e-6).
+    Ties are resolved toward the larger S.
     """
     cfg = cfg or BoundConfig()
     dist = distribution_from_phases(ps)
@@ -221,7 +217,7 @@ def optimize_S(ps: PhaseSet, cfg: BoundConfig | None = None) -> BoundReport:
         return H + E
 
     points = sorted(
-        {sup * k / cfg.S_search_points for k in range(1, cfg.S_search_points + 1)}
+        {sup * k / _S_SEARCH_POINTS for k in range(1, _S_SEARCH_POINTS + 1)}
         | set(ps.conductivities)
     )
     best_S = points[0]
@@ -245,7 +241,7 @@ def optimize_S(ps: PhaseSet, cfg: BoundConfig | None = None) -> BoundReport:
     consider(x1, f1)
     consider(x2, f2)
     for _ in range(200):
-        if hi - lo <= cfg.S_tolerance:
+        if hi - lo <= _S_TOLERANCE:
             break
         if f1 > f2:
             lo, x1, f1 = x1, x2, f2

@@ -6,9 +6,10 @@ e_i the periodic corrector u_i minimizes the cell energy
     mean( sigma |e_i + grad u_i|^2 )
 
 over grid potentials.  Conjugate gradients run in Fourier space on the
-``numpy.fft.rfftn`` half spectrum of u_i: the right-hand side i k_i sigma_hat
-needs no transform, the Green operator of a homogeneous reference medium is
-a diagonal multiply by 1 / (sigma_0 |k|^2), and only the operator
+``numpy.fft.rfftn`` half spectrum of u_i, with the wavenumbers of
+``spectral.half_wavenumbers``: the right-hand side i k_i sigma_hat needs no
+transform, the Green operator of a homogeneous reference medium is a
+diagonal multiply by 1 / (sigma_0 |k|^2), and only the operator
 -div(sigma grad .) visits real space, with 2n real transforms per iteration.
 The reported tensor uses the energy bilinear form, which is variationally
 one-sided; the mismatch against the flux average is kept as a convergence
@@ -36,7 +37,7 @@ Differentiation conventions (these are constraints, not taste):
   mean).  laplacian_p is therefore theta with its Nyquist-plane content
   removed, i.e. theta at grid resolution; the raw theta field is stored
   separately and is what PotentialField.I1 integrates, matching the closed form
-  -(n-1)S + L to round-off.  constructive_upper integrates the grid-resolved
+  -(n-1)S + L to round-off.  constructive_value integrates the grid-resolved
   fields instead, so its admissibility (value >= sigma_bar) is exact at the
   discrete level; on band-limited media such as laminates and checkerboards
   the two quadratures coincide.
@@ -208,10 +209,10 @@ def solve_effective_tensor(grid: VoxelGrid, config: SolverConfig | None = None) 
     matrix = np.empty((n, n))
     for i in range(n):
         for j in range(i, n):
-            dot = np.zeros(shape)
+            grad_dot = np.zeros(shape)
             for ax in range(n):
-                dot += total_gradients[i][ax] * total_gradients[j][ax]
-            matrix[i, j] = matrix[j, i] = float(np.mean(sigma * dot))
+                grad_dot += total_gradients[i][ax] * total_gradients[j][ax]
+            matrix[i, j] = matrix[j, i] = float(np.mean(sigma * grad_dot))
     flux = np.empty((n, n))
     for i in range(n):
         for j in range(n):

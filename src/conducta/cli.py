@@ -13,7 +13,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -37,7 +36,7 @@ from .cell_solver import (
     solve_effective_tensor,
     traceless_hessian,
 )
-from .errors import ConfigError, ConvergenceError, GridFormatError
+from .errors import ConfigError, ConvergenceError
 from .microstructure import VoxelGrid, empirical_phase_set, generate_random, load_grid
 from .phases import PhaseSet, read_phase_config
 
@@ -47,6 +46,10 @@ EXIT_NO_CONVERGENCE = 2
 EXIT_VIOLATION = 3
 
 _SLACK_TOL = 1e-6  # relative slack below which a bound counts as violated
+_VOXEL_BUDGET = 2**24  # largest corpus grid, checked before anything is allocated
+
+# removed options, with the one value old manifests can replay byte for byte
+_RETIRED_OPTIONS = {"search_points": 64, "S_tolerance": 1e-6, "sample_levels": 48}
 
 
 def _g(x) -> str:
@@ -68,7 +71,13 @@ class RunManifest:
 
     @classmethod
     def from_json(cls, text: str) -> "RunManifest":
-        data = json.loads(text)
+        try:
+            data = json.loads(text)
+        except ValueError as exc:
+            raise ConfigError(f"manifest is not valid JSON: {exc}") from exc
+        if not (isinstance(data, dict) and isinstance(data.get("command"), str)
+                and isinstance(data.get("options"), dict)):
+            raise ConfigError('manifest must be a JSON object with a string "command" and an object "options"')
         return cls(command=data["command"], options=data["options"])
 
 
@@ -87,18 +96,13 @@ def _save_manifest(manifest: RunManifest) -> None:
 
 
 def _bound_cfg(options: dict) -> BoundConfig:
-    return BoundConfig(
-        C=float(options.get("C", 1.0)),
-        use_simplified_E=not options.get("full_E", False),
-        S_search_points=int(options.get("search_points", 64)),
-        S_tolerance=float(options.get("S_tolerance", 1e-6)),
-    )
+    return BoundConfig(C=float(options["C"]), use_simplified_E=not options["full_E"])
 
 
 def _solver_cfg(options: dict) -> SolverConfig:
     return SolverConfig(
-        relative_tolerance=float(options.get("tolerance", 1e-8)),
-        max_iterations=int(options.get("max_iterations", 1000)),
+        relative_tolerance=float(options["tolerance"]),
+        max_iterations=int(options["max_iterations"]),
     )
 
 
@@ -124,7 +128,7 @@ def run_bounds(options: dict) -> int:
     ps = read_phase_config(options["config"])
     cfg = _bound_cfg(options)
     reports = [trivial_upper(ps), hs_upper(ps)]
-    s_opt = options.get("S", "opt")
+    s_opt = options["S"]
     if s_opt not in (None, "opt"):
         reports.append(theorem1_upper(ps, float(s_opt), cfg))
     reports.append(optimize_S(ps, cfg))
@@ -140,7 +144,7 @@ def run_bounds(options: dict) -> int:
         f"{'bound':<22}" + "".join(f"{c:>20}" for c in _BOUND_COLUMNS[1:]),
     ]
     lines.extend(_bound_row(r) for r in reports)
-    _emit("\n".join(lines) + "\n", options.get("out"))
+    _emit("\n".join(lines) + "\n", options["out"])
     return EXIT_OK
 
 
@@ -160,7 +164,7 @@ def run_sweep(options: dict) -> int:
     mu3_values = list(
         np.geomspace(float(options["mu3_max"]), float(options["mu3_min"]), int(options["points"]))
     )
-    if options.get("include_zero", True):
+    if options["include_zero"]:
         mu3_values.append(0.0)
 
     rows = ["mu3,trivial,hs,theorem1_opt,S_opt,two_phase_hs,gap"]
@@ -185,7 +189,7 @@ def run_sweep(options: dict) -> int:
                 )
             )
         )
-    _emit("\n".join(rows) + "\n", options.get("out"))
+    _emit("\n".join(rows) + "\n", options["out"])
     return EXIT_OK
 
 
@@ -203,7 +207,7 @@ def run_solve(options: dict) -> int:
     tensor = solve_effective_tensor(grid, _solver_cfg(options))
     emp = empirical_phase_set(grid)
     cfg = _bound_cfg(options)
-    s_values = _resolve_s_list(options.get("S") or "auto", emp)
+    s_values = _resolve_s_list(options["S"] or "auto", emp)
 
     lines = [
         "# conducta solve",
@@ -237,50 +241,56 @@ def run_solve(options: dict) -> int:
         slack = (bound - tensor.sigma_bar) / bound
         status = "PASS" if slack >= -_SLACK_TOL else ("FAIL" if hard else "EXCEEDED(C-dependent)")
         lines.append(f"sigma_bar <= {name}: {status} (bound={_g(bound)}, slack={_g(slack)})")
-    _emit("\n".join(lines) + "\n", options.get("out"))
+    _emit("\n".join(lines) + "\n", options["out"])
     return EXIT_OK
 
 
 # ----------------------------------------------------------------- verify
 
 def _checked_corpus(command: str, options: dict) -> dict:
-    """Options with the corpus flags validated and made integers.
+    """Options with the corpus flags validated and made numbers.
 
     Parsed flags and replayed manifests both pass through here, so a
     hand-written manifest is held to the command line's limits.  The corpus
-    needs ``count >= 1``, ``num_phases`` in [1, 100] (_corpus_grid redraws
-    the conductivities until every gap is at least 1e-3 of the range, which
-    past about 100 phases practically never happens) and a finite
-    conductivity range with ``0 < sigma_min <= sigma_max``, so no drawn phase
-    is non-positive.  Raises ConfigError.
+    needs ``dim`` in {2, 3}, a power-of-two ``shape >= 2`` with at most
+    _VOXEL_BUDGET voxels (checked before any array exists), ``count >= 1``,
+    ``num_phases`` in [1, 100] (_corpus_grid redraws the conductivities until
+    every gap is at least 1e-3 of the range, which past about 100 phases
+    practically never happens) and a finite conductivity range with
+    ``0 < sigma_min <= sigma_max``, so no drawn phase is non-positive.
+    Raises ConfigError.
     """
     if command not in ("verify", "bmo"):
         return options
-    k = _as_int(options.get("num_phases"))
+    dim = _parsed(int, options.get("dim"))
+    if dim not in (2, 3):
+        raise ConfigError(f"--dim must be 2 or 3, got {options.get('dim')!r}")
+    shape = _parsed(int, options.get("shape"))
+    if shape is None or shape < 2 or shape & (shape - 1):
+        raise ConfigError(f"--shape must be a power of two >= 2, got {options.get('shape')!r}")
+    if shape**dim > _VOXEL_BUDGET:
+        raise ConfigError(f"--shape {shape} in {dim}D exceeds the budget of {_VOXEL_BUDGET} voxels")
+    k = _parsed(int, options.get("num_phases"))
     if k is None or not 1 <= k <= 100:
         raise ConfigError(f"--num-phases must be an integer in [1, 100], got {options.get('num_phases')!r}")
-    count = _as_int(options.get("count"))
+    count = _parsed(int, options.get("count"))
     if count is None or count < 1:
         raise ConfigError(f"--count must be an integer >= 1, got {options.get('count')!r}")
-    lo, hi = _as_float(options.get("sigma_min")), _as_float(options.get("sigma_max"))
+    lo, hi = _parsed(float, options.get("sigma_min")), _parsed(float, options.get("sigma_max"))
     if lo is None or hi is None or not (math.isfinite(lo) and math.isfinite(hi) and 0.0 < lo <= hi):
         raise ConfigError(
             "--sigma-min and --sigma-max must be finite with 0 < sigma_min <= sigma_max,"
             f" got {options.get('sigma_min')!r} and {options.get('sigma_max')!r}"
         )
-    return {**options, "num_phases": k, "count": count, "sigma_min": lo, "sigma_max": hi}
+    checked = {"dim": dim, "shape": shape, "num_phases": k, "count": count, "sigma_min": lo, "sigma_max": hi}
+    return {**options, **checked}
 
 
-def _as_int(value) -> int | None:
+def _parsed(kind, value):
+    """``kind`` (int or float) parsed from ``str(value)``, or None; through str,
+    so True is rejected rather than read as 1, and int rejects 2.5 rather than truncating."""
     try:
-        return int(str(value))  # through str, so 2.5 and True are rejected, not truncated
-    except ValueError:
-        return None
-
-
-def _as_float(value) -> float | None:
-    try:
-        return float(str(value))  # through str, so True is rejected, not read as 1.0
+        return kind(str(value))
     except ValueError:
         return None
 
@@ -290,15 +300,14 @@ def _corpus_grid(seed: int, options: dict) -> VoxelGrid:
 
     Conductivities are redrawn until every gap is at least 1e-3 of the range.
     """
-    dim = int(options["dim"])
-    k = int(options["num_phases"])
-    lo, hi = float(options["sigma_min"]), float(options["sigma_max"])
+    dim, k = options["dim"], options["num_phases"]
+    lo, hi = options["sigma_min"], options["sigma_max"]
     rng = np.random.default_rng(seed)
     sig = np.sort(rng.uniform(lo, hi, k))
     while k > 1 and float(np.diff(sig).min()) < 1e-3 * (hi - lo):
         sig = np.sort(rng.uniform(lo, hi, k))
     ps = PhaseSet.from_pairs(sig, rng.dirichlet(np.ones(k)), dim)
-    return generate_random(ps, (int(options["shape"]),) * dim, seed=seed, mode=options.get("mode", "iid"))
+    return generate_random(ps, (options["shape"],) * dim, seed=seed, mode=options["mode"])
 
 
 _VERIFY_HEADER = (
@@ -325,22 +334,15 @@ def _verify_one(seed: int, options: dict) -> tuple[str, bool]:
 
 
 def run_verify(options: dict) -> int:
-    count = int(options["count"])
-    base_seed = int(options["seed"])
-    seeds = [base_seed + i for i in range(count)]
-    workers = int(options.get("workers") or 1)  # manifests may record 0 for "one"
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda s: _verify_one(s, options), seeds))
-    else:
-        results = [_verify_one(s, options) for s in seeds]
+    count, base_seed = options["count"], int(options["seed"])
+    results = [_verify_one(base_seed + i, options) for i in range(count)]
 
-    _emit("\n".join([_VERIFY_HEADER] + [row for row, _ in results]) + "\n", options.get("out"))
+    _emit("\n".join([_VERIFY_HEADER] + [row for row, _ in results]) + "\n", options["out"])
 
     violations = sum(violated for _, violated in results)
     print(
         f"verify: {count} grids, {violations} violation(s)"
-        f" (theorem1 reported with C={_g(options.get('C', 1.0))}, not enforced)",
+        f" (theorem1 reported with C={_g(options['C'])}, not enforced)",
         file=sys.stderr,
     )
     if violations:
@@ -353,7 +355,7 @@ def run_verify(options: dict) -> int:
 
 # ----------------------------------------------------------------- bmo
 
-def _bmo_one(grid: VoxelGrid, label: str, s_spec: str, sample_levels: int) -> tuple[str, float]:
+def _bmo_one(grid: VoxelGrid, label: str, s_spec: str) -> tuple[str, float]:
     emp = empirical_phase_set(grid)
     s = 0.5 * (emp.inf_sigma + emp.sup_sigma) if s_spec == "mid" else float(s_spec)
     pf = build_optimal_potential(grid, s)
@@ -364,7 +366,7 @@ def _bmo_one(grid: VoxelGrid, label: str, s_spec: str, sample_levels: int) -> tu
     field = traceless_hessian(pf)
     depth = full_dyadic_depth(grid.shape)
     est = bmo_norm(field, depth, spatial_ndim=grid.dimension)
-    fit = john_nirenberg_fit(field, est, sample_levels=sample_levels, spatial_ndim=grid.dimension)
+    fit = john_nirenberg_fit(field, est, spatial_ndim=grid.dimension)
     sigma_field = grid.conductivity_field()
     masks = superlevel_masks(sigma_field)
     ratios = [lemma1_ratio(field, m, bmo=est, spatial_ndim=grid.dimension) for _, m in masks]
@@ -379,13 +381,12 @@ def _bmo_one(grid: VoxelGrid, label: str, s_spec: str, sample_levels: int) -> tu
 
 
 def run_bmo(options: dict) -> int:
-    s_spec = str(options.get("S") or "mid")
-    sample_levels = int(options.get("sample_levels", 48))
+    s_spec = str(options["S"] or "mid")
     grids: list[tuple[str, VoxelGrid]] = []
-    if options.get("grid"):
+    if options["grid"]:
         grids.append((Path(options["grid"]).name, load_grid(options["grid"])))
     else:
-        seeds = range(int(options["seed"]), int(options["seed"]) + int(options["count"]))
+        seeds = range(int(options["seed"]), int(options["seed"]) + options["count"])
         grids.extend((f"seed{seed}", _corpus_grid(seed, options)) for seed in seeds)
 
     header = (
@@ -395,12 +396,12 @@ def run_bmo(options: dict) -> int:
     lines = ["# conducta bmo", f"S: {s_spec}", "", header]
     overall = 0.0
     for label, grid in grids:
-        row, max_ratio = _bmo_one(grid, label, s_spec, sample_levels)
+        row, max_ratio = _bmo_one(grid, label, s_spec)
         lines.append(row)
         overall = max(overall, max_ratio)
     lines.append("")
     lines.append(f"recommended_C: {_g(overall * 1.1)}  # max lemma1 ratio with a 10% margin")
-    _emit("\n".join(lines) + "\n", options.get("out"))
+    _emit("\n".join(lines) + "\n", options["out"])
     return EXIT_OK
 
 
@@ -417,9 +418,18 @@ _RUNNERS = {
 
 def run_replay(options: dict) -> int:
     manifest = RunManifest.from_json(Path(options["manifest"]).read_text())
-    if manifest.command not in _RUNNERS:
-        raise ConfigError(f"manifest has unknown command {manifest.command!r}")
-    return _RUNNERS[manifest.command](_checked_corpus(manifest.command, manifest.options))
+    command, recorded = manifest.command, manifest.options
+    if command not in _RUNNERS:
+        raise ConfigError(f"manifest has unknown command {command!r}")
+    for key in sorted(_RETIRED_OPTIONS.keys() & recorded.keys()):
+        if recorded[key] != _RETIRED_OPTIONS[key]:
+            raise ConfigError(
+                f"manifest records the removed option {key}={recorded[key]!r}; only {_RETIRED_OPTIONS[key]!r} replays"
+            )
+    missing = sorted(build_parser()._option_keys[command] - recorded.keys())
+    if missing:
+        raise ConfigError(f"{command} manifest lacks option(s) {', '.join(missing)}")
+    return _RUNNERS[command](_checked_corpus(command, recorded))
 
 
 # ----------------------------------------------------------------- parser
@@ -432,8 +442,6 @@ class _Parser(argparse.ArgumentParser):
 def _add_bound_flags(p):
     p.add_argument("--C", type=float, default=1.0, help="dimensional constant in the E term")
     p.add_argument("--full-E", dest="full_E", action="store_true", help="use the non-simplified E term")
-    p.add_argument("--search-points", dest="search_points", type=int, default=64)
-    p.add_argument("--S-tolerance", dest="S_tolerance", type=float, default=1e-6)
 
 
 def _add_corpus_flags(p, count: int):
@@ -479,7 +487,8 @@ def build_parser() -> _Parser:
     _add_corpus_flags(p, count=20)
     p.add_argument("--tolerance", type=float, default=1e-8)
     p.add_argument("--max-iterations", dest="max_iterations", type=int, default=1000)
-    p.add_argument("--workers", type=int, default=1)
+    # no effect: kept so that existing scripts passing --workers still parse
+    p.add_argument("--workers", type=int, default=1, help=argparse.SUPPRESS)
     _add_bound_flags(p)
     p.add_argument("--out")
 
@@ -487,12 +496,16 @@ def build_parser() -> _Parser:
     p.add_argument("--grid")
     p.add_argument("--S", default="mid", help="shift parameter: a number, or 'mid'")
     _add_corpus_flags(p, count=6)
-    p.add_argument("--sample-levels", dest="sample_levels", type=int, default=48)
     p.add_argument("--out")
 
     p = sub.add_parser("replay", help="re-run a saved manifest")
     p.add_argument("manifest")
 
+    # the option keys each command's runner reads, so replay can name a missing one
+    parser._option_keys = {
+        name: {a.dest for a in cmd._actions if a.dest != "help" and a.help != argparse.SUPPRESS}
+        for name, cmd in sub.choices.items()
+    }
     return parser
 
 
@@ -508,13 +521,10 @@ def main(argv: list[str] | None = None) -> int:
         manifest = RunManifest(command, options)
         _save_manifest(manifest)
         return _RUNNERS[command](options)
-    except (ConfigError, GridFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # ConfigError and GridFormatError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -19,6 +19,7 @@ Grid file format (little endian, documented for interoperability):
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -27,7 +28,7 @@ import numpy as np
 
 from .errors import GridFormatError
 from .phases import PhaseSet
-from .spectral import wavenumbers
+from .spectral import half_wavenumbers
 
 __all__ = [
     "VoxelGrid",
@@ -43,10 +44,6 @@ MAGIC = b"CNDA"
 VERSION = 1
 
 
-def _is_power_of_two(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
-
-
 @dataclass(frozen=True)
 class VoxelGrid:
     """Periodic piecewise-constant conductivity on a uniform voxel grid."""
@@ -59,7 +56,7 @@ class VoxelGrid:
         if idx.ndim not in (2, 3):
             raise ValueError(f"grid must be 2D or 3D, got {idx.ndim}D")
         for n in idx.shape:
-            if not _is_power_of_two(n) or n < 2:
+            if n < 2 or n & (n - 1):
                 raise ValueError(f"grid shape must be powers of two >= 2, got {idx.shape}")
         k = len(self.phase_conductivities)
         if not 1 <= k <= 255:
@@ -145,9 +142,9 @@ def _smooth_noise(rng: np.random.Generator, shape: tuple[int, ...], length: floa
     # Gaussian low-pass in Fourier space; length is in voxels of axis 0
     noise = rng.standard_normal(shape)
     ell = length / shape[0]
-    _, k2 = wavenumbers(shape, zero_nyquist=False)
+    _, k2 = half_wavenumbers(shape, zero_nyquist=False)
     kernel = np.exp(-0.5 * ell * ell * k2)
-    return np.fft.ifftn(np.fft.fftn(noise) * kernel).real
+    return np.fft.irfftn(np.fft.rfftn(noise) * kernel, s=shape, axes=tuple(range(len(shape))))
 
 
 def generate_random(
@@ -225,7 +222,7 @@ def load_grid(path: str | Path) -> VoxelGrid:
         raise GridFormatError(f"{path}: truncated conductivity table")
     conductivities = np.frombuffer(data, dtype="<f8", count=k, offset=offset)
     offset += 8 * k
-    count = int(np.prod(shape))
+    count = math.prod(shape)  # Python ints: a fixed-width product can wrap to 0
     if len(data) != offset + count:
         raise GridFormatError(
             f"{path}: expected {count} index bytes, found {len(data) - offset}"

@@ -32,10 +32,6 @@ class TestConfigAndReport:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             BoundConfig(C=0.0)
-        with pytest.raises(ValueError):
-            BoundConfig(S_tolerance=0.0)
-        with pytest.raises(ValueError):
-            BoundConfig(S_search_points=8)
 
     def test_report_validation(self):
         with pytest.raises(ValueError, match="name"):

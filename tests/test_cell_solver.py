@@ -22,7 +22,7 @@ from conducta.microstructure import (
     generate_random,
 )
 from conducta.phases import PhaseSet, shifted_harmonic_L
-from conducta.spectral import half_wavenumbers, wavenumbers
+from conducta.spectral import half_wavenumbers
 
 from conftest import random_phase_set
 
@@ -55,31 +55,40 @@ class TestSolverConfig:
 
 class TestWavenumbers:
     def test_modes_nyquist_and_k2(self):
-        ks, k2 = wavenumbers((4, 3), zero_nyquist=False)
-        assert ks[0].shape == (4, 1) and ks[1].shape == (1, 3)
+        ks, k2 = half_wavenumbers((4, 6), zero_nyquist=False)
+        assert ks[0].shape == (4, 1) and ks[1].shape == (1, 4) and k2.shape == (4, 4)
         assert np.array_equal(ks[0].ravel() / (2 * np.pi), [0, 1, -2, -1])
-        assert np.array_equal(ks[1].ravel() / (2 * np.pi), [0, 1, -1])
+        # the halved axis keeps fftfreq's sign at its Nyquist column
+        assert np.array_equal(ks[1].ravel() / (2 * np.pi), [0, 1, 2, -3])
         assert np.array_equal(k2, ks[0] ** 2 + ks[1] ** 2)
-        ks, k2 = wavenumbers((4, 3), zero_nyquist=True)
+        ks, k2 = half_wavenumbers((4, 6), zero_nyquist=True)
         assert np.array_equal(ks[0].ravel() / (2 * np.pi), [0, 1, 0, -1])
-        assert np.array_equal(ks[1].ravel() / (2 * np.pi), [0, 1, -1])  # odd axis: no Nyquist mode
+        assert np.array_equal(ks[1].ravel() / (2 * np.pi), [0, 1, 2, 0])
         assert np.array_equal(k2[2], ks[1].ravel() ** 2)
+        ks, _ = half_wavenumbers((4, 5), zero_nyquist=True)
+        assert np.array_equal(ks[1].ravel() / (2 * np.pi), [0, 1, 2])  # odd axis: no Nyquist mode
 
-    @pytest.mark.parametrize("shape", [(4, 6), (4, 5), (6, 4, 4)])
+    @pytest.mark.parametrize("shape", [(4, 6), (4, 5), (6, 4, 4), (8, 32), (5, 7, 9), (16, 16, 16)])
     def test_half_spectrum_is_a_slice(self, shape):
+        # of full fftfreq grids built here, with |k|^2 summed axis by axis from
+        # zero; same values and order, so equal bit for bit
         m = shape[-1] // 2 + 1
         for zero_nyquist in (False, True):
-            ks, k2 = wavenumbers(shape, zero_nyquist)
+            modes = []
+            for n in shape:
+                k = 2 * np.pi * np.fft.fftfreq(n, d=1.0 / n)
+                if zero_nyquist and n % 2 == 0:
+                    k[n // 2] = 0.0
+                modes.append(k)
+            grids = np.meshgrid(*modes, indexing="ij")
+            k2 = np.zeros(shape)
+            for g in grids:
+                k2 = k2 + g * g
             hks, hk2 = half_wavenumbers(shape, zero_nyquist)
             assert hk2.shape == shape[:-1] + (m,)
             assert np.array_equal(hk2, k2[..., :m])
-            for k, hk in zip(ks, hks):
-                assert np.array_equal(hk, k[..., :m])
-            # the magnitudes are rfftn's modes along the halved axis
-            expected = 2 * np.pi * np.fft.rfftfreq(shape[-1], d=1.0 / shape[-1])
-            if zero_nyquist and shape[-1] % 2 == 0:
-                expected[-1] = 0.0
-            assert np.array_equal(np.abs(hks[-1].ravel()), expected)
+            for g, hk in zip(grids, hks):
+                assert np.array_equal(np.broadcast_to(hk, hk2.shape), g[..., :m])
 
 
 class TestEffectiveTensor:
@@ -197,6 +206,12 @@ class TestTransformBudget:
         # rfftn(sigma) once; per direction 2n per iteration and n gradients
         assert sum(fft_calls.values()) == 1 + sum(it * 2 * n + n for it in t.iterations)
         assert set(fft_calls) == {"rfftn", "irfftn"}
+
+    @pytest.mark.parametrize("shape", [(32, 32), (16, 16, 16)])
+    def test_smooth_generation_uses_one_real_transform_pair(self, shape, fft_calls):
+        ps = PhaseSet.from_pairs((1.0, 2.0, 5.0), (0.4, 0.4, 0.2), len(shape))
+        generate_random(ps, shape, seed=3, mode="smooth")
+        assert fft_calls == {"rfftn": 1, "irfftn": 1}
 
     @pytest.mark.parametrize("shape", [(32, 32), (8, 8, 8)])
     def test_potential_uses_real_transforms(self, shape, fft_calls):

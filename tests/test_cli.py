@@ -1,9 +1,12 @@
+import importlib.util
 import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conducta.cli import main
+from conducta.cli import build_parser, main
 from conducta.microstructure import generate_laminate, generate_random, save_grid
 from conducta.phases import PhaseSet
 
@@ -222,6 +225,177 @@ class TestCorpusFlags:
         path.write_text(json.dumps(manifest))
         assert main(["replay", str(path)]) == 1
         assert "--sigma-min and --sigma-max" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("command", ["verify", "bmo"])
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--dim", "4"], "--dim"),
+            (["--shape", "48"], "power of two"),
+            (["--shape", "1"], "power of two"),
+            (["--shape", "0"], "power of two"),
+            (["--shape", "8192"], "budget"),
+            (["--shape", "512", "--dim", "3"], "budget"),
+        ],
+    )
+    def test_bad_dim_or_shape_exit_one(self, command, flags, message, capsys):
+        assert main([command, "--count", "1", *flags]) == 1
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "bad,message",
+        [
+            ({"dim": 4}, "--dim"),
+            ({"dim": 1}, "--dim"),
+            ({"dim": 2.5}, "--dim"),
+            ({"shape": 12}, "power of two"),
+            ({"shape": True}, "power of two"),
+            ({"shape": 2**30, "dim": 3}, "budget"),
+            ({"shape": 2**13}, "budget"),
+        ],
+    )
+    def test_replay_checks_dim_and_shape_before_allocating(self, bad, message, tmp_path, capsys):
+        # a replayed dim 4 used to build the 4-D grid, and a huge shape reached numpy's allocator
+        out = tmp_path / "v.csv"
+        assert main(["verify", "--count", "1", "--shape", "8", "--out", str(out)]) == 0
+        manifest = json.loads((tmp_path / "v.csv.manifest.json").read_text())
+        manifest["options"].update(bad)
+        path = tmp_path / "bad.manifest.json"
+        path.write_text(json.dumps(manifest))
+        assert main(["replay", str(path)]) == 1
+        assert message in capsys.readouterr().err
+
+    def test_voxel_budget_is_inclusive(self):
+        # 256**3 is exactly the budget; only the validation runs, not the corpus
+        from conducta.cli import _VOXEL_BUDGET, _checked_corpus
+
+        options = vars(build_parser().parse_args(["verify", "--shape", "256", "--dim", "3"]))
+        assert 256**3 == _VOXEL_BUDGET
+        assert _checked_corpus("verify", options)["shape"] == 256
+
+
+class TestUnreadablePaths:
+    def test_solve_missing_grid(self, capsys):
+        assert main(["solve", "--grid", "/nonexistent.cnda"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "/nonexistent.cnda" in err
+
+    def test_bounds_missing_config(self, capsys):
+        assert main(["bounds", "--config", "/nonexistent.cfg"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "/nonexistent.cfg" in err
+
+    def test_replay_missing_manifest(self, capsys):
+        assert main(["replay", "/nonexistent.json"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "/nonexistent.json" in err
+
+    def test_bmo_grid_is_a_directory(self, tmp_path, capsys):
+        assert main(["bmo", "--grid", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(tmp_path) in err
+
+    def test_verify_out_in_missing_directory(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.csv"
+        assert main(["verify", "--count", "1", "--shape", "8", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "x.csv.manifest.json" in err
+
+
+class TestReplayManifests:
+    @pytest.fixture
+    def bounds_manifest(self, three_cfg, tmp_path):
+        out = tmp_path / "b.txt"
+        assert main(["bounds", "--config", three_cfg, "--out", str(out)]) == 0
+        return out, json.loads((tmp_path / "b.txt.manifest.json").read_text())
+
+    def replay(self, tmp_path, manifest) -> int:
+        path = tmp_path / "edited.manifest.json"
+        path.write_text(manifest if isinstance(manifest, str) else json.dumps(manifest))
+        return main(["replay", str(path)])
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[1, 2]",
+            '{"options": {}}',
+            '{"command": 3, "options": {}}',
+            '{"command": "bounds", "options": [1]}',
+            '"bounds"',
+            "{not json",
+        ],
+    )
+    def test_malformed_manifest_exit_one(self, text, tmp_path, capsys):
+        assert self.replay(tmp_path, text) == 1
+        assert "manifest" in capsys.readouterr().err
+
+    def test_missing_config_key_named(self, tmp_path, capsys):
+        assert self.replay(tmp_path, {"command": "bounds", "options": {}}) == 1
+        err = capsys.readouterr().err
+        assert "lacks" in err and "config" in err
+
+    def test_verify_manifest_without_seed(self, tmp_path, capsys):
+        out = tmp_path / "v.csv"
+        assert main(["verify", "--count", "1", "--shape", "8", "--out", str(out)]) == 0
+        manifest = json.loads((tmp_path / "v.csv.manifest.json").read_text())
+        del manifest["options"]["seed"]
+        assert self.replay(tmp_path, manifest) == 1
+        err = capsys.readouterr().err
+        assert "lacks option(s) seed" in err and "Traceback" not in err
+
+    def test_retired_search_keys_at_their_defaults_replay(self, bounds_manifest, tmp_path):
+        out, manifest = bounds_manifest
+        first = out.read_bytes()
+        manifest["options"].update(search_points=64, S_tolerance=1e-6)
+        assert self.replay(tmp_path, manifest) == 0
+        assert out.read_bytes() == first
+
+    @pytest.mark.parametrize("key,value", [("search_points", 32), ("S_tolerance", 1e-3), ("search_points", "64")])
+    def test_retired_search_keys_at_other_values_exit_one(self, key, value, bounds_manifest, tmp_path, capsys):
+        _, manifest = bounds_manifest
+        manifest["options"][key] = value
+        assert self.replay(tmp_path, manifest) == 1
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value,code", [(48, 0), (24, 1)])
+    def test_retired_sample_levels(self, value, code, tmp_path, capsys):
+        out = tmp_path / "b.txt"
+        assert main(["bmo", "--count", "1", "--shape", "8", "--out", str(out)]) == 0
+        first = out.read_bytes()
+        manifest = json.loads((tmp_path / "b.txt.manifest.json").read_text())
+        manifest["options"]["sample_levels"] = value
+        out.unlink()
+        assert self.replay(tmp_path, manifest) == code
+        if code == 0:
+            assert out.read_bytes() == first
+        else:
+            assert "sample_levels" in capsys.readouterr().err and not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--search-points", "--S-tolerance"])
+    def test_removed_flags_rejected(self, flag, three_cfg):
+        assert main(["bounds", "--config", three_cfg, flag, "64"]) == 1
+
+
+def load_bench_workloads(monkeypatch):
+    """bench/workloads.py, imported by path and only read."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look themselves up
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name", ["verify-2d", "solve-3d", "bmo-2d"])
+def test_benchmark_argv_parses(name, tmp_path, monkeypatch):
+    # a CLI change that breaks an argument list of the benchmark fails here
+    workloads = load_bench_workloads(monkeypatch).WORKLOADS
+    assert sorted(workloads) == ["bmo-2d", "solve-3d", "verify-2d"]
+    workload = workloads[name]
+    for argv in (workload.argv(tmp_path, 3, 2), workload.reference_argv(tmp_path)):
+        args = build_parser().parse_args(argv)
+        assert args.command == argv[0]
 
 
 class TestBmoCommand:

@@ -1,5 +1,9 @@
+import math
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from conducta.errors import GridFormatError
 from conducta.microstructure import (
@@ -134,6 +138,39 @@ class TestRandom:
             return int((ix != np.roll(ix, 1, 0)).sum() + (ix != np.roll(ix, 1, 1)).sum())
         assert boundary_count(smooth) < 0.5 * boundary_count(iid)
 
+    @pytest.mark.parametrize("shape", [(64, 64), (128, 128), (32, 32, 32)])
+    @pytest.mark.parametrize("ps3", [False, True])
+    def test_smooth_matches_complex_fft_reference(self, shape, ps3):
+        # the real-FFT filter moves the field only at round-off, which never
+        # reorders it across a quantile threshold on these draws
+        dim = len(shape)
+        ps = (PhaseSet.from_pairs((1.0, 2.0, 5.0), (0.4, 0.4, 0.2), dim) if ps3
+              else PhaseSet.from_pairs((1.0, 4.0), (0.5, 0.5), dim))
+        for seed in range(10):
+            got = generate_random(ps, shape, seed=seed, mode="smooth").phase_index
+            assert np.array_equal(got, complex_fft_smooth_reference(ps, shape, seed))
+
+
+def complex_fft_smooth_reference(ps, shape, seed, length=4.0):
+    """The smooth corpus grid filtered with full complex transforms."""
+    noise = np.random.default_rng(seed).standard_normal(shape)
+    k2 = np.zeros(shape)
+    for ax, n in enumerate(shape):
+        k = 2.0 * np.pi * np.fft.fftfreq(n, d=1.0 / n)
+        k2 = k2 + (k * k).reshape([-1 if a == ax else 1 for a in range(len(shape))])
+    ell = length / shape[0]
+    field = np.fft.ifftn(np.fft.fftn(noise) * np.exp(-0.5 * ell * ell * k2)).real
+    # largest-remainder voxel counts, phases assigned in ascending field order
+    targets = [m * field.size for m in ps.fractions]
+    counts = [int(t) for t in targets]
+    by_remainder = sorted(range(len(targets)), key=lambda i: (counts[i] - targets[i], i))
+    for i in by_remainder[: field.size - sum(counts)]:
+        counts[i] += 1
+    flat = np.repeat(np.arange(len(counts), dtype=np.uint8), counts)
+    index = np.empty(field.size, dtype=np.uint8)
+    index[np.argsort(field.ravel(), kind="stable")] = flat
+    return index.reshape(shape)
+
 
 class TestEmpiricalPhaseSet:
     def test_fractions_sum_exactly_one(self):
@@ -195,3 +232,48 @@ class TestGridFile:
         p.write_bytes(p.read_bytes()[:-3])
         with pytest.raises(GridFormatError, match="index bytes"):
             load_grid(p)
+
+    def test_voxel_count_does_not_wrap(self, tmp_path):
+        # 2**31 * 2**31 * 4 is 2**64, which a 64-bit product wraps to 0
+        p = tmp_path / "huge.cnda"
+        p.write_bytes(grid_header(3, (2**31, 2**31, 4), (1.0,)))
+        with pytest.raises(GridFormatError, match="huge.cnda: expected 18446744073709551616 index bytes"):
+            load_grid(p)
+
+    @given(
+        dim=st.sampled_from([2, 3]),
+        sigmas=st.lists(st.floats(0.5, 8.0), min_size=1, max_size=3),
+        shape=st.lists(
+            st.one_of(st.sampled_from([2, 4, 8]), st.integers(0, 2**32 - 1), st.just(2**31)),
+            min_size=3, max_size=3,
+        ),
+        index_bytes=st.one_of(st.just("exact"), st.integers(0, 600)),
+        phase=st.integers(0, 3),
+        extra=st.integers(-3, 3),
+        cut=st.one_of(st.none(), st.integers(0, 60)),
+    )
+    def test_fuzzed_files_load_or_fail_cleanly(
+        self, tmp_path_factory, dim, sigmas, shape, index_bytes, phase, extra, cut
+    ):
+        # files stay below a few kilobytes, so no declared shape is ever allocated
+        count = math.prod(shape[:dim])
+        if index_bytes == "exact":
+            index_bytes = count if count <= 4096 else 0
+        data = grid_header(dim, shape[:dim], sigmas) + bytes([phase]) * max(index_bytes + extra, 0)
+        if cut is not None:
+            data = data[:cut]  # truncated header, shape or conductivity table
+        p = tmp_path_factory.getbasetemp() / "fuzz.cnda"
+        p.write_bytes(data)
+        try:
+            g = load_grid(p)
+        except GridFormatError as exc:
+            assert str(exc).startswith(f"{p}: ")
+        else:
+            assert g.shape == tuple(shape[:dim]) and g.num_voxels == count
+            assert phase < len(sigmas) and (g.phase_index == phase).all()
+
+
+def grid_header(dim, shape, sigmas):
+    """Header and conductivity table of a version-1 grid file."""
+    head = struct.pack("<4sHBB", b"CNDA", 1, dim, len(sigmas)) + struct.pack(f"<{dim}I", *shape)
+    return head + struct.pack(f"<{len(sigmas)}d", *sigmas)
