@@ -11,7 +11,8 @@ index is written as depth bits plus a remainder, the bits of all axes are
 interleaved most significant first and the remainders go innermost.  In that
 order every dyadic cube of every level is one contiguous run of voxels, so
 level k is a (components, cubes, voxels per cube) reshape and each reduction
-runs along the last axis.
+runs along the last axis.  bmo_norm is the only statistic that computes a
+norm: john_nirenberg_fit and lemma1_ratio take its BmoEstimate as an argument.
 
 Matrix-valued fields are handled component-wise: each component is centered
 and measured on its own, and the norm is the maximum over components.  The
@@ -38,6 +39,7 @@ __all__ = [
 ]
 
 _DEGENERATE_RTOL = 1e-12
+_SAMPLE_LEVELS = 48  # geometric levels at which john_nirenberg_fit samples the tail
 
 
 @dataclass(frozen=True)
@@ -142,22 +144,15 @@ def bmo_norm(field, depth: int, spatial_ndim: int | None = None) -> BmoEstimate:
     return BmoEstimate(norm_value=best)
 
 
-def john_nirenberg_fit(
-    field,
-    bmo: BmoEstimate,
-    sample_levels: int = 48,
-    spatial_ndim: int | None = None,
-) -> JohnNirenbergFit:
+def john_nirenberg_fit(field, bmo: BmoEstimate, spatial_ndim: int | None = None) -> JohnNirenbergFit:
     """Fit exponential tail constants to the distribution of |f|.
 
-    The superlevel measure is sampled at geometric levels up to max|f|, b is
-    fitted by log-linear regression on the decaying region (measure <= 1/2),
-    and B is then the smallest prefactor making the inequality hold at every
-    sampled level, so max_violation <= 0 by construction.  Near-constant
-    fields are rejected.
+    The superlevel measure is sampled at _SAMPLE_LEVELS (48) geometric levels
+    up to max|f|, b is fitted by log-linear regression on the decaying region
+    (measure <= 1/2), and B is then the smallest prefactor making the
+    inequality hold at every sampled level, so max_violation <= 0 by
+    construction.  Near-constant fields are rejected.
     """
-    if sample_levels < 2:
-        raise ValueError(f"sample_levels must be >= 2, got {sample_levels}")
     comp, _ = _as_components(field, spatial_ndim)
     values = _centered(comp).ravel()  # a fresh copy: made absolute and sorted in place
     np.abs(values, out=values)
@@ -167,7 +162,7 @@ def john_nirenberg_fit(
     if norm <= _DEGENERATE_RTOL * max(1.0, s_max) or s_max == 0.0:
         raise ValueError("degenerate (near-constant) field: no tail to fit")
     total = values.size
-    levels = np.geomspace(1e-3 * s_max, (1.0 - 1e-9) * s_max, sample_levels)
+    levels = np.geomspace(1e-3 * s_max, (1.0 - 1e-9) * s_max, _SAMPLE_LEVELS)
     measure = (total - np.searchsorted(values, levels, side="right")) / total
 
     positive = measure > 0.0
@@ -189,16 +184,13 @@ def john_nirenberg_fit(
     return JohnNirenbergFit(b=b, B=B, max_violation=violation)
 
 
-def lemma1_ratio(
-    field,
-    mask: np.ndarray,
-    bmo: BmoEstimate | None = None,
-    spatial_ndim: int | None = None,
-) -> float:
+def lemma1_ratio(field, mask: np.ndarray, bmo: BmoEstimate, spatial_ndim: int | None = None) -> float:
     """Ratio of the quadratic mass of f on A to ||f||^2 (1 - log|A|)^2 |A|.
 
-    The supremum of this ratio over a corpus of (field, subset) pairs is the
-    empirical constant of the subset-energy estimate for BMO functions.
+    ||f|| is the given BMO estimate of the field (usually bmo_norm at full
+    depth).  The supremum of this ratio over a corpus of (field, subset)
+    pairs is the empirical constant of the subset-energy estimate for BMO
+    functions.
     """
     comp, spatial = _as_components(field, spatial_ndim)
     mask = np.asarray(mask, dtype=bool)
@@ -207,12 +199,10 @@ def lemma1_ratio(
     measure = float(mask.mean())
     if measure == 0.0:
         raise ValueError("mask is empty")
-    comp = _centered(comp)
-    if bmo is None:
-        bmo = bmo_norm(comp, full_dyadic_depth(spatial), spatial_ndim=len(spatial))
     if bmo.norm_value <= 0.0:
         raise ValueError("field has zero BMO norm")
-    np.square(comp, out=comp)  # comp is a fresh copy, squared only after the norm
+    comp = _centered(comp)
+    np.square(comp, out=comp)  # comp is a fresh copy
     quad = float(comp[:, mask].sum()) / mask.size
     return quad / (bmo.norm_value**2 * (1.0 - math.log(measure)) ** 2 * measure)
 

@@ -1,12 +1,14 @@
 """Closed-form upper bounds on the trace-averaged effective conductivity.
 
-Three families are implemented:
+Every refined value comes from one formula, theorem 1's H(S) + E(S) with a
+free shift parameter S > 0, where the E term controls the contribution of the
+phases above S through the tail of the distribution function:
 
-* the trivial bound (arithmetic mean of sigma),
-* the Hashin-Shtrikman upper bound, obtained from the H term at S = sup sigma,
-* the refined bound H(S) + E(S) with a free shift parameter S > 0, where the
-  E term controls the contribution of the phases above S through the tail of
-  the distribution function.
+* the trivial bound (arithmetic mean of sigma) needs no shift,
+* the Hashin-Shtrikman upper bound is theorem 1 at S = sup sigma, where the
+  tail integral and hence E vanish,
+* the three-phase refinement is theorem 1 at S = sigma_2 with the simplified
+  E form.
 
 E carries a dimensional constant C that is not known explicitly; it defaults
 to 1 and is always recorded in the report, so every refined value is to be
@@ -24,7 +26,6 @@ from .phases import (
     PhaseSet,
     DistributionFunction,
     distribution_from_phases,
-    distribution_weight,
     shifted_harmonic_L,
     tail_integral,
 )
@@ -59,16 +60,17 @@ _S_TOLERANCE = 1e-6  # width at which optimize_S's golden-section search stops
 class BoundConfig:
     """Evaluation settings for the refined bound.
 
-    C is the dimensional constant in the E term; use_simplified_E drops the
-    L^2 / (sup sigma + (n-1)S)^2 factor of E (see the module docstring).
+    C is the dimensional constant in the E term, finite and positive;
+    use_simplified_E drops the L^2 / (sup sigma + (n-1)S)^2 factor of E (see
+    the module docstring).
     """
 
     C: float = 1.0
     use_simplified_E: bool = True
 
     def __post_init__(self):
-        if not self.C > 0.0:
-            raise ValueError(f"C must be positive, got {self.C}")
+        if not 0.0 < self.C < math.inf:
+            raise ValueError(f"C must be finite and positive, got {self.C}")
 
 
 @dataclass(frozen=True)
@@ -92,17 +94,6 @@ class BoundReport:
             if abs(self.value - (self.H_term + self.E_term)) > 1e-12 * max(1.0, abs(self.value)):
                 raise ValueError("value must equal H_term + E_term")
 
-    def as_dict(self) -> dict:
-        return {
-            "bound_name": self.bound_name,
-            "value": self.value,
-            "S_used": self.S_used,
-            "H_term": self.H_term,
-            "E_term": self.E_term,
-            "L_value": self.L_value,
-            "C_used": self.C_used,
-        }
-
 
 def trivial_upper(ps: PhaseSet) -> BoundReport:
     """Arithmetic mean of sigma: the bound from the zero test field."""
@@ -116,13 +107,14 @@ def h_term(ps: PhaseSet, S: float) -> float:
 
 
 def hs_upper(ps: PhaseSet) -> BoundReport:
-    """Hashin-Shtrikman upper bound: H evaluated at S = sup sigma."""
+    """Hashin-Shtrikman upper bound: theorem 1 at S = sup sigma.
+
+    The tail integral is exactly 0 from sup sigma on, so E = 0 whatever C is,
+    and the value is H(sup sigma).  The report records S, H, E and L, no C.
+    """
     S = ps.sup_sigma
-    L = shifted_harmonic_L(ps, S)
-    H = -(ps.dimension - 1) * S + L
-    return BoundReport(
-        "hashin_shtrikman", H, S_used=S, H_term=H, E_term=0.0, L_value=L
-    )
+    H, E, L = _theorem1_terms(ps, S, BoundConfig(), distribution_from_phases(ps))
+    return BoundReport("hashin_shtrikman", H + E, S_used=S, H_term=H, E_term=E, L_value=L)
 
 
 def _theorem1_terms(
@@ -145,57 +137,33 @@ def _theorem1_terms(
 def theorem1_upper(ps: PhaseSet, S: float, cfg: BoundConfig | None = None) -> BoundReport:
     """Refined upper bound H(S) + E(S) at a given shift parameter S > 0.
 
-    Any S > 0 is accepted; for S >= sup sigma the tail integral vanishes, so
-    E = 0 and the value reduces to H(S) (equal to the Hashin-Shtrikman bound
-    at S = sup sigma exactly).  The report records S, H, E, L and C.
+    Any finite S > 0 is accepted; for S >= sup sigma the tail integral
+    vanishes, so E = 0 and the value reduces to H(S) (equal to the
+    Hashin-Shtrikman bound at S = sup sigma exactly).  The report records S,
+    H, E, L and C.
     """
-    if not S > 0.0:
-        raise ValueError(f"S must be positive, got {S}")
+    if not 0.0 < S < math.inf:
+        raise ValueError(f"S must be finite and positive, got {S}")
     cfg = cfg or BoundConfig()
     H, E, L = _theorem1_terms(ps, S, cfg, distribution_from_phases(ps))
     name = "theorem1_simplified" if cfg.use_simplified_E else "theorem1"
     return BoundReport(name, H + E, S_used=S, H_term=H, E_term=E, L_value=L, C_used=cfg.C)
 
 
-def _refined_terms(
-    dimension: int,
-    sigmas: tuple[float, float, float],
-    fractions: tuple[float, float, float],
-    C: float,
-) -> tuple[float, float, float]:
-    """H, E, L of the three-phase specialization at S = sigma_2.
-
-    Tolerates mu_3 = 0, where E vanishes by the continuous extension of
-    mu (1 - log mu)^2 and H reduces to the two-phase value.
-    """
-    s1, s2, s3 = sigmas
-    shift = (dimension - 1) * s2
-    L = 1.0 / math.fsum(m / (s + shift) for s, m in zip(sigmas, fractions))
-    H = -shift + L
-    E = C * (s3 - s1) ** 2 * (s3 - s2) * distribution_weight(fractions[2]) / (s1 + shift) ** 2
-    return H, E, L
-
-
 def three_phase_refined(ps: PhaseSet, cfg: BoundConfig | None = None) -> BoundReport:
-    """Three-phase refinement: the bound at S = sigma_2 with the simplified E.
+    """Three-phase refinement: theorem 1 at S = sigma_2 with the simplified E.
 
-    Agrees with theorem1_upper(ps, sigma_2) under the simplified E form, and
-    converges to the two-phase Hashin-Shtrikman bound of the first two phases
-    as mu_3 goes to zero.
+    Whatever cfg.use_simplified_E says, E is the simplified form
+    C osc^2 (sigma_3 - sigma_2) mu_3 (1 - log mu_3)^2 / (sigma_1 + (n-1) sigma_2)^2,
+    so the value converges to the two-phase Hashin-Shtrikman bound of the
+    first two phases as mu_3 goes to zero.
     """
-    cfg = cfg or BoundConfig()
+    C = (cfg or BoundConfig()).C
     if ps.num_phases != 3:
         raise ValueError(f"three_phase_refined needs exactly 3 phases, got {ps.num_phases}")
-    H, E, L = _refined_terms(ps.dimension, ps.conductivities, ps.fractions, cfg.C)
-    return BoundReport(
-        "three_phase_refined",
-        H + E,
-        S_used=ps.conductivities[1],
-        H_term=H,
-        E_term=E,
-        L_value=L,
-        C_used=cfg.C,
-    )
+    S = ps.conductivities[1]
+    H, E, L = _theorem1_terms(ps, S, BoundConfig(C), distribution_from_phases(ps))
+    return BoundReport("three_phase_refined", H + E, S_used=S, H_term=H, E_term=E, L_value=L, C_used=C)
 
 
 def optimize_S(ps: PhaseSet, cfg: BoundConfig | None = None) -> BoundReport:
@@ -220,19 +188,16 @@ def optimize_S(ps: PhaseSet, cfg: BoundConfig | None = None) -> BoundReport:
         {sup * k / _S_SEARCH_POINTS for k in range(1, _S_SEARCH_POINTS + 1)}
         | set(ps.conductivities)
     )
-    best_S = points[0]
-    best_v = value(best_S)
+    values = [value(S) for S in points]
+    best_v = min(values)
+    i = max(idx for idx, v in enumerate(values) if v == best_v)
+    best_S = points[i]
 
     def consider(S: float, v: float):
         nonlocal best_S, best_v
         if v < best_v or (v == best_v and S > best_S):
             best_S, best_v = S, v
 
-    values = [value(S) for S in points]
-    for S, v in zip(points, values):
-        consider(S, v)
-
-    i = max(idx for idx, v in enumerate(values) if v == best_v)
     lo = points[i - 1] if i > 0 else points[0] / 2.0
     hi = points[i + 1] if i + 1 < len(points) else sup
     x1 = hi - _GOLDEN * (hi - lo)

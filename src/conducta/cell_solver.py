@@ -274,8 +274,8 @@ def build_optimal_potential(grid: VoxelGrid, S: float) -> PotentialField:
     theta has zero mean by construction of L (the grid harmonic mean), and
     the zero-frequency coefficient of p is set to zero.
     """
-    if not S > 0.0:
-        raise ValueError(f"S must be positive, got {S}")
+    if not 0.0 < S < np.inf:
+        raise ValueError(f"S must be finite and positive, got {S}")
     sigma = grid.conductivity_field()
     n = grid.dimension
     shape = sigma.shape

@@ -96,14 +96,11 @@ def _save_manifest(manifest: RunManifest) -> None:
 
 
 def _bound_cfg(options: dict) -> BoundConfig:
-    return BoundConfig(C=float(options["C"]), use_simplified_E=not options["full_E"])
+    return BoundConfig(C=options["C"], use_simplified_E=not options["full_E"])
 
 
 def _solver_cfg(options: dict) -> SolverConfig:
-    return SolverConfig(
-        relative_tolerance=float(options["tolerance"]),
-        max_iterations=int(options["max_iterations"]),
-    )
+    return SolverConfig(relative_tolerance=options["tolerance"], max_iterations=options["max_iterations"])
 
 
 # ----------------------------------------------------------------- bounds
@@ -129,7 +126,7 @@ def run_bounds(options: dict) -> int:
     cfg = _bound_cfg(options)
     reports = [trivial_upper(ps), hs_upper(ps)]
     s_opt = options["S"]
-    if s_opt not in (None, "opt"):
+    if s_opt != "opt":
         reports.append(theorem1_upper(ps, float(s_opt), cfg))
     reports.append(optimize_S(ps, cfg))
     if ps.num_phases == 3:
@@ -155,15 +152,16 @@ def run_sweep(options: dict) -> int:
     if ps.num_phases != 3:
         raise ConfigError(f"sweep needs a 3-phase config, got {ps.num_phases} phases")
     cfg = _bound_cfg(options)
+    lo, hi = options["mu3_min"], options["mu3_max"]
+    if not 0.0 < lo <= hi < 1.0:
+        raise ConfigError(f"--mu3-min and --mu3-max must satisfy 0 < mu3_min <= mu3_max < 1, got {lo!r} and {hi!r}")
     s1, s2, s3 = ps.conductivities
     base = ps.fractions[0] + ps.fractions[1]
     m1, m2 = ps.fractions[0] / base, ps.fractions[1] / base
     two_phase = PhaseSet.from_pairs((s1, s2), (m1, m2), ps.dimension)
     hs2 = hs_upper(two_phase).value
 
-    mu3_values = list(
-        np.geomspace(float(options["mu3_max"]), float(options["mu3_min"]), int(options["points"]))
-    )
+    mu3_values = list(np.geomspace(hi, lo, options["points"]))
     if options["include_zero"]:
         mu3_values.append(0.0)
 
@@ -207,7 +205,7 @@ def run_solve(options: dict) -> int:
     tensor = solve_effective_tensor(grid, _solver_cfg(options))
     emp = empirical_phase_set(grid)
     cfg = _bound_cfg(options)
-    s_values = _resolve_s_list(options["S"] or "auto", emp)
+    s_values = _resolve_s_list(options["S"], emp)
 
     lines = [
         "# conducta solve",
@@ -247,42 +245,48 @@ def run_solve(options: dict) -> int:
 
 # ----------------------------------------------------------------- verify
 
+# the corpus flags and the type _checked_corpus parses each into
+_CORPUS_KINDS = {
+    "dim": int, "shape": int, "num_phases": int, "count": int, "seed": int, "sigma_min": float, "sigma_max": float,
+}
+
+
 def _checked_corpus(command: str, options: dict) -> dict:
     """Options with the corpus flags validated and made numbers.
 
-    Parsed flags and replayed manifests both pass through here, so a
-    hand-written manifest is held to the command line's limits.  The corpus
-    needs ``dim`` in {2, 3}, a power-of-two ``shape >= 2`` with at most
-    _VOXEL_BUDGET voxels (checked before any array exists), ``count >= 1``,
-    ``num_phases`` in [1, 100] (_corpus_grid redraws the conductivities until
-    every gap is at least 1e-3 of the range, which past about 100 phases
-    practically never happens) and a finite conductivity range with
+    The parser leaves these flags as text, so parsed flags and replayed
+    manifests both pass through here, and a hand-written manifest is held to
+    the command line's limits.  The corpus needs ``dim`` in {2, 3}, a
+    power-of-two ``shape >= 2`` with at most _VOXEL_BUDGET voxels (checked
+    before any array exists), ``count >= 1``, ``num_phases`` in [1, 100]
+    (_corpus_grid redraws the conductivities until every gap is at least 1e-3
+    of the range, which past about 100 phases practically never happens), an
+    integer ``seed`` and a finite conductivity range with
     ``0 < sigma_min <= sigma_max``, so no drawn phase is non-positive.
     Raises ConfigError.
     """
     if command not in ("verify", "bmo"):
         return options
-    dim = _parsed(int, options.get("dim"))
+    checked = {key: _parsed(kind, options.get(key)) for key, kind in _CORPUS_KINDS.items()}
+    dim, shape, k, count = checked["dim"], checked["shape"], checked["num_phases"], checked["count"]
     if dim not in (2, 3):
         raise ConfigError(f"--dim must be 2 or 3, got {options.get('dim')!r}")
-    shape = _parsed(int, options.get("shape"))
     if shape is None or shape < 2 or shape & (shape - 1):
         raise ConfigError(f"--shape must be a power of two >= 2, got {options.get('shape')!r}")
     if shape**dim > _VOXEL_BUDGET:
         raise ConfigError(f"--shape {shape} in {dim}D exceeds the budget of {_VOXEL_BUDGET} voxels")
-    k = _parsed(int, options.get("num_phases"))
     if k is None or not 1 <= k <= 100:
         raise ConfigError(f"--num-phases must be an integer in [1, 100], got {options.get('num_phases')!r}")
-    count = _parsed(int, options.get("count"))
     if count is None or count < 1:
         raise ConfigError(f"--count must be an integer >= 1, got {options.get('count')!r}")
-    lo, hi = _parsed(float, options.get("sigma_min")), _parsed(float, options.get("sigma_max"))
+    if checked["seed"] is None:
+        raise ConfigError(f"--seed must be an integer, got {options.get('seed')!r}")
+    lo, hi = checked["sigma_min"], checked["sigma_max"]
     if lo is None or hi is None or not (math.isfinite(lo) and math.isfinite(hi) and 0.0 < lo <= hi):
         raise ConfigError(
             "--sigma-min and --sigma-max must be finite with 0 < sigma_min <= sigma_max,"
             f" got {options.get('sigma_min')!r} and {options.get('sigma_max')!r}"
         )
-    checked = {"dim": dim, "shape": shape, "num_phases": k, "count": count, "sigma_min": lo, "sigma_max": hi}
     return {**options, **checked}
 
 
@@ -334,7 +338,7 @@ def _verify_one(seed: int, options: dict) -> tuple[str, bool]:
 
 
 def run_verify(options: dict) -> int:
-    count, base_seed = options["count"], int(options["seed"])
+    count, base_seed = options["count"], options["seed"]
     results = [_verify_one(base_seed + i, options) for i in range(count)]
 
     _emit("\n".join([_VERIFY_HEADER] + [row for row, _ in results]) + "\n", options["out"])
@@ -381,12 +385,12 @@ def _bmo_one(grid: VoxelGrid, label: str, s_spec: str) -> tuple[str, float]:
 
 
 def run_bmo(options: dict) -> int:
-    s_spec = str(options["S"] or "mid")
+    s_spec = options["S"]
     grids: list[tuple[str, VoxelGrid]] = []
     if options["grid"]:
         grids.append((Path(options["grid"]).name, load_grid(options["grid"])))
     else:
-        seeds = range(int(options["seed"]), int(options["seed"]) + options["count"])
+        seeds = range(options["seed"], options["seed"] + options["count"])
         grids.extend((f"seed{seed}", _corpus_grid(seed, options)) for seed in seeds)
 
     header = (
@@ -426,10 +430,25 @@ def run_replay(options: dict) -> int:
             raise ConfigError(
                 f"manifest records the removed option {key}={recorded[key]!r}; only {_RETIRED_OPTIONS[key]!r} replays"
             )
-    missing = sorted(build_parser()._option_keys[command] - recorded.keys())
+    actions = build_parser()._option_actions[command]
+    missing = sorted(actions.keys() - recorded.keys())
     if missing:
         raise ConfigError(f"{command} manifest lacks option(s) {', '.join(missing)}")
+    for key, action in sorted(actions.items()):
+        if key not in _CORPUS_KINDS and not _fits(action, recorded[key]):
+            raise ConfigError(f"manifest records {key}={recorded[key]!r}, a value {action.option_strings[0]} cannot take")
     return _RUNNERS[command](_checked_corpus(command, recorded))
+
+
+def _fits(action: argparse.Action, value) -> bool:
+    """Whether ``value`` is one the parser can produce for ``action``."""
+    if value is None:
+        return action.default is None and not action.required
+    if action.nargs == 0:  # a switch
+        return isinstance(value, bool)
+    if action.type is not None:  # int or float; an int is also a valid float
+        return not isinstance(value, bool) and isinstance(value, (int, action.type))
+    return isinstance(value, str) and (action.choices is None or value in action.choices)
 
 
 # ----------------------------------------------------------------- parser
@@ -445,15 +464,15 @@ def _add_bound_flags(p):
 
 
 def _add_corpus_flags(p, count: int):
-    # --count and --num-phases are converted and bounded by _checked_corpus
+    # all but --mode stay text here: _checked_corpus converts and bounds them
     p.add_argument("--count", default=count)
-    p.add_argument("--shape", type=int, default=64)
-    p.add_argument("--dim", type=int, default=2, choices=(2, 3))
+    p.add_argument("--shape", default=64)
+    p.add_argument("--dim", default=2)
     p.add_argument("--num-phases", dest="num_phases", default=2)
-    p.add_argument("--sigma-min", dest="sigma_min", type=float, default=1.0)
-    p.add_argument("--sigma-max", dest="sigma_max", type=float, default=5.0)
+    p.add_argument("--sigma-min", dest="sigma_min", default=1.0)
+    p.add_argument("--sigma-max", dest="sigma_max", default=5.0)
     p.add_argument("--mode", choices=("iid", "smooth"), default="iid")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", default=0)
 
 
 def build_parser() -> _Parser:
@@ -501,9 +520,9 @@ def build_parser() -> _Parser:
     p = sub.add_parser("replay", help="re-run a saved manifest")
     p.add_argument("manifest")
 
-    # the option keys each command's runner reads, so replay can name a missing one
-    parser._option_keys = {
-        name: {a.dest for a in cmd._actions if a.dest != "help" and a.help != argparse.SUPPRESS}
+    # the options each command's runner reads, so replay can name a missing or ill-typed one
+    parser._option_actions = {
+        name: {a.dest: a for a in cmd._actions if a.dest != "help" and a.help != argparse.SUPPRESS}
         for name, cmd in sub.choices.items()
     }
     return parser

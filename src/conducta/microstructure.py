@@ -42,6 +42,7 @@ __all__ = [
 
 MAGIC = b"CNDA"
 VERSION = 1
+_CORRELATION_LENGTH = 4.0  # of the smooth mode's noise filter, in voxels of axis 0
 
 
 @dataclass(frozen=True)
@@ -138,28 +139,23 @@ def _largest_remainder_counts(fractions, total: int) -> list[int]:
     return counts
 
 
-def _smooth_noise(rng: np.random.Generator, shape: tuple[int, ...], length: float) -> np.ndarray:
-    # Gaussian low-pass in Fourier space; length is in voxels of axis 0
+def _smooth_noise(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    # Gaussian low-pass in Fourier space
     noise = rng.standard_normal(shape)
-    ell = length / shape[0]
+    ell = _CORRELATION_LENGTH / shape[0]
     _, k2 = half_wavenumbers(shape, zero_nyquist=False)
     kernel = np.exp(-0.5 * ell * ell * k2)
     return np.fft.irfftn(np.fft.rfftn(noise) * kernel, s=shape, axes=tuple(range(len(shape))))
 
 
-def generate_random(
-    ps: PhaseSet,
-    shape: tuple[int, ...],
-    seed: int,
-    mode: str = "iid",
-    correlation_length: float = 4.0,
-) -> VoxelGrid:
+def generate_random(ps: PhaseSet, shape: tuple[int, ...], seed: int, mode: str = "iid") -> VoxelGrid:
     """Random microstructure with target fractions, deterministic in the seed.
 
     ``iid`` assigns every voxel independently, so the empirical fractions are
-    only statistically close to the target.  ``smooth`` thresholds a smoothed
-    Gaussian noise field at the target quantiles (correlation_length is in
-    voxels of axis 0), which reproduces the fractions to within one voxel.
+    only statistically close to the target.  ``smooth`` thresholds a Gaussian
+    noise field, low-passed at the fixed correlation length of 4 voxels of
+    axis 0, at the target quantiles, which reproduces the fractions to within
+    one voxel.
     """
     shape = tuple(int(n) for n in shape)
     rng = np.random.default_rng(seed)
@@ -167,14 +163,11 @@ def generate_random(
     if mode == "iid":
         index = rng.choice(k, size=shape, p=np.asarray(ps.fractions)).astype(np.uint8)
     elif mode == "smooth":
-        field = _smooth_noise(rng, shape, float(correlation_length))
+        field = _smooth_noise(rng, shape)
         counts = _largest_remainder_counts(ps.fractions, field.size)
         order = np.argsort(field.ravel(), kind="stable")
         flat = np.empty(field.size, dtype=np.uint8)
-        pos = 0
-        for phase, count in enumerate(counts):
-            flat[order[pos : pos + count]] = phase
-            pos += count
+        flat[order] = np.repeat(np.arange(k, dtype=np.uint8), counts)
         index = flat.reshape(shape)
     else:
         raise ValueError(f"unknown mode {mode!r}, expected 'iid' or 'smooth'")

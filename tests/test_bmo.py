@@ -144,7 +144,7 @@ class TestJohnNirenberg:
         f = np.random.default_rng(6).standard_normal((2, 2, 16, 16))
         before = f.copy()
         john_nirenberg_fit(f, bmo_norm(f, 4, spatial_ndim=2), spatial_ndim=2)
-        lemma1_ratio(f, np.ones((16, 16), bool), spatial_ndim=2)
+        lemma1_ratio(f, np.ones((16, 16), bool), bmo_norm(f, 4, spatial_ndim=2), spatial_ndim=2)
         assert np.array_equal(f, before)
 
     def test_degenerate_field_rejected(self):
@@ -162,21 +162,14 @@ class TestLemma1Ratio:
         # |A| = 1: the ratio is the quadratic mass over the squared norm
         assert ratio == pytest.approx(float((f**2).mean()) / est.norm_value**2, rel=1e-12)
 
-    def test_default_norm_is_the_full_depth_norm(self):
-        f = np.random.default_rng(7).standard_normal((2, 2, 32, 32))
-        mask = f[0, 0] > 0.5
-        est = bmo_norm(f, full_dyadic_depth((32, 32)), spatial_ndim=2)
-        default = lemma1_ratio(f, mask, spatial_ndim=2)
-        assert default == pytest.approx(lemma1_ratio(f, mask, bmo=est, spatial_ndim=2), rel=1e-12)
-
     def test_empty_mask_rejected(self):
         f = sign_field()
         with pytest.raises(ValueError, match="empty"):
-            lemma1_ratio(f, np.zeros((32, 32), bool))
+            lemma1_ratio(f, np.zeros((32, 32), bool), bmo_norm(f, 5))
 
     def test_mask_shape_checked(self):
         with pytest.raises(ValueError, match="mask shape"):
-            lemma1_ratio(sign_field(), np.ones((8, 8), bool))
+            lemma1_ratio(sign_field(), np.ones((8, 8), bool), bmo_norm(sign_field(), 5))
 
     def test_superlevel_masks_of_theorem_pipeline(self):
         ps = PhaseSet.from_pairs((1.0, 2.0, 5.0), (0.4, 0.4, 0.2), 2)

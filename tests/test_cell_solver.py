@@ -224,8 +224,9 @@ class TestTransformBudget:
 
 class TestOptimalPotential:
     def test_rejects_nonpositive_S(self):
-        with pytest.raises(ValueError):
-            build_optimal_potential(homogeneous(), 0.0)
+        for S in (0.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="finite and positive"):
+                build_optimal_potential(homogeneous(), S)
 
     def test_homogeneous_all_zero(self):
         pf = build_optimal_potential(homogeneous(3.0), 1.0)

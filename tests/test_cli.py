@@ -189,7 +189,18 @@ class TestCorpusFlags:
         assert ">= 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "bad", [{"num_phases": 1000}, {"num_phases": 2.5}, {"count": -1}, {"count": 0}]
+        "bad",
+        [
+            {"num_phases": 1000},
+            {"num_phases": 2.5},
+            {"count": -1},
+            {"count": 0},
+            # a null seed was a TypeError, and 1.5 silently ran seed 1
+            {"seed": None},
+            {"seed": 1.5},
+            {"seed": "x"},
+            {"seed": True},
+        ],
     )
     def test_replay_holds_manifest_to_flag_limits(self, bad, tmp_path, capsys):
         out = tmp_path / "v.csv"
@@ -205,6 +216,12 @@ class TestCorpusFlags:
 
 
     BAD_SIGMAS = [("nan", "5"), ("1", "inf"), ("5", "1"), ("-1", "5"), ("0", "5"), ("1", "x")]
+
+    @pytest.mark.parametrize("command", ["verify", "bmo"])
+    @pytest.mark.parametrize("seed", ["x", "1.5", ""])
+    def test_bad_seed_exit_one(self, command, seed, capsys):
+        assert main([command, "--count", "1", "--shape", "8", "--seed", seed]) == 1
+        assert "--seed must be an integer" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["verify", "bmo"])
     @pytest.mark.parametrize("lo,hi", BAD_SIGMAS)
@@ -372,9 +389,110 @@ class TestReplayManifests:
         else:
             assert "sample_levels" in capsys.readouterr().err and not out.exists()
 
+    @pytest.mark.parametrize(
+        "command,key,value",
+        [
+            ("bounds", "out", True),
+            ("bounds", "out", 5),
+            ("bounds", "config", 5),
+            ("bounds", "config", None),
+            ("bounds", "C", None),
+            ("bounds", "C", True),
+            ("bounds", "C", "2"),
+            ("bounds", "full_E", "yes"),
+            ("bounds", "full_E", 1),
+            ("bounds", "S", None),
+            ("bounds", "S", 2.0),
+            ("sweep", "points", 2.5),
+            ("sweep", "points", True),
+            ("sweep", "mu3_max", "0.1"),
+            ("sweep", "include_zero", None),
+            ("solve", "grid", None),
+            ("solve", "max_iterations", 10.0),
+            ("solve", "tolerance", "1e-8"),
+            ("verify", "tolerance", None),
+            ("verify", "full_E", 0),
+            ("verify", "mode", "grid"),
+            ("verify", "mode", None),
+            ("bmo", "S", None),
+            ("bmo", "grid", 5),
+            ("bmo", "mode", 1),
+        ],
+    )
+    def test_ill_typed_option_exit_one(self, command, key, value, three_cfg, tmp_path, capsys):
+        # at the parent "out": true wrote to fd 1 and closed it, "config": 5 and
+        # "C": null were TypeErrors and "full_E": "yes" selected the full E
+        out = tmp_path / "run.out"
+        assert main([*COMMAND_ARGV[command](three_cfg, tmp_path), "--out", str(out)]) == 0
+        manifest = json.loads((tmp_path / "run.out.manifest.json").read_text())
+        manifest["options"][key] = value
+        out.unlink()
+        capsys.readouterr()
+        assert self.replay(tmp_path, manifest) == 1
+        captured = capsys.readouterr()
+        assert f"manifest records {key}=" in captured.err and "Traceback" not in captured.err
+        assert captured.out == "" and not out.exists()
+
+    def test_well_typed_values_replay(self, bounds_manifest, tmp_path):
+        # an int for a float option, and null where the default is None
+        out, manifest = bounds_manifest
+        first = out.read_bytes()
+        manifest["options"].update(C=1, S="opt")
+        assert self.replay(tmp_path, manifest) == 0
+        assert out.read_bytes() == first
+
     @pytest.mark.parametrize("flag", ["--search-points", "--S-tolerance"])
     def test_removed_flags_rejected(self, flag, three_cfg):
         assert main(["bounds", "--config", three_cfg, flag, "64"]) == 1
+
+
+def small_grid(tmp_path) -> str:
+    path = tmp_path / "small.cnda"
+    save_grid(generate_random(PhaseSet.from_pairs((1.0, 4.0), (0.5, 0.5), 2), (8, 8), seed=0), path)
+    return str(path)
+
+
+# a cheap run of each command, given the three-phase config path and a directory
+COMMAND_ARGV = {
+    "bounds": lambda cfg, tmp: ["bounds", "--config", cfg],
+    "sweep": lambda cfg, tmp: ["sweep", "--config", cfg, "--points", "2"],
+    "solve": lambda cfg, tmp: ["solve", "--grid", small_grid(tmp)],
+    "verify": lambda cfg, tmp: ["verify", "--count", "1", "--shape", "8"],
+    "bmo": lambda cfg, tmp: ["bmo", "--count", "1", "--shape", "8"],
+}
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("S", ["inf", "nan", "-1"])
+    @pytest.mark.parametrize("command", ["bounds", "solve", "bmo"])
+    def test_shift_must_be_finite_and_positive(self, command, S, three_cfg, tmp_path, capsys):
+        # --S inf was a ZeroDivisionError traceback
+        assert main([*COMMAND_ARGV[command](three_cfg, tmp_path), "--S", S]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: S must be finite and positive") and "Traceback" not in err
+
+    @pytest.mark.parametrize("C", ["inf", "nan", "0"])
+    def test_C_must_be_finite_and_positive(self, C, three_cfg, capsys):
+        # bounds --C inf printed inf bounds and exited 0
+        assert main(["bounds", "--config", three_cfg, "--C", C]) == 1
+        assert capsys.readouterr().err.startswith("error: C must be finite and positive")
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--mu3-max", "nan"],
+            ["--mu3-max", "inf"],
+            ["--mu3-max", "1"],
+            ["--mu3-min", "0"],
+            ["--mu3-min=-1e-3"],
+            ["--mu3-min", "nan"],
+            ["--mu3-min", "0.2", "--mu3-max", "0.1"],
+        ],
+    )
+    def test_sweep_needs_finite_mu3_range_in_unit_interval(self, flags, three_cfg, capsys):
+        # --mu3-max nan printed the mu3 = 0 row on every line and exited 0
+        assert main(["sweep", "--config", three_cfg, *flags]) == 1
+        assert capsys.readouterr().err.startswith("error: --mu3-min and --mu3-max must satisfy")
 
 
 def load_bench_workloads(monkeypatch):
