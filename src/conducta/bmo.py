@@ -12,7 +12,7 @@ interleaved most significant first and the remainders go innermost.  In that
 order every dyadic cube of every level is one contiguous run of voxels, so
 level k is a (components, cubes, voxels per cube) reshape and each reduction
 runs along the last axis.  bmo_norm is the only statistic that computes a
-norm: john_nirenberg_fit and lemma1_ratio take its BmoEstimate as an argument.
+norm: john_nirenberg_fit and lemma1_ratio take the float it returns.
 
 Matrix-valued fields are handled component-wise: each component is centered
 and measured on its own, and the norm is the maximum over components.  The
@@ -29,22 +29,15 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "BmoEstimate",
     "JohnNirenbergFit",
     "bmo_norm",
     "john_nirenberg_fit",
     "lemma1_ratio",
     "full_dyadic_depth",
-    "superlevel_masks",
 ]
 
 _DEGENERATE_RTOL = 1e-12
 _SAMPLE_LEVELS = 48  # geometric levels at which john_nirenberg_fit samples the tail
-
-
-@dataclass(frozen=True)
-class BmoEstimate:
-    norm_value: float
 
 
 @dataclass(frozen=True)
@@ -108,7 +101,7 @@ def _block_sums(blocks: np.ndarray) -> np.ndarray:
     return total
 
 
-def bmo_norm(field, depth: int, spatial_ndim: int | None = None) -> BmoEstimate:
+def bmo_norm(field, depth: int, spatial_ndim: int | None = None) -> float:
     """Max over dyadic cubes of side 2^-k, k = 0..depth, of the mean absolute
     deviation from the cube mean.
 
@@ -141,10 +134,10 @@ def bmo_norm(field, depth: int, spatial_ndim: int | None = None) -> BmoEstimate:
         np.subtract(cubes, (_block_sums(cubes) / size)[..., None], out=deviation)
         np.abs(deviation, out=deviation)
         best = max(best, float(_block_sums(deviation).max()) / size)
-    return BmoEstimate(norm_value=best)
+    return best
 
 
-def john_nirenberg_fit(field, bmo: BmoEstimate, spatial_ndim: int | None = None) -> JohnNirenbergFit:
+def john_nirenberg_fit(field, bmo: float, spatial_ndim: int | None = None) -> JohnNirenbergFit:
     """Fit exponential tail constants to the distribution of |f|.
 
     The superlevel measure is sampled at _SAMPLE_LEVELS (48) geometric levels
@@ -158,8 +151,7 @@ def john_nirenberg_fit(field, bmo: BmoEstimate, spatial_ndim: int | None = None)
     np.abs(values, out=values)
     values.sort()
     s_max = float(values[-1])
-    norm = bmo.norm_value
-    if norm <= _DEGENERATE_RTOL * max(1.0, s_max) or s_max == 0.0:
+    if bmo <= _DEGENERATE_RTOL * max(1.0, s_max) or s_max == 0.0:
         raise ValueError("degenerate (near-constant) field: no tail to fit")
     total = values.size
     levels = np.geomspace(1e-3 * s_max, (1.0 - 1e-9) * s_max, _SAMPLE_LEVELS)
@@ -169,13 +161,13 @@ def john_nirenberg_fit(field, bmo: BmoEstimate, spatial_ndim: int | None = None)
     decaying = positive & (measure <= 0.5)
     if int(decaying.sum()) >= 2:
         slope = np.polyfit(levels[decaying], np.log(measure[decaying]), 1)[0]
-        b = -float(slope) * norm
+        b = -float(slope) * bmo
     else:
-        b = norm / s_max
+        b = bmo / s_max
     if b <= 0.0:
-        b = norm / s_max
+        b = bmo / s_max
 
-    log_b_term = b * levels[positive] / norm
+    log_b_term = b * levels[positive] / bmo
     log_B = float((np.log(measure[positive]) + log_b_term).max())
     B = math.exp(log_B) * (1.0 + 1e-12)
     violation = float(
@@ -184,30 +176,29 @@ def john_nirenberg_fit(field, bmo: BmoEstimate, spatial_ndim: int | None = None)
     return JohnNirenbergFit(b=b, B=B, max_violation=violation)
 
 
-def lemma1_ratio(field, mask: np.ndarray, bmo: BmoEstimate, spatial_ndim: int | None = None) -> float:
-    """Ratio of the quadratic mass of f on A to ||f||^2 (1 - log|A|)^2 |A|.
+def lemma1_ratio(field, levels, bmo: float, spatial_ndim: int | None = None) -> float:
+    """Largest ratio of the quadratic mass of f on A to ||f||^2 (1 - log|A|)^2 |A|
+    over the superlevel sets A = {levels > t} of a piecewise-constant field,
+    the whole cube included.
 
     ||f|| is the given BMO estimate of the field (usually bmo_norm at full
     depth).  The supremum of this ratio over a corpus of (field, subset)
     pairs is the empirical constant of the subset-energy estimate for BMO
-    functions.
+    functions.  Every superlevel set is a union of level sets of ``levels``,
+    so the masses and measures of all of them are suffix sums of one
+    per-level bincount.
     """
     comp, spatial = _as_components(field, spatial_ndim)
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != spatial:
-        raise ValueError(f"mask shape {mask.shape} does not match field grid {spatial}")
-    measure = float(mask.mean())
-    if measure == 0.0:
-        raise ValueError("mask is empty")
-    if bmo.norm_value <= 0.0:
+    levels = np.asarray(levels)
+    if levels.shape != spatial:
+        raise ValueError(f"levels shape {levels.shape} does not match field grid {spatial}")
+    if bmo <= 0.0:
         raise ValueError("field has zero BMO norm")
     comp = _centered(comp)
     np.square(comp, out=comp)  # comp is a fresh copy
-    quad = float(comp[:, mask].sum()) / mask.size
-    return quad / (bmo.norm_value**2 * (1.0 - math.log(measure)) ** 2 * measure)
-
-
-def superlevel_masks(sigma_field: np.ndarray) -> list[tuple[float, np.ndarray]]:
-    """Nonempty superlevel sets {sigma > t} at each phase threshold."""
-    thresholds = np.unique(sigma_field)[:-1]
-    return [(float(t), sigma_field > t) for t in thresholds]
+    energy = comp.sum(axis=0).ravel()
+    label = np.unique(levels, return_inverse=True)[1].ravel()  # the inverse's shape varies across numpy 2.x
+    # entry j: the set of voxels at the j-th smallest level or above; j = 0 is the whole cube
+    mass = np.cumsum(np.bincount(label, weights=energy)[::-1])[::-1] / label.size
+    measure = np.cumsum(np.bincount(label)[::-1])[::-1] / label.size
+    return float((mass / (bmo**2 * (1.0 - np.log(measure)) ** 2 * measure)).max())

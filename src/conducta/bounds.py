@@ -233,6 +233,6 @@ def milton_gap(ps2: PhaseSet, sigma3: float) -> float:
     if ps2.num_phases != 2:
         raise ValueError(f"milton_gap needs exactly 2 phases, got {ps2.num_phases}")
     s2 = ps2.sup_sigma
-    if sigma3 < s2:
-        raise ValueError(f"sigma3 must be >= sigma2 = {s2}, got {sigma3}")
+    if not s2 <= sigma3 < math.inf:
+        raise ValueError(f"sigma3 must be finite and >= sigma2 = {s2}, got {sigma3}")
     return h_term(ps2, sigma3) - h_term(ps2, s2)

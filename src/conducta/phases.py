@@ -175,8 +175,8 @@ def shifted_harmonic_L(ps: PhaseSet, S: float) -> float:
     Lies between inf sigma + (n-1)S and sup sigma + (n-1)S and increases
     with S.
     """
-    if S < 0.0:
-        raise ValueError(f"S must be nonnegative, got {S}")
+    if not 0.0 <= S < math.inf:
+        raise ValueError(f"S must be finite and nonnegative, got {S}")
     shift = (ps.dimension - 1) * S
     return 1.0 / math.fsum(
         p.volume_fraction / (p.conductivity + shift) for p in ps.phases
@@ -190,8 +190,8 @@ def tail_integral(dist: DistributionFunction, S: float) -> float:
     over the step intervals clipped to [S, infinity); intervals where F = 0
     contribute nothing.
     """
-    if S < 0.0:
-        raise ValueError(f"S must be nonnegative, got {S}")
+    if not 0.0 <= S < math.inf:
+        raise ValueError(f"S must be finite and nonnegative, got {S}")
     bps = dist.breakpoints
     parts: list[float] = []
     first_t = bps[0][0]

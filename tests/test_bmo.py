@@ -10,7 +10,6 @@ from conducta.bmo import (
     full_dyadic_depth,
     john_nirenberg_fit,
     lemma1_ratio,
-    superlevel_masks,
 )
 from conducta.cell_solver import build_optimal_potential, traceless_hessian
 from conducta.microstructure import generate_random
@@ -39,32 +38,32 @@ def brute_force_bmo(components, depth):
 
 class TestBmoNorm:
     def test_constant_field_is_zero(self):
-        assert bmo_norm(np.full((16, 16), 7.3), 4).norm_value == 0.0
+        assert bmo_norm(np.full((16, 16), 7.3), 4) == 0.0
 
     def test_sign_pattern_norm_one(self):
         f = sign_field()
-        assert bmo_norm(f, 0).norm_value == 1.0
+        assert bmo_norm(f, 0) == 1.0
         for depth in range(1, 6):
-            assert bmo_norm(f, depth).norm_value <= 1.0 + 1e-15
+            assert bmo_norm(f, depth) <= 1.0 + 1e-15
 
     def test_nondecreasing_in_depth(self):
         rng = np.random.default_rng(3)
         f = rng.standard_normal((32, 32))
-        norms = [bmo_norm(f, d).norm_value for d in range(6)]
+        norms = [bmo_norm(f, d) for d in range(6)]
         assert all(b >= a - 1e-15 for a, b in zip(norms, norms[1:]))
 
     def test_scale_covariance(self):
         rng = np.random.default_rng(5)
         f = rng.standard_normal((16, 16))
-        base = bmo_norm(f, 3).norm_value
-        assert bmo_norm(2.0 * f, 3).norm_value == 2.0 * base
-        assert bmo_norm(-1.7 * f, 3).norm_value == pytest.approx(1.7 * base, rel=1e-13)
+        base = bmo_norm(f, 3)
+        assert bmo_norm(2.0 * f, 3) == 2.0 * base
+        assert bmo_norm(-1.7 * f, 3) == pytest.approx(1.7 * base, rel=1e-13)
 
     def test_bounded_by_twice_sup(self):
         rng = np.random.default_rng(8)
         f = rng.uniform(-3.0, 5.0, (32, 32))
         centered = f - f.mean()
-        assert bmo_norm(f, 5).norm_value <= 2.0 * np.abs(centered).max() + 1e-12
+        assert bmo_norm(f, 5) <= 2.0 * np.abs(centered).max() + 1e-12
 
     def test_depth_validation(self):
         with pytest.raises(ValueError, match="depth"):
@@ -77,7 +76,7 @@ class TestBmoNorm:
             bmo_norm(np.zeros((6, 6)), 2)
         with pytest.raises(ValueError, match=r"depth 3.*\(8, 12\)"):
             bmo_norm(np.zeros((8, 12)), 3)
-        assert bmo_norm(np.zeros((8, 12)), 2).norm_value == 0.0
+        assert bmo_norm(np.zeros((8, 12)), 2) == 0.0
 
     @pytest.mark.parametrize("shape", [(16, 16), (8, 32), (8, 8, 16)])
     @pytest.mark.parametrize("stacked", [False, True])
@@ -88,7 +87,7 @@ class TestBmoNorm:
         spatial_ndim = len(shape) if stacked else None
         for depth in range(full_dyadic_depth(shape) + 1):
             expected = brute_force_bmo(f.reshape((-1,) + shape), depth)
-            got = bmo_norm(f, depth, spatial_ndim=spatial_ndim).norm_value
+            got = bmo_norm(f, depth, spatial_ndim=spatial_ndim)
             assert got == pytest.approx(expected, rel=1e-12)
 
     def test_scratch_memory_below_three_fields(self):
@@ -106,7 +105,7 @@ class TestBmoNorm:
         f = sign_field((16, 16))
         stack = np.stack([np.zeros((16, 16)), 3.0 * f])
         est = bmo_norm(stack, 2, spatial_ndim=2)
-        assert est.norm_value == pytest.approx(3.0 * bmo_norm(f, 2).norm_value, rel=1e-13)
+        assert est == pytest.approx(3.0 * bmo_norm(f, 2), rel=1e-13)
 
     def test_full_depth(self):
         assert full_dyadic_depth((64, 32)) == 5
@@ -121,7 +120,7 @@ class TestJohnNirenberg:
         assert np.isfinite(fit.B)
         assert fit.max_violation <= 0.0
         # any b works as long as B >= exp(b * s / norm) over the support
-        assert fit.B >= math.exp(fit.b * 0.999 / est.norm_value) * (1 - 1e-9)
+        assert fit.B >= math.exp(fit.b * 0.999 / est) * (1 - 1e-9)
 
     def test_traceless_hessian_has_exponential_tail(self):
         g = generate_random(TWO_14, (64, 64), seed=1)
@@ -144,7 +143,7 @@ class TestJohnNirenberg:
         f = np.random.default_rng(6).standard_normal((2, 2, 16, 16))
         before = f.copy()
         john_nirenberg_fit(f, bmo_norm(f, 4, spatial_ndim=2), spatial_ndim=2)
-        lemma1_ratio(f, np.ones((16, 16), bool), bmo_norm(f, 4, spatial_ndim=2), spatial_ndim=2)
+        lemma1_ratio(f, np.ones((16, 16)), bmo_norm(f, 4, spatial_ndim=2), spatial_ndim=2)
         assert np.array_equal(f, before)
 
     def test_degenerate_field_rejected(self):
@@ -154,22 +153,48 @@ class TestJohnNirenberg:
             john_nirenberg_fit(f, est)
 
 
+def brute_force_lemma1(field, levels, bmo):
+    """Max ratio over {levels > t} for every level t but the top, and the
+    whole cube, one boolean mask at a time."""
+    comp = np.asarray(field, dtype=float).reshape((-1,) + levels.shape)
+    square = (comp - comp.mean(axis=tuple(range(1, comp.ndim)), keepdims=True)) ** 2
+    masks = [levels > t for t in np.unique(levels)[:-1]] + [np.ones(levels.shape, bool)]
+    ratios = []
+    for mask in masks:
+        measure = float(mask.mean())
+        quad = float(square[:, mask].sum()) / mask.size
+        ratios.append(quad / (bmo**2 * (1.0 - math.log(measure)) ** 2 * measure))
+    return max(ratios)
+
+
 class TestLemma1Ratio:
     def test_full_cube_ratio(self):
         f = sign_field()
         est = bmo_norm(f, 5)
-        ratio = lemma1_ratio(f, np.ones((32, 32), bool), bmo=est)
-        # |A| = 1: the ratio is the quadratic mass over the squared norm
-        assert ratio == pytest.approx(float((f**2).mean()) / est.norm_value**2, rel=1e-12)
-
-    def test_empty_mask_rejected(self):
-        f = sign_field()
-        with pytest.raises(ValueError, match="empty"):
-            lemma1_ratio(f, np.zeros((32, 32), bool), bmo_norm(f, 5))
+        ratio = lemma1_ratio(f, np.zeros((32, 32)), bmo=est)
+        # one level: the only set is the cube, |A| = 1, and the ratio is the
+        # quadratic mass over the squared norm
+        assert ratio == pytest.approx(float((f**2).mean()) / est**2, rel=1e-12)
 
     def test_mask_shape_checked(self):
-        with pytest.raises(ValueError, match="mask shape"):
-            lemma1_ratio(sign_field(), np.ones((8, 8), bool), bmo_norm(sign_field(), 5))
+        with pytest.raises(ValueError, match=r"levels shape \(8, 8\)"):
+            lemma1_ratio(sign_field(), np.ones((8, 8)), bmo_norm(sign_field(), 5))
+
+    @pytest.mark.parametrize("shape", [(16, 16), (8, 8, 8)])
+    @pytest.mark.parametrize("stacked", [False, True])
+    @pytest.mark.parametrize("num_levels", [1, 2, 3, 4, 5])
+    def test_matches_mask_by_mask_oracle(self, shape, stacked, num_levels):
+        rng = np.random.default_rng(10 * num_levels + len(shape) + stacked)
+        lead = (2, 2) if stacked else ()
+        f = rng.standard_normal(lead + shape) + 0.5
+        spatial_ndim = len(shape) if stacked else None
+        # unsorted, non-contiguous level values, one of them negative
+        values = np.array([7.5, -2.0, 3.0, 100.0, 0.25])[:num_levels]
+        levels = values[rng.integers(0, num_levels, shape)]
+        assert np.unique(levels).size == num_levels
+        est = bmo_norm(f, full_dyadic_depth(shape), spatial_ndim=spatial_ndim)
+        got = lemma1_ratio(f, levels, est, spatial_ndim=spatial_ndim)
+        assert got == pytest.approx(brute_force_lemma1(f, levels, est), rel=1e-12)
 
     def test_superlevel_masks_of_theorem_pipeline(self):
         ps = PhaseSet.from_pairs((1.0, 2.0, 5.0), (0.4, 0.4, 0.2), 2)
@@ -178,10 +203,11 @@ class TestLemma1Ratio:
         field = traceless_hessian(pf)
         est = bmo_norm(field, 6, spatial_ndim=2)
         sigma = g.conductivity_field()
-        masks = superlevel_masks(sigma)
-        assert len(masks) == 2
-        ratios = [lemma1_ratio(field, m, bmo=est, spatial_ndim=2) for _, m in masks]
-        assert all(np.isfinite(r) and r > 0 for r in ratios)
+        assert np.unique(sigma).size == 3
+        ratio = lemma1_ratio(field, sigma, bmo=est, spatial_ndim=2)
+        whole = lemma1_ratio(field, np.ones(g.shape), bmo=est, spatial_ndim=2)
+        assert np.isfinite(ratio) and ratio >= whole > 0
+        assert ratio == pytest.approx(brute_force_lemma1(field, sigma, est), rel=1e-12)
 
     def test_corpus_norm_bounded_by_fitted_constant_times_osc(self):
         # the reported C_fit is the corpus max of bmo_norm / osc theta; every
@@ -193,7 +219,7 @@ class TestLemma1Ratio:
             pf = build_optimal_potential(g, 2.5)
             field = traceless_hessian(pf)
             est = bmo_norm(field, full_dyadic_depth(g.shape), spatial_ndim=2)
-            records.append((est.norm_value, pf.theta.max() - pf.theta.min()))
+            records.append((est, pf.theta.max() - pf.theta.min()))
         c_fit = max(norm / osc for norm, osc in records)
         assert 0.0 < c_fit < np.inf
         for norm, osc in records:
@@ -205,9 +231,9 @@ class TestLemma1Ratio:
         g = generate_random(TWO_14, (64, 64), seed=4)
         field = traceless_hessian(build_optimal_potential(g, 2.0))
         est = bmo_norm(field, 6, spatial_ndim=2)
-        ratios = []
+        # the number of nested squares [0, 64 >> k)^2, k = 1..5, holding each
+        # voxel: its superlevel sets are those squares, and the whole cube
+        levels = np.zeros((64, 64))
         for k in range(1, 6):
-            mask = np.zeros((64, 64), bool)
-            mask[: 64 >> k, : 64 >> k] = True
-            ratios.append(lemma1_ratio(field, mask, bmo=est, spatial_ndim=2))
-        assert max(ratios) < 50.0
+            levels[: 64 >> k, : 64 >> k] += 1
+        assert lemma1_ratio(field, levels, bmo=est, spatial_ndim=2) < 50.0

@@ -225,6 +225,13 @@ class TestMiltonGap:
         with pytest.raises(ValueError, match="2 phases"):
             milton_gap(THREE, 6.0)
 
+    @pytest.mark.parametrize("sigma3", [math.inf, math.nan])
+    def test_rejects_non_finite_sigma3(self, sigma3):
+        # inf was a ZeroDivisionError, nan returned nan
+        ps2 = PhaseSet.from_pairs((1.0, 2.0), (0.5, 0.5), 3)
+        with pytest.raises(ValueError, match=f"sigma3 must be finite.*got {sigma3}"):
+            milton_gap(ps2, sigma3)
+
     def test_monotone_in_sigma3(self):
         # sweep sigma3 over [sigma2, 10 sigma2]
         ps2 = PhaseSet.from_pairs((1.0, 2.0), (0.5, 0.5), 3)

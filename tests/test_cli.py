@@ -6,8 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conducta import cli
 from conducta.cli import build_parser, main
-from conducta.microstructure import generate_laminate, generate_random, save_grid
+from conducta.microstructure import VoxelGrid, generate_laminate, generate_random, save_grid
 from conducta.phases import PhaseSet
 
 THREE_CFG = """dimension = 3
@@ -494,6 +495,26 @@ class TestNonFiniteInputs:
         assert main(["sweep", "--config", three_cfg, *flags]) == 1
         assert capsys.readouterr().err.startswith("error: --mu3-min and --mu3-max must satisfy")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--C", "inf"],
+            ["solve", "--S", "inf"],
+            ["solve", "--S", "x"],
+            ["solve", "--S", ""],
+            ["verify", "--C", "inf"],
+            ["verify", "--C", "0"],
+        ],
+    )
+    def test_rejected_before_any_solve(self, argv, tmp_path, monkeypatch, capsys):
+        # each of these ran a whole cell solve (the first grid's, for verify) before exiting 1
+        solves = []
+        monkeypatch.setattr(cli, "solve_effective_tensor", lambda *args: solves.append(args))
+        base = ["--grid", small_grid(tmp_path)] if argv[0] == "solve" else ["--count", "2", "--shape", "8"]
+        assert main([argv[0], *base, *argv[1:]]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert solves == []
+
 
 def load_bench_workloads(monkeypatch):
     """bench/workloads.py, imported by path and only read."""
@@ -516,6 +537,30 @@ def test_benchmark_argv_parses(name, tmp_path, monkeypatch):
         assert args.command == argv[0]
 
 
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("bmo-2d", ["bmo", "--count", "4", "--shape", "32", "--num-phases", "3"]),
+        ("verify-2d", ["verify", "--count", "2", "--shape", "32", "--num-phases", "3", "--sigma-max", "100"]),
+        ("solve-3d", None),
+    ],
+)
+def test_benchmark_parses_output(name, argv, tmp_path, monkeypatch, capsys):
+    # a change to an output format that the benchmark's row checks or
+    # physical-value columns can no longer read fails here
+    bench = load_bench_workloads(monkeypatch)
+    workload = bench.WORKLOADS[name]
+    if argv is None:  # the workload's medium on a 16^3 grid
+        path = tmp_path / "grid.cnda"
+        ps = PhaseSet.from_pairs(bench.SOLVE_SIGMA, bench.SOLVE_FRACTIONS, 3)
+        save_grid(generate_random(ps, (16,) * 3, seed=0), path)
+        argv = ["solve", "--grid", str(path), "--S", "auto"]
+    rc = main(argv)
+    out = capsys.readouterr().out
+    assert workload.check(rc, out) is None
+    assert workload.physical_values(out)
+
+
 class TestBmoCommand:
     def test_homogeneous_grid_flagged_degenerate(self, tmp_path, capsys):
         grid_path = tmp_path / "homog.cnda"
@@ -526,6 +571,18 @@ class TestBmoCommand:
         assert main(["bmo", "--grid", str(grid_path)]) == 0
         out = capsys.readouterr().out
         assert "degenerate" in out
+
+    @pytest.mark.parametrize("shape", [(32, 32), (8, 8, 8)])
+    def test_nyquist_checkerboard_flagged_degenerate(self, shape, tmp_path, capsys):
+        # theta is a pure Nyquist mode, which p drops, so the traceless
+        # Hessian is 0 although osc theta is not; this exited 1
+        grid_path = tmp_path / "checkerboard.cnda"
+        parity = np.indices(shape).sum(axis=0) % 2
+        save_grid(VoxelGrid(parity.astype(np.uint8), (1.0, 4.0)), grid_path)
+        assert main(["bmo", "--grid", str(grid_path)]) == 0
+        row = capsys.readouterr().out.splitlines()[4].split()
+        assert row[:2] == ["checkerboard.cnda", "degenerate"]
+        assert float(row[-2]) > 0.0  # osc theta
 
     def test_corpus_report(self, capsys):
         assert main(["bmo", "--count", "2", "--shape", "32", "--seed", "5"]) == 0

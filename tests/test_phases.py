@@ -102,6 +102,12 @@ class TestShiftedHarmonicL:
         with pytest.raises(ValueError):
             shifted_harmonic_L(THREE, -0.1)
 
+    @pytest.mark.parametrize("S", [math.inf, math.nan])
+    def test_rejects_non_finite_S(self, S):
+        # S = inf was a ZeroDivisionError, S = nan returned nan
+        with pytest.raises(ValueError, match=f"finite and nonnegative, got {S}"):
+            shifted_harmonic_L(THREE, S)
+
     @given(phase_sets(), st.floats(0.0, 40.0))
     def test_bounds_and_range(self, ps, S):
         L = shifted_harmonic_L(ps, S)
@@ -141,6 +147,12 @@ class TestTailIntegral:
         d = distribution_from_phases(THREE)
         assert tail_integral(d, 5.0) == 0.0
         assert tail_integral(d, 7.3) == 0.0
+
+    @pytest.mark.parametrize("S", [math.inf, math.nan])
+    def test_rejects_non_finite_S(self, S):
+        # S = nan returned 0.0
+        with pytest.raises(ValueError, match=f"finite and nonnegative, got {S}"):
+            tail_integral(distribution_from_phases(THREE), S)
 
     def test_below_inf_includes_unit_plateau(self):
         d = distribution_from_phases(THREE)
