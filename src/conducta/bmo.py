@@ -16,9 +16,18 @@ norm: john_nirenberg_fit and lemma1_ratio take the float it returns.
 
 Matrix-valued fields are handled component-wise: each component is centered
 and measured on its own, and the norm is the maximum over components.  The
-quadratic mass used by lemma1_ratio is the full Frobenius square, matching
-how the traceless Hessian enters the tail-bound pipeline, so the empirical
-constant absorbs the component count.
+quadratic mass used by lemma1_ratio is the sum of squares over the components
+passed; on a full stack that is the Frobenius square, matching how the
+traceless Hessian enters the tail-bound pipeline, so the empirical constant
+absorbs the component count.
+
+The CLI passes the 2D traceless Hessian [[a, b], [b, -a]] as the pair [a, b]
+(cell_solver._distinct_traceless).  Each of a and b is, up to sign, exactly
+two of the four components, so the norm (a maximum over components) and the
+John-Nirenberg superlevel fractions (counts over all component values) are
+the same on the pair, while its quadratic mass is half the Frobenius mass
+2 (a^2 + b^2): the CLI multiplies lemma1_ratio by that mass factor 2.  In 3D
+it passes the full stack with factor 1.
 """
 
 from __future__ import annotations

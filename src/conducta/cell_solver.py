@@ -101,7 +101,7 @@ class EffectiveTensor:
     flux_discrepancy: float
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
+        m = np.array(self.matrix, dtype=float)  # an owned copy: freezing it leaves the caller's array writable
         if m.shape != (self.dimension, self.dimension):
             raise ValueError(f"matrix shape {m.shape} does not match dimension {self.dimension}")
         if not np.allclose(m, m.T, rtol=0.0, atol=1e-10 * max(1.0, float(np.abs(m).max()))):
@@ -261,11 +261,12 @@ def _i1_quadrature(sigma: np.ndarray, lap: np.ndarray, n: int, S: float) -> floa
 
 def _traceless_square(hessian: np.ndarray, lap: np.ndarray, n: int) -> np.ndarray:
     q = -lap * lap / n
+    square = np.empty_like(q)
     for i in range(n):
         for j in range(n):
-            q = q + hessian[i, j] * hessian[i, j]
+            q += np.multiply(hessian[i, j], hessian[i, j], out=square)
     # |M|^2 - (tr M)^2 / n >= 0 pointwise; clip float noise
-    return np.maximum(q, 0.0)
+    return np.maximum(q, 0.0, out=q)
 
 
 def build_optimal_potential(grid: VoxelGrid, S: float) -> PotentialField:
@@ -342,12 +343,37 @@ def constructive_upper(grid: VoxelGrid, S: float) -> float:
 
 
 def traceless_hessian(pf: PotentialField) -> np.ndarray:
-    """D^2 p - (lap p / n) I as an (n, n, *grid) component stack."""
+    """D^2 p - (lap p / n) I as an (n, n, *grid) component stack.
+
+    In 2D the stack is [[a, b], [b, -a]] with a = (h00 - h11) / 2 and
+    b = h01, the traceless part of the Hessian matrix itself: its trace is 0
+    exactly, and a agrees with h00 - lap p / 2 to round-off.
+    """
     n = pf.grid.dimension
-    out = pf.hessian_p.copy()
+    h = pf.hessian_p
+    if n == 2:
+        a, b = (h[0, 0] - h[1, 1]) / 2, h[0, 1]
+        return np.array([[a, b], [b, -a]])
+    out = h.copy()
     for i in range(n):
         out[i, i] -= pf.laplacian_p / n
     return out
+
+
+def _distinct_traceless(pf: PotentialField) -> tuple[np.ndarray, float]:
+    """The distinct components of traceless_hessian(pf) as one stack, and the
+    factor taking the sum of their squares to the full Frobenius square.
+
+    In 2D the first row [a, b] of [[a, b], [b, -a]] holds every distinct
+    component, each standing for two, so statistics that are a maximum over
+    components or a fraction of all component values (bmo_norm,
+    john_nirenberg_fit) come out the same on it, and the quadratic mass is
+    2 (a^2 + b^2).  In 3D the full stack of 9 is returned with factor 1.
+    """
+    full = traceless_hessian(pf)
+    if pf.grid.dimension == 2:
+        return full[0], 2.0
+    return full, 1.0
 
 
 def oscillation_closed_form(grid: VoxelGrid, S: float) -> float:

@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 validation error, 2 solver non-convergence,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -30,11 +31,11 @@ from .bounds import (
 )
 from .cell_solver import (
     SolverConfig,
+    _distinct_traceless,
     build_optimal_potential,
     constructive_value,
     oscillation_closed_form,
     solve_effective_tensor,
-    traceless_hessian,
 )
 from .errors import ConfigError, ConvergenceError
 from .microstructure import VoxelGrid, empirical_phase_set, generate_random, load_grid
@@ -193,15 +194,22 @@ def run_sweep(options: dict) -> int:
 
 # ----------------------------------------------------------------- solve
 
+def _shift(text: str) -> float:
+    """The shift parameter S written as ``text``; ConfigError unless finite and positive."""
+    try:
+        s = float(text)
+    except ValueError:
+        raise ConfigError(f"S must be finite and positive, got {text!r}") from None
+    if not 0.0 < s < math.inf:
+        raise ConfigError(f"S must be finite and positive, got {s}")
+    return s
+
+
 def _resolve_s_list(s_spec: str, ps: PhaseSet) -> list[float]:
     if s_spec == "auto":
         lo, hi = ps.inf_sigma, ps.sup_sigma
         return [lo, 0.5 * (lo + hi), hi]
-    values = [float(s) for s in s_spec.split(",")]
-    for s in values:
-        if not 0.0 < s < math.inf:
-            raise ConfigError(f"S must be finite and positive, got {s}")
-    return values
+    return [_shift(s) for s in s_spec.split(",")]
 
 
 def run_solve(options: dict) -> int:
@@ -364,19 +372,22 @@ def run_verify(options: dict) -> int:
 
 # ----------------------------------------------------------------- bmo
 
-def _bmo_one(grid: VoxelGrid, label: str, s_spec: str) -> tuple[str, float]:
-    emp = empirical_phase_set(grid)
-    s = 0.5 * (emp.inf_sigma + emp.sup_sigma) if s_spec == "mid" else float(s_spec)
+def _bmo_one(grid: VoxelGrid, label: str, s: float | None) -> tuple[str, float]:
+    """Report row of one grid at shift ``s`` (None: the grid's mid conductivity), and its Lemma-1 ratio."""
+    if s is None:
+        emp = empirical_phase_set(grid)
+        s = 0.5 * (emp.inf_sigma + emp.sup_sigma)
     pf = build_optimal_potential(grid, s)
     osc = float(pf.theta.max() - pf.theta.min())
     osc_closed = oscillation_closed_form(grid, s)
-    field = traceless_hessian(pf)
+    # in 2D the pair [a, b] of [[a, b], [b, -a]]; mass_factor restores the Frobenius mass
+    field, mass_factor = _distinct_traceless(pf)
     est = bmo_norm(field, full_dyadic_depth(grid.shape), spatial_ndim=grid.dimension)
     # a homogeneous grid, or a theta with only Nyquist content, which p drops
     if est == 0.0:
         return f"{label:<14}{'degenerate':>12}" + f"{'-':>20}" * 6 + f"{_g(osc):>20}{_g(osc_closed):>20}", 0.0
     fit = john_nirenberg_fit(field, est, spatial_ndim=grid.dimension)
-    max_ratio = lemma1_ratio(field, grid.conductivity_field(), est, spatial_ndim=grid.dimension)
+    max_ratio = mass_factor * lemma1_ratio(field, grid.conductivity_field(), est, spatial_ndim=grid.dimension)
     row = (
         f"{label:<14}{'ok':>12}{_g(est):>20}{_g(fit.b):>20}{_g(fit.B):>20}"
         f"{_g(fit.max_violation):>20}{_g(max_ratio):>20}{_g(est / osc):>20}"
@@ -387,12 +398,12 @@ def _bmo_one(grid: VoxelGrid, label: str, s_spec: str) -> tuple[str, float]:
 
 def run_bmo(options: dict) -> int:
     s_spec = options["S"]
-    grids: list[tuple[str, VoxelGrid]] = []
+    s = None if s_spec == "mid" else _shift(s_spec)  # checked before any grid is read or drawn
     if options["grid"]:
-        grids.append((Path(options["grid"]).name, load_grid(options["grid"])))
+        sources = [(Path(options["grid"]).name, functools.partial(load_grid, options["grid"]))]
     else:
         seeds = range(options["seed"], options["seed"] + options["count"])
-        grids.extend((f"seed{seed}", _corpus_grid(seed, options)) for seed in seeds)
+        sources = [(f"seed{seed}", functools.partial(_corpus_grid, seed, options)) for seed in seeds]
 
     header = (
         f"{'field':<14}{'status':>12}{'bmo_norm':>20}{'b':>20}{'B':>20}"
@@ -400,8 +411,8 @@ def run_bmo(options: dict) -> int:
     )
     lines = ["# conducta bmo", f"S: {s_spec}", "", header]
     overall = 0.0
-    for label, grid in grids:
-        row, max_ratio = _bmo_one(grid, label, s_spec)
+    for label, make_grid in sources:  # one grid alive at a time
+        row, max_ratio = _bmo_one(make_grid(), label, s)
         lines.append(row)
         overall = max(overall, max_ratio)
     lines.append("")

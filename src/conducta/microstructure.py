@@ -53,7 +53,7 @@ class VoxelGrid:
     phase_conductivities: tuple[float, ...]
 
     def __post_init__(self):
-        idx = np.ascontiguousarray(self.phase_index, dtype=np.uint8)
+        idx = np.array(self.phase_index, dtype=np.uint8, order="C")  # owned: no view of the caller's array
         if idx.ndim not in (2, 3):
             raise ValueError(f"grid must be 2D or 3D, got {idx.ndim}D")
         for n in idx.shape:
@@ -113,7 +113,7 @@ def generate_laminate(ps: PhaseSet, axis: int, shape: tuple[int, ...]) -> VoxelG
     expand = [np.newaxis] * len(shape)
     expand[axis] = slice(None)
     index = np.broadcast_to(profile[tuple(expand)], shape)
-    return VoxelGrid(np.ascontiguousarray(index), ps.conductivities)
+    return VoxelGrid(index, ps.conductivities)
 
 
 def generate_checkerboard(sigma_a: float, sigma_b: float, shape: tuple[int, int]) -> VoxelGrid:
@@ -222,6 +222,6 @@ def load_grid(path: str | Path) -> VoxelGrid:
         )
     index = np.frombuffer(data, dtype=np.uint8, count=count, offset=offset).reshape(shape)
     try:
-        return VoxelGrid(index.copy(), tuple(float(c) for c in conductivities))
+        return VoxelGrid(index, tuple(float(c) for c in conductivities))
     except ValueError as exc:
         raise GridFormatError(f"{path}: {exc}") from exc

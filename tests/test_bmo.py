@@ -11,9 +11,11 @@ from conducta.bmo import (
     john_nirenberg_fit,
     lemma1_ratio,
 )
-from conducta.cell_solver import build_optimal_potential, traceless_hessian
+from conducta.cell_solver import _distinct_traceless, build_optimal_potential, traceless_hessian
 from conducta.microstructure import generate_random
 from conducta.phases import PhaseSet
+
+from conftest import random_phase_set
 
 TWO_14 = PhaseSet.from_pairs((1.0, 4.0), (0.5, 0.5), 2)
 
@@ -237,3 +239,44 @@ class TestLemma1Ratio:
         for k in range(1, 6):
             levels[: 64 >> k, : 64 >> k] += 1
         assert lemma1_ratio(field, levels, bmo=est, spatial_ndim=2) < 50.0
+
+
+class TestDistinctTraceless:
+    """The 2D pair [a, b] of the traceless Hessian [[a, b], [b, -a]] stands for all four components."""
+
+    @pytest.mark.parametrize("mode", ["iid", "smooth"])
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    @pytest.mark.parametrize("n", [8, 16, 32, 64])
+    def test_statistics_match_full_stack(self, n, k, mode):
+        rng = np.random.default_rng(100 * n + 10 * k + (mode == "smooth"))
+        ps = random_phase_set(rng, k, 2)
+        g = generate_random(ps, (n, n), seed=n + k, mode=mode)
+        depth = full_dyadic_depth(g.shape)
+        levels = g.conductivity_field()
+        for S in (ps.inf_sigma, 0.5 * (ps.inf_sigma + ps.sup_sigma), ps.sup_sigma, 2.0 * ps.sup_sigma):
+            pf = build_optimal_potential(g, S)
+            full = traceless_hessian(pf)
+            pair, mass_factor = _distinct_traceless(pf)
+            assert pair.shape == (2, n, n) and mass_factor == 2.0
+            est = bmo_norm(full, depth, spatial_ndim=2)
+            assert est > 0.0
+            assert bmo_norm(pair, depth, spatial_ndim=2) == est
+            assert john_nirenberg_fit(pair, est, spatial_ndim=2) == john_nirenberg_fit(full, est, spatial_ndim=2)
+            assert mass_factor * lemma1_ratio(pair, levels, est, spatial_ndim=2) == pytest.approx(
+                lemma1_ratio(full, levels, est, spatial_ndim=2), rel=1e-12
+            )
+
+    def test_2d_stack_is_exactly_traceless_and_symmetric(self):
+        pf = build_optimal_potential(generate_random(TWO_14, (32, 32), seed=3), 2.0)
+        full = traceless_hessian(pf)
+        assert np.array_equal(full[1, 1], -full[0, 0])
+        assert np.array_equal(full[0, 1], full[1, 0])
+        # the traceless part of D^2 p, with lap p the separately transformed Laplacian
+        assert np.allclose(full[0, 0], pf.hessian_p[0, 0] - pf.laplacian_p / 2, rtol=0.0, atol=1e-12)
+
+    def test_3d_keeps_the_full_stack(self):
+        ps = PhaseSet.from_pairs((1.0, 4.0), (0.5, 0.5), 3)
+        pf = build_optimal_potential(generate_random(ps, (8, 8, 8), seed=3), 2.0)
+        stack, mass_factor = _distinct_traceless(pf)
+        assert mass_factor == 1.0
+        assert np.array_equal(stack, traceless_hessian(pf))

@@ -6,6 +6,7 @@ import pytest
 from conducta.cell_solver import (
     EffectiveTensor,
     SolverConfig,
+    _traceless_square,
     build_optimal_potential,
     constructive_upper,
     constructive_value,
@@ -47,6 +48,13 @@ class TestSolverConfig:
         for arr in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 arr[(0,) * arr.ndim] = 1
+
+    def test_tensor_owns_its_matrix(self):
+        # the tensor kept the caller's float array and froze it
+        m = np.eye(2)
+        tensor = EffectiveTensor(2, m, 1.0, (1, 1), (0.0, 0.0), 0.0)
+        m[0, 0] = 5.0  # the caller's array stays writable
+        assert tensor.matrix[0, 0] == 1.0
 
     def test_tensor_symmetry_enforced(self):
         with pytest.raises(ValueError, match="symmetric"):
@@ -317,6 +325,18 @@ class TestI1I2:
         i2, i2_pos = pf.I2, pf.I2_positive_part
         assert i2 == pytest.approx(expected, rel=1e-6)
         assert i2 == pytest.approx(27.0 / 98.0, rel=1e-6)
+
+    @pytest.mark.parametrize("shape", [(16, 16), (8, 8, 8)])
+    def test_traceless_square_matches_reference_loop(self, shape):
+        # accumulated in place, in the order of the out-of-place loop it replaced
+        ps = PhaseSet.from_pairs((1.0, 2.0, 5.0), (0.4, 0.4, 0.2), len(shape))
+        pf = build_optimal_potential(generate_random(ps, shape, seed=4), 2.0)
+        n, h, lap = len(shape), pf.hessian_p, pf.laplacian_p
+        q = -lap * lap / n
+        for i in range(n):
+            for j in range(n):
+                q = q + h[i, j] * h[i, j]
+        assert np.array_equal(_traceless_square(h, lap, n), np.maximum(q, 0.0))
 
     def test_i2_below_positive_part_and_zero_at_sup(self):
         g = generate_random(TWO_14, (32, 32), seed=9)

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -589,3 +590,37 @@ class TestBmoCommand:
         out = capsys.readouterr().out
         assert "recommended_C" in out
         assert "osc_theta" in out
+
+    @pytest.mark.parametrize("S", ["inf", "x", "0"])
+    def test_bad_shift_rejected_before_any_grid(self, S, tmp_path, monkeypatch, capsys):
+        # every corpus grid was drawn, or the grid file read, before --S was parsed
+        drawn, loaded = [], []
+        monkeypatch.setattr(cli, "_corpus_grid", lambda *args: drawn.append(args))
+        monkeypatch.setattr(cli, "load_grid", lambda *args: loaded.append(args))
+        assert main(["bmo", "--count", "6", "--shape", "64", "--S", S]) == 1
+        assert capsys.readouterr().err.startswith("error: S must be finite and positive")
+        assert main(["bmo", "--grid", small_grid(tmp_path), "--S", S]) == 1
+        assert capsys.readouterr().err.startswith("error: S must be finite and positive")
+        assert drawn == [] and loaded == []
+
+    def test_corpus_grids_drawn_one_per_row(self, monkeypatch, capsys):
+        events = []
+        draw, row = cli._corpus_grid, cli._bmo_one
+        monkeypatch.setattr(cli, "_corpus_grid", lambda seed, options: events.append("draw") or draw(seed, options))
+        monkeypatch.setattr(cli, "_bmo_one", lambda *args: events.append("row") or row(*args))
+        assert main(["bmo", "--count", "3", "--shape", "8", "--S", "2.5"]) == 0
+        assert events == ["draw", "row"] * 3
+
+    @pytest.mark.parametrize("dim, components", [(2, 2), (3, 9)])
+    def test_norm_sees_distinct_components(self, dim, components, monkeypatch, capsys):
+        # in 2D the traceless Hessian [[a, b], [b, -a]] reaches the statistics as the pair [a, b]
+        stacks = []
+        norm = cli.bmo_norm
+
+        def spy(field, depth, spatial_ndim=None):
+            stacks.append(field.shape[: field.ndim - spatial_ndim])
+            return norm(field, depth, spatial_ndim)
+
+        monkeypatch.setattr(cli, "bmo_norm", spy)
+        assert main(["bmo", "--dim", str(dim), "--count", "2", "--shape", "8"]) == 0
+        assert [math.prod(shape) for shape in stacks] == [components] * 2

@@ -41,6 +41,14 @@ class TestVoxelGrid:
         with pytest.raises(ValueError):
             g.phase_index[0, 0] = 1
 
+    def test_owns_its_index_array(self):
+        # the grid kept a view of the caller's array and froze it
+        base = np.zeros((4, 4), np.uint8)
+        g = VoxelGrid(base, (1.0, 2.0))
+        view_grid = VoxelGrid(base[:], (1.0, 2.0))
+        base[0, 0] = 1  # the caller's array stays writable
+        assert g.phase_index[0, 0] == 0 and view_grid.phase_index[0, 0] == 0
+
     def test_conductivity_field(self):
         g = generate_checkerboard(1.0, 4.0, (4, 4))
         f = g.conductivity_field()
