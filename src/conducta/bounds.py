@@ -2,7 +2,8 @@
 
 Every refined value comes from one formula, theorem 1's H(S) + E(S) with a
 free shift parameter S > 0, where the E term controls the contribution of the
-phases above S through the tail of the distribution function:
+phases above S through the tail of the distribution function, which
+``phases.tail_integral`` reads straight off the phase set:
 
 * the trivial bound (arithmetic mean of sigma) needs no shift,
 * the Hashin-Shtrikman upper bound is theorem 1 at S = sup sigma, where the
@@ -22,13 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .phases import (
-    PhaseSet,
-    DistributionFunction,
-    distribution_from_phases,
-    shifted_harmonic_L,
-    tail_integral,
-)
+from .phases import PhaseSet, shifted_harmonic_L, tail_integral
 
 __all__ = [
     "BOUND_NAMES",
@@ -97,7 +92,7 @@ class BoundReport:
 
 def trivial_upper(ps: PhaseSet) -> BoundReport:
     """Arithmetic mean of sigma: the bound from the zero test field."""
-    value = math.fsum(p.volume_fraction * p.conductivity for p in ps.phases)
+    value = math.fsum(m * s for s, m in zip(ps.conductivities, ps.fractions))
     return BoundReport("trivial", value)
 
 
@@ -113,17 +108,15 @@ def hs_upper(ps: PhaseSet) -> BoundReport:
     and the value is H(sup sigma).  The report records S, H, E and L, no C.
     """
     S = ps.sup_sigma
-    H, E, L = _theorem1_terms(ps, S, BoundConfig(), distribution_from_phases(ps))
+    H, E, L = _theorem1_terms(ps, S, BoundConfig())
     return BoundReport("hashin_shtrikman", H + E, S_used=S, H_term=H, E_term=E, L_value=L)
 
 
-def _theorem1_terms(
-    ps: PhaseSet, S: float, cfg: BoundConfig, dist: DistributionFunction
-) -> tuple[float, float, float]:
+def _theorem1_terms(ps: PhaseSet, S: float, cfg: BoundConfig) -> tuple[float, float, float]:
     shift = (ps.dimension - 1) * S
     L = shifted_harmonic_L(ps, S)
     H = -shift + L
-    tail = tail_integral(dist, S)
+    tail = tail_integral(ps, S)
     osc = ps.osc_sigma
     w_lo = ps.inf_sigma + shift
     if cfg.use_simplified_E:
@@ -145,7 +138,7 @@ def theorem1_upper(ps: PhaseSet, S: float, cfg: BoundConfig | None = None) -> Bo
     if not 0.0 < S < math.inf:
         raise ValueError(f"S must be finite and positive, got {S}")
     cfg = cfg or BoundConfig()
-    H, E, L = _theorem1_terms(ps, S, cfg, distribution_from_phases(ps))
+    H, E, L = _theorem1_terms(ps, S, cfg)
     name = "theorem1_simplified" if cfg.use_simplified_E else "theorem1"
     return BoundReport(name, H + E, S_used=S, H_term=H, E_term=E, L_value=L, C_used=cfg.C)
 
@@ -162,7 +155,7 @@ def three_phase_refined(ps: PhaseSet, cfg: BoundConfig | None = None) -> BoundRe
     if ps.num_phases != 3:
         raise ValueError(f"three_phase_refined needs exactly 3 phases, got {ps.num_phases}")
     S = ps.conductivities[1]
-    H, E, L = _theorem1_terms(ps, S, BoundConfig(C), distribution_from_phases(ps))
+    H, E, L = _theorem1_terms(ps, S, BoundConfig(C))
     return BoundReport("three_phase_refined", H + E, S_used=S, H_term=H, E_term=E, L_value=L, C_used=C)
 
 
@@ -177,11 +170,10 @@ def optimize_S(ps: PhaseSet, cfg: BoundConfig | None = None) -> BoundReport:
     Ties are resolved toward the larger S.
     """
     cfg = cfg or BoundConfig()
-    dist = distribution_from_phases(ps)
     sup = ps.sup_sigma
 
     def value(S: float) -> float:
-        H, E, _ = _theorem1_terms(ps, S, cfg, dist)
+        H, E, _ = _theorem1_terms(ps, S, cfg)
         return H + E
 
     points = sorted(

@@ -45,6 +45,7 @@ Differentiation conventions (these are constraints, not taste):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,8 +136,15 @@ def _half_spectrum_dot(shape: tuple[int, ...]):
 
 
 def _spectral_cg(apply_op, green: np.ndarray, dot, b: np.ndarray, rel_tol: float, max_iter: int, label: str):
-    """Green-preconditioned conjugate gradients on half spectra; returns (x, iterations, residual)."""
+    """Green-preconditioned conjugate gradients on half spectra; returns (x, iterations, residual).
+
+    Raises ConvergenceError after max_iter iterations, or as soon as the
+    right-hand side norm or a residual is not finite (an overflow would
+    otherwise run every remaining iteration on NaNs).
+    """
     b_norm = float(np.sqrt(dot(b, b)))
+    if not math.isfinite(b_norm):
+        raise ConvergenceError(f"cell solve for {label} has a non-finite right-hand side", math.nan, 0)
     if b_norm == 0.0:
         return np.zeros_like(b), 0, 0.0
     x = np.zeros_like(b)
@@ -153,6 +161,8 @@ def _spectral_cg(apply_op, green: np.ndarray, dot, b: np.ndarray, rel_tol: float
         residual = float(np.sqrt(dot(r, r))) / b_norm
         if residual <= rel_tol:
             return x, it, residual
+        if not math.isfinite(residual):
+            raise ConvergenceError(f"cell solve for {label} hit a non-finite residual", residual, it)
         z = green * r
         rz_new = dot(r, z)
         p = z + (rz_new / rz) * p
@@ -165,7 +175,7 @@ def solve_effective_tensor(grid: VoxelGrid, config: SolverConfig | None = None) 
 
     A homogeneous grid needs no correction: the right-hand side vanishes and
     the solve returns after zero iterations with A = sigma I exactly.
-    Raises ConvergenceError when max_iterations is hit.
+    Raises ConvergenceError when max_iterations is hit or a value overflows.
     """
     config = config or SolverConfig()
     sigma = grid.conductivity_field()

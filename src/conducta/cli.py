@@ -104,6 +104,17 @@ def _solver_cfg(options: dict) -> SolverConfig:
     return SolverConfig(relative_tolerance=options["tolerance"], max_iterations=options["max_iterations"])
 
 
+def _shift(text: str) -> float:
+    """The shift parameter S written as ``text``; ConfigError unless finite and positive."""
+    try:
+        s = float(text)
+    except ValueError:
+        raise ConfigError(f"S must be finite and positive, got {text!r}") from None
+    if not 0.0 < s < math.inf:
+        raise ConfigError(f"S must be finite and positive, got {s}")
+    return s
+
+
 # ----------------------------------------------------------------- bounds
 
 _BOUND_COLUMNS = ("bound", "value", "S", "H_term", "E_term", "L", "C")
@@ -123,12 +134,12 @@ def _bound_row(report: BoundReport) -> str:
 
 
 def run_bounds(options: dict) -> int:
+    s = None if options["S"] == "opt" else _shift(options["S"])
     ps = read_phase_config(options["config"])
     cfg = _bound_cfg(options)
     reports = [trivial_upper(ps), hs_upper(ps)]
-    s_opt = options["S"]
-    if s_opt != "opt":
-        reports.append(theorem1_upper(ps, float(s_opt), cfg))
+    if s is not None:
+        reports.append(theorem1_upper(ps, s, cfg))
     reports.append(optimize_S(ps, cfg))
     if ps.num_phases == 3:
         reports.append(three_phase_refined(ps, cfg))
@@ -149,6 +160,8 @@ def run_bounds(options: dict) -> int:
 # ----------------------------------------------------------------- sweep
 
 def run_sweep(options: dict) -> int:
+    if options["points"] < 1:
+        raise ConfigError(f"--points must be an integer >= 1, got {options['points']!r}")
     ps = read_phase_config(options["config"])
     if ps.num_phases != 3:
         raise ConfigError(f"sweep needs a 3-phase config, got {ps.num_phases} phases")
@@ -193,17 +206,6 @@ def run_sweep(options: dict) -> int:
 
 
 # ----------------------------------------------------------------- solve
-
-def _shift(text: str) -> float:
-    """The shift parameter S written as ``text``; ConfigError unless finite and positive."""
-    try:
-        s = float(text)
-    except ValueError:
-        raise ConfigError(f"S must be finite and positive, got {text!r}") from None
-    if not 0.0 < s < math.inf:
-        raise ConfigError(f"S must be finite and positive, got {s}")
-    return s
-
 
 def _resolve_s_list(s_spec: str, ps: PhaseSet) -> list[float]:
     if s_spec == "auto":

@@ -13,7 +13,7 @@ Grid file format (little endian, documented for interoperability):
     dim     u8       2 or 3
     K       u8       number of conductivities
     shape   dim*u32  voxels per axis
-    sigma   K*f64    conductivities
+    sigma   K*f64    conductivities, finite and positive
     index   u8[...]  phase indices, row-major (C order)
 """
 
@@ -59,18 +59,17 @@ class VoxelGrid:
         for n in idx.shape:
             if n < 2 or n & (n - 1):
                 raise ValueError(f"grid shape must be powers of two >= 2, got {idx.shape}")
-        k = len(self.phase_conductivities)
-        if not 1 <= k <= 255:
-            raise ValueError(f"number of conductivities must be in [1, 255], got {k}")
-        if any(not c > 0.0 for c in self.phase_conductivities):
-            raise ValueError("conductivities must be positive")
-        if idx.size and int(idx.max()) >= k:
+        sig = tuple(float(c) for c in self.phase_conductivities)
+        if not 1 <= len(sig) <= 255:
+            raise ValueError(f"number of conductivities must be in [1, 255], got {len(sig)}")
+        bad = [c for c in sig if not 0.0 < c < math.inf]
+        if bad:
+            raise ValueError(f"conductivities must be finite and positive, got {bad[0]}")
+        if idx.size and int(idx.max()) >= len(sig):
             raise ValueError("phase index out of range for the conductivity table")
         idx.setflags(write=False)
         object.__setattr__(self, "phase_index", idx)
-        object.__setattr__(
-            self, "phase_conductivities", tuple(float(c) for c in self.phase_conductivities)
-        )
+        object.__setattr__(self, "phase_conductivities", sig)
 
     @property
     def dimension(self) -> int:

@@ -4,8 +4,9 @@ A composite is described by its phases (conductivity, volume fraction) and the
 ambient dimension n >= 2.  All bound formulas depend on the material only
 through the distribution function F(t) = |{x : sigma(x) > t}|, which for a
 K-phase composite is a step function with jumps of size mu_i at each sigma_i.
-F is kept exactly as breakpoints, never sampled, so the tail integral used by
-the refined bound has a closed form.
+F is read straight from the sorted phase set, never stored or sampled: on
+[sigma_i, sigma_{i+1}) it is the fraction of the phases above sigma_i, so the
+tail integral used by the refined bound has a closed form.
 
 Logarithms are natural throughout, and F (1 - log F)^2 is extended
 continuously by 0 at F = 0.
@@ -14,17 +15,13 @@ continuously by 0 at F = 0.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ConfigError
 
 __all__ = [
-    "Phase",
     "PhaseSet",
-    "DistributionFunction",
-    "distribution_from_phases",
     "shifted_harmonic_L",
     "tail_integral",
     "distribution_weight",
@@ -36,128 +33,72 @@ FRACTION_TOL = 1e-12
 
 
 @dataclass(frozen=True)
-class Phase:
-    """One isotropic component: conductivity and volume fraction."""
-
-    conductivity: float
-    volume_fraction: float
-
-    def __post_init__(self):
-        if not self.conductivity > 0.0:
-            raise ValueError(f"conductivity must be positive, got {self.conductivity}")
-        if not 0.0 < self.volume_fraction <= 1.0:
-            raise ValueError(
-                f"volume fraction must lie in (0, 1], got {self.volume_fraction}"
-            )
-
-
-@dataclass(frozen=True)
 class PhaseSet:
     """An ordered multiphase composition of the unit cube.
 
-    Invariants: conductivities strictly increasing, fractions summing to one
-    (within 1e-12), K >= 1 phases, dimension n >= 2.  Use :meth:`from_pairs`
-    to build from raw data; it sorts by conductivity, merges phases with equal
-    conductivity (the distribution function cannot distinguish them) and drops
-    zero-fraction entries.
+    Invariants: K >= 1 phases, conductivities finite, positive and strictly
+    increasing, fractions in (0, 1] summing to one (within 1e-12), dimension
+    n >= 2.  Both sequences are stored as owned tuples of floats.  Use
+    :meth:`from_pairs` to build from raw data; it sorts by conductivity,
+    merges phases with equal conductivity (the distribution function cannot
+    distinguish them) and drops zero-fraction entries.
     """
 
-    phases: tuple[Phase, ...]
+    conductivities: tuple[float, ...]
+    fractions: tuple[float, ...]
     dimension: int
 
     def __post_init__(self):
+        sig = tuple(float(s) for s in self.conductivities)
+        mu = tuple(float(m) for m in self.fractions)
+        if len(sig) != len(mu):
+            raise ValueError("conductivities and fractions must have equal length")
+        for s, m in zip(sig, mu):
+            if not 0.0 < s < math.inf:
+                raise ValueError(f"conductivity must be finite and positive, got {s}")
+            if not 0.0 < m <= 1.0:
+                raise ValueError(f"volume fraction must lie in (0, 1], got {m}")
         if not isinstance(self.dimension, int) or self.dimension < 2:
             raise ValueError(f"dimension must be an integer >= 2, got {self.dimension}")
-        if len(self.phases) < 1:
+        if not sig:
             raise ValueError("a phase set needs at least one phase")
-        sig = [p.conductivity for p in self.phases]
         if any(b <= a for a, b in zip(sig, sig[1:])):
-            raise ValueError(f"conductivities must be strictly increasing, got {sig}")
-        total = math.fsum(p.volume_fraction for p in self.phases)
+            raise ValueError(f"conductivities must be strictly increasing, got {list(sig)}")
+        total = math.fsum(mu)
         if abs(total - 1.0) > FRACTION_TOL:
             raise ValueError(f"volume fractions must sum to 1, got {total}")
+        object.__setattr__(self, "conductivities", sig)
+        object.__setattr__(self, "fractions", mu)
 
     @classmethod
     def from_pairs(cls, conductivities, fractions, dimension: int) -> "PhaseSet":
-        pairs = [(float(s), float(m)) for s, m in zip(conductivities, fractions)]
-        if len(pairs) != len(list(conductivities)):
+        sig, mu = list(conductivities), list(fractions)
+        if len(sig) != len(mu):
             raise ValueError("conductivities and fractions must have equal length")
-        pairs = [(s, m) for s, m in pairs if m != 0.0]
-        pairs.sort(key=lambda p: p[0])
+        pairs = sorted(((float(s), float(m)) for s, m in zip(sig, mu) if m != 0.0), key=lambda p: p[0])
         merged: list[list[float]] = []
         for s, m in pairs:
             if merged and merged[-1][0] == s:
                 merged[-1][1] += m
             else:
                 merged.append([s, m])
-        return cls(tuple(Phase(s, m) for s, m in merged), dimension)
+        return cls(tuple(s for s, _ in merged), tuple(m for _, m in merged), dimension)
 
     @property
     def num_phases(self) -> int:
-        return len(self.phases)
-
-    @property
-    def conductivities(self) -> tuple[float, ...]:
-        return tuple(p.conductivity for p in self.phases)
-
-    @property
-    def fractions(self) -> tuple[float, ...]:
-        return tuple(p.volume_fraction for p in self.phases)
+        return len(self.conductivities)
 
     @property
     def inf_sigma(self) -> float:
-        return self.phases[0].conductivity
+        return self.conductivities[0]
 
     @property
     def sup_sigma(self) -> float:
-        return self.phases[-1].conductivity
+        return self.conductivities[-1]
 
     @property
     def osc_sigma(self) -> float:
         return self.sup_sigma - self.inf_sigma
-
-
-@dataclass(frozen=True)
-class DistributionFunction:
-    """Right-continuous step function F(t) = |{x : sigma(x) > t}|.
-
-    ``breakpoints`` holds (t, F(t)) pairs at the jump locations, ordered by t.
-    F equals 1 before the first breakpoint and the stored value from each
-    breakpoint (inclusive) up to the next; the last stored value must be 0.
-    """
-
-    breakpoints: tuple[tuple[float, float], ...]
-
-    def __post_init__(self):
-        if not self.breakpoints:
-            raise ValueError("distribution function needs at least one breakpoint")
-        ts = [t for t, _ in self.breakpoints]
-        vs = [v for _, v in self.breakpoints]
-        if any(b <= a for a, b in zip(ts, ts[1:])):
-            raise ValueError("breakpoint locations must be strictly increasing")
-        if any(not 0.0 <= v <= 1.0 for v in vs):
-            raise ValueError("distribution values must lie in [0, 1]")
-        if any(b > a for a, b in zip(vs, vs[1:])):
-            raise ValueError("distribution function must be nonincreasing")
-        if vs[-1] != 0.0:
-            raise ValueError("distribution function must vanish above the largest breakpoint")
-
-    def value_at(self, t: float) -> float:
-        ts = [bp[0] for bp in self.breakpoints]
-        i = bisect_right(ts, t)
-        if i == 0:
-            return 1.0
-        return self.breakpoints[i - 1][1]
-
-
-def distribution_from_phases(ps: PhaseSet) -> DistributionFunction:
-    """Step distribution of a phase set: F(t) = sum of mu_i over sigma_i > t."""
-    suffix = 0.0
-    rev: list[tuple[float, float]] = []
-    for p in reversed(ps.phases):
-        rev.append((p.conductivity, suffix))
-        suffix += p.volume_fraction
-    return DistributionFunction(tuple(reversed(rev)))
 
 
 def distribution_weight(f: float) -> float:
@@ -178,30 +119,28 @@ def shifted_harmonic_L(ps: PhaseSet, S: float) -> float:
     if not 0.0 <= S < math.inf:
         raise ValueError(f"S must be finite and nonnegative, got {S}")
     shift = (ps.dimension - 1) * S
-    return 1.0 / math.fsum(
-        p.volume_fraction / (p.conductivity + shift) for p in ps.phases
-    )
+    return 1.0 / math.fsum(m / (s + shift) for s, m in zip(ps.conductivities, ps.fractions))
 
 
-def tail_integral(dist: DistributionFunction, S: float) -> float:
+def tail_integral(ps: PhaseSet, S: float) -> float:
     """Closed-form integral of F(t) (1 - log F(t))^2 over [S, infinity).
 
-    The distribution is piecewise constant, so the integral is a finite sum
-    over the step intervals clipped to [S, infinity); intervals where F = 0
-    contribute nothing.
+    F is 1 below sigma_1, the fraction of the phases above sigma_i on
+    [sigma_i, sigma_{i+1}) and 0 from sup sigma on, so the integral is a
+    finite sum over those steps clipped to [S, infinity).  F is accumulated
+    from the top phase down and the sum is taken with math.fsum.
     """
     if not 0.0 <= S < math.inf:
         raise ValueError(f"S must be finite and nonnegative, got {S}")
-    bps = dist.breakpoints
-    parts: list[float] = []
-    first_t = bps[0][0]
-    if S < first_t:
-        # F = 1 below the first breakpoint, and (1 - log 1)^2 = 1
-        parts.append(first_t - S)
-    for (t_lo, value), (t_hi, _) in zip(bps, bps[1:]):
-        lo = max(S, t_lo)
-        if t_hi > lo and value > 0.0:
-            parts.append(distribution_weight(value) * (t_hi - lo))
+    sig = ps.conductivities
+    # F = 1 below the first conductivity, and (1 - log 1)^2 = 1
+    parts = [sig[0] - S] if S < sig[0] else []
+    above = 0.0
+    for s_lo, s_hi, mu in reversed(list(zip(sig, sig[1:], ps.fractions[1:]))):
+        above += mu  # F on [s_lo, s_hi)
+        lo = max(S, s_lo)
+        if s_hi > lo:
+            parts.append(distribution_weight(above) * (s_hi - lo))
     return math.fsum(parts)
 
 

@@ -15,7 +15,7 @@ from conducta.bounds import (
     three_phase_refined,
     trivial_upper,
 )
-from conducta.phases import PhaseSet, distribution_from_phases, tail_integral
+from conducta.phases import PhaseSet, tail_integral
 
 from conftest import phase_sets
 
@@ -246,5 +246,4 @@ class TestMiltonGap:
 class TestTailAtSupExactness:
     @given(phase_sets())
     def test_tail_is_exactly_zero_at_sup(self, ps):
-        d = distribution_from_phases(ps)
-        assert tail_integral(d, ps.sup_sigma) == 0.0
+        assert tail_integral(ps, ps.sup_sigma) == 0.0

@@ -6,6 +6,8 @@ import pytest
 from conducta.cell_solver import (
     EffectiveTensor,
     SolverConfig,
+    _half_spectrum_dot,
+    _spectral_cg,
     _traceless_square,
     build_optimal_potential,
     constructive_upper,
@@ -181,6 +183,28 @@ class TestEffectiveTensor:
             solve_effective_tensor(g, SolverConfig(relative_tolerance=1e-14, max_iterations=2))
         assert err.value.iterations == 2
         assert err.value.residual > 0.0
+
+    def test_overflow_raises_before_iterating(self):
+        # rfftn of (1, 1e308) overflows; the solve ran 1000 NaN iterations before raising
+        idx = np.random.default_rng(0).integers(0, 2, (128, 128)).astype(np.uint8)
+        g = VoxelGrid(idx, (1.0, 1e308))
+        with pytest.raises(ConvergenceError, match="non-finite right-hand side") as err:
+            with pytest.warns(RuntimeWarning) as warned:
+                solve_effective_tensor(g)
+        assert err.value.iterations == 0
+        assert any("overflow" in str(w.message) for w in warned)
+
+    def test_non_finite_residual_stops_cg_at_once(self):
+        calls = []
+
+        def nan_operator(p):
+            calls.append(p)
+            return p * np.nan
+
+        b = np.ones((4, 3), dtype=complex)
+        with pytest.raises(ConvergenceError, match="non-finite residual") as err:
+            _spectral_cg(nan_operator, np.ones((4, 3)), _half_spectrum_dot((4, 4)), b, 1e-8, 1000, "nan")
+        assert err.value.iterations == 1 and len(calls) == 1
 
 
 FFT_NAMES = ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn",

@@ -60,6 +60,22 @@ class TestBoundsCommand:
         assert main(["bounds", "--config", str(p)]) == 1
         assert "sum to 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("sigma", ["inf", "nan"])
+    def test_non_finite_conductivity_named(self, sigma, tmp_path, capsys):
+        # phase = inf 0.5 exited 1 with "S must be finite and nonnegative, got inf"
+        p = tmp_path / "inf.cfg"
+        p.write_text(f"dimension = 2\nphase = {sigma} 0.5\nphase = 1 0.5\n")
+        assert main(["bounds", "--config", str(p)]) == 1
+        assert capsys.readouterr().err == f"error: conductivity must be finite and positive, got {sigma}\n"
+
+    def test_shift_parsed_before_config(self, three_cfg, monkeypatch, capsys):
+        # --S x printed numpy's "could not convert string to float: 'x'"
+        reads = []
+        monkeypatch.setattr(cli, "read_phase_config", lambda path: reads.append(path))
+        assert main(["bounds", "--config", three_cfg, "--S", "x"]) == 1
+        assert capsys.readouterr().err == "error: S must be finite and positive, got 'x'\n"
+        assert reads == []
+
     def test_unknown_flag_exit_one(self, three_cfg, capsys):
         assert main(["bounds", "--config", three_cfg, "--bogus"]) == 1
 
@@ -89,6 +105,25 @@ class TestSweepCommand:
         last_nonzero = rows[-2]
         assert abs(float(last_nonzero[2]) - float(last_nonzero[5])) > 1e-3
 
+    @pytest.mark.parametrize("points", ["-2", "0"])
+    def test_points_at_least_one(self, points, three_cfg, capsys):
+        # -2 exited 1 with numpy's "Number of samples, -2, must be non-negative",
+        # 0 exited 0 with no sweep row
+        assert main(["sweep", "--config", three_cfg, "--points", points]) == 1
+        assert capsys.readouterr().err == f"error: --points must be an integer >= 1, got {points}\n"
+
+    @pytest.mark.parametrize("points", [-2, 0])
+    def test_replayed_points_at_least_one(self, points, three_cfg, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--config", three_cfg, "--points", "2", "--out", str(out)]) == 0
+        manifest = json.loads((tmp_path / "sweep.csv.manifest.json").read_text())
+        manifest["options"]["points"] = points
+        out.unlink()
+        path = tmp_path / "edited.manifest.json"
+        path.write_text(json.dumps(manifest))
+        assert main(["replay", str(path)]) == 1
+        assert "--points must be an integer >= 1" in capsys.readouterr().err and not out.exists()
+
     def test_rejects_two_phase_config(self, tmp_path, capsys):
         p = tmp_path / "two.cfg"
         p.write_text("dimension = 2\nphase = 1 0.5\nphase = 4 0.5\n")
@@ -112,6 +147,25 @@ class TestSolveCommand:
         p.write_bytes(b"JUNKJUNKJUNK")
         assert main(["solve", "--grid", str(p)]) == 1
         assert "magic" in capsys.readouterr().err
+
+    def test_non_finite_conductivity_in_grid_file_exit_one(self, tmp_path, capsys):
+        # an inf in the table ran 1000 NaN CG iterations and exited 2 with "residual nan"
+        p = tmp_path / "inf.cnda"
+        save_grid(generate_laminate(PhaseSet.from_pairs((1.0, 4.0), (0.5, 0.5), 2), 0, (8, 8)), p)
+        raw = bytearray(p.read_bytes())
+        raw[24:32] = np.array([np.inf], "<f8").tobytes()  # the second conductivity
+        p.write_bytes(bytes(raw))
+        assert main(["solve", "--grid", str(p)]) == 1
+        assert "conductivities must be finite and positive, got inf" in capsys.readouterr().err
+
+    def test_overflow_exit_two_without_iterating(self, tmp_path, capsys):
+        # (1, 1e308) overflows in rfftn; 1000 NaN iterations took 1.56 s before exit 2
+        p = tmp_path / "huge.cnda"
+        idx = np.random.default_rng(0).integers(0, 2, (128, 128)).astype(np.uint8)
+        save_grid(VoxelGrid(idx, (1.0, 1e308)), p)
+        with pytest.warns(RuntimeWarning):
+            assert main(["solve", "--grid", str(p)]) == 2
+        assert "non-finite right-hand side (residual nan after 0 iterations)" in capsys.readouterr().err
 
     def test_nonconvergence_exit_two(self, tmp_path, capsys):
         ps = PhaseSet.from_pairs((1.0, 4.0), (0.5, 0.5), 2)
@@ -465,7 +519,7 @@ COMMAND_ARGV = {
 
 
 class TestNonFiniteInputs:
-    @pytest.mark.parametrize("S", ["inf", "nan", "-1"])
+    @pytest.mark.parametrize("S", ["inf", "nan", "-1", "x"])
     @pytest.mark.parametrize("command", ["bounds", "solve", "bmo"])
     def test_shift_must_be_finite_and_positive(self, command, S, three_cfg, tmp_path, capsys):
         # --S inf was a ZeroDivisionError traceback

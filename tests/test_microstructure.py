@@ -15,7 +15,7 @@ from conducta.microstructure import (
     load_grid,
     save_grid,
 )
-from conducta.phases import PhaseSet, distribution_from_phases
+from conducta.phases import PhaseSet
 
 TWO = PhaseSet.from_pairs((1.0, 4.0), (0.5, 0.5), 2)
 THREE = PhaseSet.from_pairs((1.0, 2.0, 5.0), (0.25, 0.25, 0.5), 2)
@@ -35,6 +35,11 @@ class TestVoxelGrid:
     def test_index_range_checked(self):
         with pytest.raises(ValueError, match="index"):
             VoxelGrid(np.full((4, 4), 2, np.uint8), (1.0, 2.0))
+
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, math.inf, -math.inf, math.nan])
+    def test_conductivities_finite_and_positive(self, sigma):
+        with pytest.raises(ValueError, match=f"conductivities must be finite and positive, got {sigma}"):
+            VoxelGrid(np.zeros((4, 4), np.uint8), (1.0, sigma))
 
     def test_immutable_after_construction(self):
         g = VoxelGrid(np.zeros((4, 4), np.uint8), (1.0,))
@@ -120,15 +125,14 @@ class TestRandom:
 
     def test_iid_fractions_statistical(self):
         # fixed seeds; worst deviation observed is well inside 2/sqrt(M)
+        # F(t), the fraction above t, checked between the conductivities
         ps = PhaseSet.from_pairs((1.0, 2.0, 5.0), (0.4, 0.4, 0.2), 2)
-        target = distribution_from_phases(ps)
         tol = 2.0 / np.sqrt(64 * 64)
         for seed in range(20):
-            emp = distribution_from_phases(
-                empirical_phase_set(generate_random(ps, (64, 64), seed=seed))
-            )
-            for t in (1.5, 3.0):
-                assert abs(emp.value_at(t) - target.value_at(t)) < tol
+            emp = empirical_phase_set(generate_random(ps, (64, 64), seed=seed))
+            assert emp.conductivities == ps.conductivities
+            for i in (1, 2):
+                assert abs(sum(emp.fractions[i:]) - sum(ps.fractions[i:])) < tol
 
     def test_smooth_fractions_within_one_voxel(self):
         ps = PhaseSet.from_pairs((1.0, 2.0, 5.0), (0.4, 0.4, 0.2), 2)
@@ -231,6 +235,17 @@ class TestGridFile:
         raw[4] = 99
         p.write_bytes(bytes(raw))
         with pytest.raises(GridFormatError, match="version"):
+            load_grid(p)
+
+    @pytest.mark.parametrize("sigma", [math.inf, math.nan])
+    def test_non_finite_conductivity(self, sigma, tmp_path):
+        # an inf in the table made the solve run every CG iteration on NaNs
+        p = tmp_path / "inf.cnda"
+        save_grid(generate_checkerboard(1.0, 2.0, (4, 4)), p)
+        raw = bytearray(p.read_bytes())
+        raw[24:32] = struct.pack("<d", sigma)  # the second table entry, after the 8-byte header and 2D shape
+        p.write_bytes(bytes(raw))
+        with pytest.raises(GridFormatError, match=f"inf.cnda: conductivities must be finite and positive, got {sigma}"):
             load_grid(p)
 
     def test_truncated(self, tmp_path):

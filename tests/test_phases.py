@@ -1,15 +1,13 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from conducta.errors import ConfigError
 from conducta.phases import (
-    DistributionFunction,
-    Phase,
     PhaseSet,
-    distribution_from_phases,
     distribution_weight,
     parse_phase_config,
     shifted_harmonic_L,
@@ -21,18 +19,61 @@ from conftest import phase_sets
 THREE = PhaseSet.from_pairs((1.0, 2.0, 5.0), (0.4, 0.4, 0.2), 3)
 
 
+def reference_breakpoints(ps):
+    """F as (t, F(t)) jump pairs, accumulated from the top phase down."""
+    suffix = 0.0
+    rev = []
+    for s, m in reversed(list(zip(ps.conductivities, ps.fractions))):
+        rev.append((s, suffix))
+        suffix += m
+    return list(reversed(rev))
+
+
+def reference_tail_integral(ps, S):
+    """The tail integral summed over the breakpoint intervals of F."""
+    bps = reference_breakpoints(ps)
+    parts = []
+    if S < bps[0][0]:
+        parts.append(bps[0][0] - S)
+    for (t_lo, value), (t_hi, _) in zip(bps, bps[1:]):
+        lo = max(S, t_lo)
+        if t_hi > lo and value > 0.0:
+            parts.append(distribution_weight(value) * (t_hi - lo))
+    return math.fsum(parts)
+
+
+def step_weight(ps, t_lo, t_hi):
+    """F (1 - log F)^2 on a step [t_lo, t_hi) of F, read back from the tail integral."""
+    return (tail_integral(ps, t_lo) - tail_integral(ps, t_hi)) / (t_hi - t_lo)
+
+
 class TestPhaseValidation:
     def test_phase_rejects_nonpositive_conductivity(self):
-        with pytest.raises(ValueError, match="conductivity"):
-            Phase(0.0, 0.5)
-        with pytest.raises(ValueError, match="conductivity"):
-            Phase(-1.0, 0.5)
+        # inf and nan were accepted: inf failed later as "S must be finite"
+        for sigma in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match=f"conductivity must be finite and positive, got {sigma}"):
+                PhaseSet((sigma, 2.0), (0.5, 0.5), 2)
 
     def test_phase_rejects_bad_fraction(self):
-        with pytest.raises(ValueError, match="fraction"):
-            Phase(1.0, 0.0)
-        with pytest.raises(ValueError, match="fraction"):
-            Phase(1.0, 1.5)
+        for mu in (0.0, 1.5, math.nan):
+            with pytest.raises(ValueError, match="fraction"):
+                PhaseSet((1.0,), (mu,), 2)
+
+    def test_lengths_must_match(self):
+        with pytest.raises(ValueError, match="equal length"):
+            PhaseSet((1.0, 2.0), (1.0,), 2)
+        with pytest.raises(ValueError, match="equal length"):
+            PhaseSet.from_pairs((1.0,), (0.5, 0.5), 2)
+
+    def test_stores_owned_float_tuples(self):
+        sig, mu = [1, 2.0], np.array([0.5, 0.5])
+        ps = PhaseSet(sig, mu, 2)
+        sig[0], mu[0] = 9.0, 0.9
+        assert ps.conductivities == (1.0, 2.0) and ps.fractions == (0.5, 0.5)
+        assert all(type(v) is float for v in ps.conductivities + ps.fractions)
+        with pytest.raises(TypeError):
+            ps.conductivities[0] = 3.0
+        assert hash(ps) == hash(PhaseSet((1.0, 2.0), (0.5, 0.5), 2))
 
     def test_fractions_must_sum_to_one(self):
         with pytest.raises(ValueError, match="sum to 1"):
@@ -44,7 +85,7 @@ class TestPhaseValidation:
 
     def test_conductivities_strictly_increasing(self):
         with pytest.raises(ValueError, match="increasing"):
-            PhaseSet((Phase(2.0, 0.5), Phase(1.0, 0.5)), 2)
+            PhaseSet((2.0, 1.0), (0.5, 0.5), 2)
 
     def test_from_pairs_sorts_merges_and_drops(self):
         ps = PhaseSet.from_pairs((5.0, 1.0, 5.0, 3.0), (0.1, 0.4, 0.2, 0.3), 2)
@@ -55,32 +96,28 @@ class TestPhaseValidation:
 
 
 class TestDistribution:
+    """F as the tail integral sees it: steps read straight off the phase set."""
+
     def test_single_phase_step(self):
-        d = distribution_from_phases(PhaseSet.from_pairs((3.0,), (1.0,), 2))
-        assert d.value_at(2.999) == 1.0
-        assert d.value_at(3.0) == 0.0
-        assert d.value_at(10.0) == 0.0
+        ps = PhaseSet.from_pairs((3.0,), (1.0,), 2)
+        assert tail_integral(ps, 2.0) == 1.0  # F = 1 below sigma_1
+        assert tail_integral(ps, 3.0) == 0.0  # and 0 from sigma_1 on
+        assert tail_integral(ps, 10.0) == 0.0
 
     def test_three_phase_values(self):
-        d = distribution_from_phases(THREE)
-        assert d.value_at(1.5) == pytest.approx(0.6, abs=1e-15)
-        assert d.value_at(3.0) == pytest.approx(0.2, abs=1e-15)
-        assert d.value_at(5.0) == 0.0
+        assert step_weight(THREE, 1.0, 2.0) == pytest.approx(distribution_weight(0.6), rel=1e-14)
+        assert step_weight(THREE, 1.5, 2.0) == pytest.approx(distribution_weight(0.6), rel=1e-14)
+        assert step_weight(THREE, 2.0, 5.0) == pytest.approx(distribution_weight(0.2), rel=1e-14)
+        assert tail_integral(THREE, 5.0) == 0.0
 
     def test_right_continuity_at_breakpoint(self):
-        d = distribution_from_phases(PhaseSet.from_pairs((1.0, 2.0), (0.5, 0.5), 2))
-        assert d.value_at(1.0) == 0.5
-
-    def test_invariants_enforced(self):
-        with pytest.raises(ValueError, match="nonincreasing"):
-            DistributionFunction(((1.0, 0.2), (2.0, 0.5), (3.0, 0.0)))
-        with pytest.raises(ValueError, match="vanish"):
-            DistributionFunction(((1.0, 0.5),))
+        # F at sigma_i is the fraction strictly above sigma_i, not including mu_i
+        ps = PhaseSet.from_pairs((1.0, 2.0), (0.5, 0.5), 2)
+        assert tail_integral(ps, 1.0) == distribution_weight(0.5)
 
     @given(phase_sets())
     def test_layer_cake_moment_identity(self, ps):
-        d = distribution_from_phases(ps)
-        bps = d.breakpoints
+        bps = reference_breakpoints(ps)
         step_sum = math.fsum(
             v * (t_hi - t_lo) for (t_lo, v), (t_hi, _) in zip(bps, bps[1:])
         )
@@ -137,31 +174,32 @@ class TestShiftedHarmonicL:
 
 class TestTailIntegral:
     def test_hand_values(self):
-        d = distribution_from_phases(THREE)
         expect_2 = 0.2 * (1 - math.log(0.2)) ** 2 * 3
-        assert tail_integral(d, 2.0) == pytest.approx(expect_2, rel=1e-14)
+        assert tail_integral(THREE, 2.0) == pytest.approx(expect_2, rel=1e-14)
         expect_1 = 0.6 * (1 - math.log(0.6)) ** 2 * 1 + expect_2
-        assert tail_integral(d, 1.0) == pytest.approx(expect_1, rel=1e-14)
+        assert tail_integral(THREE, 1.0) == pytest.approx(expect_1, rel=1e-14)
 
     def test_zero_above_sup(self):
-        d = distribution_from_phases(THREE)
-        assert tail_integral(d, 5.0) == 0.0
-        assert tail_integral(d, 7.3) == 0.0
+        assert tail_integral(THREE, 5.0) == 0.0
+        assert tail_integral(THREE, 7.3) == 0.0
 
     @pytest.mark.parametrize("S", [math.inf, math.nan])
     def test_rejects_non_finite_S(self, S):
         # S = nan returned 0.0
         with pytest.raises(ValueError, match=f"finite and nonnegative, got {S}"):
-            tail_integral(distribution_from_phases(THREE), S)
+            tail_integral(THREE, S)
 
     def test_below_inf_includes_unit_plateau(self):
-        d = distribution_from_phases(THREE)
-        assert tail_integral(d, 0.5) == pytest.approx(0.5 + tail_integral(d, 1.0), rel=1e-14)
+        assert tail_integral(THREE, 0.5) == pytest.approx(0.5 + tail_integral(THREE, 1.0), rel=1e-14)
 
     @given(phase_sets(), st.floats(0.0, 60.0), st.floats(0.0, 10.0))
     def test_nonincreasing_in_S(self, ps, S, dS):
-        d = distribution_from_phases(ps)
-        assert tail_integral(d, S + dS) <= tail_integral(d, S) + 1e-12
+        assert tail_integral(ps, S + dS) <= tail_integral(ps, S) + 1e-12
+
+    @given(phase_sets(max_phases=6), st.data())
+    def test_equals_breakpoint_reference_exactly(self, ps, data):
+        S = data.draw(st.one_of(st.sampled_from(ps.conductivities), st.floats(0.0, 1.2 * ps.sup_sigma)))
+        assert tail_integral(ps, S) == reference_tail_integral(ps, S)
 
     def test_weight_extension_at_zero(self):
         assert distribution_weight(0.0) == 0.0

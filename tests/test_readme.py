@@ -1,5 +1,8 @@
-"""The README's Python example runs as written, and its API list is the package root."""
+"""The README's Python example runs as written, its API list is the package
+root, and every name a module exports resolves."""
 
+import importlib
+import pkgutil
 import re
 from pathlib import Path
 
@@ -31,3 +34,11 @@ def test_python_example_runs(tmp_path, monkeypatch, capsys):
 def test_api_list_is_the_package_root():
     bullets = api_section().split("exports exactly these names:\n\n")[1].split("\n\n")[0]
     assert sorted(re.findall(r"`(\w+)`", bullets)) == sorted(conducta.__all__)
+
+
+@pytest.mark.parametrize(
+    "module", ["conducta"] + [f"conducta.{m.name}" for m in pkgutil.iter_modules(conducta.__path__)]
+)
+def test_every_exported_name_resolves(module):
+    mod = importlib.import_module(module)
+    assert [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)] == []
