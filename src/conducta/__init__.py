@@ -10,7 +10,7 @@ The package root exports the documented API; helpers and the intermediate
 terms of the bounds stay importable from their submodules.
 """
 
-from .bmo import bmo_norm, full_dyadic_depth, john_nirenberg_fit, lemma1_ratio
+from .bmo import bmo_norm, john_nirenberg_fit, lemma1_ratio
 from .bounds import (
     BoundConfig,
     BoundReport,
@@ -59,7 +59,6 @@ __all__ = [
     "build_optimal_potential",
     "constructive_value",
     "empirical_phase_set",
-    "full_dyadic_depth",
     "generate_checkerboard",
     "generate_laminate",
     "generate_random",

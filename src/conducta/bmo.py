@@ -1,10 +1,11 @@
 """Dyadic BMO norms, John-Nirenberg tail fits, and empirical lemma constants.
 
 The BMO norm here is the L1 mean oscillation taken over dyadic cubes only
-(all cubes of side 2^-k, k = 0..depth).  2^depth must divide every grid axis,
-so every dyadic cube is a whole block of voxels and the statistic is exact;
-restricting to dyadic cubes changes the constant relative to the all-cubes
-norm but not the structure, and the constant is free anyway.
+(all cubes of side 2^-k, k = 0..depth, with depth = log2 of the smallest
+grid axis).  2^depth must divide every grid axis, so every dyadic cube is a
+whole block of voxels and the statistic is exact; restricting to dyadic
+cubes changes the constant relative to the all-cubes norm but not the
+structure, and the constant is free anyway.
 
 bmo_norm works on one centered copy of the field in dyadic order: each axis
 index is written as depth bits plus a remainder, the bits of all axes are
@@ -20,14 +21,6 @@ quadratic mass used by lemma1_ratio is the sum of squares over the components
 passed; on a full stack that is the Frobenius square, matching how the
 traceless Hessian enters the tail-bound pipeline, so the empirical constant
 absorbs the component count.
-
-The CLI passes the 2D traceless Hessian [[a, b], [b, -a]] as the pair [a, b]
-(cell_solver._distinct_traceless).  Each of a and b is, up to sign, exactly
-two of the four components, so the norm (a maximum over components) and the
-John-Nirenberg superlevel fractions (counts over all component values) are
-the same on the pair, while its quadratic mass is half the Frobenius mass
-2 (a^2 + b^2): the CLI multiplies lemma1_ratio by that mass factor 2.  In 3D
-it passes the full stack with factor 1.
 """
 
 from __future__ import annotations
@@ -42,11 +35,10 @@ __all__ = [
     "bmo_norm",
     "john_nirenberg_fit",
     "lemma1_ratio",
-    "full_dyadic_depth",
 ]
 
-_DEGENERATE_RTOL = 1e-12
-_SAMPLE_LEVELS = 48  # geometric levels at which john_nirenberg_fit samples the tail
+# the 48 geometric levels, as fractions of max|f|, at which john_nirenberg_fit samples the tail
+_LEVEL_FRACTIONS = np.geomspace(1e-3, 1.0 - 1e-9, 48)
 
 
 @dataclass(frozen=True)
@@ -69,10 +61,6 @@ def _as_components(field, spatial_ndim: int | None) -> tuple[np.ndarray, tuple[i
         spatial = arr.shape[arr.ndim - spatial_ndim :]
         comp = arr.reshape((-1,) + spatial)
     return comp, spatial
-
-
-def full_dyadic_depth(spatial: tuple[int, ...]) -> int:
-    return min(spatial).bit_length() - 1
 
 
 def _centered(comp: np.ndarray) -> np.ndarray:
@@ -110,22 +98,20 @@ def _block_sums(blocks: np.ndarray) -> np.ndarray:
     return total
 
 
-def bmo_norm(field, depth: int, spatial_ndim: int | None = None) -> float:
+def bmo_norm(field, spatial_ndim: int | None = None) -> float:
     """Max over dyadic cubes of side 2^-k, k = 0..depth, of the mean absolute
-    deviation from the cube mean.
+    deviation from the cube mean, where depth = log2 of the smallest grid axis.
 
-    depth must not exceed log2 of the smallest grid axis, and 2^depth must
-    divide every axis, so that each dyadic cube is a whole block of voxels.
-    The field is centered component-wise into one copy in dyadic order (see
-    the module docstring); each level then reduces contiguous runs, reusing
-    one scratch buffer.
+    2^depth must divide every axis, so that each dyadic cube is a whole block
+    of voxels.  The field is centered component-wise into one copy in dyadic
+    order (see the module docstring); each level then reduces contiguous
+    runs, reusing one scratch buffer.
     """
     comp, spatial = _as_components(field, spatial_ndim)
-    if depth < 0 or (1 << depth) > min(spatial):
-        raise ValueError(f"depth {depth} exceeds the grid resolution {spatial}")
-    if any(n % (1 << depth) for n in spatial):
+    depth = min(spatial).bit_length() - 1
+    if depth < 0 or any(n % (1 << depth) for n in spatial):
         raise ValueError(
-            f"2**depth = {1 << depth} (depth {depth}) does not divide every axis of the grid {spatial}"
+            f"2**depth = {2**depth} (depth {depth}) does not divide every axis of the grid {spatial}"
         )
     m, dim = comp.shape[0], len(spatial)
     view = _dyadic_order(comp, depth)
@@ -149,21 +135,22 @@ def bmo_norm(field, depth: int, spatial_ndim: int | None = None) -> float:
 def john_nirenberg_fit(field, bmo: float, spatial_ndim: int | None = None) -> JohnNirenbergFit:
     """Fit exponential tail constants to the distribution of |f|.
 
-    The superlevel measure is sampled at _SAMPLE_LEVELS (48) geometric levels
-    up to max|f|, b is fitted by log-linear regression on the decaying region
-    (measure <= 1/2), and B is then the smallest prefactor making the
-    inequality hold at every sampled level, so max_violation <= 0 by
-    construction.  Near-constant fields are rejected.
+    The superlevel measure is sampled at 48 geometric levels up to max|f|,
+    b is fitted by log-linear regression on the decaying region (measure <=
+    1/2), and B is then the smallest prefactor making the inequality hold at
+    every sampled level, so max_violation <= 0 by construction.  The levels
+    are fixed fractions of max|f|, so b, B and max_violation do not depend on
+    the field's scale; only a field whose norm is 0 is rejected.
     """
     comp, _ = _as_components(field, spatial_ndim)
     values = _centered(comp).ravel()  # a fresh copy: made absolute and sorted in place
     np.abs(values, out=values)
     values.sort()
     s_max = float(values[-1])
-    if bmo <= _DEGENERATE_RTOL * max(1.0, s_max) or s_max == 0.0:
-        raise ValueError("degenerate (near-constant) field: no tail to fit")
+    if bmo <= 0.0 or s_max == 0.0:
+        raise ValueError("degenerate field: BMO norm 0, no tail to fit")
     total = values.size
-    levels = np.geomspace(1e-3 * s_max, (1.0 - 1e-9) * s_max, _SAMPLE_LEVELS)
+    levels = s_max * _LEVEL_FRACTIONS
     measure = (total - np.searchsorted(values, levels, side="right")) / total
 
     positive = measure > 0.0
@@ -190,12 +177,12 @@ def lemma1_ratio(field, levels, bmo: float, spatial_ndim: int | None = None) -> 
     over the superlevel sets A = {levels > t} of a piecewise-constant field,
     the whole cube included.
 
-    ||f|| is the given BMO estimate of the field (usually bmo_norm at full
-    depth).  The supremum of this ratio over a corpus of (field, subset)
-    pairs is the empirical constant of the subset-energy estimate for BMO
-    functions.  Every superlevel set is a union of level sets of ``levels``,
-    so the masses and measures of all of them are suffix sums of one
-    per-level bincount.
+    ||f|| is the given BMO estimate of the field (usually bmo_norm).  The
+    supremum of this ratio over a corpus of (field, subset) pairs is the
+    empirical constant of the subset-energy estimate for BMO functions.
+    Every superlevel set is a union of level sets of ``levels``, so the
+    masses and measures of all of them are suffix sums of one per-level
+    bincount.
     """
     comp, spatial = _as_components(field, spatial_ndim)
     levels = np.asarray(levels)

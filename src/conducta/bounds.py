@@ -30,7 +30,6 @@ __all__ = [
     "BoundConfig",
     "BoundReport",
     "trivial_upper",
-    "h_term",
     "hs_upper",
     "theorem1_upper",
     "three_phase_refined",
@@ -96,11 +95,6 @@ def trivial_upper(ps: PhaseSet) -> BoundReport:
     return BoundReport("trivial", value)
 
 
-def h_term(ps: PhaseSet, S: float) -> float:
-    """H(S) = -(n-1) S + L(S), nondecreasing in S and below the arithmetic mean."""
-    return -(ps.dimension - 1) * S + shifted_harmonic_L(ps, S)
-
-
 def hs_upper(ps: PhaseSet) -> BoundReport:
     """Hashin-Shtrikman upper bound: theorem 1 at S = sup sigma.
 
@@ -113,6 +107,7 @@ def hs_upper(ps: PhaseSet) -> BoundReport:
 
 
 def _theorem1_terms(ps: PhaseSet, S: float, cfg: BoundConfig) -> tuple[float, float, float]:
+    """(H, E, L) at S; H(S) = -(n-1) S + L(S) is nondecreasing in S and below the arithmetic mean."""
     shift = (ps.dimension - 1) * S
     L = shifted_harmonic_L(ps, S)
     H = -shift + L
@@ -227,4 +222,4 @@ def milton_gap(ps2: PhaseSet, sigma3: float) -> float:
     s2 = ps2.sup_sigma
     if not s2 <= sigma3 < math.inf:
         raise ValueError(f"sigma3 must be finite and >= sigma2 = {s2}, got {sigma3}")
-    return h_term(ps2, sigma3) - h_term(ps2, s2)
+    return _theorem1_terms(ps2, sigma3, BoundConfig())[0] - _theorem1_terms(ps2, s2, BoundConfig())[0]

@@ -45,6 +45,7 @@ Differentiation conventions (these are constraints, not taste):
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -76,6 +77,20 @@ def _subnyquist_mask(shape: tuple[int, ...]) -> np.ndarray:
             mask[tuple(sl)] = False
     mask[(0,) * len(shape)] = False
     return mask
+
+
+@contextlib.contextmanager
+def _overflow_raises(make_error):
+    """Raise ``make_error()`` at the first numpy overflow or invalid value in the block, instead of warning."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError:
+        raise make_error() from None
+
+
+def _range(sigma: np.ndarray) -> str:
+    return f"[{float(sigma.min()):.12g}, {float(sigma.max()):.12g}]"
 
 
 @dataclass(frozen=True)
@@ -138,13 +153,14 @@ def _half_spectrum_dot(shape: tuple[int, ...]):
 def _spectral_cg(apply_op, green: np.ndarray, dot, b: np.ndarray, rel_tol: float, max_iter: int, label: str):
     """Green-preconditioned conjugate gradients on half spectra; returns (x, iterations, residual).
 
-    Raises ConvergenceError after max_iter iterations, or as soon as the
-    right-hand side norm or a residual is not finite (an overflow would
-    otherwise run every remaining iteration on NaNs).
+    Raises ConvergenceError after max_iter iterations, or as soon as a
+    residual is not finite (an overflow would otherwise run every remaining
+    iteration on NaNs), and FloatingPointError when the right-hand side norm
+    overflows.
     """
     b_norm = float(np.sqrt(dot(b, b)))
     if not math.isfinite(b_norm):
-        raise ConvergenceError(f"cell solve for {label} has a non-finite right-hand side", math.nan, 0)
+        raise FloatingPointError(f"the right-hand side norm of {label} overflows")
     if b_norm == 0.0:
         return np.zeros_like(b), 0, 0.0
     x = np.zeros_like(b)
@@ -175,67 +191,71 @@ def solve_effective_tensor(grid: VoxelGrid, config: SolverConfig | None = None) 
 
     A homogeneous grid needs no correction: the right-hand side vanishes and
     the solve returns after zero iterations with A = sigma I exactly.
-    Raises ConvergenceError when max_iterations is hit or a value overflows.
+    Raises ConvergenceError when max_iterations is hit, and one that names
+    the conductivity range when a value overflows.
     """
     config = config or SolverConfig()
     sigma = grid.conductivity_field()
-    n = grid.dimension
-    shape = sigma.shape
-    axes = tuple(range(n))
-    ks, k2 = half_wavenumbers(shape, zero_nyquist=True)
-    sigma0 = 0.5 * (float(sigma.min()) + float(sigma.max()))
-    green = np.where(k2 > 0.0, 1.0 / (sigma0 * np.where(k2 > 0.0, k2, 1.0)), 0.0)
-    dot = _half_spectrum_dot(shape)
+    with _overflow_raises(
+        lambda: ConvergenceError(f"cell solve overflows on conductivities in {_range(sigma)}", math.nan, 0)
+    ):
+        n = grid.dimension
+        shape = sigma.shape
+        axes = tuple(range(n))
+        ks, k2 = half_wavenumbers(shape, zero_nyquist=True)
+        sigma0 = 0.5 * (float(sigma.min()) + float(sigma.max()))
+        green = np.where(k2 > 0.0, 1.0 / (sigma0 * np.where(k2 > 0.0, k2, 1.0)), 0.0)
+        dot = _half_spectrum_dot(shape)
 
-    def gradient(u_hat, k):
-        return np.fft.irfftn(1j * k * u_hat, s=shape, axes=axes)
+        def gradient(u_hat, k):
+            return np.fft.irfftn(1j * k * u_hat, s=shape, axes=axes)
 
-    def apply_operator(u_hat):
-        div_hat = np.zeros_like(u_hat)
-        for k in ks:
-            div_hat += 1j * k * np.fft.rfftn(sigma * gradient(u_hat, k))
-        return -div_hat
+        def apply_operator(u_hat):
+            div_hat = np.zeros_like(u_hat)
+            for k in ks:
+                div_hat += 1j * k * np.fft.rfftn(sigma * gradient(u_hat, k))
+            return -div_hat
 
-    sigma_hat = np.fft.rfftn(sigma)
-    total_gradients: list[list[np.ndarray]] = []
-    iterations: list[int] = []
-    residuals: list[float] = []
-    for i in range(n):
-        u_hat, its, res = _spectral_cg(
-            apply_operator,
-            green,
-            dot,
-            1j * ks[i] * sigma_hat,
-            config.relative_tolerance,
-            config.max_iterations,
-            label=f"direction {i}",
+        sigma_hat = np.fft.rfftn(sigma)
+        total_gradients: list[list[np.ndarray]] = []
+        iterations: list[int] = []
+        residuals: list[float] = []
+        for i in range(n):
+            u_hat, its, res = _spectral_cg(
+                apply_operator,
+                green,
+                dot,
+                1j * ks[i] * sigma_hat,
+                config.relative_tolerance,
+                config.max_iterations,
+                label=f"direction {i}",
+            )
+            grads = [gradient(u_hat, k) for k in ks]
+            grads[i] = grads[i] + 1.0
+            total_gradients.append(grads)
+            iterations.append(its)
+            residuals.append(res)
+
+        matrix = np.empty((n, n))
+        for i in range(n):
+            for j in range(i, n):
+                grad_dot = np.zeros(shape)
+                for ax in range(n):
+                    grad_dot += total_gradients[i][ax] * total_gradients[j][ax]
+                matrix[i, j] = matrix[j, i] = float(np.mean(sigma * grad_dot))
+        flux = np.empty((n, n))
+        for i in range(n):
+            for j in range(n):
+                flux[i, j] = float(np.mean(sigma * total_gradients[j][i]))
+        sigma_bar = float(np.trace(matrix)) / n
+        return EffectiveTensor(
+            dimension=n,
+            matrix=matrix,
+            sigma_bar=sigma_bar,
+            iterations=tuple(iterations),
+            residuals=tuple(residuals),
+            flux_discrepancy=float(np.abs(matrix - flux).max()),
         )
-        grads = [gradient(u_hat, k) for k in ks]
-        grads[i] = grads[i] + 1.0
-        total_gradients.append(grads)
-        iterations.append(its)
-        residuals.append(res)
-
-    matrix = np.empty((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            grad_dot = np.zeros(shape)
-            for ax in range(n):
-                grad_dot += total_gradients[i][ax] * total_gradients[j][ax]
-            matrix[i, j] = matrix[j, i] = float(np.mean(sigma * grad_dot))
-    flux = np.empty((n, n))
-    for i in range(n):
-        for j in range(n):
-            flux[i, j] = float(np.mean(sigma * total_gradients[j][i]))
-    sigma_bar = float(np.trace(matrix)) / n
-    return EffectiveTensor(
-        dimension=n,
-        matrix=matrix,
-        sigma_bar=sigma_bar,
-        iterations=tuple(iterations),
-        residuals=tuple(residuals),
-        flux_discrepancy=float(np.abs(matrix - flux).max()),
-    )
 
 
 @dataclass(frozen=True)
@@ -283,46 +303,51 @@ def build_optimal_potential(grid: VoxelGrid, S: float) -> PotentialField:
     """Construct theta, p, lap p, D^2 p and the split values I1, I2.
 
     theta has zero mean by construction of L (the grid harmonic mean), and
-    the zero-frequency coefficient of p is set to zero.
+    the zero-frequency coefficient of p is set to zero.  Raises ValueError
+    when S is not finite and positive, or naming the conductivity range when
+    a value overflows.
     """
     if not 0.0 < S < np.inf:
         raise ValueError(f"S must be finite and positive, got {S}")
     sigma = grid.conductivity_field()
-    n = grid.dimension
-    shape = sigma.shape
-    w = sigma + (n - 1) * S
-    L = 1.0 / float(np.mean(1.0 / w))
-    theta = n * L / w - n
+    with _overflow_raises(
+        lambda: ValueError(f"the optimal potential at S = {S:.12g} overflows on conductivities in {_range(sigma)}")
+    ):
+        n = grid.dimension
+        shape = sigma.shape
+        w = sigma + (n - 1) * S
+        L = 1.0 / float(np.mean(1.0 / w))
+        theta = n * L / w - n
 
-    theta_hat = np.fft.rfftn(theta)
-    ks, k2 = half_wavenumbers(shape, zero_nyquist=False)
-    mask = _subnyquist_mask(shape)
-    p_hat = np.zeros_like(theta_hat)
-    p_hat[mask] = -theta_hat[mask] / k2[mask]
+        theta_hat = np.fft.rfftn(theta)
+        ks, k2 = half_wavenumbers(shape, zero_nyquist=False)
+        mask = _subnyquist_mask(shape)
+        p_hat = np.zeros_like(theta_hat)
+        p_hat[mask] = -theta_hat[mask] / k2[mask]
 
-    axes = tuple(range(n))
-    laplacian = np.fft.irfftn(-k2 * p_hat, s=shape, axes=axes)
-    hessian = np.empty((n, n) + shape)
-    for i in range(n):
-        for j in range(i, n):
-            h = np.fft.irfftn(-ks[i] * ks[j] * p_hat, s=shape, axes=axes)
-            hessian[i, j] = h
-            if i != j:
-                hessian[j, i] = h
+        axes = tuple(range(n))
+        laplacian = np.fft.irfftn(-k2 * p_hat, s=shape, axes=axes)
+        hessian = np.empty((n, n) + shape)
+        for i in range(n):
+            for j in range(i, n):
+                h = np.fft.irfftn(-ks[i] * ks[j] * p_hat, s=shape, axes=axes)
+                hessian[i, j] = h
+                if i != j:
+                    hessian[j, i] = h
 
-    i1 = _i1_quadrature(sigma, theta, n, S)
-    i2, i2_pos = _i2_quadrature(sigma, hessian, laplacian, n, S)
-    return PotentialField(
-        grid=grid,
-        S=float(S),
-        theta=theta,
-        p_hat=p_hat,
-        laplacian_p=laplacian,
-        hessian_p=hessian,
-        I1=i1,
-        I2=i2,
-        I2_positive_part=i2_pos,
-    )
+        i1 = _i1_quadrature(sigma, theta, n, S)
+        i2, i2_pos = _i2_quadrature(sigma, hessian, laplacian, n, S)
+        return PotentialField(
+            grid=grid,
+            S=float(S),
+            theta=theta,
+            p_hat=p_hat,
+            laplacian_p=laplacian,
+            hessian_p=hessian,
+            I1=i1,
+            I2=i2,
+            I2_positive_part=i2_pos,
+        )
 
 
 def _i2_quadrature(sigma, hessian, lap, n, S) -> tuple[float, float]:
@@ -370,28 +395,13 @@ def traceless_hessian(pf: PotentialField) -> np.ndarray:
     return out
 
 
-def _distinct_traceless(pf: PotentialField) -> tuple[np.ndarray, float]:
-    """The distinct components of traceless_hessian(pf) as one stack, and the
-    factor taking the sum of their squares to the full Frobenius square.
-
-    In 2D the first row [a, b] of [[a, b], [b, -a]] holds every distinct
-    component, each standing for two, so statistics that are a maximum over
-    components or a fraction of all component values (bmo_norm,
-    john_nirenberg_fit) come out the same on it, and the quadratic mass is
-    2 (a^2 + b^2).  In 3D the full stack of 9 is returned with factor 1.
-    """
-    full = traceless_hessian(pf)
-    if pf.grid.dimension == 2:
-        return full[0], 2.0
-    return full, 1.0
-
-
 def oscillation_closed_form(grid: VoxelGrid, S: float) -> float:
-    """osc theta = n L osc sigma / ((inf sigma + (n-1)S)(sup sigma + (n-1)S))."""
+    """osc theta = n L osc sigma / ((inf sigma + (n-1)S)(sup sigma + (n-1)S)),
+    evaluated as n (L / w_lo) (osc sigma / w_hi) so that no product overflows."""
     sigma = grid.conductivity_field()
     n = grid.dimension
     w = sigma + (n - 1) * S
     L = 1.0 / float(np.mean(1.0 / w))
     lo = float(sigma.min())
     hi = float(sigma.max())
-    return n * L * (hi - lo) / ((lo + (n - 1) * S) * (hi + (n - 1) * S))
+    return n * (L / (lo + (n - 1) * S)) * ((hi - lo) / (hi + (n - 1) * S))

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bmo import bmo_norm, full_dyadic_depth, john_nirenberg_fit, lemma1_ratio
+from .bmo import bmo_norm, john_nirenberg_fit, lemma1_ratio
 from .bounds import (
     BoundConfig,
     BoundReport,
@@ -31,11 +31,11 @@ from .bounds import (
 )
 from .cell_solver import (
     SolverConfig,
-    _distinct_traceless,
     build_optimal_potential,
     constructive_value,
     oscillation_closed_form,
     solve_effective_tensor,
+    traceless_hessian,
 )
 from .errors import ConfigError, ConvergenceError
 from .microstructure import VoxelGrid, empirical_phase_set, generate_random, load_grid
@@ -382,9 +382,11 @@ def _bmo_one(grid: VoxelGrid, label: str, s: float | None) -> tuple[str, float]:
     pf = build_optimal_potential(grid, s)
     osc = float(pf.theta.max() - pf.theta.min())
     osc_closed = oscillation_closed_form(grid, s)
-    # in 2D the pair [a, b] of [[a, b], [b, -a]]; mass_factor restores the Frobenius mass
-    field, mass_factor = _distinct_traceless(pf)
-    est = bmo_norm(field, full_dyadic_depth(grid.shape), spatial_ndim=grid.dimension)
+    field = traceless_hessian(pf)
+    # 2D: the row [a, b] of [[a, b], [b, -a]] gives the full stack's norm and fit
+    # and half its Frobenius mass 2 (a^2 + b^2); 3D: all nine components
+    field, mass_factor = (field[0], 2.0) if grid.dimension == 2 else (field, 1.0)
+    est = bmo_norm(field, spatial_ndim=grid.dimension)
     # a homogeneous grid, or a theta with only Nyquist content, which p drops
     if est == 0.0:
         return f"{label:<14}{'degenerate':>12}" + f"{'-':>20}" * 6 + f"{_g(osc):>20}{_g(osc_closed):>20}", 0.0

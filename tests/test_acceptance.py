@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from conducta.bmo import bmo_norm, full_dyadic_depth, john_nirenberg_fit, lemma1_ratio
+from conducta.bmo import bmo_norm, john_nirenberg_fit, lemma1_ratio
 from conducta.bounds import BoundConfig, hs_upper, milton_gap, theorem1_upper, three_phase_refined, trivial_upper
 from conducta.cell_solver import (
     build_optimal_potential,
@@ -210,7 +210,7 @@ def test_criterion_8_bmo_lemma_constants():
                 osc_worst, abs((pf.theta.max() - pf.theta.min()) - oscillation_closed_form(grid, S))
             )
             field = traceless_hessian(pf)
-            est = bmo_norm(field, full_dyadic_depth(grid.shape), spatial_ndim=2)
+            est = bmo_norm(field, spatial_ndim=2)
             fit = john_nirenberg_fit(field, est, spatial_ndim=2)
             assert fit.b > 0.0
             assert fit.max_violation <= 0.0

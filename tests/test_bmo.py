@@ -5,13 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conducta.bmo import (
-    bmo_norm,
-    full_dyadic_depth,
-    john_nirenberg_fit,
-    lemma1_ratio,
-)
-from conducta.cell_solver import _distinct_traceless, build_optimal_potential, traceless_hessian
+from conducta.bmo import bmo_norm, john_nirenberg_fit, lemma1_ratio
+from conducta.cell_solver import build_optimal_potential, traceless_hessian
 from conducta.microstructure import generate_random
 from conducta.phases import PhaseSet
 
@@ -26,11 +21,11 @@ def sign_field(shape=(32, 32)):
     return f
 
 
-def brute_force_bmo(components, depth):
+def brute_force_bmo(components):
     """Max over every component and every dyadic cube, one cube at a time."""
     best = 0.0
     for comp in components:
-        for k in range(depth + 1):
+        for k in range(min(comp.shape).bit_length()):
             sides = [n >> k for n in comp.shape]
             for corner in itertools.product(range(1 << k), repeat=comp.ndim):
                 cube = comp[tuple(slice(i * s, (i + 1) * s) for i, s in zip(corner, sides))]
@@ -40,45 +35,34 @@ def brute_force_bmo(components, depth):
 
 class TestBmoNorm:
     def test_constant_field_is_zero(self):
-        assert bmo_norm(np.full((16, 16), 7.3), 4) == 0.0
+        assert bmo_norm(np.full((16, 16), 7.3)) == 0.0
 
     def test_sign_pattern_norm_one(self):
-        f = sign_field()
-        assert bmo_norm(f, 0) == 1.0
-        for depth in range(1, 6):
-            assert bmo_norm(f, depth) <= 1.0 + 1e-15
-
-    def test_nondecreasing_in_depth(self):
-        rng = np.random.default_rng(3)
-        f = rng.standard_normal((32, 32))
-        norms = [bmo_norm(f, d) for d in range(6)]
-        assert all(b >= a - 1e-15 for a, b in zip(norms, norms[1:]))
+        # the whole cube has oscillation 1, and every smaller dyadic cube at most 1
+        assert bmo_norm(sign_field()) == 1.0
 
     def test_scale_covariance(self):
         rng = np.random.default_rng(5)
         f = rng.standard_normal((16, 16))
-        base = bmo_norm(f, 3)
-        assert bmo_norm(2.0 * f, 3) == 2.0 * base
-        assert bmo_norm(-1.7 * f, 3) == pytest.approx(1.7 * base, rel=1e-13)
+        base = bmo_norm(f)
+        assert bmo_norm(2.0 * f) == 2.0 * base
+        assert bmo_norm(-1.7 * f) == pytest.approx(1.7 * base, rel=1e-13)
 
     def test_bounded_by_twice_sup(self):
         rng = np.random.default_rng(8)
         f = rng.uniform(-3.0, 5.0, (32, 32))
         centered = f - f.mean()
-        assert bmo_norm(f, 5) <= 2.0 * np.abs(centered).max() + 1e-12
-
-    def test_depth_validation(self):
-        with pytest.raises(ValueError, match="depth"):
-            bmo_norm(np.zeros((8, 8)), 4)
-        with pytest.raises(ValueError, match="depth"):
-            bmo_norm(np.zeros((8, 8)), -1)
+        assert bmo_norm(f) <= 2.0 * np.abs(centered).max() + 1e-12
 
     def test_depth_must_divide_every_axis(self):
-        with pytest.raises(ValueError, match=r"does not divide.*\(6, 6\)"):
-            bmo_norm(np.zeros((6, 6)), 2)
-        with pytest.raises(ValueError, match=r"depth 3.*\(8, 12\)"):
-            bmo_norm(np.zeros((8, 12)), 3)
-        assert bmo_norm(np.zeros((8, 12)), 2) == 0.0
+        # the depth is log2 of the smallest axis: 2 on (6, 6), 3 on (8, 12)
+        with pytest.raises(ValueError, match=r"depth 2\) does not divide.*\(6, 6\)"):
+            bmo_norm(np.zeros((6, 6)))
+        with pytest.raises(ValueError, match=r"depth 3\) does not divide.*\(8, 12\)"):
+            bmo_norm(np.zeros((8, 12)))
+        with pytest.raises(ValueError, match=r"depth 3\) does not divide.*\(12, 8\)"):
+            bmo_norm(np.zeros((2, 12, 8)), spatial_ndim=2)
+        assert bmo_norm(np.zeros((8, 16))) == 0.0
 
     @pytest.mark.parametrize("shape", [(16, 16), (8, 32), (8, 8, 16)])
     @pytest.mark.parametrize("stacked", [False, True])
@@ -87,17 +71,15 @@ class TestBmoNorm:
         lead = (2, 3) if stacked else ()
         f = rng.standard_normal(lead + shape) + 0.3
         spatial_ndim = len(shape) if stacked else None
-        for depth in range(full_dyadic_depth(shape) + 1):
-            expected = brute_force_bmo(f.reshape((-1,) + shape), depth)
-            got = bmo_norm(f, depth, spatial_ndim=spatial_ndim)
-            assert got == pytest.approx(expected, rel=1e-12)
+        expected = brute_force_bmo(f.reshape((-1,) + shape))
+        assert bmo_norm(f, spatial_ndim=spatial_ndim) == pytest.approx(expected, rel=1e-12)
 
     def test_scratch_memory_below_three_fields(self):
         # one centered copy in dyadic order plus one scratch buffer of its size
         f = np.random.default_rng(2).standard_normal((2, 2, 256, 256))
         tracemalloc.start()
         try:
-            bmo_norm(f, 8, spatial_ndim=2)
+            bmo_norm(f, spatial_ndim=2)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -106,17 +88,14 @@ class TestBmoNorm:
     def test_matrix_field_component_wise_max(self):
         f = sign_field((16, 16))
         stack = np.stack([np.zeros((16, 16)), 3.0 * f])
-        est = bmo_norm(stack, 2, spatial_ndim=2)
-        assert est == pytest.approx(3.0 * bmo_norm(f, 2), rel=1e-13)
-
-    def test_full_depth(self):
-        assert full_dyadic_depth((64, 32)) == 5
+        est = bmo_norm(stack, spatial_ndim=2)
+        assert est == pytest.approx(3.0 * bmo_norm(f), rel=1e-13)
 
 
 class TestJohnNirenberg:
     def test_two_valued_field_finite_fit(self):
         f = sign_field()
-        est = bmo_norm(f, 5)
+        est = bmo_norm(f)
         fit = john_nirenberg_fit(f, est)
         assert fit.b > 0.0
         assert np.isfinite(fit.B)
@@ -128,7 +107,7 @@ class TestJohnNirenberg:
         g = generate_random(TWO_14, (64, 64), seed=1)
         pf = build_optimal_potential(g, 2.5)
         field = traceless_hessian(pf)
-        est = bmo_norm(field, 6, spatial_ndim=2)
+        est = bmo_norm(field, spatial_ndim=2)
         fit = john_nirenberg_fit(field, est, spatial_ndim=2)
         assert fit.b > 0.0
         assert fit.max_violation <= 0.0
@@ -136,21 +115,37 @@ class TestJohnNirenberg:
     def test_fitted_b_scale_invariant(self):
         g = generate_random(TWO_14, (64, 64), seed=1)
         field = traceless_hessian(build_optimal_potential(g, 2.5))
-        fit = john_nirenberg_fit(field, bmo_norm(field, 6, spatial_ndim=2), spatial_ndim=2)
+        fit = john_nirenberg_fit(field, bmo_norm(field, spatial_ndim=2), spatial_ndim=2)
         scaled = 3.7 * field
-        fit_s = john_nirenberg_fit(scaled, bmo_norm(scaled, 6, spatial_ndim=2), spatial_ndim=2)
+        fit_s = john_nirenberg_fit(scaled, bmo_norm(scaled, spatial_ndim=2), spatial_ndim=2)
         assert fit_s.b == pytest.approx(fit.b, rel=1e-9)
+
+    @pytest.mark.parametrize("scale", [2.0**45, 2.0**-45])
+    def test_statistics_independent_of_scale(self, scale):
+        # scaling by a power of two is exact, so b, B and the Lemma-1 ratio
+        # come out bit for bit; at 2**-45 the norm (2.6e-14) was rejected as
+        # a "degenerate (near-constant) field"
+        ps = PhaseSet.from_pairs((1.0, 2.0, 5.0), (0.4, 0.4, 0.2), 2)
+        g = generate_random(ps, (64, 64), seed=3)
+        field = traceless_hessian(build_optimal_potential(g, 2.0))
+        levels = g.conductivity_field()
+
+        def statistics(f):
+            est = bmo_norm(f, spatial_ndim=2)
+            return john_nirenberg_fit(f, est, spatial_ndim=2), lemma1_ratio(f, levels, est, spatial_ndim=2)
+
+        assert statistics(scale * field) == statistics(field)
 
     def test_field_left_unchanged(self):
         f = np.random.default_rng(6).standard_normal((2, 2, 16, 16))
         before = f.copy()
-        john_nirenberg_fit(f, bmo_norm(f, 4, spatial_ndim=2), spatial_ndim=2)
-        lemma1_ratio(f, np.ones((16, 16)), bmo_norm(f, 4, spatial_ndim=2), spatial_ndim=2)
+        john_nirenberg_fit(f, bmo_norm(f, spatial_ndim=2), spatial_ndim=2)
+        lemma1_ratio(f, np.ones((16, 16)), bmo_norm(f, spatial_ndim=2), spatial_ndim=2)
         assert np.array_equal(f, before)
 
     def test_degenerate_field_rejected(self):
         f = np.zeros((16, 16))
-        est = bmo_norm(f, 3)
+        est = bmo_norm(f)
         with pytest.raises(ValueError, match="degenerate"):
             john_nirenberg_fit(f, est)
 
@@ -172,7 +167,7 @@ def brute_force_lemma1(field, levels, bmo):
 class TestLemma1Ratio:
     def test_full_cube_ratio(self):
         f = sign_field()
-        est = bmo_norm(f, 5)
+        est = bmo_norm(f)
         ratio = lemma1_ratio(f, np.zeros((32, 32)), bmo=est)
         # one level: the only set is the cube, |A| = 1, and the ratio is the
         # quadratic mass over the squared norm
@@ -180,7 +175,7 @@ class TestLemma1Ratio:
 
     def test_mask_shape_checked(self):
         with pytest.raises(ValueError, match=r"levels shape \(8, 8\)"):
-            lemma1_ratio(sign_field(), np.ones((8, 8)), bmo_norm(sign_field(), 5))
+            lemma1_ratio(sign_field(), np.ones((8, 8)), bmo_norm(sign_field()))
 
     @pytest.mark.parametrize("shape", [(16, 16), (8, 8, 8)])
     @pytest.mark.parametrize("stacked", [False, True])
@@ -194,7 +189,7 @@ class TestLemma1Ratio:
         values = np.array([7.5, -2.0, 3.0, 100.0, 0.25])[:num_levels]
         levels = values[rng.integers(0, num_levels, shape)]
         assert np.unique(levels).size == num_levels
-        est = bmo_norm(f, full_dyadic_depth(shape), spatial_ndim=spatial_ndim)
+        est = bmo_norm(f, spatial_ndim=spatial_ndim)
         got = lemma1_ratio(f, levels, est, spatial_ndim=spatial_ndim)
         assert got == pytest.approx(brute_force_lemma1(f, levels, est), rel=1e-12)
 
@@ -203,7 +198,7 @@ class TestLemma1Ratio:
         g = generate_random(ps, (64, 64), seed=3)
         pf = build_optimal_potential(g, 2.0)
         field = traceless_hessian(pf)
-        est = bmo_norm(field, 6, spatial_ndim=2)
+        est = bmo_norm(field, spatial_ndim=2)
         sigma = g.conductivity_field()
         assert np.unique(sigma).size == 3
         ratio = lemma1_ratio(field, sigma, bmo=est, spatial_ndim=2)
@@ -220,7 +215,7 @@ class TestLemma1Ratio:
             g = generate_random(TWO_14, (32, 32), seed=seed)
             pf = build_optimal_potential(g, 2.5)
             field = traceless_hessian(pf)
-            est = bmo_norm(field, full_dyadic_depth(g.shape), spatial_ndim=2)
+            est = bmo_norm(field, spatial_ndim=2)
             records.append((est, pf.theta.max() - pf.theta.min()))
         c_fit = max(norm / osc for norm, osc in records)
         assert 0.0 < c_fit < np.inf
@@ -232,7 +227,7 @@ class TestLemma1Ratio:
         # must not blow up as the subset shrinks
         g = generate_random(TWO_14, (64, 64), seed=4)
         field = traceless_hessian(build_optimal_potential(g, 2.0))
-        est = bmo_norm(field, 6, spatial_ndim=2)
+        est = bmo_norm(field, spatial_ndim=2)
         # the number of nested squares [0, 64 >> k)^2, k = 1..5, holding each
         # voxel: its superlevel sets are those squares, and the whole cube
         levels = np.zeros((64, 64))
@@ -242,7 +237,8 @@ class TestLemma1Ratio:
 
 
 class TestDistinctTraceless:
-    """The 2D pair [a, b] of the traceless Hessian [[a, b], [b, -a]] stands for all four components."""
+    """The 2D row [a, b] of the traceless Hessian [[a, b], [b, -a]], which is
+    what ``conducta bmo`` measures, stands for all four components."""
 
     @pytest.mark.parametrize("mode", ["iid", "smooth"])
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
@@ -251,18 +247,17 @@ class TestDistinctTraceless:
         rng = np.random.default_rng(100 * n + 10 * k + (mode == "smooth"))
         ps = random_phase_set(rng, k, 2)
         g = generate_random(ps, (n, n), seed=n + k, mode=mode)
-        depth = full_dyadic_depth(g.shape)
         levels = g.conductivity_field()
         for S in (ps.inf_sigma, 0.5 * (ps.inf_sigma + ps.sup_sigma), ps.sup_sigma, 2.0 * ps.sup_sigma):
             pf = build_optimal_potential(g, S)
             full = traceless_hessian(pf)
-            pair, mass_factor = _distinct_traceless(pf)
-            assert pair.shape == (2, n, n) and mass_factor == 2.0
-            est = bmo_norm(full, depth, spatial_ndim=2)
+            pair = full[0]  # traceless_hessian(pf)[0], what conducta bmo passes in 2D
+            assert pair.shape == (2, n, n)
+            est = bmo_norm(full, spatial_ndim=2)
             assert est > 0.0
-            assert bmo_norm(pair, depth, spatial_ndim=2) == est
+            assert bmo_norm(pair, spatial_ndim=2) == est
             assert john_nirenberg_fit(pair, est, spatial_ndim=2) == john_nirenberg_fit(full, est, spatial_ndim=2)
-            assert mass_factor * lemma1_ratio(pair, levels, est, spatial_ndim=2) == pytest.approx(
+            assert 2.0 * lemma1_ratio(pair, levels, est, spatial_ndim=2) == pytest.approx(
                 lemma1_ratio(full, levels, est, spatial_ndim=2), rel=1e-12
             )
 
@@ -275,8 +270,12 @@ class TestDistinctTraceless:
         assert np.allclose(full[0, 0], pf.hessian_p[0, 0] - pf.laplacian_p / 2, rtol=0.0, atol=1e-12)
 
     def test_3d_keeps_the_full_stack(self):
+        # in 3D every one of the nine components reaches the statistics
         ps = PhaseSet.from_pairs((1.0, 4.0), (0.5, 0.5), 3)
         pf = build_optimal_potential(generate_random(ps, (8, 8, 8), seed=3), 2.0)
-        stack, mass_factor = _distinct_traceless(pf)
-        assert mass_factor == 1.0
-        assert np.array_equal(stack, traceless_hessian(pf))
+        full = traceless_hessian(pf)
+        assert full.shape == (3, 3, 8, 8, 8)
+        assert np.array_equal(full, full.transpose(1, 0, 2, 3, 4))
+        for i, j in ((0, 1), (0, 2), (1, 2)):
+            assert np.array_equal(full[i, j], pf.hessian_p[i, j])
+        assert np.allclose(np.einsum("ii...", full), 0.0, rtol=0.0, atol=1e-12)

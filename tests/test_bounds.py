@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from conducta.bounds import (
     BoundConfig,
     BoundReport,
-    h_term,
     hs_upper,
     milton_gap,
     optimize_S,
@@ -15,12 +14,17 @@ from conducta.bounds import (
     three_phase_refined,
     trivial_upper,
 )
-from conducta.phases import PhaseSet, tail_integral
+from conducta.phases import PhaseSet, shifted_harmonic_L, tail_integral
 
 from conftest import phase_sets
 
 THREE = PhaseSet.from_pairs((1.0, 2.0, 5.0), (0.4, 0.4, 0.2), 3)
 TWO_14 = PhaseSet.from_pairs((1.0, 4.0), (0.5, 0.5), 2)
+
+
+def h_term(ps, S):
+    """H(S) = -(n-1) S + L(S) as theorem 1 reports it; at S = 0 it is L(0)."""
+    return theorem1_upper(ps, S).H_term if S > 0.0 else shifted_harmonic_L(ps, 0.0)
 
 
 def scaled(ps, lam):
@@ -241,6 +245,12 @@ class TestMiltonGap:
     @given(phase_sets(min_phases=2, max_phases=2), st.floats(1e-3, 30.0))
     def test_strictly_positive_above_sigma2(self, ps2, ds):
         assert milton_gap(ps2, ps2.sup_sigma + ds) > 0.0
+
+    @given(phase_sets(min_phases=2, max_phases=2), st.floats(0.0, 30.0))
+    def test_is_the_difference_of_theorem1_h_terms(self, ps2, ds):
+        # one H path: the gap is read off theorem 1's own H, bit for bit
+        sigma3 = ps2.sup_sigma + ds
+        assert milton_gap(ps2, sigma3) == theorem1_upper(ps2, sigma3).H_term - hs_upper(ps2).H_term
 
 
 class TestTailAtSupExactness:

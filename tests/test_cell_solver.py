@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -185,14 +186,20 @@ class TestEffectiveTensor:
         assert err.value.residual > 0.0
 
     def test_overflow_raises_before_iterating(self):
-        # rfftn of (1, 1e308) overflows; the solve ran 1000 NaN iterations before raising
+        # (1, 1e308) overflows in the Green operator and in rfftn; five
+        # warnings came first.  A warning would fail this test.
         idx = np.random.default_rng(0).integers(0, 2, (128, 128)).astype(np.uint8)
-        g = VoxelGrid(idx, (1.0, 1e308))
-        with pytest.raises(ConvergenceError, match="non-finite right-hand side") as err:
-            with pytest.warns(RuntimeWarning) as warned:
-                solve_effective_tensor(g)
+        with pytest.raises(ConvergenceError, match=re.escape("overflows on conductivities in [1, 1e+308]")) as err:
+            solve_effective_tensor(VoxelGrid(idx, (1.0, 1e308)))
         assert err.value.iterations == 0
-        assert any("overflow" in str(w.message) for w in warned)
+
+    def test_overflowing_right_hand_side_norm_names_the_range(self):
+        # at (1, 1e150) only the squared norm of the right-hand side
+        # overflows, which was reported as a "non-finite right-hand side"
+        idx = np.random.default_rng(0).integers(0, 2, (128, 128)).astype(np.uint8)
+        with pytest.raises(ConvergenceError, match=re.escape("overflows on conductivities in [1, 1e+150]")) as err:
+            solve_effective_tensor(VoxelGrid(idx, (1.0, 1e150)))
+        assert err.value.iterations == 0
 
     def test_non_finite_residual_stops_cg_at_once(self):
         calls = []
@@ -317,6 +324,24 @@ class TestOptimalPotential:
         for S in (1.0, 3.0, 5.0):
             pf = build_optimal_potential(g, S)
             assert abs((pf.theta.max() - pf.theta.min()) - oscillation_closed_form(g, S)) < 1e-10
+
+    def test_oscillation_closed_form_at_huge_conductivities(self):
+        # n L osc sigma and the product of the two shifted extremes overflowed
+        # to inf / inf = nan at (1, 1e200)
+        idx = np.random.default_rng(0).integers(0, 2, (32, 32)).astype(np.uint8)
+        g = VoxelGrid(idx, (1.0, 1e200))
+        S = 5e199
+        pf = build_optimal_potential(g, S)
+        assert oscillation_closed_form(g, S) == pytest.approx(float(pf.theta.max() - pf.theta.min()), rel=1e-12)
+
+    @pytest.mark.parametrize("hi", [1e308, 1e305])
+    def test_potential_overflow_names_the_range(self, hi):
+        # at (1, 1e308) the potential returned I1 = nan after four warnings;
+        # a warning would fail this test
+        idx = np.random.default_rng(0).integers(0, 2, (128, 128)).astype(np.uint8)
+        g = VoxelGrid(idx, (1.0, hi))
+        with pytest.raises(ValueError, match=re.escape(f"potential at S = 2.5 overflows on conductivities in [1, {hi:.12g}]")):
+            build_optimal_potential(g, 2.5)
 
 
 class TestI1I2:
