@@ -112,13 +112,10 @@ def _theorem1_terms(ps: PhaseSet, S: float, cfg: BoundConfig) -> tuple[float, fl
     L = shifted_harmonic_L(ps, S)
     H = -shift + L
     tail = tail_integral(ps, S)
-    osc = ps.osc_sigma
-    w_lo = ps.inf_sigma + shift
-    if cfg.use_simplified_E:
-        E = cfg.C * osc * osc * tail / (w_lo * w_lo)
-    else:
-        w_hi = ps.sup_sigma + shift
-        E = cfg.C * osc * osc * L * L * tail / (w_lo * w_lo * w_hi * w_hi)
+    r = ps.osc_sigma / (ps.inf_sigma + shift)  # squared only once divided, so no product overflows
+    if not cfg.use_simplified_E:
+        r *= L / (ps.sup_sigma + shift)
+    E = cfg.C * r * r * tail
     return H, E, L
 
 

@@ -15,6 +15,13 @@ The reported tensor uses the energy bilinear form, which is variationally
 one-sided; the mismatch against the flux average is kept as a convergence
 diagnostic.
 
+Past the one forward transform of sigma (or theta), whose result is kept,
+every transform writes into buffers allocated once per call: a forward one
+through ``rfftn(..., out=)``, an inverse one as numpy's own ``irfftn``
+passes (``ifft`` in place over every axis but the last, then ``irfft`` into
+the real field).  Both are bit for bit numpy's allocating transforms,
+without a fresh array per pass.
+
 Second, the constructive upper bound: the scalar potential p whose Laplacian
 equals the pointwise optimal field
 
@@ -130,6 +137,18 @@ class EffectiveTensor:
         return np.linalg.eigvalsh(self.matrix)
 
 
+def _irfftn_into(spec: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``np.fft.irfftn(spec, s=out.shape, axes=all)`` written into ``out``, bit for bit.
+
+    Runs numpy's own passes in numpy's order: ``ifft`` in place over axes
+    0..n-2, then ``irfft`` of length ``out.shape[-1]`` on the last axis into
+    ``out``.  ``spec`` is overwritten.
+    """
+    for ax in range(spec.ndim - 1):
+        np.fft.ifft(spec, axis=ax, out=spec)
+    return np.fft.irfft(spec, n=out.shape[-1], axis=-1, out=out)
+
+
 def _half_spectrum_dot(shape: tuple[int, ...]):
     """Real part of the Hermitian-weighted sum over rfftn half spectra.
 
@@ -201,20 +220,28 @@ def solve_effective_tensor(grid: VoxelGrid, config: SolverConfig | None = None) 
     ):
         n = grid.dimension
         shape = sigma.shape
-        axes = tuple(range(n))
         ks, k2 = half_wavenumbers(shape, zero_nyquist=True)
         sigma0 = 0.5 * (float(sigma.min()) + float(sigma.max()))
         green = np.where(k2 > 0.0, 1.0 / (sigma0 * np.where(k2 > 0.0, k2, 1.0)), 0.0)
         dot = _half_spectrum_dot(shape)
 
-        def gradient(u_hat, k):
-            return np.fft.irfftn(1j * k * u_hat, s=shape, axes=axes)
+        # owned by this call: every transform writes into them, never into a fresh array;
+        # apply_operator returns div_hat itself, which CG reads before the next call
+        real = np.empty(shape)
+        spec = np.empty(green.shape, dtype=complex)
+        div_hat = np.empty_like(spec)
+
+        def gradient(u_hat, k, out):
+            np.multiply(1j * k, u_hat, out=spec)
+            return _irfftn_into(spec, out)
 
         def apply_operator(u_hat):
-            div_hat = np.zeros_like(u_hat)
+            div_hat.fill(0.0)
             for k in ks:
-                div_hat += 1j * k * np.fft.rfftn(sigma * gradient(u_hat, k))
-            return -div_hat
+                np.multiply(sigma, gradient(u_hat, k, real), out=real)
+                np.fft.rfftn(real, out=spec)
+                np.add(div_hat, np.multiply(1j * k, spec, out=spec), out=div_hat)
+            return np.negative(div_hat, out=div_hat)
 
         sigma_hat = np.fft.rfftn(sigma)
         total_gradients: list[list[np.ndarray]] = []
@@ -230,8 +257,8 @@ def solve_effective_tensor(grid: VoxelGrid, config: SolverConfig | None = None) 
                 config.max_iterations,
                 label=f"direction {i}",
             )
-            grads = [gradient(u_hat, k) for k in ks]
-            grads[i] = grads[i] + 1.0
+            grads = [gradient(u_hat, k, np.empty(shape)) for k in ks]
+            grads[i] += 1.0
             total_gradients.append(grads)
             iterations.append(its)
             residuals.append(res)
@@ -325,15 +352,14 @@ def build_optimal_potential(grid: VoxelGrid, S: float) -> PotentialField:
         p_hat = np.zeros_like(theta_hat)
         p_hat[mask] = -theta_hat[mask] / k2[mask]
 
-        axes = tuple(range(n))
-        laplacian = np.fft.irfftn(-k2 * p_hat, s=shape, axes=axes)
+        spec = np.empty_like(p_hat)
+        laplacian = _irfftn_into(np.multiply(-k2, p_hat, out=spec), np.empty(shape))
         hessian = np.empty((n, n) + shape)
         for i in range(n):
             for j in range(i, n):
-                h = np.fft.irfftn(-ks[i] * ks[j] * p_hat, s=shape, axes=axes)
-                hessian[i, j] = h
+                _irfftn_into(np.multiply(-ks[i] * ks[j], p_hat, out=spec), hessian[i, j])
                 if i != j:
-                    hessian[j, i] = h
+                    hessian[j, i] = hessian[i, j]
 
         i1 = _i1_quadrature(sigma, theta, n, S)
         i2, i2_pos = _i2_quadrature(sigma, hessian, laplacian, n, S)

@@ -1,13 +1,16 @@
 import math
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from conducta import cell_solver
 from conducta.cell_solver import (
     EffectiveTensor,
     SolverConfig,
     _half_spectrum_dot,
+    _irfftn_into,
     _spectral_cg,
     _traceless_square,
     build_optimal_potential,
@@ -219,46 +222,89 @@ FFT_NAMES = ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn",
 
 
 @pytest.fixture
-def fft_calls(monkeypatch):
-    """Counts the numpy.fft transforms called through the public namespace."""
-    calls = {}
+def fft_log(monkeypatch):
+    """Records (name, given out=) for each numpy.fft transform called through the public namespace."""
+    log = []
 
-    def counting(name, fn):
+    def recording(name, fn):
         def wrapper(*args, **kwargs):
-            calls[name] = calls.get(name, 0) + 1
+            log.append((name, kwargs.get("out") is not None))
             return fn(*args, **kwargs)
         return wrapper
 
     for name in FFT_NAMES:
-        monkeypatch.setattr(np.fft, name, counting(name, getattr(np.fft, name)))
-    return calls
+        monkeypatch.setattr(np.fft, name, recording(name, getattr(np.fft, name)))
+    return log
+
+
+def fft_counts(log) -> dict[str, int]:
+    return dict(Counter(name for name, _ in log))
+
+
+class TestIrfftnInto:
+    @pytest.mark.parametrize("shape", [(8, 8), (6, 10), (7, 9), (64, 64), (4, 6, 8), (5, 7, 9), (16, 16, 16)])
+    def test_equals_numpy_irfftn_bit_for_bit(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        half = shape[:-1] + (shape[-1] // 2 + 1,)
+        spec = rng.standard_normal(half) + 1j * rng.standard_normal(half)
+        expected = np.fft.irfftn(spec, s=shape, axes=tuple(range(len(shape))))
+        out = np.empty(shape)
+        assert _irfftn_into(spec.copy(), out) is out
+        assert np.array_equal(out, expected)
 
 
 class TestTransformBudget:
     @pytest.mark.parametrize("shape", [(64, 64), (16, 16, 16)])
-    def test_solve_uses_2n_real_transforms_per_iteration(self, shape, fft_calls):
+    def test_solve_uses_2n_real_transforms_per_iteration(self, shape, fft_log):
         n = len(shape)
         ps = PhaseSet.from_pairs((1.0, 2.0, 5.0), (0.4, 0.4, 0.2), n)
         g = generate_random(ps, shape, seed=11)
         t = solve_effective_tensor(g)
         assert min(t.iterations) > 0
-        # rfftn(sigma) once; per direction 2n per iteration and n gradients
-        assert sum(fft_calls.values()) == 1 + sum(it * 2 * n + n for it in t.iterations)
-        assert set(fft_calls) == {"rfftn", "irfftn"}
+        # rfftn(sigma) once; per direction and iteration n forward and n
+        # inverse transforms, then n inverse ones for the gradients.  Each
+        # inverse is numpy's irfftn passes: n - 1 ifft and one irfft.
+        inverse = sum(it * n + n for it in t.iterations)
+        assert fft_counts(fft_log) == {
+            "rfftn": 1 + n * sum(t.iterations),
+            "irfft": inverse,
+            "ifft": (n - 1) * inverse,
+        }
+
+    @pytest.mark.parametrize("shape", [(64, 64), (16, 16, 16)])
+    def test_cg_transforms_write_into_owned_buffers(self, shape, fft_log, monkeypatch):
+        inside = []
+        spectral_cg = cell_solver._spectral_cg
+
+        def marking(*args, **kwargs):
+            start = len(fft_log)
+            result = spectral_cg(*args, **kwargs)
+            inside.extend(fft_log[start:])
+            return result
+
+        monkeypatch.setattr(cell_solver, "_spectral_cg", marking)
+        ps = PhaseSet.from_pairs((1.0, 2.0, 5.0), (0.4, 0.4, 0.2), len(shape))
+        solve_effective_tensor(generate_random(ps, shape, seed=11))
+        assert inside and all(given_out for _, given_out in inside)
+        # outside CG only rfftn(sigma) allocates; the gradients reuse the buffers too
+        assert [call for call in fft_log if not call[1]] == [("rfftn", False)]
 
     @pytest.mark.parametrize("shape", [(32, 32), (16, 16, 16)])
-    def test_smooth_generation_uses_one_real_transform_pair(self, shape, fft_calls):
+    def test_smooth_generation_uses_one_real_transform_pair(self, shape, fft_log):
         ps = PhaseSet.from_pairs((1.0, 2.0, 5.0), (0.4, 0.4, 0.2), len(shape))
         generate_random(ps, shape, seed=3, mode="smooth")
-        assert fft_calls == {"rfftn": 1, "irfftn": 1}
+        assert fft_counts(fft_log) == {"rfftn": 1, "irfftn": 1}
 
     @pytest.mark.parametrize("shape", [(32, 32), (8, 8, 8)])
-    def test_potential_uses_real_transforms(self, shape, fft_calls):
+    def test_potential_uses_real_transforms(self, shape, fft_log):
         n = len(shape)
         g = generate_random(PhaseSet.from_pairs((1.0, 4.0), (0.5, 0.5), n), shape, seed=2)
         build_optimal_potential(g, 2.0)
-        # rfftn(theta), then one irfftn for lap p and each Hessian entry
-        assert fft_calls == {"rfftn": 1, "irfftn": 1 + n * (n + 1) // 2}
+        # rfftn(theta), then one inverse for lap p and each Hessian entry,
+        # each as n - 1 ifft passes and one irfft
+        inverse = 1 + n * (n + 1) // 2
+        assert fft_counts(fft_log) == {"rfftn": 1, "irfft": inverse, "ifft": (n - 1) * inverse}
+        assert all(given_out for name, given_out in fft_log if name != "rfftn")
 
 
 class TestOptimalPotential:
@@ -290,6 +336,19 @@ class TestOptimalPotential:
         pf = build_optimal_potential(g, 2.0)
         assert abs(pf.theta.mean()) < 1e-10
         assert pf.p_hat[0, 0] == 0.0
+
+    @pytest.mark.parametrize("shape", [(32, 32), (8, 16, 8)])
+    def test_fields_equal_numpy_inverse_of_the_multipliers(self, shape):
+        n = len(shape)
+        g = generate_random(PhaseSet.from_pairs((1.0, 4.0, 9.0), (0.3, 0.5, 0.2), n), shape, seed=8)
+        pf = build_optimal_potential(g, 2.5)
+        ks, k2 = half_wavenumbers(shape, zero_nyquist=False)
+        axes = tuple(range(n))
+        assert np.array_equal(pf.laplacian_p, np.fft.irfftn(-k2 * pf.p_hat, s=shape, axes=axes))
+        for i in range(n):
+            for j in range(n):
+                h = np.fft.irfftn(-ks[min(i, j)] * ks[max(i, j)] * pf.p_hat, s=shape, axes=axes)
+                assert np.array_equal(pf.hessian_p[i, j], h)
 
     def test_hessian_trace_is_laplacian_pointwise(self):
         g = generate_random(TWO_14, (32, 32), seed=3)

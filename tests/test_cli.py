@@ -68,6 +68,16 @@ class TestBoundsCommand:
         assert main(["bounds", "--config", str(p)]) == 1
         assert capsys.readouterr().err == f"error: conductivity must be finite and positive, got {sigma}\n"
 
+    def test_huge_contrast_hs_finite_with_zero_E(self, tmp_path, capsys):
+        # squaring osc before dividing printed "hashin_shtrikman nan" and "theorem1_simplified inf"
+        p = tmp_path / "huge.cfg"
+        p.write_text("dimension = 2\nphase = 1 0.5\nphase = 1e200 0.5\n")
+        assert main(["bounds", "--config", str(p)]) == 0
+        rows = {line.split()[0]: line.split() for line in capsys.readouterr().out.splitlines() if line[:1].isalpha()}
+        assert rows["hashin_shtrikman"][1] == "3.33333333333e+199"
+        assert rows["hashin_shtrikman"][4] == "0"
+        assert rows["theorem1_simplified"][1] == "3.33333333333e+199"
+
     def test_shift_parsed_before_config(self, three_cfg, monkeypatch, capsys):
         # --S x printed numpy's "could not convert string to float: 'x'"
         reads = []
@@ -104,6 +114,18 @@ class TestSweepCommand:
         # 2-phase value even as mu3 -> 0
         last_nonzero = rows[-2]
         assert abs(float(last_nonzero[2]) - float(last_nonzero[5])) > 1e-3
+
+    def test_huge_third_phase_bounds_stay_finite(self, tmp_path, capsys):
+        # every mu3 > 0 row printed hs nan and theorem1_opt inf.  The gap
+        # column stays inf: theorem 1 at S = sigma_2 is about 1e898 here.
+        p = tmp_path / "huge.cfg"
+        p.write_text("dimension = 3\nphase = 1 0.4\nphase = 2 0.4\nphase = 1e300 0.2\n")
+        assert main(["sweep", "--config", str(p), "--points", "3"]) == 0
+        header, *rows = capsys.readouterr().out.splitlines()
+        assert len(rows) == 4 and "nan" not in "".join(rows)
+        for row in rows:
+            values = dict(zip(header.split(","), map(float, row.split(","))))
+            assert all(math.isfinite(v) for name, v in values.items() if name != "gap")
 
     @pytest.mark.parametrize("points", ["-2", "0"])
     def test_points_at_least_one(self, points, three_cfg, capsys):
