@@ -13,9 +13,10 @@ phases above S through the tail of the distribution function, which
 
 E carries a dimensional constant C that is not known explicitly; it defaults
 to 1 and is always recorded in the report, so every refined value is to be
-read "modulo the constant C".  The simplified E form (default) drops the
-L^2 / (sup sigma + (n-1)S)^2 factor, which is how the three-phase
-specialization at S = sigma_2 is usually written.
+read "modulo the constant C".  The full E is C (osc theta / n)^2 times the
+tail integral, with osc theta from ``phases.oscillation_closed_form``; the
+simplified E form (default) drops its L^2 / (sup sigma + (n-1)S)^2 factor,
+which is how the three-phase specialization at S = sigma_2 is usually written.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .phases import PhaseSet, shifted_harmonic_L, tail_integral
+from .phases import PhaseSet, oscillation_closed_form, shifted_harmonic_L, tail_integral
 
 __all__ = [
     "BOUND_NAMES",
@@ -112,9 +113,8 @@ def _theorem1_terms(ps: PhaseSet, S: float, cfg: BoundConfig) -> tuple[float, fl
     L = shifted_harmonic_L(ps, S)
     H = -shift + L
     tail = tail_integral(ps, S)
-    r = ps.osc_sigma / (ps.inf_sigma + shift)  # squared only once divided, so no product overflows
-    if not cfg.use_simplified_E:
-        r *= L / (ps.sup_sigma + shift)
+    # osc theta / n, or its simplified form; squared only once divided, so no product overflows
+    r = ps.osc_sigma / (ps.inf_sigma + shift) if cfg.use_simplified_E else oscillation_closed_form(ps, S) / ps.dimension
     E = cfg.C * r * r * tail
     return H, E, L
 

@@ -27,6 +27,7 @@ equals the pointwise optimal field
 
     theta = n L / (sigma + (n-1) S) - n,
 
+with L = ``phases.shifted_harmonic_L`` of the grid's empirical phase set,
 inverted spectrally, with the Hessian obtained from the multiplier
 -k (x) k / |k|^2 applied to the rfftn half spectrum of theta, which is also
 where PotentialField.p_hat lives.  The split value I1 + I2 of the energy of
@@ -43,8 +44,8 @@ Differentiation conventions (these are constraints, not taste):
 * The potential p is supported on modes with no Nyquist component (and zero
   mean).  laplacian_p is therefore theta with its Nyquist-plane content
   removed, i.e. theta at grid resolution; the raw theta field is stored
-  separately and is what PotentialField.I1 integrates, matching the closed form
-  -(n-1)S + L to round-off.  constructive_value integrates the grid-resolved
+  separately and is what PotentialField.I1 integrates, matching theorem 1's
+  H(S) = -(n-1)S + L to round-off.  constructive_value integrates the grid-resolved
   fields instead, so its admissibility (value >= sigma_bar) is exact at the
   discrete level; on band-limited media such as laminates and checkerboards
   the two quadratures coincide.
@@ -59,7 +60,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError
-from .microstructure import VoxelGrid
+from .microstructure import VoxelGrid, empirical_phase_set
+from .phases import shifted_harmonic_L
 from .spectral import half_wavenumbers
 
 __all__ = [
@@ -71,7 +73,6 @@ __all__ = [
     "constructive_upper",
     "constructive_value",
     "traceless_hessian",
-    "oscillation_closed_form",
 ]
 
 def _subnyquist_mask(shape: tuple[int, ...]) -> np.ndarray:
@@ -172,15 +173,17 @@ def _half_spectrum_dot(shape: tuple[int, ...]):
 def _spectral_cg(apply_op, green: np.ndarray, dot, b: np.ndarray, rel_tol: float, max_iter: int, label: str):
     """Green-preconditioned conjugate gradients on half spectra; returns (x, iterations, residual).
 
-    Raises ConvergenceError after max_iter iterations, or as soon as a
-    residual is not finite (an overflow would otherwise run every remaining
-    iteration on NaNs), and FloatingPointError when the right-hand side norm
-    overflows.
+    Raises ConvergenceError after max_iter iterations, as soon as a residual
+    is not finite (an overflow would otherwise run every remaining iteration
+    on NaNs), or when a nonzero right-hand side's norm underflows to 0, and
+    FloatingPointError when the right-hand side norm overflows.
     """
     b_norm = float(np.sqrt(dot(b, b)))
     if not math.isfinite(b_norm):
         raise FloatingPointError(f"the right-hand side norm of {label} overflows")
     if b_norm == 0.0:
+        if b.any():
+            raise ConvergenceError(f"cell solve for {label} underflows: the right-hand side norm is 0", math.nan, 0)
         return np.zeros_like(b), 0, 0.0
     x = np.zeros_like(b)
     r = b.copy()
@@ -211,7 +214,8 @@ def solve_effective_tensor(grid: VoxelGrid, config: SolverConfig | None = None) 
     A homogeneous grid needs no correction: the right-hand side vanishes and
     the solve returns after zero iterations with A = sigma I exactly.
     Raises ConvergenceError when max_iterations is hit, and one that names
-    the conductivity range when a value overflows.
+    the conductivity range when a value overflows or the right-hand side
+    norm underflows.
     """
     config = config or SolverConfig()
     sigma = grid.conductivity_field()
@@ -221,7 +225,8 @@ def solve_effective_tensor(grid: VoxelGrid, config: SolverConfig | None = None) 
         n = grid.dimension
         shape = sigma.shape
         ks, k2 = half_wavenumbers(shape, zero_nyquist=True)
-        sigma0 = 0.5 * (float(sigma.min()) + float(sigma.max()))
+        lo, hi = float(sigma.min()), float(sigma.max())
+        sigma0 = 0.5 * (lo + hi)
         green = np.where(k2 > 0.0, 1.0 / (sigma0 * np.where(k2 > 0.0, k2, 1.0)), 0.0)
         dot = _half_spectrum_dot(shape)
 
@@ -255,7 +260,7 @@ def solve_effective_tensor(grid: VoxelGrid, config: SolverConfig | None = None) 
                 1j * ks[i] * sigma_hat,
                 config.relative_tolerance,
                 config.max_iterations,
-                label=f"direction {i}",
+                label=f"direction {i} on conductivities in [{lo:.12g}, {hi:.12g}]",
             )
             grads = [gradient(u_hat, k, np.empty(shape)) for k in ks]
             grads[i] += 1.0
@@ -289,8 +294,8 @@ def solve_effective_tensor(grid: VoxelGrid, config: SolverConfig | None = None) 
 class PotentialField:
     """Optimal-Laplacian potential and its derived fields on one grid.
 
-    I1 is the quadrature of the raw theta field and agrees with the closed
-    form -(n-1)S + L of the empirical phase set to round-off.  I2 is never
+    I1 is the quadrature of the raw theta field and agrees with
+    H(S) = -(n-1)S + L of the empirical phase set to round-off.  I2 is never
     above I2_positive_part, which uses the positive part of sigma - S and
     vanishes identically at S = sup sigma.
     """
@@ -329,22 +334,22 @@ def _traceless_square(hessian: np.ndarray, lap: np.ndarray, n: int) -> np.ndarra
 def build_optimal_potential(grid: VoxelGrid, S: float) -> PotentialField:
     """Construct theta, p, lap p, D^2 p and the split values I1, I2.
 
-    theta has zero mean by construction of L (the grid harmonic mean), and
-    the zero-frequency coefficient of p is set to zero.  Raises ValueError
-    when S is not finite and positive, or naming the conductivity range when
-    a value overflows.
+    L is ``phases.shifted_harmonic_L`` of the grid's empirical phase set,
+    so theta has zero mean up to round-off, and the zero-frequency
+    coefficient of p is set to zero.  Raises ValueError when S is not finite
+    and positive or sup sigma + (n-1) S overflows, or naming the conductivity
+    range when a value overflows.
     """
     if not 0.0 < S < np.inf:
         raise ValueError(f"S must be finite and positive, got {S}")
+    L = shifted_harmonic_L(empirical_phase_set(grid), S)
     sigma = grid.conductivity_field()
     with _overflow_raises(
         lambda: ValueError(f"the optimal potential at S = {S:.12g} overflows on conductivities in {_range(sigma)}")
     ):
         n = grid.dimension
         shape = sigma.shape
-        w = sigma + (n - 1) * S
-        L = 1.0 / float(np.mean(1.0 / w))
-        theta = n * L / w - n
+        theta = n * L / (sigma + (n - 1) * S) - n
 
         theta_hat = np.fft.rfftn(theta)
         ks, k2 = half_wavenumbers(shape, zero_nyquist=False)
@@ -420,14 +425,3 @@ def traceless_hessian(pf: PotentialField) -> np.ndarray:
         out[i, i] -= pf.laplacian_p / n
     return out
 
-
-def oscillation_closed_form(grid: VoxelGrid, S: float) -> float:
-    """osc theta = n L osc sigma / ((inf sigma + (n-1)S)(sup sigma + (n-1)S)),
-    evaluated as n (L / w_lo) (osc sigma / w_hi) so that no product overflows."""
-    sigma = grid.conductivity_field()
-    n = grid.dimension
-    w = sigma + (n - 1) * S
-    L = 1.0 / float(np.mean(1.0 / w))
-    lo = float(sigma.min())
-    hi = float(sigma.max())
-    return n * (L / (lo + (n - 1) * S)) * ((hi - lo) / (hi + (n - 1) * S))

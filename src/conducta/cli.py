@@ -33,13 +33,12 @@ from .cell_solver import (
     SolverConfig,
     build_optimal_potential,
     constructive_value,
-    oscillation_closed_form,
     solve_effective_tensor,
     traceless_hessian,
 )
 from .errors import ConfigError, ConvergenceError
 from .microstructure import VoxelGrid, empirical_phase_set, generate_random, load_grid
-from .phases import PhaseSet, read_phase_config
+from .phases import PhaseSet, oscillation_closed_form, read_phase_config, shifted_harmonic_L
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -50,7 +49,7 @@ _SLACK_TOL = 1e-6  # relative slack below which a bound counts as violated
 _VOXEL_BUDGET = 2**24  # largest corpus grid, checked before anything is allocated
 
 # removed options, with the one value old manifests can replay byte for byte
-_RETIRED_OPTIONS = {"search_points": 64, "S_tolerance": 1e-6, "sample_levels": 48}
+_RETIRED_OPTIONS = {"search_points": 64, "S_tolerance": 1e-6, "sample_levels": 48, "include_zero": True}
 
 
 def _g(x) -> str:
@@ -175,9 +174,7 @@ def run_sweep(options: dict) -> int:
     two_phase = PhaseSet.from_pairs((s1, s2), (m1, m2), ps.dimension)
     hs2 = hs_upper(two_phase).value
 
-    mu3_values = list(np.geomspace(hi, lo, options["points"]))
-    if options["include_zero"]:
-        mu3_values.append(0.0)
+    mu3_values = list(np.geomspace(hi, lo, options["points"])) + [0.0]
 
     rows = ["mu3,trivial,hs,theorem1_opt,S_opt,two_phase_hs,gap"]
     for mu3 in mu3_values:
@@ -211,7 +208,10 @@ def _resolve_s_list(s_spec: str, ps: PhaseSet) -> list[float]:
     if s_spec == "auto":
         lo, hi = ps.inf_sigma, ps.sup_sigma
         return [lo, 0.5 * (lo + hi), hi]
-    return [_shift(s) for s in s_spec.split(",")]
+    shifts = [_shift(s) for s in s_spec.split(",")]
+    for s in shifts:
+        shifted_harmonic_L(ps, s)  # ValueError when sup sigma + (n-1) S overflows
+    return shifts
 
 
 def run_solve(options: dict) -> int:
@@ -376,12 +376,12 @@ def run_verify(options: dict) -> int:
 
 def _bmo_one(grid: VoxelGrid, label: str, s: float | None) -> tuple[str, float]:
     """Report row of one grid at shift ``s`` (None: the grid's mid conductivity), and its Lemma-1 ratio."""
+    emp = empirical_phase_set(grid)
     if s is None:
-        emp = empirical_phase_set(grid)
         s = 0.5 * (emp.inf_sigma + emp.sup_sigma)
     pf = build_optimal_potential(grid, s)
     osc = float(pf.theta.max() - pf.theta.min())
-    osc_closed = oscillation_closed_form(grid, s)
+    osc_closed = oscillation_closed_form(emp, s)
     field = traceless_hessian(pf)
     # 2D: the row [a, b] of [[a, b], [b, -a]] gives the full stack's norm and fit
     # and half its Frobenius mass 2 (a^2 + b^2); 3D: all nine components
@@ -442,10 +442,9 @@ def run_replay(options: dict) -> int:
     if command not in _RUNNERS:
         raise ConfigError(f"manifest has unknown command {command!r}")
     for key in sorted(_RETIRED_OPTIONS.keys() & recorded.keys()):
-        if recorded[key] != _RETIRED_OPTIONS[key]:
-            raise ConfigError(
-                f"manifest records the removed option {key}={recorded[key]!r}; only {_RETIRED_OPTIONS[key]!r} replays"
-            )
+        value, fixed = recorded[key], _RETIRED_OPTIONS[key]
+        if type(value) is not type(fixed) or value != fixed:  # 1 is not true, nor 64.0 the int 64
+            raise ConfigError(f"manifest records the removed option {key}={value!r}; only {fixed!r} replays")
     actions = build_parser()._option_actions[command]
     missing = sorted(actions.keys() - recorded.keys())
     if missing:
@@ -506,7 +505,6 @@ def build_parser() -> _Parser:
     p.add_argument("--mu3-max", dest="mu3_max", type=float, default=1e-1)
     p.add_argument("--mu3-min", dest="mu3_min", type=float, default=1e-6)
     p.add_argument("--points", type=int, default=6)
-    p.add_argument("--no-zero-row", dest="include_zero", action="store_false")
     _add_bound_flags(p)
     p.add_argument("--out")
 

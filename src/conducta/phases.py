@@ -23,6 +23,7 @@ from .errors import ConfigError
 __all__ = [
     "PhaseSet",
     "shifted_harmonic_L",
+    "oscillation_closed_form",
     "tail_integral",
     "distribution_weight",
     "parse_phase_config",
@@ -114,12 +115,24 @@ def shifted_harmonic_L(ps: PhaseSet, S: float) -> float:
     """Harmonic mean of sigma + (n-1) S over the cube.
 
     Lies between inf sigma + (n-1)S and sup sigma + (n-1)S and increases
-    with S.
+    with S.  Raises ValueError when S is not finite and nonnegative, or when
+    sup sigma + (n-1) S overflows.
     """
     if not 0.0 <= S < math.inf:
         raise ValueError(f"S must be finite and nonnegative, got {S}")
-    shift = (ps.dimension - 1) * S
+    n = ps.dimension
+    shift = (n - 1) * S
+    if not math.isfinite(ps.sup_sigma + shift):
+        raise ValueError(f"S = {S:.12g} overflows in dimension n = {n}: sup sigma + (n-1) S is not finite")
     return 1.0 / math.fsum(m / (s + shift) for s, m in zip(ps.conductivities, ps.fractions))
+
+
+def oscillation_closed_form(ps: PhaseSet, S: float) -> float:
+    """osc theta = n L osc sigma / ((inf sigma + (n-1)S)(sup sigma + (n-1)S)),
+    evaluated as n (L / w_lo) (osc sigma / w_hi) so that no product overflows."""
+    n, L = ps.dimension, shifted_harmonic_L(ps, S)
+    shift = (n - 1) * S
+    return n * (L / (ps.inf_sigma + shift)) * (ps.osc_sigma / (ps.sup_sigma + shift))
 
 
 def tail_integral(ps: PhaseSet, S: float) -> float:

@@ -14,7 +14,7 @@ from conducta.bounds import (
     three_phase_refined,
     trivial_upper,
 )
-from conducta.phases import PhaseSet, shifted_harmonic_L, tail_integral
+from conducta.phases import PhaseSet, oscillation_closed_form, shifted_harmonic_L, tail_integral
 
 from conftest import phase_sets
 
@@ -118,6 +118,21 @@ class TestTheorem1:
         for S in (0.0, math.inf, math.nan):
             with pytest.raises(ValueError, match="finite and positive"):
                 theorem1_upper(THREE, S)
+
+    @pytest.mark.parametrize("C", [1.0, 0.3])
+    @pytest.mark.parametrize("ps", [THREE, TWO_14], ids=["three-3d", "two-2d"])
+    def test_full_E_is_C_osc_theta_over_n_squared_times_tail(self, ps, C):
+        n = ps.dimension
+        for S in (0.5, 1.0, 2.5, 3.9):
+            r = oscillation_closed_form(ps, S) / n
+            E = theorem1_upper(ps, S, BoundConfig(C=C, use_simplified_E=False)).E_term
+            assert E == C * r * r * tail_integral(ps, S)
+
+    def test_rejects_a_shift_whose_sum_overflows(self):
+        # (n-1) S = 2e308 made the harmonic sum 0, a ZeroDivisionError
+        for cfg in (BoundConfig(), BoundConfig(use_simplified_E=False)):
+            with pytest.raises(ValueError, match="S = 1e\\+308 overflows in dimension n = 3"):
+                theorem1_upper(THREE, 1e308, cfg)
 
     def test_full_E_below_simplified(self):
         full = theorem1_upper(THREE, 2.0, BoundConfig(use_simplified_E=False))
@@ -235,6 +250,11 @@ class TestMiltonGap:
         ps2 = PhaseSet.from_pairs((1.0, 2.0), (0.5, 0.5), 3)
         with pytest.raises(ValueError, match=f"sigma3 must be finite.*got {sigma3}"):
             milton_gap(ps2, sigma3)
+
+    def test_rejects_a_sigma3_whose_shift_overflows(self):
+        ps2 = PhaseSet.from_pairs((1.0, 2.0), (0.5, 0.5), 3)
+        with pytest.raises(ValueError, match="S = 1e\\+308 overflows in dimension n = 3"):
+            milton_gap(ps2, 1e308)
 
     def test_monotone_in_sigma3(self):
         # sweep sigma3 over [sigma2, 10 sigma2]

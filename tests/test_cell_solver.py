@@ -16,7 +16,6 @@ from conducta.cell_solver import (
     build_optimal_potential,
     constructive_upper,
     constructive_value,
-    oscillation_closed_form,
     solve_effective_tensor,
     traceless_hessian,
 )
@@ -28,7 +27,7 @@ from conducta.microstructure import (
     generate_laminate,
     generate_random,
 )
-from conducta.phases import PhaseSet, shifted_harmonic_L
+from conducta.phases import PhaseSet, oscillation_closed_form, shifted_harmonic_L
 from conducta.spectral import half_wavenumbers
 
 from conftest import random_phase_set
@@ -204,6 +203,28 @@ class TestEffectiveTensor:
             solve_effective_tensor(VoxelGrid(idx, (1.0, 1e150)))
         assert err.value.iterations == 0
 
+    def test_underflowing_right_hand_side_norm_names_the_range(self):
+        # at (1e-170, 2e-170) the squared norm of the right-hand side is 0 and
+        # CG returned a zero corrector: sigma_bar was the arithmetic mean,
+        # 1.5351 lo against 1.4507 lo, after 0 iterations with residual 0
+        idx = np.random.default_rng(0).integers(0, 2, (32, 32)).astype(np.uint8)
+        message = "cell solve for direction 0 on conductivities in [1e-170, 2e-170] underflows"
+        with pytest.raises(ConvergenceError, match=re.escape(message)) as err:
+            solve_effective_tensor(VoxelGrid(idx, (1e-170, 2e-170)))
+        assert err.value.iterations == 0
+
+    def test_nyquist_checkerboard_right_hand_side_is_exactly_zero(self):
+        # sigma varies only at the Nyquist mode, which the first-derivative multipliers zero
+        i, j = np.indices((8, 8))
+        t = solve_effective_tensor(VoxelGrid(((i + j) % 2).astype(np.uint8), (1e-170, 2e-170)))
+        assert t.iterations == (0, 0) and t.residuals == (0.0, 0.0)
+        assert t.sigma_bar == 1.5e-170
+
+    def test_tiny_conductivities_scale_out(self):
+        idx = np.random.default_rng(0).integers(0, 2, (32, 32)).astype(np.uint8)
+        ratios = [solve_effective_tensor(VoxelGrid(idx, (lo, 2 * lo))).sigma_bar / lo for lo in (1.0, 1e-150)]
+        assert ratios[1] == pytest.approx(ratios[0], rel=1e-15, abs=0.0)
+
     def test_non_finite_residual_stops_cg_at_once(self):
         calls = []
 
@@ -329,7 +350,15 @@ class TestOptimalPotential:
         assert pf.theta[sigma == 1.0] == pytest.approx(0.4, rel=1e-12)
         assert pf.theta[sigma == 2.0] == pytest.approx(-0.4, rel=1e-12)
         assert (pf.theta.max() - pf.theta.min()) == pytest.approx(0.8, rel=1e-12)
-        assert oscillation_closed_form(g, 1.0) == pytest.approx(0.8, rel=1e-12)
+        assert oscillation_closed_form(empirical_phase_set(g), 1.0) == pytest.approx(0.8, rel=1e-12)
+
+    @pytest.mark.parametrize("shape, S", [((32, 32), 2.5), ((8, 16, 8), 0.7)])
+    def test_theta_uses_the_phase_set_L(self, shape, S):
+        n = len(shape)
+        g = generate_random(PhaseSet.from_pairs((1.0, 4.0, 9.0), (0.3, 0.5, 0.2), n), shape, seed=9)
+        L = shifted_harmonic_L(empirical_phase_set(g), S)
+        theta = n * L / (g.conductivity_field() + (n - 1) * S) - n
+        assert np.array_equal(build_optimal_potential(g, S).theta, theta)
 
     def test_theta_zero_mean_and_p_zero_frequency(self):
         g = generate_random(TWO_14, (32, 32), seed=2)
@@ -382,7 +411,8 @@ class TestOptimalPotential:
         g = generate_random(PhaseSet.from_pairs((1.0, 2.0, 5.0), (0.4, 0.4, 0.2), 2), (32, 32), seed=8)
         for S in (1.0, 3.0, 5.0):
             pf = build_optimal_potential(g, S)
-            assert abs((pf.theta.max() - pf.theta.min()) - oscillation_closed_form(g, S)) < 1e-10
+            osc = pf.theta.max() - pf.theta.min()
+            assert abs(osc - oscillation_closed_form(empirical_phase_set(g), S)) < 1e-10
 
     def test_oscillation_closed_form_at_huge_conductivities(self):
         # n L osc sigma and the product of the two shifted extremes overflowed
@@ -391,7 +421,8 @@ class TestOptimalPotential:
         g = VoxelGrid(idx, (1.0, 1e200))
         S = 5e199
         pf = build_optimal_potential(g, S)
-        assert oscillation_closed_form(g, S) == pytest.approx(float(pf.theta.max() - pf.theta.min()), rel=1e-12)
+        osc = float(pf.theta.max() - pf.theta.min())
+        assert oscillation_closed_form(empirical_phase_set(g), S) == pytest.approx(osc, rel=1e-12)
 
     @pytest.mark.parametrize("hi", [1e308, 1e305])
     def test_potential_overflow_names_the_range(self, hi):

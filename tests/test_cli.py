@@ -191,6 +191,18 @@ class TestSolveCommand:
             "error: cell solve overflows on conductivities in [1, 1e+308] (residual nan after 0 iterations)\n"
         )
 
+    def test_underflow_exit_two(self, tmp_path, capsys):
+        # the squared right-hand side norm underflowed to 0 and solve printed
+        # the arithmetic mean as sigma_bar after 0 iterations, exit 0
+        p = tmp_path / "tiny.cnda"
+        idx = np.random.default_rng(0).integers(0, 2, (32, 32)).astype(np.uint8)
+        save_grid(VoxelGrid(idx, (1e-170, 2e-170)), p)
+        assert main(["solve", "--grid", str(p)]) == 2
+        assert capsys.readouterr().err == (
+            "error: cell solve for direction 0 on conductivities in [1e-170, 2e-170] underflows:"
+            " the right-hand side norm is 0 (residual nan after 0 iterations)\n"
+        )
+
     def test_nonconvergence_exit_two(self, tmp_path, capsys):
         ps = PhaseSet.from_pairs((1.0, 4.0), (0.5, 0.5), 2)
         grid_path = tmp_path / "rnd.cnda"
@@ -448,7 +460,9 @@ class TestReplayManifests:
         assert self.replay(tmp_path, manifest) == 0
         assert out.read_bytes() == first
 
-    @pytest.mark.parametrize("key,value", [("search_points", 32), ("S_tolerance", 1e-3), ("search_points", "64")])
+    @pytest.mark.parametrize(
+        "key,value", [("search_points", 32), ("S_tolerance", 1e-3), ("search_points", "64"), ("search_points", 64.0)]
+    )
     def test_retired_search_keys_at_other_values_exit_one(self, key, value, bounds_manifest, tmp_path, capsys):
         _, manifest = bounds_manifest
         manifest["options"][key] = value
@@ -469,6 +483,27 @@ class TestReplayManifests:
         else:
             assert "sample_levels" in capsys.readouterr().err and not out.exists()
 
+    @pytest.mark.parametrize("value,code", [(True, 0), (False, 1), (None, 1), (1, 1)])
+    def test_retired_include_zero(self, value, code, three_cfg, tmp_path, capsys):
+        # sweep always writes the mu3 = 0 row since --no-zero-row was removed
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--config", three_cfg, "--points", "2", "--out", str(out)]) == 0
+        first = out.read_bytes()
+        manifest = json.loads((tmp_path / "s.csv.manifest.json").read_text())
+        manifest["options"]["include_zero"] = value
+        out.unlink()
+        capsys.readouterr()
+        assert self.replay(tmp_path, manifest) == code
+        err = capsys.readouterr().err
+        if code == 0:
+            assert out.read_bytes() == first and err == ""
+        else:
+            assert "removed option include_zero=" in err and "Traceback" not in err and not out.exists()
+
+    def test_no_zero_row_flag_is_gone(self, three_cfg, capsys):
+        assert main(["sweep", "--config", three_cfg, "--no-zero-row"]) == 1
+        assert "--no-zero-row" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "command,key,value",
         [
@@ -486,7 +521,6 @@ class TestReplayManifests:
             ("sweep", "points", 2.5),
             ("sweep", "points", True),
             ("sweep", "mu3_max", "0.1"),
-            ("sweep", "include_zero", None),
             ("solve", "grid", None),
             ("solve", "max_iterations", 10.0),
             ("solve", "tolerance", "1e-8"),
@@ -593,6 +627,34 @@ class TestNonFiniteInputs:
         assert main([argv[0], *base, *argv[1:]]) == 1
         assert capsys.readouterr().err.startswith("error: ")
         assert solves == []
+
+
+class TestShiftOverflow:
+    MESSAGE = "error: S = 1e+308 overflows in dimension n = 3: sup sigma + (n-1) S is not finite\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["bounds", "--config", "{cfg}"],
+        ["solve", "--grid", "{grid}"],
+        ["bmo", "--grid", "{grid}"],
+        ["bmo", "--dim", "3", "--shape", "4"],
+    ])
+    def test_shift_exit_one_before_any_solve(self, argv, three_cfg, tmp_path, monkeypatch, capsys):
+        # (n-1) S = 2e308 was a ZeroDivisionError traceback, after the whole cell solve for solve
+        solves = []
+        monkeypatch.setattr(cli, "solve_effective_tensor", lambda *args: solves.append(args))
+        grid = tmp_path / "g3.cnda"
+        save_grid(generate_random(PhaseSet.from_pairs((1.0, 4.0), (0.5, 0.5), 3), (4, 4, 4), seed=0), grid)
+        assert main([a.format(cfg=three_cfg, grid=grid) for a in argv] + ["--S", "1e308"]) == 1
+        assert capsys.readouterr().err == self.MESSAGE
+        assert solves == []
+
+    @pytest.mark.parametrize("flags", [[], ["--full-E"], ["--S", "2"]])
+    def test_huge_phase_exit_one(self, flags, tmp_path, capsys):
+        # the HS row at S = sup sigma = 1e308 was a ZeroDivisionError traceback
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text("dimension = 3\nphase = 1 0.5\nphase = 1e308 0.5\n")
+        assert main(["bounds", "--config", str(cfg), *flags]) == 1
+        assert capsys.readouterr().err == self.MESSAGE
 
 
 def load_bench_workloads(monkeypatch):

@@ -1,10 +1,15 @@
-"""No conducta module imports a private (underscore) name from another.
+"""No conducta module imports a private (underscore) name from another, and
+the closed forms stay grid-free.
 
 A private name is free to change with its own module; a second module that
 imports it would silently depend on it.  Shared helpers are public names.
+``phases`` and ``bounds`` hold every closed form of the phase set; they import
+only the standard library, ``conducta.phases`` and ``conducta.errors``, so no
+numpy array or voxel grid can reach them.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import conducta
@@ -43,3 +48,47 @@ def test_private_imports_are_found():
         "from numpy.fft import _pocketfft\n"
     )
     assert private_imports(source) == [".cell_solver._distinct", "conducta.bmo._centered"]
+
+
+GRID_FREE = ("phases.py", "bounds.py")  # the closed forms of the phase set
+GRID_FREE_IMPORTS = {"conducta.phases", "conducta.errors"}
+
+
+def non_stdlib_imports(source: str) -> list[str]:
+    """Every module ``source`` imports that is neither standard library nor conducta.phases / conducta.errors."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            modules = [node.module]
+        elif isinstance(node, ast.ImportFrom):  # relative: a conducta module, or ``from . import name``
+            modules = [f"conducta.{node.module}"] if node.module else [f"conducta.{a.name}" for a in node.names]
+        else:
+            continue
+        found.extend(
+            m for m in modules if m not in GRID_FREE_IMPORTS and m.split(".")[0] not in sys.stdlib_module_names
+        )
+    return found
+
+
+def test_closed_forms_import_no_grid():
+    offenders = {name: non_stdlib_imports((PACKAGE / name).read_text(encoding="utf-8")) for name in GRID_FREE}
+    assert offenders == {name: [] for name in GRID_FREE}
+
+
+def test_non_stdlib_imports_are_found():
+    source = (
+        "from __future__ import annotations\n"
+        "import math, numpy as np\n"
+        "from dataclasses import dataclass\n"
+        "from .phases import PhaseSet\n"
+        "from .errors import ConfigError\n"
+        "from .microstructure import VoxelGrid\n"
+        "from . import cell_solver\n"
+        "from conducta.bmo import bmo_norm\n"
+        "import scipy.special\n"
+    )
+    assert non_stdlib_imports(source) == [
+        "numpy", "conducta.microstructure", "conducta.cell_solver", "conducta.bmo", "scipy.special"
+    ]

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from conducta.errors import ConfigError
 from conducta.phases import (
     PhaseSet,
     distribution_weight,
+    oscillation_closed_form,
     parse_phase_config,
     shifted_harmonic_L,
     tail_integral,
@@ -145,6 +147,18 @@ class TestShiftedHarmonicL:
         with pytest.raises(ValueError, match=f"finite and nonnegative, got {S}"):
             shifted_harmonic_L(THREE, S)
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_rejects_a_shift_whose_sum_overflows(self, n):
+        # an infinite sup sigma + (n-1) S made the harmonic sum 0 or subnormal:
+        # a ZeroDivisionError, or L = inf
+        ps = PhaseSet.from_pairs((1.0, 1e308), (0.5, 0.5), n)
+        with pytest.raises(ValueError, match=re.escape(f"S = 1e+308 overflows in dimension n = {n}")):
+            shifted_harmonic_L(ps, 1e308)
+
+    def test_a_finite_sum_near_the_range_is_accepted(self):
+        ps = PhaseSet.from_pairs((1.0, 2.0), (0.5, 0.5), 3)
+        assert math.isfinite(shifted_harmonic_L(ps, 8e307))
+
     @given(phase_sets(), st.floats(0.0, 40.0))
     def test_bounds_and_range(self, ps, S):
         L = shifted_harmonic_L(ps, S)
@@ -170,6 +184,14 @@ class TestShiftedHarmonicL:
         assert shifted_harmonic_L(merged, 1.0) == pytest.approx(
             shifted_harmonic_L(ps, 1.0), rel=1e-12
         )
+
+
+class TestOscillationClosedForm:
+    @given(phase_sets(), st.floats(0.0, 40.0))
+    def test_is_the_spread_of_theta_over_the_phases(self, ps, S):
+        n, L = ps.dimension, shifted_harmonic_L(ps, S)
+        theta = [n * L / (s + (n - 1) * S) - n for s in ps.conductivities]
+        assert oscillation_closed_form(ps, S) == pytest.approx(max(theta) - min(theta), rel=1e-12, abs=1e-12)
 
 
 class TestTailIntegral:
