@@ -24,7 +24,6 @@ from .bounds import (
 from .cell_solver import (
     EffectiveTensor,
     PotentialField,
-    SolverConfig,
     build_optimal_potential,
     constructive_value,
     solve_effective_tensor,
@@ -53,7 +52,6 @@ __all__ = [
     "GridFormatError",
     "PhaseSet",
     "PotentialField",
-    "SolverConfig",
     "VoxelGrid",
     "bmo_norm",
     "build_optimal_potential",

@@ -11,6 +11,9 @@ over grid potentials.  Conjugate gradients run in Fourier space on the
 transform, the Green operator of a homogeneous reference medium is a
 diagonal multiply by 1 / (sigma_0 |k|^2), and only the operator
 -div(sigma grad .) visits real space, with 2n real transforms per iteration.
+Each direction stops at one fixed target, a relative residual of 1e-8
+(_RELATIVE_TOLERANCE); the only setting of the solve is how many iterations
+it may take before it gives up.
 The reported tensor uses the energy bilinear form, which is variationally
 one-sided; the mismatch against the flux average is kept as a convergence
 diagnostic.
@@ -65,7 +68,6 @@ from .phases import shifted_harmonic_L
 from .spectral import half_wavenumbers
 
 __all__ = [
-    "SolverConfig",
     "EffectiveTensor",
     "PotentialField",
     "solve_effective_tensor",
@@ -74,6 +76,9 @@ __all__ = [
     "constructive_value",
     "traceless_hessian",
 ]
+
+_RELATIVE_TOLERANCE = 1e-8  # CG stops once |r| / |b| is at most this, in every direction
+
 
 def _subnyquist_mask(shape: tuple[int, ...]) -> np.ndarray:
     """Half-spectrum modes with no Nyquist component, excluding the mean."""
@@ -99,18 +104,6 @@ def _overflow_raises(make_error):
 
 def _range(sigma: np.ndarray) -> str:
     return f"[{float(sigma.min()):.12g}, {float(sigma.max()):.12g}]"
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    relative_tolerance: float = 1e-8
-    max_iterations: int = 1000
-
-    def __post_init__(self):
-        if not 0.0 < self.relative_tolerance < 1.0:
-            raise ValueError(f"relative_tolerance must be in (0, 1), got {self.relative_tolerance}")
-        if self.max_iterations < 1:
-            raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
 
 
 @dataclass(frozen=True)
@@ -170,7 +163,7 @@ def _half_spectrum_dot(shape: tuple[int, ...]):
     return dot
 
 
-def _spectral_cg(apply_op, green: np.ndarray, dot, b: np.ndarray, rel_tol: float, max_iter: int, label: str):
+def _spectral_cg(apply_op, green: np.ndarray, dot, b: np.ndarray, max_iter: int, label: str):
     """Green-preconditioned conjugate gradients on half spectra; returns (x, iterations, residual).
 
     Raises ConvergenceError after max_iter iterations, as soon as a residual
@@ -197,7 +190,7 @@ def _spectral_cg(apply_op, green: np.ndarray, dot, b: np.ndarray, rel_tol: float
         x += alpha * p
         r -= alpha * ap
         residual = float(np.sqrt(dot(r, r))) / b_norm
-        if residual <= rel_tol:
+        if residual <= _RELATIVE_TOLERANCE:
             return x, it, residual
         if not math.isfinite(residual):
             raise ConvergenceError(f"cell solve for {label} hit a non-finite residual", residual, it)
@@ -208,16 +201,18 @@ def _spectral_cg(apply_op, green: np.ndarray, dot, b: np.ndarray, rel_tol: float
     raise ConvergenceError(f"cell solve for {label} did not converge", residual, max_iter)
 
 
-def solve_effective_tensor(grid: VoxelGrid, config: SolverConfig | None = None) -> EffectiveTensor:
+def solve_effective_tensor(grid: VoxelGrid, *, max_iterations: int = 1000) -> EffectiveTensor:
     """Effective tensor of the grid by Fourier-preconditioned CG.
 
     A homogeneous grid needs no correction: the right-hand side vanishes and
     the solve returns after zero iterations with A = sigma I exactly.
-    Raises ConvergenceError when max_iterations is hit, and one that names
-    the conductivity range when a value overflows or the right-hand side
-    norm underflows.
+    Raises ValueError when max_iterations is below 1, ConvergenceError when
+    a direction has not reached the fixed target after max_iterations, and
+    one that names the conductivity range when a value overflows or the
+    right-hand side norm underflows.
     """
-    config = config or SolverConfig()
+    if max_iterations < 1:
+        raise ValueError(f"max_iterations must be >= 1, got {max_iterations}")
     sigma = grid.conductivity_field()
     with _overflow_raises(
         lambda: ConvergenceError(f"cell solve overflows on conductivities in {_range(sigma)}", math.nan, 0)
@@ -258,8 +253,7 @@ def solve_effective_tensor(grid: VoxelGrid, config: SolverConfig | None = None) 
                 green,
                 dot,
                 1j * ks[i] * sigma_hat,
-                config.relative_tolerance,
-                config.max_iterations,
+                max_iterations,
                 label=f"direction {i} on conductivities in [{lo:.12g}, {hi:.12g}]",
             )
             grads = [gradient(u_hat, k, np.empty(shape)) for k in ks]

@@ -22,10 +22,10 @@ class GridFormatError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """Iterative solve failed to reach the requested tolerance.
+    """Iterative solve failed to reach its target residual.
 
     The last relative residual and the iteration count are kept so callers
-    can report or retry with a looser setup.
+    can report them or retry with a higher iteration cap.
     """
 
     def __init__(self, message: str, residual: float, iterations: int):

@@ -8,7 +8,6 @@ import pytest
 from conducta import cell_solver
 from conducta.cell_solver import (
     EffectiveTensor,
-    SolverConfig,
     _half_spectrum_dot,
     _irfftn_into,
     _spectral_cg,
@@ -41,10 +40,13 @@ def homogeneous(c=3.0, shape=(8, 8)):
 
 class TestSolverConfig:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            SolverConfig(relative_tolerance=0.0)
-        with pytest.raises(ValueError):
-            SolverConfig(max_iterations=0)
+        # the iteration cap is the solve's only setting, and keyword-only:
+        # a positional argument fails instead of being read as a cap
+        g = homogeneous()
+        with pytest.raises(ValueError, match="max_iterations must be >= 1, got 0"):
+            solve_effective_tensor(g, max_iterations=0)
+        with pytest.raises(TypeError):
+            solve_effective_tensor(g, 5)
 
     def test_result_arrays_are_read_only(self):
         g = generate_random(TWO_14, (8, 8), seed=2)
@@ -146,7 +148,7 @@ class TestEffectiveTensor:
     def test_high_contrast_converges(self):
         ps = PhaseSet.from_pairs((1.0, 100.0), (0.5, 0.5), 2)
         g = generate_random(ps, (32, 32), seed=0)
-        t = solve_effective_tensor(g, SolverConfig(max_iterations=400))
+        t = solve_effective_tensor(g, max_iterations=400)
         assert max(t.iterations) <= 400
         assert all(r <= 1e-8 for r in t.residuals)
         emp = empirical_phase_set(g)
@@ -177,13 +179,13 @@ class TestEffectiveTensor:
 
     def test_flux_discrepancy_small_at_convergence(self):
         g = generate_random(TWO_14, (32, 32), seed=1)
-        t = solve_effective_tensor(g, SolverConfig(relative_tolerance=1e-10))
+        t = solve_effective_tensor(g)
         assert t.flux_discrepancy < 1e-8
 
     def test_nonconvergence_raises_with_residual(self):
         g = generate_random(TWO_14, (32, 32), seed=1)
         with pytest.raises(ConvergenceError) as err:
-            solve_effective_tensor(g, SolverConfig(relative_tolerance=1e-14, max_iterations=2))
+            solve_effective_tensor(g, max_iterations=2)
         assert err.value.iterations == 2
         assert err.value.residual > 0.0
 
@@ -234,7 +236,7 @@ class TestEffectiveTensor:
 
         b = np.ones((4, 3), dtype=complex)
         with pytest.raises(ConvergenceError, match="non-finite residual") as err:
-            _spectral_cg(nan_operator, np.ones((4, 3)), _half_spectrum_dot((4, 4)), b, 1e-8, 1000, "nan")
+            _spectral_cg(nan_operator, np.ones((4, 3)), _half_spectrum_dot((4, 4)), b, 1000, "nan")
         assert err.value.iterations == 1 and len(calls) == 1
 
 

@@ -1,4 +1,6 @@
+import argparse
 import importlib.util
+import inspect
 import json
 import math
 import sys
@@ -8,6 +10,7 @@ import numpy as np
 import pytest
 
 from conducta import cli
+from conducta.cell_solver import solve_effective_tensor
 from conducta.cli import build_parser, main
 from conducta.microstructure import VoxelGrid, generate_laminate, generate_random, save_grid
 from conducta.phases import PhaseSet
@@ -207,8 +210,7 @@ class TestSolveCommand:
         ps = PhaseSet.from_pairs((1.0, 4.0), (0.5, 0.5), 2)
         grid_path = tmp_path / "rnd.cnda"
         save_grid(generate_random(ps, (32, 32), seed=0), grid_path)
-        code = main(["solve", "--grid", str(grid_path),
-                     "--tolerance", "1e-14", "--max-iterations", "2"])
+        code = main(["solve", "--grid", str(grid_path), "--max-iterations", "2"])
         assert code == 2
         assert "did not converge" in capsys.readouterr().err
 
@@ -500,6 +502,49 @@ class TestReplayManifests:
         else:
             assert "removed option include_zero=" in err and "Traceback" not in err and not out.exists()
 
+    @pytest.mark.parametrize(
+        "command,value,code",
+        [
+            ("solve", 1e-8, 0),
+            ("verify", 1e-8, 0),
+            ("solve", 1e-10, 1),
+            ("solve", "1e-8", 1),
+            ("verify", None, 1),
+            ("verify", True, 1),
+        ],
+    )
+    def test_retired_tolerance(self, command, value, code, three_cfg, tmp_path, capsys):
+        # --tolerance was removed: every cell solve stops at relative residual 1e-8
+        out = tmp_path / "run.out"
+        assert main([*COMMAND_ARGV[command](three_cfg, tmp_path), "--out", str(out)]) == 0
+        first = out.read_bytes()
+        manifest = json.loads((tmp_path / "run.out.manifest.json").read_text())
+        manifest["options"]["tolerance"] = value
+        out.unlink()
+        capsys.readouterr()
+        assert self.replay(tmp_path, manifest) == code
+        err = capsys.readouterr().err
+        if code == 0:
+            assert out.read_bytes() == first
+        else:
+            assert "removed option tolerance=" in err and "Traceback" not in err and not out.exists()
+
+    @pytest.mark.parametrize("command", ["solve", "verify"])
+    def test_tolerance_flag_is_gone(self, command, three_cfg, tmp_path, capsys):
+        assert main([*COMMAND_ARGV[command](three_cfg, tmp_path), "--tolerance", "1e-8"]) == 1
+        assert "--tolerance" in capsys.readouterr().err
+
+    def test_retired_options_are_not_live(self):
+        # replay would pin a retired key to one value even if its flag came back
+        (commands,) = [a.choices for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        live = {a.dest for command in commands.values() for a in command._actions}
+        assert live.isdisjoint(cli._RETIRED_OPTIONS)
+
+    def test_max_iterations_default_is_the_solvers(self):
+        default = inspect.signature(solve_effective_tensor).parameters["max_iterations"].default
+        actions = build_parser()._option_actions
+        assert actions["solve"]["max_iterations"].default == actions["verify"]["max_iterations"].default == default
+
     def test_no_zero_row_flag_is_gone(self, three_cfg, capsys):
         assert main(["sweep", "--config", three_cfg, "--no-zero-row"]) == 1
         assert "--no-zero-row" in capsys.readouterr().err
@@ -523,8 +568,6 @@ class TestReplayManifests:
             ("sweep", "mu3_max", "0.1"),
             ("solve", "grid", None),
             ("solve", "max_iterations", 10.0),
-            ("solve", "tolerance", "1e-8"),
-            ("verify", "tolerance", None),
             ("verify", "full_E", 0),
             ("verify", "mode", "grid"),
             ("verify", "mode", None),
@@ -622,11 +665,22 @@ class TestNonFiniteInputs:
     def test_rejected_before_any_solve(self, argv, tmp_path, monkeypatch, capsys):
         # each of these ran a whole cell solve (the first grid's, for verify) before exiting 1
         solves = []
-        monkeypatch.setattr(cli, "solve_effective_tensor", lambda *args: solves.append(args))
+        monkeypatch.setattr(cli, "solve_effective_tensor", lambda *args, **kwargs: solves.append(args))
         base = ["--grid", small_grid(tmp_path)] if argv[0] == "solve" else ["--count", "2", "--shape", "8"]
         assert main([argv[0], *base, *argv[1:]]) == 1
         assert capsys.readouterr().err.startswith("error: ")
         assert solves == []
+
+    @pytest.mark.parametrize("command,cap", [("solve", "0"), ("verify", "-1")])
+    def test_iteration_cap_below_one_exit_one(self, command, cap, tmp_path, monkeypatch, capsys):
+        # checked before the cell solve, and for verify before the first grid is drawn
+        solves, drawn = [], []
+        monkeypatch.setattr(cli, "solve_effective_tensor", lambda *args, **kwargs: solves.append(args))
+        monkeypatch.setattr(cli, "_corpus_grid", lambda *args: drawn.append(args))
+        base = ["--grid", small_grid(tmp_path)] if command == "solve" else ["--count", "2", "--shape", "8"]
+        assert main([command, *base, "--max-iterations", cap]) == 1
+        assert capsys.readouterr().err == f"error: max_iterations must be >= 1, got {cap}\n"
+        assert solves == drawn == []
 
 
 class TestShiftOverflow:
@@ -639,14 +693,16 @@ class TestShiftOverflow:
         ["bmo", "--dim", "3", "--shape", "4"],
     ])
     def test_shift_exit_one_before_any_solve(self, argv, three_cfg, tmp_path, monkeypatch, capsys):
-        # (n-1) S = 2e308 was a ZeroDivisionError traceback, after the whole cell solve for solve
-        solves = []
-        monkeypatch.setattr(cli, "solve_effective_tensor", lambda *args: solves.append(args))
+        # (n-1) S = 2e308 was a ZeroDivisionError traceback, after the whole cell solve for solve;
+        # a bmo corpus drew its first grid before failing
+        solves, drawn = [], []
+        monkeypatch.setattr(cli, "solve_effective_tensor", lambda *args, **kwargs: solves.append(args))
+        monkeypatch.setattr(cli, "_corpus_grid", lambda *args: drawn.append(args))
         grid = tmp_path / "g3.cnda"
         save_grid(generate_random(PhaseSet.from_pairs((1.0, 4.0), (0.5, 0.5), 3), (4, 4, 4), seed=0), grid)
         assert main([a.format(cfg=three_cfg, grid=grid) for a in argv] + ["--S", "1e308"]) == 1
         assert capsys.readouterr().err == self.MESSAGE
-        assert solves == []
+        assert solves == drawn == []
 
     @pytest.mark.parametrize("flags", [[], ["--full-E"], ["--S", "2"]])
     def test_huge_phase_exit_one(self, flags, tmp_path, capsys):
