@@ -111,7 +111,8 @@ def _theorem1_terms(ps: PhaseSet, S: float, cfg: BoundConfig) -> tuple[float, fl
     """(H, E, L) at S; H(S) = -(n-1) S + L(S) is nondecreasing in S and below the arithmetic mean."""
     shift = (ps.dimension - 1) * S
     L = shifted_harmonic_L(ps, S)
-    H = -shift + L
+    # -(n-1) S + L as the weighted mean of sigma it equals, which cancels no digits when (n-1) S >> H
+    H = L * math.fsum(m * s / (s + shift) for s, m in zip(ps.conductivities, ps.fractions))
     tail = tail_integral(ps, S)
     # osc theta / n, or its simplified form; squared only once divided, so no product overflows
     r = ps.osc_sigma / (ps.inf_sigma + shift) if cfg.use_simplified_E else oscillation_closed_form(ps, S) / ps.dimension

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -90,6 +91,23 @@ class TestHTermAndHS:
     @given(phase_sets(), st.floats(0.0, 10.0), st.floats(1e-6, 10.0))
     def test_h_term_nondecreasing(self, ps, S, dS):
         assert h_term(ps, S + dS) >= h_term(ps, S) - 1e-10
+
+
+    @given(phase_sets(), st.floats(0.0, 1e300, exclude_min=True))
+    def test_h_term_is_a_weighted_mean_of_sigma(self, ps, S):
+        # as -(n-1) S + L, H lost every digit at large S and went negative
+        H = h_term(ps, S)
+        am = trivial_upper(ps).value
+        assert ps.inf_sigma - 4 * math.ulp(ps.inf_sigma) <= H <= am + 4 * math.ulp(am)
+
+    @pytest.mark.parametrize("S", [1e300, 9.99999999998e299])
+    def test_h_term_at_a_huge_shift_is_exact_to_round_off(self, S):
+        # the sweep's mu3 = 1e-6 row on (1, 2, 1e300); -(n-1) S + L was 1e-10 off
+        ps = PhaseSet.from_pairs((1.0, 2.0, 1e300), (0.5 * (1 - 1e-6), 0.5 * (1 - 1e-6), 1e-6), 3)
+        shift = 2 * Fraction(S)
+        pairs = [(Fraction(s), Fraction(m)) for s, m in zip(ps.conductivities, ps.fractions)]
+        exact = sum(m * s / (s + shift) for s, m in pairs) / sum(m / (s + shift) for s, m in pairs)
+        assert abs(Fraction(h_term(ps, S)) - exact) <= Fraction(1e-15) * exact
 
 
 class TestTheorem1:

@@ -57,6 +57,12 @@ class TestBoundsCommand:
         out = capsys.readouterr().out
         assert out.count("theorem1_simplified") == 2  # user S row + optimizer row
 
+    def test_huge_user_S_row_is_the_arithmetic_mean(self, three_cfg, capsys):
+        # H = -(n-1) S + L cancelled every digit: the row printed -2.97403381696e+284
+        assert main(["bounds", "--config", three_cfg, "--S", "1e300", "--full-E"]) == 0
+        (row,) = [line.split() for line in capsys.readouterr().out.splitlines() if "1e+300" in line]
+        assert row[:5] == ["theorem1", "2.2", "1e+300", "2.2", "0"]
+
     def test_malformed_fractions_exit_one(self, tmp_path, capsys):
         p = tmp_path / "bad.cfg"
         p.write_text("dimension = 3\nphase = 1 0.5\nphase = 2 0.4\n")
