@@ -99,7 +99,7 @@ def _bound_cfg(options: dict) -> BoundConfig:
 
 
 def _max_iterations(options: dict) -> int:
-    """The ``--max-iterations`` cap of each load direction; ConfigError below 1, before any grid is solved."""
+    """The ``--max-iterations`` cap of each load direction; ConfigError when it is below 1."""
     cap = options["max_iterations"]
     if cap < 1:
         raise ConfigError(f"max_iterations must be >= 1, got {cap}")
