@@ -172,29 +172,34 @@ def john_nirenberg_fit(field, bmo: float, spatial_ndim: int | None = None) -> Jo
     return JohnNirenbergFit(b=b, B=B, max_violation=violation)
 
 
-def lemma1_ratio(field, levels, bmo: float, spatial_ndim: int | None = None) -> float:
+def lemma1_ratio(field, labels, bmo: float, spatial_ndim: int | None = None) -> float:
     """Largest ratio of the quadratic mass of f on A to ||f||^2 (1 - log|A|)^2 |A|
-    over the superlevel sets A = {levels > t} of a piecewise-constant field,
-    the whole cube included.
+    over the superlevel sets A = {labels > t} of an integer label field, the
+    whole cube included.
 
     ||f|| is the given BMO estimate of the field (usually bmo_norm).  The
     supremum of this ratio over a corpus of (field, subset) pairs is the
     empirical constant of the subset-energy estimate for BMO functions.
-    Every superlevel set is a union of level sets of ``levels``, so the
-    masses and measures of all of them are suffix sums of one per-level
-    bincount.
+    The labels are nonnegative integers in level order: voxels with equal
+    labels share a level, and a larger label is a higher level; a label that
+    no voxel carries adds no set.  Every superlevel set is a union of level
+    sets, so the masses and measures of all of them are suffix sums of one
+    per-label bincount.  Float labels raise ValueError naming the dtype.
     """
     comp, spatial = _as_components(field, spatial_ndim)
-    levels = np.asarray(levels)
-    if levels.shape != spatial:
-        raise ValueError(f"levels shape {levels.shape} does not match field grid {spatial}")
+    labels = np.asarray(labels)
+    if labels.shape != spatial:
+        raise ValueError(f"labels shape {labels.shape} does not match field grid {spatial}")
+    if labels.dtype.kind not in "iu":
+        raise ValueError(f"labels must be an integer array, got dtype {labels.dtype}")
     if bmo <= 0.0:
         raise ValueError("field has zero BMO norm")
     comp = _centered(comp)
     np.square(comp, out=comp)  # comp is a fresh copy
     energy = comp.sum(axis=0).ravel()
-    label = np.unique(levels, return_inverse=True)[1].ravel()  # the inverse's shape varies across numpy 2.x
-    # entry j: the set of voxels at the j-th smallest level or above; j = 0 is the whole cube
-    mass = np.cumsum(np.bincount(label, weights=energy)[::-1])[::-1] / label.size
-    measure = np.cumsum(np.bincount(label)[::-1])[::-1] / label.size
+    labels = labels.ravel()
+    # entry j: the voxels labelled j or above; j = 0 is the whole cube, and a
+    # label no voxel carries repeats the next entry, so it changes no maximum
+    mass = np.cumsum(np.bincount(labels, weights=energy)[::-1])[::-1] / labels.size
+    measure = np.cumsum(np.bincount(labels)[::-1])[::-1] / labels.size
     return float((mass / (bmo**2 * (1.0 - np.log(measure)) ** 2 * measure)).max())

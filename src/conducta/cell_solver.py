@@ -35,7 +35,10 @@ inverted spectrally, with the Hessian obtained from the multiplier
 -k (x) k / |k|^2 applied to the rfftn half spectrum of theta, which is also
 where PotentialField.p_hat lives.  The split value I1 + I2 of the energy of
 the test field I + D^2 p is then a certified upper bound for sigma_bar on the
-same grid.
+same grid.  build_optimal_potential builds theta, p_hat and the Hessian; the
+Laplacian and the quadratures I1, I2 and I2_positive_part are computed when
+first read and kept, the three quadratures from one conductivity gather.  The
+BMO report reads no quadrature, and in 2D no Laplacian, so it computes none.
 
 Differentiation conventions (these are constraints, not taste):
 
@@ -57,6 +60,7 @@ Differentiation conventions (these are constraints, not taste):
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 from dataclasses import dataclass
 
@@ -288,26 +292,63 @@ def solve_effective_tensor(grid: VoxelGrid, *, max_iterations: int = 1000) -> Ef
 class PotentialField:
     """Optimal-Laplacian potential and its derived fields on one grid.
 
-    I1 is the quadrature of the raw theta field and agrees with
-    H(S) = -(n-1)S + L of the empirical phase set to round-off.  I2 is never
-    above I2_positive_part, which uses the positive part of sigma - S and
-    vanishes identically at S = sup sigma.
+    theta, p_hat and hessian_p are built with the field.  laplacian_p, I1,
+    I2 and I2_positive_part are computed on first read, once: a caller that
+    never reads them never pays for them.  I1 is the quadrature of the raw
+    theta field and agrees with H(S) = -(n-1)S + L of the empirical phase
+    set to round-off.  I2 is never above I2_positive_part, which uses the
+    positive part of sigma - S and vanishes identically at S = sup sigma.
+    Reading a quadrature raises the ValueError naming the conductivity range
+    when a value overflows.  Every array is read-only.
     """
 
     grid: VoxelGrid
     S: float
     theta: np.ndarray
     p_hat: np.ndarray
-    laplacian_p: np.ndarray
     hessian_p: np.ndarray
-    I1: float
-    I2: float
-    I2_positive_part: float
 
     def __post_init__(self):
-        for name in ("theta", "p_hat", "laplacian_p", "hessian_p"):
-            arr = getattr(self, name)
-            arr.setflags(write=False)
+        for name in ("theta", "p_hat", "hessian_p"):
+            getattr(self, name).setflags(write=False)
+
+    @functools.cached_property
+    def laplacian_p(self) -> np.ndarray:
+        _, k2 = half_wavenumbers(self.grid.shape, zero_nyquist=False)
+        with _potential_overflow_raises(self.grid, self.S):
+            lap = _irfftn_into(-k2 * self.p_hat, np.empty(self.grid.shape))
+        lap.setflags(write=False)
+        return lap
+
+    @functools.cached_property
+    def _quadratures(self) -> tuple[float, float, float]:
+        """(I1, I2, I2_positive_part), from one conductivity gather."""
+        sigma = self.grid.conductivity_field()
+        n, S = self.grid.dimension, self.S
+        with _potential_overflow_raises(self.grid, S):
+            i1 = _i1_quadrature(sigma, self.theta, n, S)
+            return (i1, *_i2_quadrature(sigma, self.hessian_p, self.laplacian_p, n, S))
+
+    @functools.cached_property
+    def I1(self) -> float:
+        return self._quadratures[0]
+
+    @functools.cached_property
+    def I2(self) -> float:
+        return self._quadratures[1]
+
+    @functools.cached_property
+    def I2_positive_part(self) -> float:
+        return self._quadratures[2]
+
+
+def _potential_overflow_raises(grid: VoxelGrid, S: float):
+    """``_overflow_raises`` with the potential's message, naming the conductivity range of the grid."""
+    return _overflow_raises(
+        lambda: ValueError(
+            f"the optimal potential at S = {S:.12g} overflows on conductivities in {_range(grid.conductivity_field())}"
+        )
+    )
 
 
 def _i1_quadrature(sigma: np.ndarray, lap: np.ndarray, n: int, S: float) -> float:
@@ -326,7 +367,7 @@ def _traceless_square(hessian: np.ndarray, lap: np.ndarray, n: int) -> np.ndarra
 
 
 def build_optimal_potential(grid: VoxelGrid, S: float) -> PotentialField:
-    """Construct theta, p, lap p, D^2 p and the split values I1, I2.
+    """Construct theta, p and D^2 p; lap p and the split values I1, I2 follow on first read.
 
     L is ``phases.shifted_harmonic_L`` of the grid's empirical phase set,
     so theta has zero mean up to round-off, and the zero-frequency
@@ -338,9 +379,7 @@ def build_optimal_potential(grid: VoxelGrid, S: float) -> PotentialField:
         raise ValueError(f"S must be finite and positive, got {S}")
     L = shifted_harmonic_L(empirical_phase_set(grid), S)
     sigma = grid.conductivity_field()
-    with _overflow_raises(
-        lambda: ValueError(f"the optimal potential at S = {S:.12g} overflows on conductivities in {_range(sigma)}")
-    ):
+    with _potential_overflow_raises(grid, S):
         n = grid.dimension
         shape = sigma.shape
         theta = n * L / (sigma + (n - 1) * S) - n
@@ -352,27 +391,13 @@ def build_optimal_potential(grid: VoxelGrid, S: float) -> PotentialField:
         p_hat[mask] = -theta_hat[mask] / k2[mask]
 
         spec = np.empty_like(p_hat)
-        laplacian = _irfftn_into(np.multiply(-k2, p_hat, out=spec), np.empty(shape))
         hessian = np.empty((n, n) + shape)
         for i in range(n):
             for j in range(i, n):
                 _irfftn_into(np.multiply(-ks[i] * ks[j], p_hat, out=spec), hessian[i, j])
                 if i != j:
                     hessian[j, i] = hessian[i, j]
-
-        i1 = _i1_quadrature(sigma, theta, n, S)
-        i2, i2_pos = _i2_quadrature(sigma, hessian, laplacian, n, S)
-        return PotentialField(
-            grid=grid,
-            S=float(S),
-            theta=theta,
-            p_hat=p_hat,
-            laplacian_p=laplacian,
-            hessian_p=hessian,
-            I1=i1,
-            I2=i2,
-            I2_positive_part=i2_pos,
-        )
+        return PotentialField(grid=grid, S=float(S), theta=theta, p_hat=p_hat, hessian_p=hessian)
 
 
 def _i2_quadrature(sigma, hessian, lap, n, S) -> tuple[float, float]:
@@ -412,8 +437,12 @@ def traceless_hessian(pf: PotentialField) -> np.ndarray:
     n = pf.grid.dimension
     h = pf.hessian_p
     if n == 2:
-        a, b = (h[0, 0] - h[1, 1]) / 2, h[0, 1]
-        return np.array([[a, b], [b, -a]])
+        out = np.empty_like(h)
+        a = np.subtract(h[0, 0], h[1, 1], out=out[0, 0])
+        a /= 2
+        out[0, 1] = out[1, 0] = h[0, 1]
+        np.negative(a, out=out[1, 1])
+        return out
     out = h.copy()
     for i in range(n):
         out[i, i] -= pf.laplacian_p / n

@@ -145,6 +145,11 @@ def run_bounds(options: dict) -> int:
     reports.append(optimize_S(ps, cfg))
     if ps.num_phases == 3:
         reports.append(three_phase_refined(ps, cfg))
+    for r in reports:  # H is a weighted mean of finite conductivities, so only E can overflow
+        if not math.isfinite(r.value):
+            raise ValueError(
+                f"{r.bound_name} at S = {_g(r.S_used)} is not representable: its E term overflows to {_g(r.E_term)}"
+            )
     lines = [
         "# conducta bounds",
         f"config: {options['config']}",
@@ -246,6 +251,7 @@ def run_solve(options: dict) -> int:
         lines.append(
             f"{_g(s):>16}{_g(pf.I1):>20}{_g(pf.I2):>20}{_g(pf.I2_positive_part):>20}{_g(constructive_value(pf)):>20}"
         )
+        del pf  # one potential alive at a time: the next is built after this one's arrays are freed
     lines.append("")
     checks = [
         ("trivial", trivial_upper(emp).value, True),
@@ -394,7 +400,9 @@ def _bmo_one(grid: VoxelGrid, label: str, s: float | None) -> tuple[str, float]:
     if est == 0.0:
         return f"{label:<14}{'degenerate':>12}" + f"{'-':>20}" * 6 + f"{_g(osc):>20}{_g(osc_closed):>20}", 0.0
     fit = john_nirenberg_fit(field, est, spatial_ndim=grid.dimension)
-    max_ratio = mass_factor * lemma1_ratio(field, grid.conductivity_field(), est, spatial_ndim=grid.dimension)
+    # level labels from the k-entry table: equal conductivities share a label, ordered as the conductivities
+    labels = np.unique(grid.phase_conductivities, return_inverse=True)[1][grid.phase_index]
+    max_ratio = mass_factor * lemma1_ratio(field, labels, est, spatial_ndim=grid.dimension)
     row = (
         f"{label:<14}{'ok':>12}{_g(est):>20}{_g(fit.b):>20}{_g(fit.B):>20}"
         f"{_g(fit.max_violation):>20}{_g(max_ratio):>20}{_g(est / osc):>20}"

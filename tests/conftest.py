@@ -45,3 +45,10 @@ def random_phase_set(rng, k, dimension, sigma_range=(0.5, 8.0)):
         sig = np.sort(rng.uniform(lo, hi, k))
     mu = rng.dirichlet(np.ones(k))
     return PhaseSet.from_pairs(sig, mu, dimension)
+
+
+def level_labels(levels):
+    """Integer labels of a float level field in level order, as lemma1_ratio takes them."""
+    levels = np.asarray(levels)
+    # numpy 1.x returns a flat inverse, numpy 2.x one of the input's shape
+    return np.unique(levels, return_inverse=True)[1].reshape(levels.shape)

@@ -26,7 +26,7 @@ from conducta.microstructure import (
 )
 from conducta.phases import PhaseSet, oscillation_closed_form, shifted_harmonic_L
 
-from conftest import random_phase_set
+from conftest import level_labels, random_phase_set
 
 
 def _ok(num, text):
@@ -214,7 +214,7 @@ def test_criterion_8_bmo_lemma_constants():
             assert fit.b > 0.0
             assert fit.max_violation <= 0.0
             # the largest ratio over the superlevel sets {sigma > t} and the whole cube
-            ratios.append(lemma1_ratio(field, grid.conductivity_field(), bmo=est, spatial_ndim=2))
+            ratios.append(lemma1_ratio(field, level_labels(grid.conductivity_field()), bmo=est, spatial_ndim=2))
             checked += 1
     empirical_C = max(ratios)
     assert np.isfinite(empirical_C)

@@ -7,10 +7,10 @@ import pytest
 
 from conducta.bmo import bmo_norm, john_nirenberg_fit, lemma1_ratio
 from conducta.cell_solver import build_optimal_potential, traceless_hessian
-from conducta.microstructure import generate_random
+from conducta.microstructure import VoxelGrid, generate_random
 from conducta.phases import PhaseSet
 
-from conftest import random_phase_set
+from conftest import level_labels, random_phase_set
 
 TWO_14 = PhaseSet.from_pairs((1.0, 4.0), (0.5, 0.5), 2)
 
@@ -128,11 +128,11 @@ class TestJohnNirenberg:
         ps = PhaseSet.from_pairs((1.0, 2.0, 5.0), (0.4, 0.4, 0.2), 2)
         g = generate_random(ps, (64, 64), seed=3)
         field = traceless_hessian(build_optimal_potential(g, 2.0))
-        levels = g.conductivity_field()
+        labels = level_labels(g.conductivity_field())
 
         def statistics(f):
             est = bmo_norm(f, spatial_ndim=2)
-            return john_nirenberg_fit(f, est, spatial_ndim=2), lemma1_ratio(f, levels, est, spatial_ndim=2)
+            return john_nirenberg_fit(f, est, spatial_ndim=2), lemma1_ratio(f, labels, est, spatial_ndim=2)
 
         assert statistics(scale * field) == statistics(field)
 
@@ -140,7 +140,7 @@ class TestJohnNirenberg:
         f = np.random.default_rng(6).standard_normal((2, 2, 16, 16))
         before = f.copy()
         john_nirenberg_fit(f, bmo_norm(f, spatial_ndim=2), spatial_ndim=2)
-        lemma1_ratio(f, np.ones((16, 16)), bmo_norm(f, spatial_ndim=2), spatial_ndim=2)
+        lemma1_ratio(f, level_labels(np.ones((16, 16))), bmo_norm(f, spatial_ndim=2), spatial_ndim=2)
         assert np.array_equal(f, before)
 
     def test_degenerate_field_rejected(self):
@@ -168,14 +168,14 @@ class TestLemma1Ratio:
     def test_full_cube_ratio(self):
         f = sign_field()
         est = bmo_norm(f)
-        ratio = lemma1_ratio(f, np.zeros((32, 32)), bmo=est)
+        ratio = lemma1_ratio(f, level_labels(np.zeros((32, 32))), bmo=est)
         # one level: the only set is the cube, |A| = 1, and the ratio is the
         # quadratic mass over the squared norm
         assert ratio == pytest.approx(float((f**2).mean()) / est**2, rel=1e-12)
 
     def test_mask_shape_checked(self):
-        with pytest.raises(ValueError, match=r"levels shape \(8, 8\)"):
-            lemma1_ratio(sign_field(), np.ones((8, 8)), bmo_norm(sign_field()))
+        with pytest.raises(ValueError, match=r"labels shape \(8, 8\)"):
+            lemma1_ratio(sign_field(), level_labels(np.ones((8, 8))), bmo_norm(sign_field()))
 
     @pytest.mark.parametrize("shape", [(16, 16), (8, 8, 8)])
     @pytest.mark.parametrize("stacked", [False, True])
@@ -190,8 +190,31 @@ class TestLemma1Ratio:
         levels = values[rng.integers(0, num_levels, shape)]
         assert np.unique(levels).size == num_levels
         est = bmo_norm(f, spatial_ndim=spatial_ndim)
-        got = lemma1_ratio(f, levels, est, spatial_ndim=spatial_ndim)
+        got = lemma1_ratio(f, level_labels(levels), est, spatial_ndim=spatial_ndim)
         assert got == pytest.approx(brute_force_lemma1(f, levels, est), rel=1e-12)
+
+    def test_float_labels_rejected(self):
+        f = sign_field()
+        with pytest.raises(ValueError, match="integer array, got dtype float64"):
+            lemma1_ratio(f, np.zeros((32, 32)), bmo_norm(f))
+
+    @pytest.mark.parametrize("conductivities", [
+        (5.0, 1.0, 3.0, 2.0),  # phase 3 (conductivity 2) has no voxel
+        (2.0, 1.0, 2.0),  # phases 0 and 2 share one level
+    ])
+    @pytest.mark.parametrize("shape", [(32, 32), (8, 8, 8)])
+    def test_labels_from_the_phase_index(self, conductivities, shape):
+        # what conducta bmo passes: labels of the k-entry table gathered by
+        # phase index, bit for bit the ratio of the labels of the voxel field
+        idx = np.random.default_rng(len(shape)).integers(0, 3, shape).astype(np.uint8)
+        g = VoxelGrid(idx, conductivities)
+        field = traceless_hessian(build_optimal_potential(g, 2.0))
+        est = bmo_norm(field, spatial_ndim=len(shape))
+        sigma = g.conductivity_field()
+        labels = np.unique(g.phase_conductivities, return_inverse=True)[1][g.phase_index]
+        got = lemma1_ratio(field, labels, est, spatial_ndim=len(shape))
+        assert got == lemma1_ratio(field, level_labels(sigma), est, spatial_ndim=len(shape))
+        assert got == pytest.approx(brute_force_lemma1(field, sigma, est), rel=1e-12)
 
     def test_superlevel_masks_of_theorem_pipeline(self):
         ps = PhaseSet.from_pairs((1.0, 2.0, 5.0), (0.4, 0.4, 0.2), 2)
@@ -201,8 +224,8 @@ class TestLemma1Ratio:
         est = bmo_norm(field, spatial_ndim=2)
         sigma = g.conductivity_field()
         assert np.unique(sigma).size == 3
-        ratio = lemma1_ratio(field, sigma, bmo=est, spatial_ndim=2)
-        whole = lemma1_ratio(field, np.ones(g.shape), bmo=est, spatial_ndim=2)
+        ratio = lemma1_ratio(field, level_labels(sigma), bmo=est, spatial_ndim=2)
+        whole = lemma1_ratio(field, level_labels(np.ones(g.shape)), bmo=est, spatial_ndim=2)
         assert np.isfinite(ratio) and ratio >= whole > 0
         assert ratio == pytest.approx(brute_force_lemma1(field, sigma, est), rel=1e-12)
 
@@ -233,7 +256,7 @@ class TestLemma1Ratio:
         levels = np.zeros((64, 64))
         for k in range(1, 6):
             levels[: 64 >> k, : 64 >> k] += 1
-        assert lemma1_ratio(field, levels, bmo=est, spatial_ndim=2) < 50.0
+        assert lemma1_ratio(field, level_labels(levels), bmo=est, spatial_ndim=2) < 50.0
 
 
 class TestDistinctTraceless:
@@ -247,7 +270,7 @@ class TestDistinctTraceless:
         rng = np.random.default_rng(100 * n + 10 * k + (mode == "smooth"))
         ps = random_phase_set(rng, k, 2)
         g = generate_random(ps, (n, n), seed=n + k, mode=mode)
-        levels = g.conductivity_field()
+        levels = level_labels(g.conductivity_field())
         for S in (ps.inf_sigma, 0.5 * (ps.inf_sigma + ps.sup_sigma), ps.sup_sigma, 2.0 * ps.sup_sigma):
             pf = build_optimal_potential(g, S)
             full = traceless_hessian(pf)

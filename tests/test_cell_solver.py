@@ -322,10 +322,14 @@ class TestTransformBudget:
     def test_potential_uses_real_transforms(self, shape, fft_log):
         n = len(shape)
         g = generate_random(PhaseSet.from_pairs((1.0, 4.0), (0.5, 0.5), n), shape, seed=2)
-        build_optimal_potential(g, 2.0)
-        # rfftn(theta), then one inverse for lap p and each Hessian entry,
-        # each as n - 1 ifft passes and one irfft
-        inverse = 1 + n * (n + 1) // 2
+        pf = build_optimal_potential(g, 2.0)
+        # rfftn(theta), then one inverse for each Hessian entry, each as
+        # n - 1 ifft passes and one irfft; lap p adds one inverse on first read
+        inverse = n * (n + 1) // 2
+        assert fft_counts(fft_log) == {"rfftn": 1, "irfft": inverse, "ifft": (n - 1) * inverse}
+        pf.laplacian_p
+        pf.laplacian_p
+        inverse += 1
         assert fft_counts(fft_log) == {"rfftn": 1, "irfft": inverse, "ifft": (n - 1) * inverse}
         assert all(given_out for name, given_out in fft_log if name != "rfftn")
 
@@ -335,6 +339,26 @@ class TestOptimalPotential:
         for S in (0.0, np.inf, np.nan):
             with pytest.raises(ValueError, match="finite and positive"):
                 build_optimal_potential(homogeneous(), S)
+
+    def test_derived_fields_computed_once_on_first_read(self, monkeypatch):
+        g = generate_random(TWO_14, (16, 16), seed=2)
+        pf = build_optimal_potential(g, 2.0)
+        gathers = []
+        field = VoxelGrid.conductivity_field
+        monkeypatch.setattr(VoxelGrid, "conductivity_field", lambda grid: gathers.append(1) or field(grid))
+        first = [pf.laplacian_p, pf.I1, pf.I2, pf.I2_positive_part]
+        assert len(gathers) == 1  # the three quadratures share one conductivity gather
+        assert [pf.laplacian_p, pf.I1, pf.I2, pf.I2_positive_part] == first
+        assert pf.laplacian_p is first[0]
+        assert len(gathers) == 1
+        with pytest.raises(ValueError, match="read-only"):
+            pf.laplacian_p[0, 0] = 1
+
+    def test_2d_traceless_hessian_is_the_stack_of_its_components(self):
+        pf = build_optimal_potential(generate_random(TWO_14, (32, 32), seed=5), 2.0)
+        h = pf.hessian_p
+        a, b = (h[0, 0] - h[1, 1]) / 2, h[0, 1]
+        assert np.array_equal(traceless_hessian(pf), np.array([[a, b], [b, -a]]))
 
     def test_homogeneous_all_zero(self):
         pf = build_optimal_potential(homogeneous(3.0), 1.0)
@@ -429,11 +453,12 @@ class TestOptimalPotential:
     @pytest.mark.parametrize("hi", [1e308, 1e305])
     def test_potential_overflow_names_the_range(self, hi):
         # at (1, 1e308) the potential returned I1 = nan after four warnings;
-        # a warning would fail this test
+        # a warning would fail this test.  The quadratures are computed on
+        # first read, so the first read is what raises.
         idx = np.random.default_rng(0).integers(0, 2, (128, 128)).astype(np.uint8)
-        g = VoxelGrid(idx, (1.0, hi))
+        pf = build_optimal_potential(VoxelGrid(idx, (1.0, hi)), 2.5)
         with pytest.raises(ValueError, match=re.escape(f"potential at S = 2.5 overflows on conductivities in [1, {hi:.12g}]")):
-            build_optimal_potential(g, 2.5)
+            pf.I1
 
 
 class TestI1I2:
