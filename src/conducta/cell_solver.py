@@ -11,9 +11,12 @@ over grid potentials.  Conjugate gradients run in Fourier space on the
 transform, the Green operator of a homogeneous reference medium is a
 diagonal multiply by 1 / (sigma_0 |k|^2), and only the operator
 -div(sigma grad .) visits real space, with 2n real transforms per iteration.
-Each direction stops at one fixed target, a relative residual of 1e-8
-(_RELATIVE_TOLERANCE); the only setting of the solve is how many iterations
-it may take before it gives up.
+The solve has no settings.  Each direction stops at a relative residual of
+1e-8 and gives up after a cap set by the contrast kappa = sup / inf sigma,
+which bounds the preconditioned spectrum; past kappa = 1e-8 / eps round-off
+reaches the target, so the solve fails before any transform.  CG runs on
+sigma / 2^e, 2^e the least power of two above sigma_0, and both that and
+scaling A back are exact: A(2^m sigma) = 2^m A(sigma) bit for bit.
 The reported tensor uses the energy bilinear form, which is variationally
 one-sided; the mismatch against the flux average is kept as a convergence
 diagnostic.
@@ -82,6 +85,13 @@ __all__ = [
 ]
 
 _RELATIVE_TOLERANCE = 1e-8  # CG stops once |r| / |b| is at most this, in every direction
+_MAX_CONTRAST = _RELATIVE_TOLERANCE / np.finfo(float).eps  # past it, round-off in the operator reaches the target
+
+
+def _iteration_cap(contrast: float) -> int:
+    """Twice the k at which CG's residual bound 2 sqrt(kappa) exp(-2k / sqrt(kappa)) reaches 1e-8, kappa = contrast."""
+    root = math.sqrt(contrast)
+    return math.ceil(root * math.log(2.0 * root / _RELATIVE_TOLERANCE))
 
 
 def _subnyquist_mask(shape: tuple[int, ...]) -> np.ndarray:
@@ -104,10 +114,6 @@ def _overflow_raises(make_error):
             yield
     except FloatingPointError:
         raise make_error() from None
-
-
-def _range(sigma: np.ndarray) -> str:
-    return f"[{float(sigma.min()):.12g}, {float(sigma.max()):.12g}]"
 
 
 @dataclass(frozen=True)
@@ -170,17 +176,13 @@ def _half_spectrum_dot(shape: tuple[int, ...]):
 def _spectral_cg(apply_op, green: np.ndarray, dot, b: np.ndarray, max_iter: int, label: str):
     """Green-preconditioned conjugate gradients on half spectra; returns (x, iterations, residual).
 
-    Raises ConvergenceError after max_iter iterations, as soon as a residual
-    is not finite (an overflow would otherwise run every remaining iteration
-    on NaNs), or when a nonzero right-hand side's norm underflows to 0, and
-    FloatingPointError when the right-hand side norm overflows.
+    A right-hand side of norm 0 returns a zero corrector after 0 iterations.
+    Raises ConvergenceError after max_iter iterations, or as soon as a
+    residual is not finite (an overflow would otherwise run every remaining
+    iteration on NaNs).
     """
     b_norm = float(np.sqrt(dot(b, b)))
-    if not math.isfinite(b_norm):
-        raise FloatingPointError(f"the right-hand side norm of {label} overflows")
     if b_norm == 0.0:
-        if b.any():
-            raise ConvergenceError(f"cell solve for {label} underflows: the right-hand side norm is 0", math.nan, 0)
         return np.zeros_like(b), 0, 0.0
     x = np.zeros_like(b)
     r = b.copy()
@@ -202,32 +204,35 @@ def _spectral_cg(apply_op, green: np.ndarray, dot, b: np.ndarray, max_iter: int,
         rz_new = dot(r, z)
         p = z + (rz_new / rz) * p
         rz = rz_new
-    raise ConvergenceError(f"cell solve for {label} did not converge", residual, max_iter)
+    raise ConvergenceError(f"cell solve for {label} did not converge within its iteration cap", residual, max_iter)
 
 
-def solve_effective_tensor(grid: VoxelGrid, *, max_iterations: int = 1000) -> EffectiveTensor:
+def solve_effective_tensor(grid: VoxelGrid) -> EffectiveTensor:
     """Effective tensor of the grid by Fourier-preconditioned CG.
 
     A homogeneous grid needs no correction: the right-hand side vanishes and
     the solve returns after zero iterations with A = sigma I exactly.
-    Raises ValueError when max_iterations is below 1, ConvergenceError when
-    a direction has not reached the fixed target after max_iterations, and
-    one that names the conductivity range when a value overflows or the
-    right-hand side norm underflows.
+    Raises ConvergenceError naming the conductivity range and the contrast
+    when the contrast exceeds _MAX_CONTRAST, or when a direction has not
+    reached the target within ``_iteration_cap(contrast)`` iterations.
     """
-    if max_iterations < 1:
-        raise ValueError(f"max_iterations must be >= 1, got {max_iterations}")
     sigma = grid.conductivity_field()
-    with _overflow_raises(
-        lambda: ConvergenceError(f"cell solve overflows on conductivities in {_range(sigma)}", math.nan, 0)
-    ):
+    lo, hi = float(sigma.min()), float(sigma.max())
+    span, contrast = f"[{lo:.12g}, {hi:.12g}]", hi / lo
+    if contrast > _MAX_CONTRAST:
+        message = f"cell solve on conductivities in {span} cannot converge: the contrast {contrast:.12g}"
+        raise ConvergenceError(f"{message} exceeds {_MAX_CONTRAST:.12g}", math.nan, 0)
+    # solve on sigma / 2^e, inside (0, 2): dividing by a power of two is exact, and so is scaling A back
+    e = math.frexp(0.5 * lo + 0.5 * hi)[1]
+    np.ldexp(sigma, -e, out=sigma)
+    with _overflow_raises(lambda: ConvergenceError(f"cell solve overflows on conductivities in {span}", math.nan, 0)):
         n = grid.dimension
         shape = sigma.shape
         ks, k2 = half_wavenumbers(shape, zero_nyquist=True)
-        lo, hi = float(sigma.min()), float(sigma.max())
-        sigma0 = 0.5 * (lo + hi)
+        sigma0 = 0.5 * (math.ldexp(lo, -e) + math.ldexp(hi, -e))
         green = np.where(k2 > 0.0, 1.0 / (sigma0 * np.where(k2 > 0.0, k2, 1.0)), 0.0)
         dot = _half_spectrum_dot(shape)
+        cap = _iteration_cap(contrast)
 
         # owned by this call: every transform writes into them, never into a fresh array;
         # apply_operator returns div_hat itself, which CG reads before the next call
@@ -257,8 +262,8 @@ def solve_effective_tensor(grid: VoxelGrid, *, max_iterations: int = 1000) -> Ef
                 green,
                 dot,
                 1j * ks[i] * sigma_hat,
-                max_iterations,
-                label=f"direction {i} on conductivities in [{lo:.12g}, {hi:.12g}]",
+                cap,
+                label=f"direction {i} on conductivities in {span} of contrast {contrast:.12g}",
             )
             grads = [gradient(u_hat, k, np.empty(shape)) for k in ks]
             grads[i] += 1.0
@@ -277,6 +282,7 @@ def solve_effective_tensor(grid: VoxelGrid, *, max_iterations: int = 1000) -> Ef
         for i in range(n):
             for j in range(n):
                 flux[i, j] = float(np.mean(sigma * total_gradients[j][i]))
+        matrix, flux = np.ldexp(matrix, e), np.ldexp(flux, e)
         sigma_bar = float(np.trace(matrix)) / n
         return EffectiveTensor(
             dimension=n,
@@ -321,13 +327,14 @@ class PotentialField:
         return lap
 
     @functools.cached_property
-    def _quadratures(self) -> tuple[float, float, float]:
-        """(I1, I2, I2_positive_part), from one conductivity gather."""
+    def _quadratures(self) -> tuple[float, float, float, float]:
+        """(I1, I2, I2_positive_part, I1 of the grid-resolved lap p), from one conductivity gather."""
         sigma = self.grid.conductivity_field()
         n, S = self.grid.dimension, self.S
         with _potential_overflow_raises(self.grid, S):
             i1 = _i1_quadrature(sigma, self.theta, n, S)
-            return (i1, *_i2_quadrature(sigma, self.hessian_p, self.laplacian_p, n, S))
+            i2 = _i2_quadrature(sigma, self.hessian_p, self.laplacian_p, n, S)
+            return (i1, *i2, _i1_quadrature(sigma, self.laplacian_p, n, S))
 
     @functools.cached_property
     def I1(self) -> float:
@@ -344,11 +351,12 @@ class PotentialField:
 
 def _potential_overflow_raises(grid: VoxelGrid, S: float):
     """``_overflow_raises`` with the potential's message, naming the conductivity range of the grid."""
-    return _overflow_raises(
-        lambda: ValueError(
-            f"the optimal potential at S = {S:.12g} overflows on conductivities in {_range(grid.conductivity_field())}"
-        )
-    )
+    def error():
+        sigma = grid.conductivity_field()
+        span = f"[{sigma.min():.12g}, {sigma.max():.12g}]"
+        return ValueError(f"the optimal potential at S = {S:.12g} overflows on conductivities in {span}")
+
+    return _overflow_raises(error)
 
 
 def _i1_quadrature(sigma: np.ndarray, lap: np.ndarray, n: int, S: float) -> float:
@@ -414,12 +422,10 @@ def constructive_value(pf: PotentialField) -> float:
     Evaluates I1 with the grid-resolved Laplacian plus the positive-part I2,
     which dominates the exact energy mean(sigma |I + D^2 p|^2) / n of an
     admissible competitor, so the result is >= sigma_bar of the same grid up
-    to solver tolerance.
+    to solver tolerance.  Raises the potential's ValueError naming the
+    conductivity range when a value overflows.
     """
-    sigma = pf.grid.conductivity_field()
-    n = pf.grid.dimension
-    i1_grid = _i1_quadrature(sigma, pf.laplacian_p, n, pf.S)
-    return i1_grid + pf.I2_positive_part
+    return pf._quadratures[3] + pf.I2_positive_part
 
 
 def constructive_upper(grid: VoxelGrid, S: float) -> float:

@@ -48,7 +48,8 @@ _SLACK_TOL = 1e-6  # relative slack below which a bound counts as violated
 _VOXEL_BUDGET = 2**24  # largest corpus grid, checked before anything is allocated
 
 # removed options, with the one value old manifests can replay byte for byte
-_RETIRED_OPTIONS = {"search_points": 64, "S_tolerance": 1e-6, "sample_levels": 48, "include_zero": True, "tolerance": 1e-8}
+_RETIRED_OPTIONS = {"search_points": 64, "S_tolerance": 1e-6, "sample_levels": 48, "include_zero": True,
+                    "tolerance": 1e-8, "max_iterations": 1000}
 
 
 def _g(x) -> str:
@@ -96,14 +97,6 @@ def _save_manifest(manifest: RunManifest) -> None:
 
 def _bound_cfg(options: dict) -> BoundConfig:
     return BoundConfig(C=options["C"], use_simplified_E=not options["full_E"])
-
-
-def _max_iterations(options: dict) -> int:
-    """The ``--max-iterations`` cap of each load direction; ConfigError when it is below 1."""
-    cap = options["max_iterations"]
-    if cap < 1:
-        raise ConfigError(f"max_iterations must be >= 1, got {cap}")
-    return cap
 
 
 def _shift(text: str) -> float:
@@ -225,9 +218,9 @@ def _resolve_s_list(s_spec: str, ps: PhaseSet) -> list[float]:
 def run_solve(options: dict) -> int:
     grid = load_grid(options["grid"])
     emp = empirical_phase_set(grid)
-    cfg, cap = _bound_cfg(options), _max_iterations(options)  # every flag is checked before the solve
+    cfg = _bound_cfg(options)  # every flag is checked before the solve
     s_values = _resolve_s_list(options["S"], emp)
-    tensor = solve_effective_tensor(grid, max_iterations=cap)
+    tensor = solve_effective_tensor(grid)
 
     lines = [
         "# conducta solve",
@@ -342,10 +335,10 @@ _VERIFY_HEADER = (
 )
 
 
-def _verify_one(seed: int, options: dict, cap: int, bound_cfg: BoundConfig) -> tuple[str, bool]:
+def _verify_one(seed: int, options: dict, bound_cfg: BoundConfig) -> tuple[str, bool]:
     """CSV row of one corpus grid, and whether a hard bound was violated."""
     grid = _corpus_grid(seed, options)
-    tensor = solve_effective_tensor(grid, max_iterations=cap)
+    tensor = solve_effective_tensor(grid)
     emp = empirical_phase_set(grid)
     triv = trivial_upper(emp).value
     hs = hs_upper(emp).value
@@ -362,8 +355,8 @@ def _verify_one(seed: int, options: dict, cap: int, bound_cfg: BoundConfig) -> t
 
 def run_verify(options: dict) -> int:
     count, base_seed = options["count"], options["seed"]
-    cap, bound_cfg = _max_iterations(options), _bound_cfg(options)  # checked before the first grid
-    results = [_verify_one(base_seed + i, options, cap, bound_cfg) for i in range(count)]
+    bound_cfg = _bound_cfg(options)  # checked before the first grid
+    results = [_verify_one(base_seed + i, options, bound_cfg) for i in range(count)]
 
     _emit("\n".join([_VERIFY_HEADER] + [row for row, _ in results]) + "\n", options["out"])
 
@@ -524,13 +517,11 @@ def build_parser() -> _Parser:
     p = sub.add_parser("solve", help="solve the cell problem for a grid file")
     p.add_argument("--grid", required=True)
     p.add_argument("--S", default="auto", help="comma-separated shifts, or 'auto' (inf, mid, sup)")
-    p.add_argument("--max-iterations", dest="max_iterations", type=int, default=1000)
     _add_bound_flags(p)
     p.add_argument("--out")
 
     p = sub.add_parser("verify", help="generate -> solve -> bound-check a seeded corpus (CSV)")
     _add_corpus_flags(p, count=20)
-    p.add_argument("--max-iterations", dest="max_iterations", type=int, default=1000)
     # no effect: kept so that existing scripts passing --workers still parse
     p.add_argument("--workers", type=int, default=1, help=argparse.SUPPRESS)
     _add_bound_flags(p)

@@ -25,7 +25,7 @@ class ConvergenceError(RuntimeError):
     """Iterative solve failed to reach its target residual.
 
     The last relative residual and the iteration count are kept so callers
-    can report them or retry with a higher iteration cap.
+    can report them.
     """
 
     def __init__(self, message: str, residual: float, iterations: int):

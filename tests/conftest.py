@@ -1,6 +1,7 @@
 """Shared strategies and helpers for the test suite."""
 
 import numpy as np
+import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
@@ -52,3 +53,23 @@ def level_labels(levels):
     levels = np.asarray(levels)
     # numpy 1.x returns a flat inverse, numpy 2.x one of the input's shape
     return np.unique(levels, return_inverse=True)[1].reshape(levels.shape)
+
+
+FFT_NAMES = ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn",
+             "rfft", "irfft", "rfft2", "irfft2", "rfftn", "irfftn", "hfft", "ihfft")
+
+
+@pytest.fixture
+def fft_log(monkeypatch):
+    """Records (name, given out=) for each numpy.fft transform called through the public namespace."""
+    log = []
+
+    def recording(name, fn):
+        def wrapper(*args, **kwargs):
+            log.append((name, kwargs.get("out") is not None))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in FFT_NAMES:
+        monkeypatch.setattr(np.fft, name, recording(name, getattr(np.fft, name)))
+    return log

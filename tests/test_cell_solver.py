@@ -1,9 +1,12 @@
 import math
 import re
+import warnings
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conducta import cell_solver
 from conducta.cell_solver import (
@@ -40,11 +43,10 @@ def homogeneous(c=3.0, shape=(8, 8)):
 
 class TestSolverConfig:
     def test_validation(self):
-        # the iteration cap is the solve's only setting, and keyword-only:
-        # a positional argument fails instead of being read as a cap
+        # the solve has no setting: the contrast decides its iteration cap
         g = homogeneous()
-        with pytest.raises(ValueError, match="max_iterations must be >= 1, got 0"):
-            solve_effective_tensor(g, max_iterations=0)
+        with pytest.raises(TypeError):
+            solve_effective_tensor(g, max_iterations=1000)
         with pytest.raises(TypeError):
             solve_effective_tensor(g, 5)
 
@@ -148,8 +150,8 @@ class TestEffectiveTensor:
     def test_high_contrast_converges(self):
         ps = PhaseSet.from_pairs((1.0, 100.0), (0.5, 0.5), 2)
         g = generate_random(ps, (32, 32), seed=0)
-        t = solve_effective_tensor(g, max_iterations=400)
-        assert max(t.iterations) <= 400
+        t = solve_effective_tensor(g)
+        assert max(t.iterations) <= cell_solver._iteration_cap(100)
         assert all(r <= 1e-8 for r in t.residuals)
         emp = empirical_phase_set(g)
         harm = 1.0 / math.fsum(m / s for s, m in zip(emp.conductivities, emp.fractions))
@@ -182,38 +184,38 @@ class TestEffectiveTensor:
         t = solve_effective_tensor(g)
         assert t.flux_discrepancy < 1e-8
 
-    def test_nonconvergence_raises_with_residual(self):
+    def test_nonconvergence_raises_with_residual(self, monkeypatch):
+        monkeypatch.setattr(cell_solver, "_iteration_cap", lambda contrast: 2)
         g = generate_random(TWO_14, (32, 32), seed=1)
         with pytest.raises(ConvergenceError) as err:
-            solve_effective_tensor(g, max_iterations=2)
+            solve_effective_tensor(g)
         assert err.value.iterations == 2
         assert err.value.residual > 0.0
 
     def test_overflow_raises_before_iterating(self):
-        # (1, 1e308) overflows in the Green operator and in rfftn; five
-        # warnings came first.  A warning would fail this test.
+        # (1, 1e308) overflowed in the Green operator and in rfftn, with five
+        # warnings first; now its contrast fails first.  A warning would fail this test.
         idx = np.random.default_rng(0).integers(0, 2, (128, 128)).astype(np.uint8)
-        with pytest.raises(ConvergenceError, match=re.escape("overflows on conductivities in [1, 1e+308]")) as err:
+        with pytest.raises(ConvergenceError, match=re.escape("on conductivities in [1, 1e+308]")) as err:
             solve_effective_tensor(VoxelGrid(idx, (1.0, 1e308)))
         assert err.value.iterations == 0
 
     def test_overflowing_right_hand_side_norm_names_the_range(self):
         # at (1, 1e150) only the squared norm of the right-hand side
-        # overflows, which was reported as a "non-finite right-hand side"
+        # overflowed; now its contrast fails first
         idx = np.random.default_rng(0).integers(0, 2, (128, 128)).astype(np.uint8)
-        with pytest.raises(ConvergenceError, match=re.escape("overflows on conductivities in [1, 1e+150]")) as err:
+        with pytest.raises(ConvergenceError, match=re.escape("on conductivities in [1, 1e+150]")) as err:
             solve_effective_tensor(VoxelGrid(idx, (1.0, 1e150)))
         assert err.value.iterations == 0
 
     def test_underflowing_right_hand_side_norm_names_the_range(self):
-        # at (1e-170, 2e-170) the squared norm of the right-hand side is 0 and
-        # CG returned a zero corrector: sigma_bar was the arithmetic mean,
-        # 1.5351 lo against 1.4507 lo, after 0 iterations with residual 0
+        # at (1e-170, 2e-170) the squared norm of the right-hand side was 0 and
+        # CG returned a zero corrector (sigma_bar the arithmetic mean, 1.5351 lo);
+        # on sigma / 2^e it solves as (1, 2) does
         idx = np.random.default_rng(0).integers(0, 2, (32, 32)).astype(np.uint8)
-        message = "cell solve for direction 0 on conductivities in [1e-170, 2e-170] underflows"
-        with pytest.raises(ConvergenceError, match=re.escape(message)) as err:
-            solve_effective_tensor(VoxelGrid(idx, (1e-170, 2e-170)))
-        assert err.value.iterations == 0
+        t = solve_effective_tensor(VoxelGrid(idx, (1e-170, 2e-170)))
+        assert t.sigma_bar / 1e-170 == pytest.approx(1.4507188228461896, rel=1e-15, abs=0.0)
+        assert t.iterations == (11, 11)
 
     def test_nyquist_checkerboard_right_hand_side_is_exactly_zero(self):
         # sigma varies only at the Nyquist mode, which the first-derivative multipliers zero
@@ -225,6 +227,14 @@ class TestEffectiveTensor:
     def test_tiny_conductivities_scale_out(self):
         idx = np.random.default_rng(0).integers(0, 2, (32, 32)).astype(np.uint8)
         ratios = [solve_effective_tensor(VoxelGrid(idx, (lo, 2 * lo))).sigma_bar / lo for lo in (1.0, 1e-150)]
+        assert ratios[1] == pytest.approx(ratios[0], rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("lo", [1e-160, 1e-170, 1e150])
+    def test_extreme_conductivities_scale_out(self, lo):
+        # 1e-160 drifted by 1.1e-12 (its squared residual norms were subnormal),
+        # 1e-170 gave the arithmetic mean and 1e150 overflowed on a contrast of 2
+        idx = np.random.default_rng(0).integers(0, 2, (32, 32)).astype(np.uint8)
+        ratios = [solve_effective_tensor(VoxelGrid(idx, (c, 2 * c))).sigma_bar / c for c in (1.0, lo)]
         assert ratios[1] == pytest.approx(ratios[0], rel=1e-15, abs=0.0)
 
     def test_non_finite_residual_stops_cg_at_once(self):
@@ -240,24 +250,44 @@ class TestEffectiveTensor:
         assert err.value.iterations == 1 and len(calls) == 1
 
 
-FFT_NAMES = ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn",
-             "rfft", "irfft", "rfft2", "irfft2", "rfftn", "irfftn", "hfft", "ihfft")
+@st.composite
+def labels_on_small_grids(draw):
+    """Phase labels 0..2 on an 8x8 or 4x4x4 grid."""
+    shape = draw(st.sampled_from([(8, 8), (4, 4, 4)]))
+    size = math.prod(shape)
+    return np.array(draw(st.lists(st.integers(0, 2), min_size=size, max_size=size)), np.uint8).reshape(shape)
 
 
-@pytest.fixture
-def fft_log(monkeypatch):
-    """Records (name, given out=) for each numpy.fft transform called through the public namespace."""
-    log = []
+class TestScaleAndContrast:
+    @settings(max_examples=40, deadline=None)
+    @given(idx=labels_on_small_grids(), m=st.integers(-1000, 1000))
+    def test_power_of_two_scaling_is_exact(self, idx, m):
+        base = solve_effective_tensor(VoxelGrid(idx, (1.0, 2.0, 5.0)))
+        scaled = solve_effective_tensor(VoxelGrid(idx, tuple(math.ldexp(c, m) for c in (1.0, 2.0, 5.0))))
+        assert np.array_equal(scaled.matrix, np.ldexp(base.matrix, m))
+        assert scaled.iterations == base.iterations and scaled.residuals == base.residuals
 
-    def recording(name, fn):
-        def wrapper(*args, **kwargs):
-            log.append((name, kwargs.get("out") is not None))
-            return fn(*args, **kwargs)
-        return wrapper
+    def test_contrast_above_the_limit_fails_before_any_transform(self, fft_log):
+        idx = np.random.default_rng(1).integers(0, 2, (8, 8)).astype(np.uint8)
+        hi = cell_solver._MAX_CONTRAST * (1 + 1e-12)
+        with pytest.raises(ConvergenceError, match=re.escape(f"on conductivities in [1, {hi:.12g}]")) as err:
+            solve_effective_tensor(VoxelGrid(idx, (1.0, hi)))
+        assert f"the contrast {hi:.12g} exceeds {cell_solver._MAX_CONTRAST:.12g}" in str(err.value)
+        assert err.value.iterations == 0 and fft_log == []
 
-    for name in FFT_NAMES:
-        monkeypatch.setattr(np.fft, name, recording(name, getattr(np.fft, name)))
-    return log
+    def test_contrast_just_below_the_limit_solves(self):
+        idx = np.random.default_rng(1).integers(0, 2, (8, 8)).astype(np.uint8)
+        t = solve_effective_tensor(VoxelGrid(idx, (1.0, cell_solver._MAX_CONTRAST * (1 - 1e-12))))
+        assert min(t.iterations) > 0 and max(t.residuals) <= 1e-8
+
+    @pytest.mark.parametrize("contrast", [1.5, 100.0, 1e4])
+    @pytest.mark.parametrize("mode", ["iid", "smooth"])
+    @pytest.mark.parametrize("shape", [(32, 32), (8, 8, 8)])
+    def test_iterations_stay_below_half_the_cap(self, shape, mode, contrast):
+        g = generate_random(PhaseSet.from_pairs((1.0, contrast), (0.5, 0.5), len(shape)), shape, seed=0, mode=mode)
+        emp = empirical_phase_set(g)
+        t = solve_effective_tensor(g)
+        assert 0 < max(t.iterations) <= cell_solver._iteration_cap(emp.sup_sigma / emp.inf_sigma) / 2
 
 
 def fft_counts(log) -> dict[str, int]:
@@ -549,6 +579,18 @@ class TestConstructiveBound:
             emp = empirical_phase_set(g)
             for S in (emp.inf_sigma, emp.sup_sigma):
                 assert constructive_upper(g, S) >= sb * (1 - 1e-9)
+
+    @pytest.mark.parametrize("sigmas", [(1.0, 1e308), (1e300, 1e307)])
+    def test_overflow_raises_one_error_without_warning(self, sigmas):
+        # the grid-resolved I1 ran outside the overflow guard: four numpy
+        # warnings, or "overflow encountered in reduce", before the ValueError
+        g = VoxelGrid(np.random.default_rng(0).integers(0, 2, (16, 16)).astype(np.uint8), sigmas)
+        span = f"[{sigmas[0]:.12g}, {sigmas[1]:.12g}]"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pf = build_optimal_potential(g, 1.0)
+            with pytest.raises(ValueError, match=re.escape(f"overflows on conductivities in {span}")):
+                constructive_value(pf)
 
     def test_constructive_value_reuses_field(self):
         g = generate_random(TWO_14, (32, 32), seed=4)

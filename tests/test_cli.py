@@ -1,6 +1,5 @@
 import argparse
 import importlib.util
-import inspect
 import json
 import math
 import sys
@@ -10,7 +9,6 @@ import numpy as np
 import pytest
 
 from conducta import cell_solver, cli
-from conducta.cell_solver import solve_effective_tensor
 from conducta.cli import build_parser, main
 from conducta.microstructure import VoxelGrid, generate_laminate, generate_random, save_grid
 from conducta.phases import PhaseSet
@@ -226,36 +224,78 @@ class TestSolveCommand:
             assert [f is pf.laplacian_p for f in i1_fields].count(True) == 1
         assert len(i1_fields) == 6
 
+    def test_one_conductivity_gather_per_solve_and_potential(self, tmp_path, monkeypatch, capsys):
+        # constructive_value gathered again after the potential's quadratures: 10 for 3 shifts
+        gathers = []
+        gather = VoxelGrid.conductivity_field
+        monkeypatch.setattr(VoxelGrid, "conductivity_field", lambda grid: gathers.append(grid) or gather(grid))
+        path = tmp_path / "g.cnda"
+        save_grid(generate_random(PhaseSet.from_pairs((1.0, 4.0), (0.5, 0.5), 2), (32, 32), seed=0), path)
+        assert main(["solve", "--grid", str(path), "--S", "auto"]) == 0
+        # the solve, then the potential and its quadratures at each of the 3 shifts
+        assert len(gathers) == 7
+
     def test_overflow_exit_two_without_iterating(self, tmp_path, capsys):
-        # (1, 1e308) overflows in rfftn; 1000 NaN iterations took 1.56 s before exit 2,
-        # and later five numpy warnings came first.  A warning would fail this test.
+        # (1, 1e308) overflowed in rfftn; 1000 NaN iterations took 1.56 s before exit 2,
+        # and later five numpy warnings came first.  Now its contrast fails before
+        # any transform.  A warning would fail this test.
         p = tmp_path / "huge.cnda"
         idx = np.random.default_rng(0).integers(0, 2, (128, 128)).astype(np.uint8)
         save_grid(VoxelGrid(idx, (1.0, 1e308)), p)
         assert main(["solve", "--grid", str(p)]) == 2
         assert capsys.readouterr().err == (
-            "error: cell solve overflows on conductivities in [1, 1e+308] (residual nan after 0 iterations)\n"
+            "error: cell solve on conductivities in [1, 1e+308] cannot converge:"
+            " the contrast 1e+308 exceeds 45035996.2737 (residual nan after 0 iterations)\n"
         )
+
+    @staticmethod
+    def solve_as_at_unit_scale(lo, tmp_path, capsys):
+        """solve on a 32x32 iid grid with conductivities (lo, 2 lo) exits 0 and reports what (1, 2) does."""
+        idx = np.random.default_rng(0).integers(0, 2, (32, 32)).astype(np.uint8)
+        reports = []
+        for c in (1.0, lo):
+            p = tmp_path / "scaled.cnda"
+            save_grid(VoxelGrid(idx, (c, 2 * c)), p)
+            assert main(["solve", "--grid", str(p)]) == 0
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            lines = dict(line.split(": ", 1) for line in captured.out.splitlines() if ": " in line)
+            reports.append((float(lines["sigma_bar"]) / c, lines["iterations"], lines["residuals"]))
+        assert reports[1][0] == pytest.approx(reports[0][0], rel=1e-11)
+        assert reports[1][1:] == reports[0][1:]
 
     def test_underflow_exit_two(self, tmp_path, capsys):
-        # the squared right-hand side norm underflowed to 0 and solve printed
-        # the arithmetic mean as sigma_bar after 0 iterations, exit 0
-        p = tmp_path / "tiny.cnda"
-        idx = np.random.default_rng(0).integers(0, 2, (32, 32)).astype(np.uint8)
-        save_grid(VoxelGrid(idx, (1e-170, 2e-170)), p)
-        assert main(["solve", "--grid", str(p)]) == 2
-        assert capsys.readouterr().err == (
-            "error: cell solve for direction 0 on conductivities in [1e-170, 2e-170] underflows:"
-            " the right-hand side norm is 0 (residual nan after 0 iterations)\n"
-        )
+        # the squared right-hand side norm underflowed to 0 and solve printed the
+        # arithmetic mean as sigma_bar after 0 iterations, exit 0; then it exited 2.
+        # On sigma / 2^e it solves as (1, 2) does.
+        self.solve_as_at_unit_scale(1e-170, tmp_path, capsys)
 
-    def test_nonconvergence_exit_two(self, tmp_path, capsys):
+    def test_tiny_conductivities_exit_zero(self, tmp_path, capsys):
+        # at 1e-160 the squared residual norms were subnormal: residual 0 after 7 iterations
+        self.solve_as_at_unit_scale(1e-160, tmp_path, capsys)
+
+    def test_nonconvergence_exit_two(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cell_solver, "_iteration_cap", lambda contrast: 2)
         ps = PhaseSet.from_pairs((1.0, 4.0), (0.5, 0.5), 2)
         grid_path = tmp_path / "rnd.cnda"
         save_grid(generate_random(ps, (32, 32), seed=0), grid_path)
-        code = main(["solve", "--grid", str(grid_path), "--max-iterations", "2"])
+        code = main(["solve", "--grid", str(grid_path)])
         assert code == 2
         assert "did not converge" in capsys.readouterr().err
+
+
+class TestRepeatRuns:
+    @pytest.mark.parametrize("command", ["solve", "verify"])
+    def test_repeat_in_one_process_is_identical(self, command, three_cfg, tmp_path, fft_log, capsys):
+        # a run leaves no state behind: its output and its transforms are the same the second time
+        argv = COMMAND_ARGV[command](three_cfg, tmp_path)
+        runs = []
+        for _ in range(2):
+            start = len(fft_log)
+            assert main(argv) == 0
+            runs.append((capsys.readouterr().out, fft_log[start:]))
+        assert runs[0] == runs[1]
+        assert runs[0][0] and runs[0][1]
 
 
 class TestVerifyCommand:
@@ -558,11 +598,31 @@ class TestReplayManifests:
     )
     def test_retired_tolerance(self, command, value, code, three_cfg, tmp_path, capsys):
         # --tolerance was removed: every cell solve stops at relative residual 1e-8
+        self.check_retired_replay(command, "tolerance", value, code, three_cfg, tmp_path, capsys)
+
+    @pytest.mark.parametrize(
+        "command,value,code",
+        [
+            ("solve", 1000, 0),
+            ("verify", 1000, 0),
+            ("solve", 400, 1),
+            ("solve", 1000.0, 1),
+            ("verify", "1000", 1),
+            ("solve", None, 1),
+            ("verify", True, 1),
+        ],
+    )
+    def test_retired_max_iterations(self, command, value, code, three_cfg, tmp_path, capsys):
+        # --max-iterations was removed: the contrast decides each solve's iteration cap
+        self.check_retired_replay(command, "max_iterations", value, code, three_cfg, tmp_path, capsys)
+
+    def check_retired_replay(self, command, key, value, code, three_cfg, tmp_path, capsys):
+        """A cheap run of ``command`` replays with ``key: value`` added: byte for byte, or exit ``code`` 1."""
         out = tmp_path / "run.out"
         assert main([*COMMAND_ARGV[command](three_cfg, tmp_path), "--out", str(out)]) == 0
         first = out.read_bytes()
         manifest = json.loads((tmp_path / "run.out.manifest.json").read_text())
-        manifest["options"]["tolerance"] = value
+        manifest["options"][key] = value
         out.unlink()
         capsys.readouterr()
         assert self.replay(tmp_path, manifest) == code
@@ -570,23 +630,23 @@ class TestReplayManifests:
         if code == 0:
             assert out.read_bytes() == first
         else:
-            assert "removed option tolerance=" in err and "Traceback" not in err and not out.exists()
+            assert f"removed option {key}=" in err and "Traceback" not in err and not out.exists()
 
     @pytest.mark.parametrize("command", ["solve", "verify"])
     def test_tolerance_flag_is_gone(self, command, three_cfg, tmp_path, capsys):
         assert main([*COMMAND_ARGV[command](three_cfg, tmp_path), "--tolerance", "1e-8"]) == 1
         assert "--tolerance" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["solve", "verify"])
+    def test_max_iterations_flag_is_gone(self, command, three_cfg, tmp_path, capsys):
+        assert main([*COMMAND_ARGV[command](three_cfg, tmp_path), "--max-iterations", "1000"]) == 1
+        assert "unrecognized arguments: --max-iterations" in capsys.readouterr().err
+
     def test_retired_options_are_not_live(self):
         # replay would pin a retired key to one value even if its flag came back
         (commands,) = [a.choices for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
         live = {a.dest for command in commands.values() for a in command._actions}
         assert live.isdisjoint(cli._RETIRED_OPTIONS)
-
-    def test_max_iterations_default_is_the_solvers(self):
-        default = inspect.signature(solve_effective_tensor).parameters["max_iterations"].default
-        actions = build_parser()._option_actions
-        assert actions["solve"]["max_iterations"].default == actions["verify"]["max_iterations"].default == default
 
     def test_no_zero_row_flag_is_gone(self, three_cfg, capsys):
         assert main(["sweep", "--config", three_cfg, "--no-zero-row"]) == 1
@@ -610,7 +670,6 @@ class TestReplayManifests:
             ("sweep", "points", True),
             ("sweep", "mu3_max", "0.1"),
             ("solve", "grid", None),
-            ("solve", "max_iterations", 10.0),
             ("verify", "full_E", 0),
             ("verify", "mode", "grid"),
             ("verify", "mode", None),
@@ -713,17 +772,6 @@ class TestNonFiniteInputs:
         assert main([argv[0], *base, *argv[1:]]) == 1
         assert capsys.readouterr().err.startswith("error: ")
         assert solves == []
-
-    @pytest.mark.parametrize("command,cap", [("solve", "0"), ("verify", "-1")])
-    def test_iteration_cap_below_one_exit_one(self, command, cap, tmp_path, monkeypatch, capsys):
-        # checked before the cell solve, and for verify before the first grid is drawn
-        solves, drawn = [], []
-        monkeypatch.setattr(cli, "solve_effective_tensor", lambda *args, **kwargs: solves.append(args))
-        monkeypatch.setattr(cli, "_corpus_grid", lambda *args: drawn.append(args))
-        base = ["--grid", small_grid(tmp_path)] if command == "solve" else ["--count", "2", "--shape", "8"]
-        assert main([command, *base, "--max-iterations", cap]) == 1
-        assert capsys.readouterr().err == f"error: max_iterations must be >= 1, got {cap}\n"
-        assert solves == drawn == []
 
 
 class TestShiftOverflow:
