@@ -170,7 +170,7 @@ def optimize_S(ps: PhaseSet, cfg: BoundConfig | None = None) -> BoundReport:
         return H + E
 
     points = sorted(
-        {sup * k / _S_SEARCH_POINTS for k in range(1, _S_SEARCH_POINTS + 1)}
+        {sup * (k / _S_SEARCH_POINTS) for k in range(1, _S_SEARCH_POINTS + 1)}
         | set(ps.conductivities)
     )
     values = [value(S) for S in points]

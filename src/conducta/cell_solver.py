@@ -14,9 +14,7 @@ diagonal multiply by 1 / (sigma_0 |k|^2), and only the operator
 The solve has no settings.  Each direction stops at a relative residual of
 1e-8 and gives up after a cap set by the contrast kappa = sup / inf sigma,
 which bounds the preconditioned spectrum; past kappa = 1e-8 / eps round-off
-reaches the target, so the solve fails before any transform.  CG runs on
-sigma / 2^e, 2^e the least power of two above sigma_0, and both that and
-scaling A back are exact: A(2^m sigma) = 2^m A(sigma) bit for bit.
+reaches the target, so the solve fails before any transform.
 The reported tensor uses the energy bilinear form, which is variationally
 one-sided; the mismatch against the flux average is kept as a convergence
 diagnostic.
@@ -42,6 +40,11 @@ same grid.  build_optimal_potential builds theta, p_hat and the Hessian; the
 Laplacian and the quadratures I1, I2 and I2_positive_part are computed when
 first read and kept, the three quadratures from one conductivity gather.  The
 BMO report reads no quadrature, and in 2D no Laplacian, so it computes none.
+
+Both jobs follow one scale rule: compute on sigma / 2^e and S / 2^e (S = 0
+for the solve), 2^e the least power of two above sup sigma + (n-1) S, and
+scale A or the quadratures back by 2^e, both exactly: at 2^m sigma and 2^m S
+they scale by 2^m, theta, p and D^2 p not at all, unless a value is subnormal.
 
 Differentiation conventions (these are constraints, not taste):
 
@@ -106,11 +109,18 @@ def _subnyquist_mask(shape: tuple[int, ...]) -> np.ndarray:
     return mask
 
 
+def _scale_down(sigma: np.ndarray, n: int, S: float = 0.0) -> tuple[float, int]:
+    """Divide the field sigma in place by 2^e of the module's scale rule; return S / 2^e and e."""
+    e = math.frexp(float(sigma.max()) + (n - 1) * S)[1]
+    np.ldexp(sigma, -e, out=sigma)
+    return math.ldexp(S, -e), e
+
+
 @contextlib.contextmanager
 def _overflow_raises(make_error):
-    """Raise ``make_error()`` at the first numpy overflow or invalid value in the block, instead of warning."""
+    """Raise ``make_error()`` at the first numpy overflow, division by zero or invalid value in the block."""
     try:
-        with np.errstate(over="raise", invalid="raise"):
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
             yield
     except FloatingPointError:
         raise make_error() from None
@@ -222,9 +232,7 @@ def solve_effective_tensor(grid: VoxelGrid) -> EffectiveTensor:
     if contrast > _MAX_CONTRAST:
         message = f"cell solve on conductivities in {span} cannot converge: the contrast {contrast:.12g}"
         raise ConvergenceError(f"{message} exceeds {_MAX_CONTRAST:.12g}", math.nan, 0)
-    # solve on sigma / 2^e, inside (0, 2): dividing by a power of two is exact, and so is scaling A back
-    e = math.frexp(0.5 * lo + 0.5 * hi)[1]
-    np.ldexp(sigma, -e, out=sigma)
+    _, e = _scale_down(sigma, grid.dimension)
     with _overflow_raises(lambda: ConvergenceError(f"cell solve overflows on conductivities in {span}", math.nan, 0)):
         n = grid.dimension
         shape = sigma.shape
@@ -304,8 +312,8 @@ class PotentialField:
     theta field and agrees with H(S) = -(n-1)S + L of the empirical phase
     set to round-off.  I2 is never above I2_positive_part, which uses the
     positive part of sigma - S and vanishes identically at S = sup sigma.
-    Reading a quadrature raises the ValueError naming the conductivity range
-    when a value overflows.  Every array is read-only.
+    The quadratures follow the module's scale rule; reading one raises the
+    ValueError naming the conductivity range on overflow.  Arrays are read-only.
     """
 
     grid: VoxelGrid
@@ -328,25 +336,18 @@ class PotentialField:
 
     @functools.cached_property
     def _quadratures(self) -> tuple[float, float, float, float]:
-        """(I1, I2, I2_positive_part, I1 of the grid-resolved lap p), from one conductivity gather."""
-        sigma = self.grid.conductivity_field()
-        n, S = self.grid.dimension, self.S
-        with _potential_overflow_raises(self.grid, S):
+        """(I1, I2, I2_positive_part, constructive_value), from one conductivity gather."""
+        sigma, n = self.grid.conductivity_field(), self.grid.dimension
+        S, e = _scale_down(sigma, n, self.S)
+        with _potential_overflow_raises(self.grid, self.S):
             i1 = _i1_quadrature(sigma, self.theta, n, S)
-            i2 = _i2_quadrature(sigma, self.hessian_p, self.laplacian_p, n, S)
-            return (i1, *i2, _i1_quadrature(sigma, self.laplacian_p, n, S))
+            i2, i2_pos = _i2_quadrature(sigma, self.hessian_p, self.laplacian_p, n, S)
+            constructive = _i1_quadrature(sigma, self.laplacian_p, n, S) + i2_pos
+            return tuple(np.ldexp((i1, i2, i2_pos, constructive), e).tolist())
 
-    @functools.cached_property
-    def I1(self) -> float:
-        return self._quadratures[0]
-
-    @functools.cached_property
-    def I2(self) -> float:
-        return self._quadratures[1]
-
-    @functools.cached_property
-    def I2_positive_part(self) -> float:
-        return self._quadratures[2]
+    I1 = property(lambda self: self._quadratures[0])
+    I2 = property(lambda self: self._quadratures[1])
+    I2_positive_part = property(lambda self: self._quadratures[2])
 
 
 def _potential_overflow_raises(grid: VoxelGrid, S: float):
@@ -386,11 +387,11 @@ def build_optimal_potential(grid: VoxelGrid, S: float) -> PotentialField:
     if not 0.0 < S < np.inf:
         raise ValueError(f"S must be finite and positive, got {S}")
     L = shifted_harmonic_L(empirical_phase_set(grid), S)
-    sigma = grid.conductivity_field()
+    sigma, n = grid.conductivity_field(), grid.dimension
+    scaled_S, e = _scale_down(sigma, n, S)
     with _potential_overflow_raises(grid, S):
-        n = grid.dimension
         shape = sigma.shape
-        theta = n * L / (sigma + (n - 1) * S) - n
+        theta = n * math.ldexp(L, -e) / (sigma + (n - 1) * scaled_S) - n
 
         theta_hat = np.fft.rfftn(theta)
         ks, k2 = half_wavenumbers(shape, zero_nyquist=False)
@@ -425,7 +426,7 @@ def constructive_value(pf: PotentialField) -> float:
     to solver tolerance.  Raises the potential's ValueError naming the
     conductivity range when a value overflows.
     """
-    return pf._quadratures[3] + pf.I2_positive_part
+    return pf._quadratures[3]
 
 
 def constructive_upper(grid: VoxelGrid, S: float) -> float:

@@ -278,7 +278,8 @@ def _checked_corpus(command: str, options: dict) -> dict:
     (_corpus_grid redraws the conductivities until every gap is at least 1e-3
     of the range, which past about 100 phases practically never happens), an
     integer ``seed`` and a finite conductivity range with
-    ``0 < sigma_min <= sigma_max``, so no drawn phase is non-positive.
+    ``2.2250738585072014e-308 <= sigma_min <= sigma_max``, so every drawn
+    phase is a normal double, as PhaseSet requires.
     Raises ConfigError.
     """
     if command not in ("verify", "bmo"):
@@ -298,9 +299,9 @@ def _checked_corpus(command: str, options: dict) -> dict:
     if checked["seed"] is None:
         raise ConfigError(f"--seed must be an integer, got {options.get('seed')!r}")
     lo, hi = checked["sigma_min"], checked["sigma_max"]
-    if lo is None or hi is None or not (math.isfinite(lo) and math.isfinite(hi) and 0.0 < lo <= hi):
+    if lo is None or hi is None or not (math.isfinite(lo) and math.isfinite(hi) and sys.float_info.min <= lo <= hi):
         raise ConfigError(
-            "--sigma-min and --sigma-max must be finite with 0 < sigma_min <= sigma_max,"
+            f"--sigma-min and --sigma-max must be finite with {sys.float_info.min!r} <= sigma_min <= sigma_max,"
             f" got {options.get('sigma_min')!r} and {options.get('sigma_max')!r}"
         )
     return {**options, **checked}

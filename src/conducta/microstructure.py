@@ -13,7 +13,7 @@ Grid file format (little endian, documented for interoperability):
     dim     u8       2 or 3
     K       u8       number of conductivities
     shape   dim*u32  voxels per axis
-    sigma   K*f64    conductivities, finite and positive
+    sigma   K*f64    conductivities, finite and >= 2.2250738585072014e-308
     index   u8[...]  phase indices, row-major (C order)
 """
 
@@ -62,7 +62,7 @@ class VoxelGrid:
         sig = tuple(float(c) for c in self.phase_conductivities)
         if not 1 <= len(sig) <= 255:
             raise ValueError(f"number of conductivities must be in [1, 255], got {len(sig)}")
-        bad = [c for c in sig if not 0.0 < c < math.inf]
+        bad = [c for c in sig if not np.finfo(float).tiny <= c < math.inf]  # normal, as PhaseSet requires
         if bad:
             raise ValueError(f"conductivities must be finite and positive, got {bad[0]}")
         if idx.size and int(idx.max()) >= len(sig):

@@ -15,6 +15,7 @@ continuously by 0 at F = 0.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -37,8 +38,8 @@ FRACTION_TOL = 1e-12
 class PhaseSet:
     """An ordered multiphase composition of the unit cube.
 
-    Invariants: K >= 1 phases, conductivities finite, positive and strictly
-    increasing, fractions in (0, 1] summing to one (within 1e-12), dimension
+    Invariants: K >= 1 phases, conductivities finite, at least the least
+    normal double 2.2250738585072014e-308 and strictly increasing, fractions in (0, 1] summing to one (within 1e-12), dimension
     n >= 2.  Both sequences are stored as owned tuples of floats.  Use
     :meth:`from_pairs` to build from raw data; it sorts by conductivity,
     merges phases with equal conductivity (the distribution function cannot
@@ -55,7 +56,7 @@ class PhaseSet:
         if len(sig) != len(mu):
             raise ValueError("conductivities and fractions must have equal length")
         for s, m in zip(sig, mu):
-            if not 0.0 < s < math.inf:
+            if not sys.float_info.min <= s < math.inf:  # a subnormal sigma would overflow m / (sigma + (n-1) S)
                 raise ValueError(f"conductivity must be finite and positive, got {s}")
             if not 0.0 < m <= 1.0:
                 raise ValueError(f"volume fraction must lie in (0, 1], got {m}")

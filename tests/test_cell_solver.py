@@ -267,6 +267,17 @@ class TestScaleAndContrast:
         assert np.array_equal(scaled.matrix, np.ldexp(base.matrix, m))
         assert scaled.iterations == base.iterations and scaled.residuals == base.residuals
 
+    @settings(max_examples=40, deadline=None)
+    @given(idx=labels_on_small_grids(), m=st.integers(-1000, 1000), S=st.sampled_from([0.7, 2.5, 6.0]))
+    def test_potential_power_of_two_scaling_is_exact(self, idx, m, S):
+        base = build_optimal_potential(VoxelGrid(idx, (1.0, 2.0, 5.0)), S)
+        scaled_grid = VoxelGrid(idx, tuple(math.ldexp(c, m) for c in (1.0, 2.0, 5.0)))
+        scaled = build_optimal_potential(scaled_grid, math.ldexp(S, m))
+        for name in ("theta", "hessian_p", "laplacian_p"):
+            assert np.array_equal(getattr(scaled, name), getattr(base, name))
+        for value in (lambda pf: pf.I1, lambda pf: pf.I2, lambda pf: pf.I2_positive_part, constructive_value):
+            assert value(scaled) == np.ldexp(value(base), m)
+
     def test_contrast_above_the_limit_fails_before_any_transform(self, fft_log):
         idx = np.random.default_rng(1).integers(0, 2, (8, 8)).astype(np.uint8)
         hi = cell_solver._MAX_CONTRAST * (1 + 1e-12)
@@ -482,13 +493,33 @@ class TestOptimalPotential:
 
     @pytest.mark.parametrize("hi", [1e308, 1e305])
     def test_potential_overflow_names_the_range(self, hi):
-        # at (1, 1e308) the potential returned I1 = nan after four warnings;
-        # a warning would fail this test.  The quadratures are computed on
-        # first read, so the first read is what raises.
+        # at (1, 1e308) the potential returned I1 = nan after four warnings,
+        # later it raised; on sigma / 2^e that range now has values (see
+        # test_formerly_overflowing_ranges_have_exact_values).  At (1e-20, hi)
+        # and S = 1e-20, inf sigma + S divided by 2^e underflows to 0, so theta
+        # divides by zero.  A warning would fail this test.
         idx = np.random.default_rng(0).integers(0, 2, (128, 128)).astype(np.uint8)
-        pf = build_optimal_potential(VoxelGrid(idx, (1.0, hi)), 2.5)
-        with pytest.raises(ValueError, match=re.escape(f"potential at S = 2.5 overflows on conductivities in [1, {hi:.12g}]")):
-            pf.I1
+        span = f"[1e-20, {hi:.12g}]"
+        with pytest.raises(ValueError, match=re.escape(f"potential at S = 1e-20 overflows on conductivities in {span}")):
+            build_optimal_potential(VoxelGrid(idx, (1e-20, hi)), 1e-20)
+
+    @pytest.mark.parametrize("shape, sigmas, S", [
+        ((128, 128), (1.0, 1e308), 2.5),
+        ((128, 128), (1.0, 1e305), 2.5),
+        ((16, 16), (1.0, 1e308), 1.0),
+        ((16, 16), (1e300, 1e307), 1.0),
+    ])
+    def test_formerly_overflowing_ranges_have_exact_values(self, shape, sigmas, S):
+        # each of these raised "overflows": the unscaled quadrature sums passed
+        # the largest double.  Now each value is 2^1000 times the value at
+        # 2^-1000 sigma and 2^-1000 S, and no numpy warning is raised.
+        idx = np.random.default_rng(0).integers(0, 2, shape).astype(np.uint8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pf = build_optimal_potential(VoxelGrid(idx, sigmas), S)
+            small = build_optimal_potential(VoxelGrid(idx, tuple(math.ldexp(c, -1000) for c in sigmas)), math.ldexp(S, -1000))
+            for value in (lambda pf: pf.I1, lambda pf: pf.I2, lambda pf: pf.I2_positive_part, constructive_value):
+                assert math.isfinite(value(pf)) and value(pf) == np.ldexp(value(small), 1000)
 
 
 class TestI1I2:
@@ -580,17 +611,20 @@ class TestConstructiveBound:
             for S in (emp.inf_sigma, emp.sup_sigma):
                 assert constructive_upper(g, S) >= sb * (1 - 1e-9)
 
-    @pytest.mark.parametrize("sigmas", [(1.0, 1e308), (1e300, 1e307)])
+    @pytest.mark.parametrize("sigmas", [(1e-20, 1e308), (1.0, 1.7e308)])
     def test_overflow_raises_one_error_without_warning(self, sigmas):
         # the grid-resolved I1 ran outside the overflow guard: four numpy
-        # warnings, or "overflow encountered in reduce", before the ValueError
-        g = VoxelGrid(np.random.default_rng(0).integers(0, 2, (16, 16)).astype(np.uint8), sigmas)
+        # warnings, or "overflow encountered in reduce", before the ValueError.
+        # On sigma / 2^e, (1, 1e308) and (1e300, 1e307) at S = 1 have values;
+        # these do not.  At S = 1e-20 theta divides by an underflowed 0; at
+        # (1, 1.7e308) on this grid the constructive value, I1 of the
+        # grid-resolved lap p plus I2_positive_part, passes the largest double.
+        g = VoxelGrid(np.random.default_rng(0).integers(0, 2, (8, 8, 8)).astype(np.uint8), sigmas)
         span = f"[{sigmas[0]:.12g}, {sigmas[1]:.12g}]"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            pf = build_optimal_potential(g, 1.0)
             with pytest.raises(ValueError, match=re.escape(f"overflows on conductivities in {span}")):
-                constructive_value(pf)
+                constructive_value(build_optimal_potential(g, sigmas[0]))
 
     def test_constructive_value_reuses_field(self):
         g = generate_random(TWO_14, (32, 32), seed=4)

@@ -2,6 +2,7 @@ import argparse
 import importlib.util
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -67,9 +68,10 @@ class TestBoundsCommand:
         assert main(["bounds", "--config", str(p)]) == 1
         assert "sum to 1" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("sigma", ["inf", "nan"])
+    @pytest.mark.parametrize("sigma", ["inf", "nan", "1e-310"])
     def test_non_finite_conductivity_named(self, sigma, tmp_path, capsys):
-        # phase = inf 0.5 exited 1 with "S must be finite and nonnegative, got inf"
+        # phase = inf 0.5 exited 1 with "S must be finite and nonnegative, got inf";
+        # phases (1e-310, 0.5) (2e-310, 0.5) printed hashin_shtrikman 0 and exited 0
         p = tmp_path / "inf.cfg"
         p.write_text(f"dimension = 2\nphase = {sigma} 0.5\nphase = 1 0.5\n")
         assert main(["bounds", "--config", str(p)]) == 1
@@ -84,6 +86,26 @@ class TestBoundsCommand:
         assert rows["hashin_shtrikman"][1] == "3.33333333333e+199"
         assert rows["hashin_shtrikman"][4] == "0"
         assert rows["theorem1_simplified"][1] == "3.33333333333e+199"
+        # the optimize_S scan point sup * k / 64 overflowed from k = 9 on:
+        # "S must be finite and nonnegative, got inf", an S nobody gave
+        p.write_text("dimension = 2\nphase = 1e307 0.5\nphase = 2e307 0.5\n")
+        assert main(["bounds", "--config", str(p)]) == 0
+        rows = {line.split()[0]: line.split() for line in capsys.readouterr().out.splitlines() if line[:1].isalpha()}
+        assert rows["hashin_shtrikman"][1] == "1.42857142857e+307"
+        assert rows["trivial"][1] == "1.5e+307"
+        assert rows["theorem1_simplified"][1:5] == ["1.42857142857e+307", "2e+307", "1.42857142857e+307", "0"]
+
+    @pytest.mark.parametrize("text, message", [
+        ("dimension = 2\nphase 1 1\n", "line 2: expected 'key = value'"),
+        ("dimension = two\nphase = 1 1\n", "line 1: dimension must be an integer, got 'two'"),
+        ("dimension = 2\n\nphase = 1 0.5 7\n", "line 3: phase needs 'sigma mu', got '1 0.5 7'"),
+        ("# no phases\ndimension = 2\n", "no 'phase' lines found"),
+    ])
+    def test_malformed_config_exit_one(self, text, message, tmp_path, capsys):
+        p = tmp_path / "bad.cfg"
+        p.write_text(text)
+        assert main(["bounds", "--config", str(p)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_overflowing_E_term_exits_one(self, tmp_path, capsys):
         # printed three_phase_refined inf with E_term inf and exited 0: the
@@ -197,6 +219,40 @@ class TestSolveCommand:
         assert main(["solve", "--grid", str(p)]) == 1
         assert "conductivities must be finite and positive, got inf" in capsys.readouterr().err
 
+    def test_subnormal_conductivity_in_grid_file_exit_one(self, tmp_path, capsys):
+        # (5e-324, 1e-323) was a ZeroDivisionError traceback: every bound was 0
+        p = tmp_path / "tiny.cnda"
+        save_grid(VoxelGrid(np.random.default_rng(0).integers(0, 2, (16, 16)).astype(np.uint8), (1.0, 2.0)), p)
+        raw = bytearray(p.read_bytes())
+        raw[16:32] = np.array([5e-324, 1e-323], "<f8").tobytes()  # the table, after the 8-byte header and 2D shape
+        p.write_bytes(bytes(raw))
+        assert main(["solve", "--grid", str(p)]) == 1
+        assert capsys.readouterr().err == f"error: {p}: conductivities must be finite and positive, got 5e-324\n"
+
+    def test_top_of_the_range_reports_the_unit_scale_digits(self, tmp_path, capsys):
+        # (1e307, 2e307) finished the solve, then exited 1: the potential's I1
+        # sum overflowed, and past it the optimize_S scan point sup * k / 64
+        idx = np.random.default_rng(0).integers(0, 2, (32, 32)).astype(np.uint8)
+        outs = []
+        for lo in (1.0, 2.0**1019, 1e307):
+            p = tmp_path / "g.cnda"
+            save_grid(VoxelGrid(idx, (lo, 2 * lo)), p)
+            assert main(["solve", "--grid", str(p)]) == 0
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            outs.append(captured.out.splitlines())
+        number = r"(?<![\w.])-?\d+(?:\.\d*)?(?:e[-+]\d+)?"
+        for unit, big in zip(*outs[:2], strict=True):
+            if unit.startswith(("#", "grid", "dimension", "shape", "iterations", "residuals")):
+                assert big == unit
+                continue
+            assert re.sub(number, "#", big).split() == re.sub(number, "#", unit).split()
+            fields = [[float(v) for v in re.findall(number, line.split(":", 1)[-1])] for line in (unit, big)]
+            # phase fractions and slacks do not scale; every other number is a conductivity
+            free = {1, 3} if unit.startswith("empirical") else {1} if unit.startswith("sigma_bar <=") else set()
+            for i, (u, b) in enumerate(zip(*fields, strict=True)):
+                assert b == pytest.approx(u if i in free else math.ldexp(u, 1019), rel=5e-11)
+
     def test_each_quadrature_evaluated_once_per_shift(self, tmp_path, monkeypatch, capsys):
         potentials, i1_fields, i2_calls = [], [], []
         build, i1, i2 = cli.build_optimal_potential, cell_solver._i1_quadrature, cell_solver._i2_quadrature
@@ -217,7 +273,9 @@ class TestSolveCommand:
         monkeypatch.setattr(cell_solver, "_i1_quadrature", spy_i1)
         monkeypatch.setattr(cell_solver, "_i2_quadrature", spy_i2)
         assert main(["solve", "--grid", small_grid(tmp_path), "--S", "1,2,3"]) == 0
-        assert [pf.S for pf in potentials] == [1.0, 2.0, 3.0] == i2_calls
+        assert [pf.S for pf in potentials] == [1.0, 2.0, 3.0]
+        # the quadratures run on S / 2^e, 2^e = 8 the least power of two above sup sigma + S = 4 + S
+        assert i2_calls == [math.ldexp(S, -3) for S in (1.0, 2.0, 3.0)]
         # I1 integrates theta; constructive_value integrates the grid-resolved lap p
         for pf in potentials:
             assert [f is pf.theta for f in i1_fields].count(True) == 1
@@ -285,21 +343,50 @@ class TestSolveCommand:
 
 
 class TestRepeatRuns:
-    @pytest.mark.parametrize("command", ["solve", "verify"])
-    def test_repeat_in_one_process_is_identical(self, command, three_cfg, tmp_path, fft_log, capsys):
-        # a run leaves no state behind: its output and its transforms are the same the second time
+    @pytest.mark.parametrize("command", ["solve", "verify", "bmo"])
+    def test_repeat_in_one_process_is_identical(self, command, three_cfg, tmp_path, fft_log, monkeypatch, capsys):
+        # a run leaves no state behind: its output, its transforms, and the calls
+        # and per-layer counts the benchmark's tracer records are the same the
+        # second time, or the traced benchmark fails
+        tr = load_bench_module(monkeypatch, "tracer")
+        tracer = tr.Tracer()
         argv = COMMAND_ARGV[command](three_cfg, tmp_path)
-        runs = []
-        for _ in range(2):
+        runs, spans = [], []
+        for k in range(2):
             start = len(fft_log)
-            assert main(argv) == 0
-            runs.append((capsys.readouterr().out, fft_log[start:]))
+            tracer.invocation = k
+            tracer.install()
+            try:
+                assert main(argv) == 0
+            finally:
+                tracer.uninstall()
+            spans.append([rec for rec in tracer.spans if rec[tr.INVOCATION] == k])
+            calls = [(rec[tr.NAME], rec[tr.ATTRS]) for rec in spans[-1]]
+            runs.append((capsys.readouterr().out, fft_log[start:], calls))
         assert runs[0] == runs[1]
-        assert runs[0][0] and runs[0][1]
+        assert all(runs[0]) and ("cell_solver.build_optimal_potential", None) in runs[0][2]
+        assert tr.combine([tr.invocation_metrics(s) for s in spans])[1] == []
 
 
 class TestVerifyCommand:
     ARGS = ["verify", "--count", "4", "--shape", "32", "--dim", "2", "--seed", "11"]
+
+    def test_violation_exit_three_and_replay(self, tmp_path, capsys):
+        # on an axis of 2 voxels every nonzero mode is Nyquist, so the solve
+        # returns the arithmetic mean, which lies above Hashin-Shtrikman
+        assert main(["verify", "--count", "1", "--shape", "2", "--num-phases", "3", "--seed", "0"]) == 3
+        captured = capsys.readouterr()
+        header, row = captured.out.splitlines()
+        assert header.startswith("seed,") and row.startswith("0,") and row.endswith(",VIOLATION")
+        summary, prompt, manifest = captured.err.split("\n", 2)
+        assert summary.startswith("verify: 1 grids, 1 violation(s)")
+        assert prompt == "replay manifest for the failing batch:"
+        path = tmp_path / "failing.manifest.json"
+        path.write_text(manifest)
+        assert json.loads(manifest)["command"] == "verify"
+        assert main(["replay", str(path)]) == 3
+        replayed = capsys.readouterr()
+        assert replayed.out == captured.out and replayed.err == captured.err
 
     def test_runs_clean(self, tmp_path, capsys):
         out = tmp_path / "verify.csv"
@@ -392,7 +479,7 @@ class TestCorpusFlags:
         assert "error:" in capsys.readouterr().err
 
 
-    BAD_SIGMAS = [("nan", "5"), ("1", "inf"), ("5", "1"), ("-1", "5"), ("0", "5"), ("1", "x")]
+    BAD_SIGMAS = [("nan", "5"), ("1", "inf"), ("5", "1"), ("-1", "5"), ("0", "5"), ("1", "x"), ("1e-310", "5")]
 
     @pytest.mark.parametrize("command", ["verify", "bmo"])
     @pytest.mark.parametrize("seed", ["x", "1.5", ""])
@@ -523,6 +610,10 @@ class TestReplayManifests:
     def test_malformed_manifest_exit_one(self, text, tmp_path, capsys):
         assert self.replay(tmp_path, text) == 1
         assert "manifest" in capsys.readouterr().err
+
+    def test_unknown_command_named(self, tmp_path, capsys):
+        assert self.replay(tmp_path, {"command": "frobnicate", "options": {}}) == 1
+        assert capsys.readouterr().err == "error: manifest has unknown command 'frobnicate'\n"
 
     def test_missing_config_key_named(self, tmp_path, capsys):
         assert self.replay(tmp_path, {"command": "bounds", "options": {}}) == 1
@@ -804,10 +895,10 @@ class TestShiftOverflow:
         assert capsys.readouterr().err == self.MESSAGE
 
 
-def load_bench_workloads(monkeypatch):
-    """bench/workloads.py, imported by path and only read."""
-    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+def load_bench_module(monkeypatch, name):
+    """bench/<name>.py, imported by path and only read."""
+    path = Path(__file__).resolve().parent.parent / "bench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look themselves up
     spec.loader.exec_module(module)
@@ -817,7 +908,7 @@ def load_bench_workloads(monkeypatch):
 @pytest.mark.parametrize("name", ["verify-2d", "solve-3d", "bmo-2d"])
 def test_benchmark_argv_parses(name, tmp_path, monkeypatch):
     # a CLI change that breaks an argument list of the benchmark fails here
-    workloads = load_bench_workloads(monkeypatch).WORKLOADS
+    workloads = load_bench_module(monkeypatch, "workloads").WORKLOADS
     assert sorted(workloads) == ["bmo-2d", "solve-3d", "verify-2d"]
     workload = workloads[name]
     for argv in (workload.argv(tmp_path, 3, 2), workload.reference_argv(tmp_path)):
@@ -836,7 +927,7 @@ def test_benchmark_argv_parses(name, tmp_path, monkeypatch):
 def test_benchmark_parses_output(name, argv, tmp_path, monkeypatch, capsys):
     # a change to an output format that the benchmark's row checks or
     # physical-value columns can no longer read fails here
-    bench = load_bench_workloads(monkeypatch)
+    bench = load_bench_module(monkeypatch, "workloads")
     workload = bench.WORKLOADS[name]
     if argv is None:  # the workload's medium on a 16^3 grid
         path = tmp_path / "grid.cnda"

@@ -36,7 +36,7 @@ class TestVoxelGrid:
         with pytest.raises(ValueError, match="index"):
             VoxelGrid(np.full((4, 4), 2, np.uint8), (1.0, 2.0))
 
-    @pytest.mark.parametrize("sigma", [0.0, -1.0, math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, math.inf, -math.inf, math.nan, 1e-310, 5e-324])
     def test_conductivities_finite_and_positive(self, sigma):
         with pytest.raises(ValueError, match=f"conductivities must be finite and positive, got {sigma}"):
             VoxelGrid(np.zeros((4, 4), np.uint8), (1.0, sigma))
@@ -246,6 +246,15 @@ class TestGridFile:
         raw[24:32] = struct.pack("<d", sigma)  # the second table entry, after the 8-byte header and 2D shape
         p.write_bytes(bytes(raw))
         with pytest.raises(GridFormatError, match=f"inf.cnda: conductivities must be finite and positive, got {sigma}"):
+            load_grid(p)
+
+    def test_bad_dimension(self, tmp_path):
+        p = tmp_path / "d.cnda"
+        save_grid(generate_checkerboard(1.0, 2.0, (4, 4)), p)
+        raw = bytearray(p.read_bytes())
+        raw[6] = 4  # the dimension byte, after the magic and the u16 version
+        p.write_bytes(bytes(raw))
+        with pytest.raises(GridFormatError, match="d.cnda: bad dimension 4"):
             load_grid(p)
 
     def test_truncated(self, tmp_path):

@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -51,10 +52,15 @@ def step_weight(ps, t_lo, t_hi):
 
 class TestPhaseValidation:
     def test_phase_rejects_nonpositive_conductivity(self):
-        # inf and nan were accepted: inf failed later as "S must be finite"
-        for sigma in (0.0, -1.0, math.inf, math.nan):
+        # inf and nan were accepted: inf failed later as "S must be finite";
+        # a subnormal one made a term m / (sigma + (n-1) S) of L overflow
+        for sigma in (0.0, -1.0, math.inf, math.nan, 1e-310, 5e-324):
             with pytest.raises(ValueError, match=f"conductivity must be finite and positive, got {sigma}"):
                 PhaseSet((sigma, 2.0), (0.5, 0.5), 2)
+
+    def test_least_normal_conductivity_gives_a_finite_L(self):
+        ps = PhaseSet((sys.float_info.min, 1.0), (0.5, 0.5), 2)
+        assert 0.0 < shifted_harmonic_L(ps, 0.0) < math.inf
 
     def test_phase_rejects_bad_fraction(self):
         for mu in (0.0, 1.5, math.nan):
