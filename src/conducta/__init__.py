@@ -32,7 +32,6 @@ from .cell_solver import (
 from .errors import ConfigError, ConvergenceError, GridFormatError
 from .microstructure import (
     VoxelGrid,
-    empirical_phase_set,
     generate_checkerboard,
     generate_laminate,
     generate_random,
@@ -56,7 +55,6 @@ __all__ = [
     "bmo_norm",
     "build_optimal_potential",
     "constructive_value",
-    "empirical_phase_set",
     "generate_checkerboard",
     "generate_laminate",
     "generate_random",

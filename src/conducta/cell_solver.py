@@ -31,10 +31,10 @@ equals the pointwise optimal field
 
     theta = n L / (sigma + (n-1) S) - n,
 
-with L = ``phases.shifted_harmonic_L`` of the grid's empirical phase set,
-inverted spectrally, with the Hessian obtained from the multiplier
--k (x) k / |k|^2 applied to the rfftn half spectrum of theta, which is also
-where PotentialField.p_hat lives.  The split value I1 + I2 of the energy of
+with L = ``phases.shifted_harmonic_L`` of ``grid.phase_set``, inverted
+spectrally, with the Hessian obtained from the multiplier -k (x) k / |k|^2
+applied to the rfftn half spectrum of theta, which is also where
+PotentialField.p_hat lives.  The split value I1 + I2 of the energy of
 the test field I + D^2 p is then a certified upper bound for sigma_bar on the
 same grid.  build_optimal_potential builds theta, p_hat and the Hessian; the
 Laplacian and the quadratures I1, I2 and I2_positive_part are computed when
@@ -42,7 +42,8 @@ first read and kept, the three quadratures from one conductivity gather.  The
 BMO report reads no quadrature, and in 2D no Laplacian, so it computes none.
 
 Both jobs follow one scale rule: compute on sigma / 2^e and S / 2^e (S = 0
-for the solve), 2^e the least power of two above sup sigma + (n-1) S, and
+for the solve), 2^e the least power of two above sup sigma + (n-1) S, sup
+sigma read from ``grid.phase_set`` like every range this module names, and
 scale A or the quadratures back by 2^e, both exactly: at 2^m sigma and 2^m S
 they scale by 2^m, theta, p and D^2 p not at all, unless a value is subnormal.
 
@@ -57,10 +58,12 @@ Differentiation conventions (these are constraints, not taste):
   mean).  laplacian_p is therefore theta with its Nyquist-plane content
   removed, i.e. theta at grid resolution; the raw theta field is stored
   separately and is what PotentialField.I1 integrates, matching theorem 1's
-  H(S) = -(n-1)S + L to round-off.  constructive_value integrates the grid-resolved
-  fields instead, so its admissibility (value >= sigma_bar) is exact at the
-  discrete level; on band-limited media such as laminates and checkerboards
-  the two quadratures coincide.
+  H(S), the weighted mean L sum mu_i sigma_i / (sigma_i + (n-1)S) of
+  ``bounds``, to round-off: its integrand sigma (n + theta)^2 / n +
+  (n-1)/n S theta^2 has no cancelling terms.  constructive_value integrates
+  the grid-resolved fields instead, so its admissibility (value >= sigma_bar)
+  is exact at the discrete level; on band-limited media such as laminates
+  and checkerboards the two quadratures coincide.
 """
 
 from __future__ import annotations
@@ -73,7 +76,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError
-from .microstructure import VoxelGrid, empirical_phase_set
+from .microstructure import VoxelGrid
 from .phases import shifted_harmonic_L
 from .spectral import half_wavenumbers
 
@@ -109,11 +112,12 @@ def _subnyquist_mask(shape: tuple[int, ...]) -> np.ndarray:
     return mask
 
 
-def _scale_down(sigma: np.ndarray, n: int, S: float = 0.0) -> tuple[float, int]:
-    """Divide the field sigma in place by 2^e of the module's scale rule; return S / 2^e and e."""
-    e = math.frexp(float(sigma.max()) + (n - 1) * S)[1]
+def _scale_down(grid: VoxelGrid, S: float = 0.0) -> tuple[np.ndarray, float, int]:
+    """The grid's conductivity field and S, divided by 2^e of the module's scale rule, and e."""
+    e = math.frexp(grid.phase_set.sup_sigma + (grid.dimension - 1) * S)[1]
+    sigma = grid.conductivity_field()
     np.ldexp(sigma, -e, out=sigma)
-    return math.ldexp(S, -e), e
+    return sigma, math.ldexp(S, -e), e
 
 
 @contextlib.contextmanager
@@ -226,13 +230,12 @@ def solve_effective_tensor(grid: VoxelGrid) -> EffectiveTensor:
     when the contrast exceeds _MAX_CONTRAST, or when a direction has not
     reached the target within ``_iteration_cap(contrast)`` iterations.
     """
-    sigma = grid.conductivity_field()
-    lo, hi = float(sigma.min()), float(sigma.max())
+    lo, hi = grid.phase_set.inf_sigma, grid.phase_set.sup_sigma
     span, contrast = f"[{lo:.12g}, {hi:.12g}]", hi / lo
     if contrast > _MAX_CONTRAST:
         message = f"cell solve on conductivities in {span} cannot converge: the contrast {contrast:.12g}"
         raise ConvergenceError(f"{message} exceeds {_MAX_CONTRAST:.12g}", math.nan, 0)
-    _, e = _scale_down(sigma, grid.dimension)
+    sigma, _, e = _scale_down(grid)
     with _overflow_raises(lambda: ConvergenceError(f"cell solve overflows on conductivities in {span}", math.nan, 0)):
         n = grid.dimension
         shape = sigma.shape
@@ -309,11 +312,12 @@ class PotentialField:
     theta, p_hat and hessian_p are built with the field.  laplacian_p, I1,
     I2 and I2_positive_part are computed on first read, once: a caller that
     never reads them never pays for them.  I1 is the quadrature of the raw
-    theta field and agrees with H(S) = -(n-1)S + L of the empirical phase
-    set to round-off.  I2 is never above I2_positive_part, which uses the
-    positive part of sigma - S and vanishes identically at S = sup sigma.
-    The quadratures follow the module's scale rule; reading one raises the
-    ValueError naming the conductivity range on overflow.  Arrays are read-only.
+    theta field and agrees with theorem 1's H(S) of ``grid.phase_set``, the
+    weighted mean ``bounds`` evaluates, to round-off.  I2 is never above
+    I2_positive_part, which uses the positive part of sigma - S and vanishes
+    identically at S = sup sigma.  The quadratures follow the module's scale
+    rule; reading one raises the ValueError naming the conductivity range on
+    overflow.  Arrays are read-only.
     """
 
     grid: VoxelGrid
@@ -337,8 +341,8 @@ class PotentialField:
     @functools.cached_property
     def _quadratures(self) -> tuple[float, float, float, float]:
         """(I1, I2, I2_positive_part, constructive_value), from one conductivity gather."""
-        sigma, n = self.grid.conductivity_field(), self.grid.dimension
-        S, e = _scale_down(sigma, n, self.S)
+        n = self.grid.dimension
+        sigma, S, e = _scale_down(self.grid, self.S)
         with _potential_overflow_raises(self.grid, self.S):
             i1 = _i1_quadrature(sigma, self.theta, n, S)
             i2, i2_pos = _i2_quadrature(sigma, self.hessian_p, self.laplacian_p, n, S)
@@ -352,17 +356,14 @@ class PotentialField:
 
 def _potential_overflow_raises(grid: VoxelGrid, S: float):
     """``_overflow_raises`` with the potential's message, naming the conductivity range of the grid."""
-    def error():
-        sigma = grid.conductivity_field()
-        span = f"[{sigma.min():.12g}, {sigma.max():.12g}]"
-        return ValueError(f"the optimal potential at S = {S:.12g} overflows on conductivities in {span}")
-
-    return _overflow_raises(error)
+    span = f"[{grid.phase_set.inf_sigma:.12g}, {grid.phase_set.sup_sigma:.12g}]"
+    return _overflow_raises(
+        lambda: ValueError(f"the optimal potential at S = {S:.12g} overflows on conductivities in {span}")
+    )
 
 
 def _i1_quadrature(sigma: np.ndarray, lap: np.ndarray, n: int, S: float) -> float:
-    lap2 = lap * lap
-    return float(np.mean(sigma * n + 2.0 * sigma * lap + S * lap2 + (sigma - S) * lap2 / n)) / n
+    return float(np.mean(sigma * (n + lap) ** 2 / n + (n - 1) / n * S * lap**2)) / n
 
 
 def _traceless_square(hessian: np.ndarray, lap: np.ndarray, n: int) -> np.ndarray:
@@ -378,17 +379,17 @@ def _traceless_square(hessian: np.ndarray, lap: np.ndarray, n: int) -> np.ndarra
 def build_optimal_potential(grid: VoxelGrid, S: float) -> PotentialField:
     """Construct theta, p and D^2 p; lap p and the split values I1, I2 follow on first read.
 
-    L is ``phases.shifted_harmonic_L`` of the grid's empirical phase set,
-    so theta has zero mean up to round-off, and the zero-frequency
-    coefficient of p is set to zero.  Raises ValueError when S is not finite
-    and positive or sup sigma + (n-1) S overflows, or naming the conductivity
-    range when a value overflows.
+    L is ``phases.shifted_harmonic_L`` of ``grid.phase_set``, so theta has
+    zero mean up to round-off, and the zero-frequency coefficient of p is set
+    to zero.  Raises ValueError when S is not finite and positive or sup
+    sigma + (n-1) S overflows, or naming the conductivity range when a value
+    overflows.
     """
     if not 0.0 < S < np.inf:
         raise ValueError(f"S must be finite and positive, got {S}")
-    L = shifted_harmonic_L(empirical_phase_set(grid), S)
-    sigma, n = grid.conductivity_field(), grid.dimension
-    scaled_S, e = _scale_down(sigma, n, S)
+    L = shifted_harmonic_L(grid.phase_set, S)
+    n = grid.dimension
+    sigma, scaled_S, e = _scale_down(grid, S)
     with _potential_overflow_raises(grid, S):
         shape = sigma.shape
         theta = n * math.ldexp(L, -e) / (sigma + (n - 1) * scaled_S) - n

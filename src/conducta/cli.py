@@ -36,7 +36,7 @@ from .cell_solver import (
     traceless_hessian,
 )
 from .errors import ConfigError, ConvergenceError
-from .microstructure import VoxelGrid, empirical_phase_set, generate_random, load_grid
+from .microstructure import VoxelGrid, generate_random, load_grid
 from .phases import PhaseSet, oscillation_closed_form, read_phase_config, shifted_harmonic_L
 
 EXIT_OK = 0
@@ -217,7 +217,7 @@ def _resolve_s_list(s_spec: str, ps: PhaseSet) -> list[float]:
 
 def run_solve(options: dict) -> int:
     grid = load_grid(options["grid"])
-    emp = empirical_phase_set(grid)
+    emp = grid.phase_set
     cfg = _bound_cfg(options)  # every flag is checked before the solve
     s_values = _resolve_s_list(options["S"], emp)
     tensor = solve_effective_tensor(grid)
@@ -340,7 +340,7 @@ def _verify_one(seed: int, options: dict, bound_cfg: BoundConfig) -> tuple[str, 
     """CSV row of one corpus grid, and whether a hard bound was violated."""
     grid = _corpus_grid(seed, options)
     tensor = solve_effective_tensor(grid)
-    emp = empirical_phase_set(grid)
+    emp = grid.phase_set
     triv = trivial_upper(emp).value
     hs = hs_upper(emp).value
     opt = optimize_S(emp, bound_cfg)
@@ -379,7 +379,7 @@ def run_verify(options: dict) -> int:
 
 def _bmo_one(grid: VoxelGrid, label: str, s: float | None) -> tuple[str, float]:
     """Report row of one grid at shift ``s`` (None: the grid's mid conductivity), and its Lemma-1 ratio."""
-    emp = empirical_phase_set(grid)
+    emp = grid.phase_set
     if s is None:
         s = 0.5 * (emp.inf_sigma + emp.sup_sigma)
     pf = build_optimal_potential(grid, s)

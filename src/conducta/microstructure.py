@@ -19,6 +19,7 @@ Grid file format (little endian, documented for interoperability):
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 from dataclasses import dataclass
@@ -35,7 +36,6 @@ __all__ = [
     "generate_laminate",
     "generate_checkerboard",
     "generate_random",
-    "empirical_phase_set",
     "save_grid",
     "load_grid",
 ]
@@ -85,6 +85,17 @@ class VoxelGrid:
 
     def conductivity_field(self) -> np.ndarray:
         return np.asarray(self.phase_conductivities, dtype=float)[self.phase_index]
+
+    @functools.cached_property
+    def phase_set(self) -> PhaseSet:
+        """Phase set with the fractions actually realized on the grid, built on first read and kept.
+
+        Counts divide exactly by the (power-of-two) voxel total, so the fractions
+        sum to exactly one.  Phases with no voxels are dropped, so inf and sup
+        sigma are the least and the greatest conductivity a voxel carries.
+        """
+        counts = np.bincount(self.phase_index.ravel(), minlength=len(self.phase_conductivities))
+        return PhaseSet.from_pairs(self.phase_conductivities, counts / self.num_voxels, self.dimension)
 
 
 def generate_laminate(ps: PhaseSet, axis: int, shape: tuple[int, ...]) -> VoxelGrid:
@@ -171,17 +182,6 @@ def generate_random(ps: PhaseSet, shape: tuple[int, ...], seed: int, mode: str =
     else:
         raise ValueError(f"unknown mode {mode!r}, expected 'iid' or 'smooth'")
     return VoxelGrid(index, ps.conductivities)
-
-
-def empirical_phase_set(grid: VoxelGrid) -> PhaseSet:
-    """Phase set with the fractions actually realized on the grid.
-
-    Counts divide exactly by the (power-of-two) voxel total, so the fractions
-    sum to exactly one.  Phases with no voxels are dropped.
-    """
-    counts = np.bincount(grid.phase_index.ravel(), minlength=len(grid.phase_conductivities))
-    fractions = counts / grid.num_voxels
-    return PhaseSet.from_pairs(grid.phase_conductivities, fractions, grid.dimension)
 
 
 def save_grid(grid: VoxelGrid, path: str | Path) -> None:

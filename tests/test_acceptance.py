@@ -19,7 +19,6 @@ from conducta.cell_solver import (
 )
 from conducta.cli import main
 from conducta.microstructure import (
-    empirical_phase_set,
     generate_checkerboard,
     generate_laminate,
     generate_random,
@@ -128,7 +127,7 @@ def test_criterion_6_bound_validity_corpus():
         ps = random_phase_set(rng, 2, 2, sigma_range=(1.0, 5.0))
         grid = generate_random(ps, (64, 64), seed=seed)
         sb = solve_effective_tensor(grid).sigma_bar
-        emp = empirical_phase_set(grid)
+        emp = grid.phase_set
         for bound in (trivial_upper(emp).value, hs_upper(emp).value):
             slack = (bound - sb) / bound
             worst_slack = min(worst_slack, slack)
@@ -156,7 +155,7 @@ def _criterion7_grids():
 def test_criterion_7_constructive_proof_consistency():
     worst = {"i1": 0.0, "hess": 0.0, "traceless": -np.inf, "margin": np.inf}
     for grid in _criterion7_grids():
-        emp = empirical_phase_set(grid)
+        emp = grid.phase_set
         n = grid.dimension
         sb = solve_effective_tensor(grid).sigma_bar
         s_values = (emp.inf_sigma, 0.5 * (emp.inf_sigma + emp.sup_sigma), emp.sup_sigma)
@@ -202,7 +201,7 @@ def test_criterion_8_bmo_lemma_constants():
         k = 2 if i % 2 == 0 else 3
         ps = random_phase_set(rng, k, 2, sigma_range=(1.0, 5.0))
         grid = generate_random(ps, (64, 64), seed=300 + i)
-        emp = empirical_phase_set(grid)
+        emp = grid.phase_set
         for S in (0.5 * (emp.inf_sigma + emp.sup_sigma), emp.sup_sigma):
             pf = build_optimal_potential(grid, S)
             osc_worst = max(

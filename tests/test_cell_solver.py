@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conducta import cell_solver
+from conducta.bounds import theorem1_upper
 from conducta.cell_solver import (
     EffectiveTensor,
     _half_spectrum_dot,
@@ -24,7 +25,6 @@ from conducta.cell_solver import (
 from conducta.errors import ConvergenceError
 from conducta.microstructure import (
     VoxelGrid,
-    empirical_phase_set,
     generate_checkerboard,
     generate_laminate,
     generate_random,
@@ -153,7 +153,7 @@ class TestEffectiveTensor:
         t = solve_effective_tensor(g)
         assert max(t.iterations) <= cell_solver._iteration_cap(100)
         assert all(r <= 1e-8 for r in t.residuals)
-        emp = empirical_phase_set(g)
+        emp = g.phase_set
         harm = 1.0 / math.fsum(m / s for s, m in zip(emp.conductivities, emp.fractions))
         arit = math.fsum(m * s for s, m in zip(emp.conductivities, emp.fractions))
         assert harm * (1 - 1e-9) <= t.sigma_bar <= arit * (1 + 1e-9)
@@ -171,7 +171,7 @@ class TestEffectiveTensor:
         for seed in range(3):
             ps = random_phase_set(rng, 3, 2)
             g = generate_random(ps, (32, 32), seed=seed)
-            emp = empirical_phase_set(g)
+            emp = g.phase_set
             t = solve_effective_tensor(g)
             harm = 1.0 / math.fsum(m / s for s, m in zip(emp.conductivities, emp.fractions))
             arit = math.fsum(m * s for s, m in zip(emp.conductivities, emp.fractions))
@@ -296,7 +296,7 @@ class TestScaleAndContrast:
     @pytest.mark.parametrize("shape", [(32, 32), (8, 8, 8)])
     def test_iterations_stay_below_half_the_cap(self, shape, mode, contrast):
         g = generate_random(PhaseSet.from_pairs((1.0, contrast), (0.5, 0.5), len(shape)), shape, seed=0, mode=mode)
-        emp = empirical_phase_set(g)
+        emp = g.phase_set
         t = solve_effective_tensor(g)
         assert 0 < max(t.iterations) <= cell_solver._iteration_cap(emp.sup_sigma / emp.inf_sigma) / 2
 
@@ -417,13 +417,13 @@ class TestOptimalPotential:
         assert pf.theta[sigma == 1.0] == pytest.approx(0.4, rel=1e-12)
         assert pf.theta[sigma == 2.0] == pytest.approx(-0.4, rel=1e-12)
         assert (pf.theta.max() - pf.theta.min()) == pytest.approx(0.8, rel=1e-12)
-        assert oscillation_closed_form(empirical_phase_set(g), 1.0) == pytest.approx(0.8, rel=1e-12)
+        assert oscillation_closed_form(g.phase_set, 1.0) == pytest.approx(0.8, rel=1e-12)
 
     @pytest.mark.parametrize("shape, S", [((32, 32), 2.5), ((8, 16, 8), 0.7)])
     def test_theta_uses_the_phase_set_L(self, shape, S):
         n = len(shape)
         g = generate_random(PhaseSet.from_pairs((1.0, 4.0, 9.0), (0.3, 0.5, 0.2), n), shape, seed=9)
-        L = shifted_harmonic_L(empirical_phase_set(g), S)
+        L = shifted_harmonic_L(g.phase_set, S)
         theta = n * L / (g.conductivity_field() + (n - 1) * S) - n
         assert np.array_equal(build_optimal_potential(g, S).theta, theta)
 
@@ -479,7 +479,7 @@ class TestOptimalPotential:
         for S in (1.0, 3.0, 5.0):
             pf = build_optimal_potential(g, S)
             osc = pf.theta.max() - pf.theta.min()
-            assert abs(osc - oscillation_closed_form(empirical_phase_set(g), S)) < 1e-10
+            assert abs(osc - oscillation_closed_form(g.phase_set, S)) < 1e-10
 
     def test_oscillation_closed_form_at_huge_conductivities(self):
         # n L osc sigma and the product of the two shifted extremes overflowed
@@ -489,7 +489,7 @@ class TestOptimalPotential:
         S = 5e199
         pf = build_optimal_potential(g, S)
         osc = float(pf.theta.max() - pf.theta.min())
-        assert oscillation_closed_form(empirical_phase_set(g), S) == pytest.approx(osc, rel=1e-12)
+        assert oscillation_closed_form(g.phase_set, S) == pytest.approx(osc, rel=1e-12)
 
     @pytest.mark.parametrize("hi", [1e308, 1e305])
     def test_potential_overflow_names_the_range(self, hi):
@@ -526,11 +526,19 @@ class TestI1I2:
     def test_i1_quadrature_matches_closed_form(self):
         for seed in (0, 1):
             g = generate_random(TWO_14, (64, 64), seed=seed)
-            emp = empirical_phase_set(g)
+            emp = g.phase_set
             for S in (1.0, 2.5, 4.0):
                 pf = build_optimal_potential(g, S)
                 closed = -(emp.dimension - 1) * S + shifted_harmonic_L(emp, S)
                 assert pf.I1 == pytest.approx(closed, rel=1e-8)
+
+    @pytest.mark.parametrize("contrast", [1e4, 1e12, 1e20])
+    def test_i1_keeps_its_digits_at_high_contrast(self, contrast):
+        # I1 summed sigma n + 2 sigma lap + S lap^2 + (sigma - S) lap^2 / n, whose
+        # large terms cancel: 3.26 against H = 4.51 at contrast 1e20
+        g = VoxelGrid(np.random.default_rng(0).integers(0, 2, (128, 128)), (1.0, contrast))
+        H = theorem1_upper(g.phase_set, 2.5).H_term
+        assert abs(build_optimal_potential(g, 2.5).I1 - H) <= 4 * math.ulp(H)
 
     def test_i1_closed_form_on_dyadic_laminate(self):
         ps = PhaseSet.from_pairs((1.0, 2.0, 5.0), (0.25, 0.25, 0.5), 3)
@@ -607,7 +615,7 @@ class TestConstructiveBound:
             ps = random_phase_set(rng, 2, 2, sigma_range=(1.0, 5.0))
             g = generate_random(ps, (32, 32), seed=seed)
             sb = solve_effective_tensor(g).sigma_bar
-            emp = empirical_phase_set(g)
+            emp = g.phase_set
             for S in (emp.inf_sigma, emp.sup_sigma):
                 assert constructive_upper(g, S) >= sb * (1 - 1e-9)
 

@@ -368,6 +368,27 @@ class TestRepeatRuns:
         assert tr.combine([tr.invocation_metrics(s) for s in spans])[1] == []
 
 
+class TestPhaseSetBuilds:
+    @pytest.mark.parametrize(
+        "argv, builds",
+        [
+            # each corpus grid: the phase set it is drawn from, then the one it realizes
+            (["bmo", "--count", "3", "--shape", "32"], 6),
+            (["verify", "--count", "2", "--shape", "32"], 4),
+            (["solve", "--S", "auto"], 1),  # one grid read from a file, three potentials
+        ],
+    )
+    def test_each_grid_builds_its_phase_set_once(self, argv, builds, tmp_path, monkeypatch, capsys):
+        # every potential rebuilt the phase set its command had built: 9, 6 and 4 builds
+        if argv[0] == "solve":
+            argv = [*argv, "--grid", small_grid(tmp_path)]
+        made = []
+        build = PhaseSet.from_pairs
+        monkeypatch.setattr(PhaseSet, "from_pairs", classmethod(lambda cls, *a, **k: made.append(a) or build(*a, **k)))
+        assert main(argv) == 0
+        assert len(made) == builds
+
+
 class TestVerifyCommand:
     ARGS = ["verify", "--count", "4", "--shape", "32", "--dim", "2", "--seed", "11"]
 
@@ -926,7 +947,8 @@ def test_benchmark_argv_parses(name, tmp_path, monkeypatch):
 )
 def test_benchmark_parses_output(name, argv, tmp_path, monkeypatch, capsys):
     # a change to an output format that the benchmark's row checks or
-    # physical-value columns can no longer read fails here
+    # physical-value columns can no longer read fails here, and so does a
+    # column moved away from the position the benchmark reads it at
     bench = load_bench_module(monkeypatch, "workloads")
     workload = bench.WORKLOADS[name]
     if argv is None:  # the workload's medium on a 16^3 grid
@@ -938,6 +960,15 @@ def test_benchmark_parses_output(name, argv, tmp_path, monkeypatch, capsys):
     out = capsys.readouterr().out
     assert workload.check(rc, out) is None
     assert workload.physical_values(out)
+    lines = out.splitlines()
+    if name == "bmo-2d":
+        header = next(line for line in lines if line.startswith("field")).split()
+        assert [header[idx] for idx in bench.BMO_PHYSICAL.values()] == list(bench.BMO_PHYSICAL)
+    elif name == "verify-2d":
+        assert cli._VERIFY_HEADER == bench.VERIFY_COLUMNS
+    else:
+        header = next(line for line in lines if line.split()[:1] == ["S"]).split()
+        assert header[: 1 + len(bench.SOLVE_PHYSICAL)] == ["S", *bench.SOLVE_PHYSICAL]
 
 
 class TestBmoCommand:

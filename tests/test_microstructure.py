@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import struct
 
@@ -8,7 +9,6 @@ from hypothesis import given, strategies as st
 from conducta.errors import GridFormatError
 from conducta.microstructure import (
     VoxelGrid,
-    empirical_phase_set,
     generate_checkerboard,
     generate_laminate,
     generate_random,
@@ -59,6 +59,28 @@ class TestVoxelGrid:
         f = g.conductivity_field()
         assert set(np.unique(f)) == {1.0, 4.0}
 
+    def test_phase_set_built_once_per_grid(self):
+        g = generate_random(THREE, (16, 16), seed=3)
+        assert g.phase_set is g.phase_set
+        # a cache that outlived the grid would hand an equal grid the same object
+        assert VoxelGrid(g.phase_index, g.phase_conductivities).phase_set is not g.phase_set
+
+    def test_phase_set_cannot_be_assigned(self):
+        g = generate_random(THREE, (16, 16), seed=3)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            g.phase_set = TWO
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del g.phase_set
+        assert g.phase_set.conductivities == THREE.conductivities
+
+    @pytest.mark.parametrize("sigmas", [(5.0, 1e-3, 7.0, 2.0), (1e300, 1.0, 1e300)])
+    def test_phase_set_range_is_the_fields(self, sigmas):
+        # unused and repeated table entries drop out, so inf and sup are the field's min and max
+        index = np.arange(16, dtype=np.uint8).reshape(4, 4) % 2 * 2
+        g = VoxelGrid(index, sigmas)
+        f = g.conductivity_field()
+        assert (g.phase_set.inf_sigma, g.phase_set.sup_sigma) == (f.min(), f.max())
+
 
 class TestLaminate:
     def test_equal_split(self):
@@ -83,14 +105,14 @@ class TestLaminate:
 
     def test_empirical_fractions_match(self):
         g = generate_laminate(THREE, 0, (64, 32))
-        emp = empirical_phase_set(g)
+        emp = g.phase_set
         assert emp.fractions == (0.25, 0.25, 0.5)
 
 
 class TestCheckerboard:
     def test_fractions_exactly_half(self):
         g = generate_checkerboard(1.0, 4.0, (256, 256))
-        emp = empirical_phase_set(g)
+        emp = g.phase_set
         assert emp.fractions == (0.5, 0.5)
 
     def test_rejects_odd_or_3d(self):
@@ -103,7 +125,7 @@ class TestCheckerboard:
 
     def test_homogeneous_conductivities_allowed(self):
         g = generate_checkerboard(1.0, 1.0, (8, 8))
-        assert empirical_phase_set(g).num_phases == 1
+        assert g.phase_set.num_phases == 1
 
 
 class TestRandom:
@@ -129,7 +151,7 @@ class TestRandom:
         ps = PhaseSet.from_pairs((1.0, 2.0, 5.0), (0.4, 0.4, 0.2), 2)
         tol = 2.0 / np.sqrt(64 * 64)
         for seed in range(20):
-            emp = empirical_phase_set(generate_random(ps, (64, 64), seed=seed))
+            emp = generate_random(ps, (64, 64), seed=seed).phase_set
             assert emp.conductivities == ps.conductivities
             for i in (1, 2):
                 assert abs(sum(emp.fractions[i:]) - sum(ps.fractions[i:])) < tol
@@ -137,7 +159,7 @@ class TestRandom:
     def test_smooth_fractions_within_one_voxel(self):
         ps = PhaseSet.from_pairs((1.0, 2.0, 5.0), (0.4, 0.4, 0.2), 2)
         g = generate_random(ps, (64, 64), seed=5, mode="smooth")
-        emp = empirical_phase_set(g)
+        emp = g.phase_set
         for got, want in zip(emp.fractions, ps.fractions):
             assert abs(got - want) <= 1.0 / g.num_voxels
 
@@ -188,16 +210,16 @@ class TestEmpiricalPhaseSet:
     def test_fractions_sum_exactly_one(self):
         for seed in range(5):
             g = generate_random(THREE, (32, 32), seed=seed)
-            assert sum(empirical_phase_set(g).fractions) == 1.0
+            assert sum(g.phase_set.fractions) == 1.0
 
     def test_checkerboard(self):
         g = generate_checkerboard(1.0, 4.0, (8, 8))
-        assert empirical_phase_set(g).fractions == (0.5, 0.5)
+        assert g.phase_set.fractions == (0.5, 0.5)
 
     def test_drops_empty_phases(self):
         idx = np.zeros((4, 4), np.uint8)
         g = VoxelGrid(idx, (1.0, 2.0))
-        emp = empirical_phase_set(g)
+        emp = g.phase_set
         assert emp.num_phases == 1
         assert emp.conductivities == (1.0,)
 
