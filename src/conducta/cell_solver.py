@@ -11,10 +11,16 @@ over grid potentials.  Conjugate gradients run in Fourier space on the
 transform, the Green operator of a homogeneous reference medium is a
 diagonal multiply by 1 / (sigma_0 |k|^2), and only the operator
 -div(sigma grad .) visits real space, with 2n real transforms per iteration.
-The solve has no settings.  Each direction stops at a relative residual of
-1e-8 and gives up after a cap set by the contrast kappa = sup / inf sigma,
-which bounds the preconditioned spectrum; past kappa = 1e-8 / eps round-off
-reaches the target, so the solve fails before any transform.
+The solve has no settings.  Each direction stops at whichever exit comes
+first: a relative residual of 1e-8, or a certified energy error of at most
+1e-14 times the harmonic mean of sigma, which is below every A_ii.  The
+certificate is the CG energy-error bound (sigma_0 / inf sigma) (r, G r):
+-div(sigma grad .) is at least inf sigma / sigma_0 times the reference
+operator -sigma_0 lap, so its inverse is at most sigma_0 / inf sigma times
+G.  A direction gives up after a cap set by the contrast
+kappa = sup / inf sigma, which bounds the preconditioned spectrum, naming
+the certified error reached; past kappa = 1e-8 / eps round-off reaches the
+target, so the solve fails before any transform.
 The reported tensor uses the energy bilinear form, which is variationally
 one-sided; the mismatch against the flux average is kept as a convergence
 diagnostic.
@@ -90,7 +96,8 @@ __all__ = [
     "traceless_hessian",
 ]
 
-_RELATIVE_TOLERANCE = 1e-8  # CG stops once |r| / |b| is at most this, in every direction
+_RELATIVE_TOLERANCE = 1e-8  # CG stops once |r| / |b| is at most this, in every direction,
+_ENERGY_TOLERANCE = 1e-14  # or once the certified energy error is at most this times the harmonic mean
 _MAX_CONTRAST = _RELATIVE_TOLERANCE / np.finfo(float).eps  # past it, round-off in the operator reaches the target
 
 
@@ -187,13 +194,16 @@ def _half_spectrum_dot(shape: tuple[int, ...]):
     return dot
 
 
-def _spectral_cg(apply_op, green: np.ndarray, dot, b: np.ndarray, max_iter: int, label: str):
+def _spectral_cg(apply_op, green: np.ndarray, dot, b: np.ndarray, max_iter: int, label: str, energy_error):
     """Green-preconditioned conjugate gradients on half spectra; returns (x, iterations, residual).
 
-    A right-hand side of norm 0 returns a zero corrector after 0 iterations.
-    Raises ConvergenceError after max_iter iterations, or as soon as a
-    residual is not finite (an overflow would otherwise run every remaining
-    iteration on NaNs).
+    Stops once the relative residual is at most _RELATIVE_TOLERANCE or
+    ``energy_error(rz)``, the certified relative energy error of an iterate
+    whose residual r has rz = (r, G r), is at most _ENERGY_TOLERANCE.  A
+    right-hand side of norm 0 returns a zero corrector after 0 iterations.
+    Raises ConvergenceError after max_iter iterations, naming the certified
+    error reached, or as soon as a residual is not finite (an overflow would
+    otherwise run every remaining iteration on NaNs).
     """
     b_norm = float(np.sqrt(dot(b, b)))
     if b_norm == 0.0:
@@ -203,7 +213,7 @@ def _spectral_cg(apply_op, green: np.ndarray, dot, b: np.ndarray, max_iter: int,
     z = green * r
     p = z.copy()
     rz = dot(r, z)
-    residual = 1.0
+    residual, error = 1.0, energy_error(rz)
     for it in range(1, max_iter + 1):
         ap = apply_op(p)
         alpha = rz / dot(p, ap)
@@ -216,9 +226,17 @@ def _spectral_cg(apply_op, green: np.ndarray, dot, b: np.ndarray, max_iter: int,
             raise ConvergenceError(f"cell solve for {label} hit a non-finite residual", residual, it)
         z = green * r
         rz_new = dot(r, z)
+        error = energy_error(rz_new)
+        if error <= _ENERGY_TOLERANCE:
+            return x, it, residual
         p = z + (rz_new / rz) * p
         rz = rz_new
-    raise ConvergenceError(f"cell solve for {label} did not converge within its iteration cap", residual, max_iter)
+    raise ConvergenceError(
+        f"cell solve for {label} did not converge within its iteration cap,"
+        f" with certified relative energy error {error:.3e}",
+        residual,
+        max_iter,
+    )
 
 
 def solve_effective_tensor(grid: VoxelGrid) -> EffectiveTensor:
@@ -227,8 +245,8 @@ def solve_effective_tensor(grid: VoxelGrid) -> EffectiveTensor:
     A homogeneous grid needs no correction: the right-hand side vanishes and
     the solve returns after zero iterations with A = sigma I exactly.
     Raises ConvergenceError naming the conductivity range and the contrast
-    when the contrast exceeds _MAX_CONTRAST, or when a direction has not
-    reached the target within ``_iteration_cap(contrast)`` iterations.
+    when the contrast exceeds _MAX_CONTRAST, or when a direction has met
+    neither exit within ``_iteration_cap(contrast)`` iterations.
     """
     lo, hi = grid.phase_set.inf_sigma, grid.phase_set.sup_sigma
     span, contrast = f"[{lo:.12g}, {hi:.12g}]", hi / lo
@@ -240,28 +258,39 @@ def solve_effective_tensor(grid: VoxelGrid) -> EffectiveTensor:
         n = grid.dimension
         shape = sigma.shape
         ks, k2 = half_wavenumbers(shape, zero_nyquist=True)
-        sigma0 = 0.5 * (math.ldexp(lo, -e) + math.ldexp(hi, -e))
+        sigma_lo = math.ldexp(lo, -e)
+        sigma0 = 0.5 * (sigma_lo + math.ldexp(hi, -e))
         green = np.where(k2 > 0.0, 1.0 / (sigma0 * np.where(k2 > 0.0, k2, 1.0)), 0.0)
         dot = _half_spectrum_dot(shape)
         cap = _iteration_cap(contrast)
+        harm = math.ldexp(shifted_harmonic_L(grid.phase_set, 0.0), -e)  # below every A_ii
+        squared_voxels = sigma.size**2  # dot is that times a real-space mean, by Parseval
+
+        def energy_error(rz):
+            # bounds (energy of the iterate - A_ii) / harm, r its residual and rz = (r, G r)
+            return sigma0 / sigma_lo * rz / squared_voxels / harm
 
         # owned by this call: every transform writes into them, never into a fresh array;
         # apply_operator returns div_hat itself, which CG reads before the next call
         real = np.empty(shape)
         spec = np.empty(green.shape, dtype=complex)
         div_hat = np.empty_like(spec)
+        grad_multipliers = [1j * k for k in ks]
+        div_multipliers = [-1j * k for k in ks]
 
-        def gradient(u_hat, k, out):
-            np.multiply(1j * k, u_hat, out=spec)
+        def gradient(u_hat, axis, out):
+            np.multiply(grad_multipliers[axis], u_hat, out=spec)
             return _irfftn_into(spec, out)
 
         def apply_operator(u_hat):
-            div_hat.fill(0.0)
-            for k in ks:
-                np.multiply(sigma, gradient(u_hat, k, real), out=real)
+            for axis in range(n):
+                np.multiply(sigma, gradient(u_hat, axis, real), out=real)
                 np.fft.rfftn(real, out=spec)
-                np.add(div_hat, np.multiply(1j * k, spec, out=spec), out=div_hat)
-            return np.negative(div_hat, out=div_hat)
+                if axis == 0:
+                    np.multiply(div_multipliers[0], spec, out=div_hat)
+                else:
+                    np.add(div_hat, np.multiply(div_multipliers[axis], spec, out=spec), out=div_hat)
+            return div_hat
 
         sigma_hat = np.fft.rfftn(sigma)
         total_gradients: list[list[np.ndarray]] = []
@@ -272,11 +301,12 @@ def solve_effective_tensor(grid: VoxelGrid) -> EffectiveTensor:
                 apply_operator,
                 green,
                 dot,
-                1j * ks[i] * sigma_hat,
+                grad_multipliers[i] * sigma_hat,
                 cap,
-                label=f"direction {i} on conductivities in {span} of contrast {contrast:.12g}",
+                f"direction {i} on conductivities in {span} of contrast {contrast:.12g}",
+                energy_error,
             )
-            grads = [gradient(u_hat, k, np.empty(shape)) for k in ks]
+            grads = [gradient(u_hat, axis, np.empty(shape)) for axis in range(n)]
             grads[i] += 1.0
             total_gradients.append(grads)
             iterations.append(its)
@@ -398,7 +428,7 @@ def build_optimal_potential(grid: VoxelGrid, S: float) -> PotentialField:
         ks, k2 = half_wavenumbers(shape, zero_nyquist=False)
         mask = _subnyquist_mask(shape)
         p_hat = np.zeros_like(theta_hat)
-        p_hat[mask] = -theta_hat[mask] / k2[mask]
+        np.divide(-theta_hat, k2, out=p_hat, where=mask)
 
         spec = np.empty_like(p_hat)
         hessian = np.empty((n, n) + shape)

@@ -41,6 +41,36 @@ def homogeneous(c=3.0, shape=(8, 8)):
     return VoxelGrid(np.zeros(shape, np.uint8), (c,))
 
 
+@pytest.fixture
+def certificates(monkeypatch):
+    """Per CG direction, the certified relative energy errors it computed.
+
+    The first is that of the zero corrector; each iteration that does not
+    stop at the residual exit adds its own.
+    """
+    log = []
+    spectral_cg = cell_solver._spectral_cg
+
+    def recording(*args):
+        energy_error = args[-1]
+        errors = []
+        log.append(errors)
+
+        def recorded(rz):
+            errors.append(energy_error(rz))
+            return errors[-1]
+
+        return spectral_cg(*args[:-1], recorded)
+
+    monkeypatch.setattr(cell_solver, "_spectral_cg", recording)
+    return log
+
+
+def met_an_exit(t, certificates) -> bool:
+    """Each direction stopped at relative residual 1e-8 or at certified relative energy error 1e-14."""
+    return all(r <= 1e-8 or errors[-1] <= 1e-14 for r, errors in zip(t.residuals, certificates, strict=True))
+
+
 class TestSolverConfig:
     def test_validation(self):
         # the solve has no setting: the contrast decides its iteration cap
@@ -147,12 +177,12 @@ class TestEffectiveTensor:
         t = solve_effective_tensor(g)
         assert t.sigma_bar == pytest.approx(2.0, rel=2e-2)
 
-    def test_high_contrast_converges(self):
+    def test_high_contrast_converges(self, certificates):
         ps = PhaseSet.from_pairs((1.0, 100.0), (0.5, 0.5), 2)
         g = generate_random(ps, (32, 32), seed=0)
         t = solve_effective_tensor(g)
         assert max(t.iterations) <= cell_solver._iteration_cap(100)
-        assert all(r <= 1e-8 for r in t.residuals)
+        assert met_an_exit(t, certificates)
         emp = g.phase_set
         harm = 1.0 / math.fsum(m / s for s, m in zip(emp.conductivities, emp.fractions))
         arit = math.fsum(m * s for s, m in zip(emp.conductivities, emp.fractions))
@@ -215,7 +245,7 @@ class TestEffectiveTensor:
         idx = np.random.default_rng(0).integers(0, 2, (32, 32)).astype(np.uint8)
         t = solve_effective_tensor(VoxelGrid(idx, (1e-170, 2e-170)))
         assert t.sigma_bar / 1e-170 == pytest.approx(1.4507188228461896, rel=1e-15, abs=0.0)
-        assert t.iterations == (11, 11)
+        assert t.iterations == (9, 9)
 
     def test_nyquist_checkerboard_right_hand_side_is_exactly_zero(self):
         # sigma varies only at the Nyquist mode, which the first-derivative multipliers zero
@@ -246,7 +276,7 @@ class TestEffectiveTensor:
 
         b = np.ones((4, 3), dtype=complex)
         with pytest.raises(ConvergenceError, match="non-finite residual") as err:
-            _spectral_cg(nan_operator, np.ones((4, 3)), _half_spectrum_dot((4, 4)), b, 1000, "nan")
+            _spectral_cg(nan_operator, np.ones((4, 3)), _half_spectrum_dot((4, 4)), b, 1000, "nan", lambda rz: 1.0)
         assert err.value.iterations == 1 and len(calls) == 1
 
 
@@ -286,10 +316,10 @@ class TestScaleAndContrast:
         assert f"the contrast {hi:.12g} exceeds {cell_solver._MAX_CONTRAST:.12g}" in str(err.value)
         assert err.value.iterations == 0 and fft_log == []
 
-    def test_contrast_just_below_the_limit_solves(self):
+    def test_contrast_just_below_the_limit_solves(self, certificates):
         idx = np.random.default_rng(1).integers(0, 2, (8, 8)).astype(np.uint8)
         t = solve_effective_tensor(VoxelGrid(idx, (1.0, cell_solver._MAX_CONTRAST * (1 - 1e-12))))
-        assert min(t.iterations) > 0 and max(t.residuals) <= 1e-8
+        assert min(t.iterations) > 0 and met_an_exit(t, certificates)
 
     @pytest.mark.parametrize("contrast", [1.5, 100.0, 1e4])
     @pytest.mark.parametrize("mode", ["iid", "smooth"])
@@ -299,6 +329,45 @@ class TestScaleAndContrast:
         emp = g.phase_set
         t = solve_effective_tensor(g)
         assert 0 < max(t.iterations) <= cell_solver._iteration_cap(emp.sup_sigma / emp.inf_sigma) / 2
+
+
+class TestCertifiedStopping:
+    @pytest.mark.parametrize("contrast", [1.5, 100.0, 1e4])
+    @pytest.mark.parametrize("shape", [(64, 64), (16, 16, 16)])
+    def test_certificate_bounds_the_energy_error(self, shape, contrast, certificates, monkeypatch):
+        n = len(shape)
+        g = generate_random(PhaseSet.from_pairs((1.0, contrast), (0.5, 0.5), n), shape, seed=0)
+        t = solve_effective_tensor(g)
+        monkeypatch.setattr(cell_solver, "_RELATIVE_TOLERANCE", 1e-13)
+        monkeypatch.setattr(cell_solver, "_ENERGY_TOLERANCE", 0.0)
+        ref = solve_effective_tensor(g)
+        harm = shifted_harmonic_L(g.phase_set, 0.0)
+        for i, (errors, residual) in enumerate(zip(certificates[:n], t.residuals)):
+            excess = t.matrix[i, i] - ref.matrix[i, i]
+            ulps = 4 * np.spacing(ref.matrix[i, i])
+            # A_ii - A_ii_ref is the energy error, which CG never increases, so
+            # the last certificate bounds it at either exit
+            assert -ulps <= excess <= errors[-1] * harm + ulps
+            if residual > 1e-8:
+                assert excess <= 1e-14 * harm + ulps
+
+    @pytest.mark.parametrize("contrast", [1.5, 100.0, 1e4])
+    @pytest.mark.parametrize("mode", ["iid", "smooth"])
+    @pytest.mark.parametrize("shape", [(32, 32), (8, 8, 8)])
+    def test_energy_exit_never_adds_iterations(self, shape, mode, contrast, monkeypatch):
+        g = generate_random(PhaseSet.from_pairs((1.0, contrast), (0.5, 0.5), len(shape)), shape, seed=0, mode=mode)
+        t = solve_effective_tensor(g)
+        monkeypatch.setattr(cell_solver, "_ENERGY_TOLERANCE", 0.0)
+        residual_only = solve_effective_tensor(g)
+        assert all(a <= b for a, b in zip(t.iterations, residual_only.iterations, strict=True))
+
+    def test_cap_names_the_certified_error_reached(self, certificates, monkeypatch):
+        monkeypatch.setattr(cell_solver, "_iteration_cap", lambda contrast: 2)
+        with pytest.raises(ConvergenceError) as err:
+            solve_effective_tensor(generate_random(TWO_14, (32, 32), seed=1))
+        [errors] = certificates
+        assert len(errors) == 3 and errors[-1] > 1e-14
+        assert f"with certified relative energy error {errors[-1]:.3e} (residual" in str(err.value)
 
 
 def fft_counts(log) -> dict[str, int]:
