@@ -272,26 +272,27 @@ def _checked_corpus(command: str, options: dict) -> dict:
 
     The parser leaves these flags as text, so parsed flags and replayed
     manifests both pass through here, and a hand-written manifest is held to
-    the command line's limits.  The corpus needs ``dim`` in {2, 3}, a
-    power-of-two ``shape >= 2`` with at most _VOXEL_BUDGET voxels (checked
-    before any array exists), ``count >= 1``, ``num_phases`` in [1, 100]
-    (_corpus_grid redraws the conductivities until every gap is at least 1e-3
-    of the range, which past about 100 phases practically never happens), an
-    integer ``seed`` and a finite conductivity range with
-    ``2.2250738585072014e-308 <= sigma_min <= sigma_max``, so every drawn
-    phase is a normal double, as PhaseSet requires.
+    the command line's limits.  The corpus needs ``dim >= 2``, a power-of-two
+    ``shape >= 2`` with ``dim**2 * shape**dim <= 9 * _VOXEL_BUDGET`` (the solve
+    keeps dim**2 gradient fields; checked before any array exists),
+    ``count >= 1``, ``num_phases`` in [1, 100] (_corpus_grid redraws the
+    conductivities until every gap is at least 1e-3 of the range, which past
+    about 100 phases practically never happens, and with 3 or more phases never
+    on a range of a few ulps), an integer ``seed`` and a finite conductivity
+    range with ``2.2250738585072014e-308 <= sigma_min <= sigma_max``, so every
+    drawn phase is a normal double, as PhaseSet requires.
     Raises ConfigError.
     """
     if command not in ("verify", "bmo"):
         return options
     checked = {key: _parsed(kind, options.get(key)) for key, kind in _CORPUS_KINDS.items()}
     dim, shape, k, count = checked["dim"], checked["shape"], checked["num_phases"], checked["count"]
-    if dim not in (2, 3):
-        raise ConfigError(f"--dim must be 2 or 3, got {options.get('dim')!r}")
+    if dim is None or dim < 2:
+        raise ConfigError(f"--dim must be an integer >= 2, got {options.get('dim')!r}")
     if shape is None or shape < 2 or shape & (shape - 1):
         raise ConfigError(f"--shape must be a power of two >= 2, got {options.get('shape')!r}")
-    if shape**dim > _VOXEL_BUDGET:
-        raise ConfigError(f"--shape {shape} in {dim}D exceeds the budget of {_VOXEL_BUDGET} voxels")
+    if dim > 24 or dim * dim * shape**dim > 9 * _VOXEL_BUDGET:  # shape >= 2: past 24 axes over budget, no power formed
+        raise ConfigError(f"--shape {shape} in {dim}D exceeds the budget of dim^2 * voxels <= {9 * _VOXEL_BUDGET}")
     if k is None or not 1 <= k <= 100:
         raise ConfigError(f"--num-phases must be an integer in [1, 100], got {options.get('num_phases')!r}")
     if count is None or count < 1:
@@ -303,6 +304,11 @@ def _checked_corpus(command: str, options: dict) -> dict:
         raise ConfigError(
             f"--sigma-min and --sigma-max must be finite with {sys.float_info.min!r} <= sigma_min <= sigma_max,"
             f" got {options.get('sigma_min')!r} and {options.get('sigma_max')!r}"
+        )
+    if k >= 3 and lo < hi and 1e-3 * (hi - lo) < 2**10 * math.ulp(hi):
+        raise ConfigError(
+            f"--sigma-min and --sigma-max must be equal, or 1e-3 of the range at least 2**10 ulps of sigma_max,"
+            f" for {k} phases; got {options.get('sigma_min')!r} and {options.get('sigma_max')!r}"
         )
     return {**options, **checked}
 
@@ -387,7 +393,7 @@ def _bmo_one(grid: VoxelGrid, label: str, s: float | None) -> tuple[str, float]:
     osc_closed = oscillation_closed_form(emp, s)
     field = traceless_hessian(pf)
     # 2D: the row [a, b] of [[a, b], [b, -a]] gives the full stack's norm and fit
-    # and half its Frobenius mass 2 (a^2 + b^2); 3D: all nine components
+    # and half its Frobenius mass 2 (a^2 + b^2); n >= 3: all n^2 components
     field, mass_factor = (field[0], 2.0) if grid.dimension == 2 else (field, 1.0)
     est = bmo_norm(field, spatial_ndim=grid.dimension)
     # a homogeneous grid, or a theta with only Nyquist content, which p drops

@@ -1,6 +1,7 @@
 """Periodic voxel microstructures on the unit cube, generators, and file I/O.
 
-A grid is a dense array of phase indices on [0, 1]^n with periodic extension;
+A grid is a dense array of phase indices on [0, 1]^n with periodic extension,
+in any dimension n >= 2 (its number of axes; only the checkerboard is 2D);
 the medium is piecewise constant by definition (the voxel value is the phase
 of the whole voxel, there is no subgrid geometry).  Shapes are restricted to
 powers of two: transforms stay fast and the dyadic-cube analysis downstream
@@ -10,7 +11,7 @@ Grid file format (little endian, documented for interoperability):
 
     magic   4 bytes  b"CNDA"
     version u16      currently 1
-    dim     u8       2 or 3
+    dim     u8       >= 2
     K       u8       number of conductivities
     shape   dim*u32  voxels per axis
     sigma   K*f64    conductivities, finite and >= 2.2250738585072014e-308
@@ -54,8 +55,8 @@ class VoxelGrid:
 
     def __post_init__(self):
         idx = np.array(self.phase_index, dtype=np.uint8, order="C")  # owned: no view of the caller's array
-        if idx.ndim not in (2, 3):
-            raise ValueError(f"grid must be 2D or 3D, got {idx.ndim}D")
+        if idx.ndim < 2:
+            raise ValueError(f"grid must have at least 2 axes, got {idx.ndim}")
         for n in idx.shape:
             if n < 2 or n & (n - 1):
                 raise ValueError(f"grid shape must be powers of two >= 2, got {idx.shape}")
@@ -203,8 +204,6 @@ def load_grid(path: str | Path) -> VoxelGrid:
         raise GridFormatError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
     if version != VERSION:
         raise GridFormatError(f"{path}: unsupported version {version}")
-    if dim not in (2, 3):
-        raise GridFormatError(f"{path}: bad dimension {dim}")
     offset = head
     if len(data) < offset + 4 * dim:
         raise GridFormatError(f"{path}: truncated shape")

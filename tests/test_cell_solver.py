@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conducta import cell_solver
-from conducta.bounds import theorem1_upper
+from conducta.bounds import hs_upper, theorem1_upper
 from conducta.cell_solver import (
     EffectiveTensor,
     _half_spectrum_dot,
@@ -150,7 +150,7 @@ class TestEffectiveTensor:
     # along them and they are left out
     @pytest.mark.parametrize(
         "shape, normal",
-        [(shape, axis) for shape in ((64, 64), (4, 64), (64, 4), (16, 16, 16), (8, 4, 4))
+        [(shape, axis) for shape in ((64, 64), (4, 64), (64, 4), (16, 16, 16), (8, 4, 4), (8, 4, 4, 4))
          for axis in range(len(shape))],
         ids=lambda v: "x".join(map(str, v)) if isinstance(v, tuple) else f"axis{v}",
     )
@@ -282,8 +282,8 @@ class TestEffectiveTensor:
 
 @st.composite
 def labels_on_small_grids(draw):
-    """Phase labels 0..2 on an 8x8 or 4x4x4 grid."""
-    shape = draw(st.sampled_from([(8, 8), (4, 4, 4)]))
+    """Phase labels 0..2 on an 8x8, 4x4x4 or 4x4x4x4 grid."""
+    shape = draw(st.sampled_from([(8, 8), (4, 4, 4), (4, 4, 4, 4)]))
     size = math.prod(shape)
     return np.array(draw(st.lists(st.integers(0, 2), min_size=size, max_size=size)), np.uint8).reshape(shape)
 
@@ -387,7 +387,7 @@ class TestIrfftnInto:
 
 
 class TestTransformBudget:
-    @pytest.mark.parametrize("shape", [(64, 64), (16, 16, 16)])
+    @pytest.mark.parametrize("shape", [(64, 64), (16, 16, 16), (8, 8, 8, 8)])
     def test_solve_uses_2n_real_transforms_per_iteration(self, shape, fft_log):
         n = len(shape)
         ps = PhaseSet.from_pairs((1.0, 2.0, 5.0), (0.4, 0.4, 0.2), n)
@@ -608,6 +608,17 @@ class TestI1I2:
         g = VoxelGrid(np.random.default_rng(0).integers(0, 2, (128, 128)), (1.0, contrast))
         H = theorem1_upper(g.phase_set, 2.5).H_term
         assert abs(build_optimal_potential(g, 2.5).I1 - H) <= 4 * math.ulp(H)
+
+    @pytest.mark.parametrize("shape, mode", [((8, 8, 8, 8), "iid"), ((8, 8, 8, 8), "smooth"), ((8, 8, 4, 4, 4), "iid")])
+    def test_beyond_3d_i1_is_h_and_sigma_bar_below_both_bounds(self, shape, mode):
+        ps = PhaseSet.from_pairs((1.0, 2.0, 5.0), (0.4, 0.4, 0.2), len(shape))
+        g = generate_random(ps, shape, seed=1, mode=mode)
+        emp = g.phase_set
+        S = 0.5 * (emp.inf_sigma + emp.sup_sigma)
+        pf = build_optimal_potential(g, S)
+        H = theorem1_upper(emp, S).H_term
+        assert abs(pf.I1 - H) <= 4 * math.ulp(H)
+        assert solve_effective_tensor(g).sigma_bar <= min(hs_upper(emp).value, constructive_value(pf))
 
     def test_i1_closed_form_on_dyadic_laminate(self):
         ps = PhaseSet.from_pairs((1.0, 2.0, 5.0), (0.25, 0.25, 0.5), 3)

@@ -528,12 +528,36 @@ class TestCorpusFlags:
         assert main(["replay", str(path)]) == 1
         assert "--sigma-min and --sigma-max" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["verify", "bmo"])
+    @pytest.mark.parametrize("k, lo, hi, code", [
+        # 3 conductivities 1e-3 of the range apart were redrawn forever from a range of two doubles
+        ("3", "1", "1.0000000000000002", 1),
+        ("3", "1e-300", "1.0000000000000002e-300", 1),
+        ("3", "2", "2", 0),
+        ("2", "1", "1.0000000000000002", 0),
+    ])
+    def test_narrow_range_rejected_when_gaps_cannot_be_drawn(self, command, k, lo, hi, code, tmp_path, capsys):
+        argv = [command, "--count", "1", "--shape", "8", "--num-phases", k, "--sigma-min", lo, "--sigma-max", hi]
+        assert main(argv) == code
+        if code:
+            assert "--sigma-min and --sigma-max" in capsys.readouterr().err
+        out = tmp_path / "v.txt"
+        assert main([command, "--count", "1", "--shape", "8", "--out", str(out)]) == 0
+        manifest = json.loads((tmp_path / "v.txt.manifest.json").read_text())
+        manifest["options"].update(num_phases=int(k), sigma_min=float(lo), sigma_max=float(hi))
+        path = tmp_path / "narrow.manifest.json"
+        path.write_text(json.dumps(manifest))
+        assert main(["replay", str(path)]) == code
+
 
     @pytest.mark.parametrize("command", ["verify", "bmo"])
     @pytest.mark.parametrize(
         "flags,message",
         [
-            (["--dim", "4"], "--dim"),
+            (["--dim", "1"], "--dim"),
+            (["--dim", "x"], "--dim"),
+            # shape >= 2, so this is over budget; 2**(10**12) was formed and raised MemoryError
+            (["--dim", "1000000000000", "--shape", "2"], "budget"),
             (["--shape", "48"], "power of two"),
             (["--shape", "1"], "power of two"),
             (["--shape", "0"], "power of two"),
@@ -548,8 +572,9 @@ class TestCorpusFlags:
     @pytest.mark.parametrize(
         "bad,message",
         [
-            ({"dim": 4}, "--dim"),
+            ({"dim": 0}, "--dim"),
             ({"dim": 1}, "--dim"),
+            ({"dim": 10**12, "shape": 2}, "budget"),
             ({"dim": 2.5}, "--dim"),
             ({"shape": 12}, "power of two"),
             ({"shape": True}, "power of two"),
@@ -558,7 +583,7 @@ class TestCorpusFlags:
         ],
     )
     def test_replay_checks_dim_and_shape_before_allocating(self, bad, message, tmp_path, capsys):
-        # a replayed dim 4 used to build the 4-D grid, and a huge shape reached numpy's allocator
+        # a huge shape reached numpy's allocator, and a huge dim formed shape**dim
         out = tmp_path / "v.csv"
         assert main(["verify", "--count", "1", "--shape", "8", "--out", str(out)]) == 0
         manifest = json.loads((tmp_path / "v.csv.manifest.json").read_text())
@@ -575,6 +600,14 @@ class TestCorpusFlags:
         options = vars(build_parser().parse_args(["verify", "--shape", "256", "--dim", "3"]))
         assert 256**3 == _VOXEL_BUDGET
         assert _checked_corpus("verify", options)["shape"] == 256
+
+    @pytest.mark.parametrize("command", ["verify", "bmo"])
+    def test_4d_corpus_runs_and_replays(self, command, tmp_path):
+        out = tmp_path / "4d.txt"
+        assert main([command, "--dim", "4", "--shape", "8", "--count", "2", "--out", str(out)]) == 0
+        first = out.read_bytes()
+        assert main(["replay", str(tmp_path / "4d.txt.manifest.json")]) == 0
+        assert out.read_bytes() == first
 
 
 class TestUnreadablePaths:
@@ -1038,7 +1071,7 @@ class TestBmoCommand:
         assert main(["bmo", "--count", "3", "--shape", "8", "--S", "2.5"]) == 0
         assert events == ["draw", "row"] * 3
 
-    @pytest.mark.parametrize("dim, components", [(2, 2), (3, 9)])
+    @pytest.mark.parametrize("dim, components", [(2, 2), (3, 9), (4, 16)])
     def test_norm_sees_distinct_components(self, dim, components, monkeypatch, capsys):
         # in 2D the traceless Hessian [[a, b], [b, -a]] reaches the statistics as the pair [a, b]
         stacks = []

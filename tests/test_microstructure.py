@@ -26,11 +26,13 @@ class TestVoxelGrid:
         with pytest.raises(ValueError, match="powers of two"):
             VoxelGrid(np.zeros((6, 8), np.uint8), (1.0,))
 
-    def test_requires_2d_or_3d(self):
-        with pytest.raises(ValueError, match="2D or 3D"):
+    def test_requires_at_least_two_axes(self):
+        # the grid's number of axes is its dimension
+        with pytest.raises(ValueError, match="at least 2 axes, got 0"):
+            VoxelGrid(np.zeros((), np.uint8), (1.0,))
+        with pytest.raises(ValueError, match="at least 2 axes, got 1"):
             VoxelGrid(np.zeros(8, np.uint8), (1.0,))
-        with pytest.raises(ValueError, match="2D or 3D"):
-            VoxelGrid(np.zeros((4, 4, 4, 4), np.uint8), (1.0,))
+        assert VoxelGrid(np.zeros((4, 4, 4, 4), np.uint8), (1.0,)).dimension == 4
 
     def test_index_range_checked(self):
         with pytest.raises(ValueError, match="index"):
@@ -243,6 +245,16 @@ class TestGridFile:
         save_grid(g, tmp_path / "g3.cnda")
         assert (load_grid(tmp_path / "g3.cnda").phase_index == g.phase_index).all()
 
+    def test_4d_round_trip(self, tmp_path):
+        ps = PhaseSet.from_pairs((1.0, 2.0, 5.0), (0.4, 0.4, 0.2), 4)
+        g = generate_random(ps, (8, 4, 4, 2), seed=3)
+        save_grid(g, tmp_path / "g4.cnda")
+        loaded = load_grid(tmp_path / "g4.cnda")
+        assert loaded.shape == g.shape and loaded.phase_conductivities == g.phase_conductivities
+        assert np.array_equal(loaded.phase_index, g.phase_index)
+        save_grid(loaded, tmp_path / "again.cnda")
+        assert (tmp_path / "again.cnda").read_bytes() == (tmp_path / "g4.cnda").read_bytes()
+
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "bad.cnda"
         p.write_bytes(b"NOPE" + bytes(64))
@@ -271,13 +283,12 @@ class TestGridFile:
             load_grid(p)
 
     def test_bad_dimension(self, tmp_path):
+        # files whose sizes agree with their dimension byte; the grid, not the reader, refuses them
         p = tmp_path / "d.cnda"
-        save_grid(generate_checkerboard(1.0, 2.0, (4, 4)), p)
-        raw = bytearray(p.read_bytes())
-        raw[6] = 4  # the dimension byte, after the magic and the u16 version
-        p.write_bytes(bytes(raw))
-        with pytest.raises(GridFormatError, match="d.cnda: bad dimension 4"):
-            load_grid(p)
+        for dim, shape in ((0, ()), (1, (4,))):
+            p.write_bytes(grid_header(dim, shape, (1.0,)) + bytes(math.prod(shape)))
+            with pytest.raises(GridFormatError, match=f"d.cnda: grid must have at least 2 axes, got {dim}"):
+                load_grid(p)
 
     def test_truncated(self, tmp_path):
         g = generate_checkerboard(1.0, 2.0, (4, 4))
@@ -295,11 +306,11 @@ class TestGridFile:
             load_grid(p)
 
     @given(
-        dim=st.sampled_from([2, 3]),
+        dim=st.sampled_from([0, 1, 2, 3, 4]),
         sigmas=st.lists(st.floats(0.5, 8.0), min_size=1, max_size=3),
         shape=st.lists(
             st.one_of(st.sampled_from([2, 4, 8]), st.integers(0, 2**32 - 1), st.just(2**31)),
-            min_size=3, max_size=3,
+            min_size=4, max_size=4,
         ),
         index_bytes=st.one_of(st.just("exact"), st.integers(0, 600)),
         phase=st.integers(0, 3),
