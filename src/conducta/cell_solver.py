@@ -23,7 +23,10 @@ the certified error reached; past kappa = 1e-8 / eps round-off reaches the
 target, so the solve fails before any transform.
 The reported tensor uses the energy bilinear form, which is variationally
 one-sided; the mismatch against the flux average is kept as a convergence
-diagnostic.
+diagnostic.  Each direction's corrector is kept as its half spectrum; the
+n^2 total gradients e_i + grad u_i exist only for the tensor assembly, once
+the CG buffers are freed.  A direction whose right-hand side vanishes has a
+zero corrector, whose gradients need no transform.
 
 Past the one forward transform of sigma (or theta), whose result is kept,
 every transform writes into buffers allocated once per call: a forward one
@@ -42,10 +45,14 @@ spectrally, with the Hessian obtained from the multiplier -k (x) k / |k|^2
 applied to the rfftn half spectrum of theta, which is also where
 PotentialField.p_hat lives.  The split value I1 + I2 of the energy of
 the test field I + D^2 p is then a certified upper bound for sigma_bar on the
-same grid.  build_optimal_potential builds theta, p_hat and the Hessian; the
+same grid.  build_optimal_potential builds theta and p_hat; the Hessian, the
 Laplacian and the quadratures I1, I2 and I2_positive_part are computed when
 first read and kept, the three quadratures from one conductivity gather.  The
-BMO report reads no quadrature, and in 2D no Laplacian, so it computes none.
+quadratures stream the Hessian: they transform its n(n+1)/2 distinct entries
+one at a time and never hold the (n, n) stack, which only a reader of
+hessian_p, such as the BMO report, builds.  A p_hat with no nonzero entry
+makes no Hessian transform.  The BMO report reads no quadrature, and in 2D no
+Laplacian, so it computes none.
 
 Both jobs follow one scale rule: compute on sigma / 2^e and S / 2^e (S = 0
 for the solve), 2^e the least power of two above sup sigma + (n-1) S, sup
@@ -203,33 +210,36 @@ def _spectral_cg(apply_op, green: np.ndarray, dot, b: np.ndarray, max_iter: int,
     right-hand side of norm 0 returns a zero corrector after 0 iterations.
     Raises ConvergenceError after max_iter iterations, naming the certified
     error reached, or as soon as a residual is not finite (an overflow would
-    otherwise run every remaining iteration on NaNs).
+    otherwise run every remaining iteration on NaNs).  ``b`` is overwritten:
+    it becomes the residual, and x, r, z and p are updated in place through
+    one scratch buffer.
     """
     b_norm = float(np.sqrt(dot(b, b)))
     if b_norm == 0.0:
         return np.zeros_like(b), 0, 0.0
     x = np.zeros_like(b)
-    r = b.copy()
+    r = b
     z = green * r
     p = z.copy()
+    tmp = np.empty_like(b)
     rz = dot(r, z)
     residual, error = 1.0, energy_error(rz)
     for it in range(1, max_iter + 1):
         ap = apply_op(p)
         alpha = rz / dot(p, ap)
-        x += alpha * p
-        r -= alpha * ap
+        x += np.multiply(alpha, p, out=tmp)
+        r -= np.multiply(alpha, ap, out=tmp)
         residual = float(np.sqrt(dot(r, r))) / b_norm
         if residual <= _RELATIVE_TOLERANCE:
             return x, it, residual
         if not math.isfinite(residual):
             raise ConvergenceError(f"cell solve for {label} hit a non-finite residual", residual, it)
-        z = green * r
+        np.multiply(green, r, out=z)
         rz_new = dot(r, z)
         error = energy_error(rz_new)
         if error <= _ENERGY_TOLERANCE:
             return x, it, residual
-        p = z + (rz_new / rz) * p
+        np.add(z, np.multiply(rz_new / rz, p, out=p), out=p)
         rz = rz_new
     raise ConvergenceError(
         f"cell solve for {label} did not converge within its iteration cap,"
@@ -261,6 +271,7 @@ def solve_effective_tensor(grid: VoxelGrid) -> EffectiveTensor:
         sigma_lo = math.ldexp(lo, -e)
         sigma0 = 0.5 * (sigma_lo + math.ldexp(hi, -e))
         green = np.where(k2 > 0.0, 1.0 / (sigma0 * np.where(k2 > 0.0, k2, 1.0)), 0.0)
+        del k2
         dot = _half_spectrum_dot(shape)
         cap = _iteration_cap(contrast)
         harm = math.ldexp(shifted_harmonic_L(grid.phase_set, 0.0), -e)  # below every A_ii
@@ -293,7 +304,7 @@ def solve_effective_tensor(grid: VoxelGrid) -> EffectiveTensor:
             return div_hat
 
         sigma_hat = np.fft.rfftn(sigma)
-        total_gradients: list[list[np.ndarray]] = []
+        correctors: list[np.ndarray | None] = []  # half spectra; None for a zero corrector
         iterations: list[int] = []
         residuals: list[float] = []
         for i in range(n):
@@ -306,23 +317,37 @@ def solve_effective_tensor(grid: VoxelGrid) -> EffectiveTensor:
                 f"direction {i} on conductivities in {span} of contrast {contrast:.12g}",
                 energy_error,
             )
-            grads = [gradient(u_hat, axis, np.empty(shape)) for axis in range(n)]
-            grads[i] += 1.0
-            total_gradients.append(grads)
+            correctors.append(u_hat if its else None)
             iterations.append(its)
             residuals.append(res)
 
+        # the n^2 total gradients e_i + grad u_i exist only from here on, with
+        # every solve buffer but sigma and the spectral scratch freed; a zero
+        # corrector has zero gradients, which need no transform
+        del green, sigma_hat, div_hat, real
+        total_gradients: list[list[np.ndarray]] = []
+        for i in range(n):
+            u_hat, correctors[i] = correctors[i], None  # kept no longer than its gradients
+            grads = [np.zeros(shape) for _ in range(n)]
+            if u_hat is not None:
+                for axis in range(n):
+                    gradient(u_hat, axis, grads[axis])
+            grads[i] += 1.0
+            total_gradients.append(grads)
+        del u_hat, spec
+
+        grad_dot, tmp = np.empty(shape), np.empty(shape)
         matrix = np.empty((n, n))
         for i in range(n):
             for j in range(i, n):
-                grad_dot = np.zeros(shape)
+                grad_dot.fill(0.0)
                 for ax in range(n):
-                    grad_dot += total_gradients[i][ax] * total_gradients[j][ax]
-                matrix[i, j] = matrix[j, i] = float(np.mean(sigma * grad_dot))
+                    grad_dot += np.multiply(total_gradients[i][ax], total_gradients[j][ax], out=tmp)
+                matrix[i, j] = matrix[j, i] = float(np.mean(np.multiply(sigma, grad_dot, out=grad_dot)))
         flux = np.empty((n, n))
         for i in range(n):
             for j in range(n):
-                flux[i, j] = float(np.mean(sigma * total_gradients[j][i]))
+                flux[i, j] = float(np.mean(np.multiply(sigma, total_gradients[j][i], out=tmp)))
         matrix, flux = np.ldexp(matrix, e), np.ldexp(flux, e)
         sigma_bar = float(np.trace(matrix)) / n
         return EffectiveTensor(
@@ -339,26 +364,38 @@ def solve_effective_tensor(grid: VoxelGrid) -> EffectiveTensor:
 class PotentialField:
     """Optimal-Laplacian potential and its derived fields on one grid.
 
-    theta, p_hat and hessian_p are built with the field.  laplacian_p, I1,
+    theta and p_hat are built with the field.  hessian_p, laplacian_p, I1,
     I2 and I2_positive_part are computed on first read, once: a caller that
-    never reads them never pays for them.  I1 is the quadrature of the raw
-    theta field and agrees with theorem 1's H(S) of ``grid.phase_set``, the
-    weighted mean ``bounds`` evaluates, to round-off.  I2 is never above
-    I2_positive_part, which uses the positive part of sigma - S and vanishes
-    identically at S = sup sigma.  The quadratures follow the module's scale
-    rule; reading one raises the ValueError naming the conductivity range on
-    overflow.  Arrays are read-only.
+    never reads them never pays for them.  The quadratures never read
+    hessian_p: they transform its distinct entries one at a time, so the
+    (n, n) stack exists only for a caller that reads it.  I1 is the
+    quadrature of the raw theta field and agrees with theorem 1's H(S) of
+    ``grid.phase_set``, the weighted mean ``bounds`` evaluates, to round-off.
+    I2 is never above I2_positive_part, which uses the positive part of
+    sigma - S and vanishes identically at S = sup sigma.  The quadratures
+    follow the module's scale rule; reading one raises the ValueError naming
+    the conductivity range on overflow.  Arrays are read-only.
     """
 
     grid: VoxelGrid
     S: float
     theta: np.ndarray
     p_hat: np.ndarray
-    hessian_p: np.ndarray
 
     def __post_init__(self):
-        for name in ("theta", "p_hat", "hessian_p"):
+        for name in ("theta", "p_hat"):
             getattr(self, name).setflags(write=False)
+
+    @functools.cached_property
+    def hessian_p(self) -> np.ndarray:
+        n = self.grid.dimension
+        hessian = np.zeros((n, n) + self.grid.shape)
+        with _potential_overflow_raises(self.grid, self.S):
+            for i, j, h in _hessian_entries(self.p_hat, self.grid.shape, lambda i, j: hessian[i, j]):
+                if i != j:
+                    hessian[j, i] = h
+        hessian.setflags(write=False)
+        return hessian
 
     @functools.cached_property
     def laplacian_p(self) -> np.ndarray:
@@ -372,10 +409,12 @@ class PotentialField:
     def _quadratures(self) -> tuple[float, float, float, float]:
         """(I1, I2, I2_positive_part, constructive_value), from one conductivity gather."""
         n = self.grid.dimension
-        sigma, S, e = _scale_down(self.grid, self.S)
         with _potential_overflow_raises(self.grid, self.S):
+            # streamed before the gather, so sigma is not held at the streaming's peak
+            q = _streamed_traceless_square(self.p_hat, self.laplacian_p)
+            sigma, S, e = _scale_down(self.grid, self.S)
             i1 = _i1_quadrature(sigma, self.theta, n, S)
-            i2, i2_pos = _i2_quadrature(sigma, self.hessian_p, self.laplacian_p, n, S)
+            i2, i2_pos = _i2_quadrature(sigma, q, n, S)
             constructive = _i1_quadrature(sigma, self.laplacian_p, n, S) + i2_pos
             return tuple(np.ldexp((i1, i2, i2_pos, constructive), e).tolist())
 
@@ -396,18 +435,54 @@ def _i1_quadrature(sigma: np.ndarray, lap: np.ndarray, n: int, S: float) -> floa
     return float(np.mean(sigma * (n + lap) ** 2 / n + (n - 1) / n * S * lap**2)) / n
 
 
-def _traceless_square(hessian: np.ndarray, lap: np.ndarray, n: int) -> np.ndarray:
+def _hessian_entries(p_hat: np.ndarray, shape: tuple[int, ...], out_for):
+    """Yield (i, j, D_i D_j p) for i <= j in row-major order, each written into ``out_for(i, j)``.
+
+    Each entry is the inverse transform of -k_i k_j p_hat, through one
+    spectral scratch buffer.  A p_hat with no nonzero entry (theta with only
+    Nyquist content) makes no transform: the buffers, zero-filled by the
+    caller, already hold the result.
+    """
+    ks = half_wavenumbers(shape, zero_nyquist=False)[0]
+    spec = np.empty_like(p_hat) if p_hat.any() else None
+    for i in range(len(shape)):
+        for j in range(i, len(shape)):
+            out = out_for(i, j)
+            if spec is not None:
+                _irfftn_into(np.multiply(-ks[i] * ks[j], p_hat, out=spec), out)
+            yield i, j, out
+
+
+def _streamed_traceless_square(p_hat: np.ndarray, lap: np.ndarray) -> np.ndarray:
+    """|D^2 p|^2 - (lap p)^2 / n pointwise, clipped at 0, without holding the Hessian stack.
+
+    Adds each h_ij^2 to -lap^2 / n in the row-major (i, j) order of the full
+    n x n sum.  The entries are transformed one at a time into one buffer;
+    the square of an off-diagonal entry is kept, in a preallocated buffer,
+    only until its mirror term (j, i) is added.
+    """
+    n = lap.ndim
     q = -lap * lap / n
-    square = np.empty_like(q)
-    for i in range(n):
-        for j in range(n):
-            q += np.multiply(hessian[i, j], hessian[i, j], out=square)
+    entry = np.zeros(lap.shape)
+    # after row i the squares of (a, b) with a <= i < b wait for their mirror term
+    spare = [np.empty(lap.shape) for _ in range(max((i + 1) * (n - 1 - i) for i in range(n)))]
+    waiting: dict[tuple[int, int], np.ndarray] = {}
+    for i, j, h in _hessian_entries(p_hat, lap.shape, lambda i, j: entry):
+        if i == j:
+            for a in range(i):
+                square = waiting.pop((a, i))
+                q += square
+                spare.append(square)
+            q += np.multiply(h, h, out=h)
+        else:
+            waiting[i, j] = np.multiply(h, h, out=spare.pop())
+            q += waiting[i, j]
     # |M|^2 - (tr M)^2 / n >= 0 pointwise; clip float noise
     return np.maximum(q, 0.0, out=q)
 
 
 def build_optimal_potential(grid: VoxelGrid, S: float) -> PotentialField:
-    """Construct theta, p and D^2 p; lap p and the split values I1, I2 follow on first read.
+    """Construct theta and p; D^2 p, lap p and the split values I1, I2 follow on first read.
 
     L is ``phases.shifted_harmonic_L`` of ``grid.phase_set``, so theta has
     zero mean up to round-off, and the zero-frequency coefficient of p is set
@@ -423,25 +498,19 @@ def build_optimal_potential(grid: VoxelGrid, S: float) -> PotentialField:
     with _potential_overflow_raises(grid, S):
         shape = sigma.shape
         theta = n * math.ldexp(L, -e) / (sigma + (n - 1) * scaled_S) - n
-
-        theta_hat = np.fft.rfftn(theta)
-        ks, k2 = half_wavenumbers(shape, zero_nyquist=False)
+        del sigma
+        # p_hat = -theta_hat / k2 off the Nyquist planes and the mean, formed in theta_hat's buffer
+        p_hat = np.fft.rfftn(theta)
+        _, k2 = half_wavenumbers(shape, zero_nyquist=False)
         mask = _subnyquist_mask(shape)
-        p_hat = np.zeros_like(theta_hat)
-        np.divide(-theta_hat, k2, out=p_hat, where=mask)
-
-        spec = np.empty_like(p_hat)
-        hessian = np.empty((n, n) + shape)
-        for i in range(n):
-            for j in range(i, n):
-                _irfftn_into(np.multiply(-ks[i] * ks[j], p_hat, out=spec), hessian[i, j])
-                if i != j:
-                    hessian[j, i] = hessian[i, j]
-        return PotentialField(grid=grid, S=float(S), theta=theta, p_hat=p_hat, hessian_p=hessian)
+        np.negative(p_hat, out=p_hat)
+        np.divide(p_hat, k2, out=p_hat, where=mask)
+        np.copyto(p_hat, 0.0, where=~mask)
+        return PotentialField(grid=grid, S=float(S), theta=theta, p_hat=p_hat)
 
 
-def _i2_quadrature(sigma, hessian, lap, n, S) -> tuple[float, float]:
-    q = _traceless_square(hessian, lap, n)
+def _i2_quadrature(sigma: np.ndarray, q: np.ndarray, n: int, S: float) -> tuple[float, float]:
+    """I2 and its positive part, from the clipped traceless square q of the Hessian."""
     weight = sigma - S
     i2 = float(np.mean(weight * q)) / n
     i2_pos = float(np.mean(np.maximum(weight, 0.0) * q)) / n

@@ -1,5 +1,7 @@
 """Shared strategies and helpers for the test suite."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -53,6 +55,16 @@ def level_labels(levels):
     levels = np.asarray(levels)
     # numpy 1.x returns a flat inverse, numpy 2.x one of the input's shape
     return np.unique(levels, return_inverse=True)[1].reshape(levels.shape)
+
+
+def peak_traced_bytes(fn) -> int:
+    """Peak bytes tracemalloc traced while ``fn()`` ran, counted from the call."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 FFT_NAMES = ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn",

@@ -1,6 +1,5 @@
 import itertools
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +9,7 @@ from conducta.cell_solver import build_optimal_potential, traceless_hessian
 from conducta.microstructure import VoxelGrid, generate_random
 from conducta.phases import PhaseSet
 
-from conftest import level_labels, random_phase_set
+from conftest import level_labels, peak_traced_bytes, random_phase_set
 
 TWO_14 = PhaseSet.from_pairs((1.0, 4.0), (0.5, 0.5), 2)
 
@@ -77,13 +76,7 @@ class TestBmoNorm:
     def test_scratch_memory_below_three_fields(self):
         # one centered copy in dyadic order plus one scratch buffer of its size
         f = np.random.default_rng(2).standard_normal((2, 2, 256, 256))
-        tracemalloc.start()
-        try:
-            bmo_norm(f, spatial_ndim=2)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 3 * f.nbytes
+        assert peak_traced_bytes(lambda: bmo_norm(f, spatial_ndim=2)) <= 3 * f.nbytes
 
     def test_matrix_field_component_wise_max(self):
         f = sign_field((16, 16))

@@ -15,7 +15,7 @@ from conducta.cell_solver import (
     _half_spectrum_dot,
     _irfftn_into,
     _spectral_cg,
-    _traceless_square,
+    _streamed_traceless_square,
     build_optimal_potential,
     constructive_upper,
     constructive_value,
@@ -32,7 +32,7 @@ from conducta.microstructure import (
 from conducta.phases import PhaseSet, oscillation_closed_form, shifted_harmonic_L
 from conducta.spectral import half_wavenumbers
 
-from conftest import random_phase_set
+from conftest import peak_traced_bytes, random_phase_set
 
 TWO_14 = PhaseSet.from_pairs((1.0, 4.0), (0.5, 0.5), 2)
 
@@ -428,20 +428,54 @@ class TestTransformBudget:
         generate_random(ps, shape, seed=3, mode="smooth")
         assert fft_counts(fft_log) == {"rfftn": 1, "irfftn": 1}
 
-    @pytest.mark.parametrize("shape", [(32, 32), (8, 8, 8)])
+    @pytest.mark.parametrize("shape", [(32, 32), (8, 8, 8), (4, 4, 4, 4)])
     def test_potential_uses_real_transforms(self, shape, fft_log):
         n = len(shape)
         g = generate_random(PhaseSet.from_pairs((1.0, 4.0), (0.5, 0.5), n), shape, seed=2)
         pf = build_optimal_potential(g, 2.0)
-        # rfftn(theta), then one inverse for each Hessian entry, each as
-        # n - 1 ifft passes and one irfft; lap p adds one inverse on first read
-        inverse = n * (n + 1) // 2
+        # the build transforms theta only
+        assert fft_counts(fft_log) == {"rfftn": 1}
+        # the quadratures stream the n(n+1)/2 distinct Hessian entries and
+        # read lap p; each inverse is n - 1 ifft passes and one irfft
+        entries = n * (n + 1) // 2
+        pf.I1, pf.I2, constructive_value(pf), pf.laplacian_p
+        inverse = entries + 1
         assert fft_counts(fft_log) == {"rfftn": 1, "irfft": inverse, "ifft": (n - 1) * inverse}
-        pf.laplacian_p
-        pf.laplacian_p
-        inverse += 1
+        # hessian_p transforms the entries again on first read, once
+        pf.hessian_p
+        pf.hessian_p
+        inverse += entries
         assert fft_counts(fft_log) == {"rfftn": 1, "irfft": inverse, "ifft": (n - 1) * inverse}
         assert all(given_out for name, given_out in fft_log if name != "rfftn")
+
+    @pytest.mark.parametrize("shape", [(8, 8), (4, 4, 4), (2, 2, 2, 2)])
+    def test_homogeneous_solve_transforms_sigma_only(self, shape, fft_log):
+        # every corrector is zero, so every gradient is known without a transform
+        t = solve_effective_tensor(homogeneous(3.0, shape))
+        assert t.iterations == (0,) * len(shape)
+        assert fft_log == [("rfftn", False)]
+        assert np.array_equal(t.matrix, 3.0 * np.eye(len(shape))) and t.flux_discrepancy == 0.0
+
+    def test_zero_corrector_directions_make_no_gradient_transform(self, fft_log):
+        # a laminate along axis 0 needs a corrector in direction 0 only
+        t = solve_effective_tensor(generate_laminate(PhaseSet.from_pairs((1.0, 4.0), (0.5, 0.5), 3), 0, (8, 8, 8)))
+        its = t.iterations[0]
+        assert its > 0 and t.iterations[1:] == (0, 0)
+        inverse = its * 3 + 3
+        assert fft_counts(fft_log) == {"rfftn": 1 + 3 * its, "irfft": inverse, "ifft": 2 * inverse}
+
+    @pytest.mark.parametrize("shape", [(8, 8), (4, 4, 4), (2, 2, 2, 2)])
+    def test_nyquist_only_theta_makes_no_hessian_transform(self, shape, fft_log):
+        # on a voxel checkerboard theta is its mean plus the all-Nyquist mode, which p drops
+        n = len(shape)
+        idx = (np.indices(shape).sum(axis=0) % 2).astype(np.uint8)
+        pf = build_optimal_potential(VoxelGrid(idx, (1.0, 4.0)), 2.0)
+        assert not pf.p_hat.any()
+        # p = 0: the test field is I, whose energy is the arithmetic mean
+        assert (pf.I2, pf.I2_positive_part, constructive_value(pf)) == (0.0, 0.0, 2.5)
+        assert fft_counts(fft_log) == {"rfftn": 1, "irfft": 1, "ifft": n - 1}  # lap p only
+        assert pf.hessian_p.shape == (n, n) + shape and not pf.hessian_p.any()
+        assert fft_counts(fft_log) == {"rfftn": 1, "irfft": 1, "ifft": n - 1}  # hessian_p made none
 
 
 class TestOptimalPotential:
@@ -463,6 +497,17 @@ class TestOptimalPotential:
         assert len(gathers) == 1
         with pytest.raises(ValueError, match="read-only"):
             pf.laplacian_p[0, 0] = 1
+
+    @pytest.mark.parametrize("shape", [(32, 32), (8, 8, 8), (4, 4, 4, 4)])
+    def test_hessian_read_before_or_after_the_quadratures(self, shape):
+        n = len(shape)
+        g = generate_random(PhaseSet.from_pairs((1.0, 2.0, 5.0), (0.4, 0.4, 0.2), n), shape, seed=3)
+        early, late = build_optimal_potential(g, 2.5), build_optimal_potential(g, 2.5)
+        hessian = early.hessian_p
+        values = [(pf.I1, pf.I2, pf.I2_positive_part, constructive_value(pf)) for pf in (early, late)]
+        assert values[0] == values[1]
+        assert late.hessian_p.tobytes() == hessian.tobytes()
+        assert early.hessian_p is hessian
 
     def test_2d_traceless_hessian_is_the_stack_of_its_components(self):
         pf = build_optimal_potential(generate_random(TWO_14, (32, 32), seed=5), 2.0)
@@ -641,9 +686,9 @@ class TestI1I2:
         assert i2 == pytest.approx(expected, rel=1e-6)
         assert i2 == pytest.approx(27.0 / 98.0, rel=1e-6)
 
-    @pytest.mark.parametrize("shape", [(16, 16), (8, 8, 8)])
+    @pytest.mark.parametrize("shape", [(16, 16), (8, 8, 8), (4, 4, 4, 4)])
     def test_traceless_square_matches_reference_loop(self, shape):
-        # accumulated in place, in the order of the out-of-place loop it replaced
+        # streamed entry by entry, in the order of the out-of-place loop over the full stack
         ps = PhaseSet.from_pairs((1.0, 2.0, 5.0), (0.4, 0.4, 0.2), len(shape))
         pf = build_optimal_potential(generate_random(ps, shape, seed=4), 2.0)
         n, h, lap = len(shape), pf.hessian_p, pf.laplacian_p
@@ -651,7 +696,7 @@ class TestI1I2:
         for i in range(n):
             for j in range(n):
                 q = q + h[i, j] * h[i, j]
-        assert np.array_equal(_traceless_square(h, lap, n), np.maximum(q, 0.0))
+        assert np.array_equal(_streamed_traceless_square(pf.p_hat, lap), np.maximum(q, 0.0))
 
     def test_i2_below_positive_part_and_zero_at_sup(self):
         g = generate_random(TWO_14, (32, 32), seed=9)
@@ -678,6 +723,29 @@ class TestI1I2:
             for lo, hi in zip(thresholds, thresholds[1:]):
                 integral += (hi - lo) * float(q[sigma > lo].sum()) / q.size
             assert pf.I2_positive_part == pytest.approx(integral / n, rel=1e-12)
+
+
+class TestMemory:
+    """tracemalloc peaks, in real fields of the grid (8 bytes a voxel), on a second call:
+    the first transforms of a process and a grid's phase set allocate once."""
+
+    @pytest.mark.parametrize("shape", [(32, 32, 32), (8, 8, 8, 8)])
+    def test_solve_peak(self, shape):
+        n = len(shape)
+        g = generate_random(PhaseSet.from_pairs((1.0, 2.0, 5.0), (0.4, 0.4, 0.2), n), shape, seed=1)
+        solve_effective_tensor(g)
+        # the n^2 total gradients, which exist only at the tensor assembly, and a few solve buffers
+        assert peak_traced_bytes(lambda: solve_effective_tensor(g)) <= (n * n + 7) * 8 * g.phase_index.size
+
+    @pytest.mark.parametrize("shape", [(32, 32, 32), (8, 8, 8, 8)])
+    def test_potential_and_quadratures_peak(self, shape):
+        n = len(shape)
+        g = generate_random(PhaseSet.from_pairs((1.0, 2.0, 5.0), (0.4, 0.4, 0.2), n), shape, seed=1)
+        constructive_value(build_optimal_potential(g, 3.0))
+        # theta, p_hat, lap p, the square, one Hessian entry and its spectrum, and at
+        # most n^2 / 4 off-diagonal squares waiting for their mirror term; never the stack
+        peak = peak_traced_bytes(lambda: constructive_value(build_optimal_potential(g, 3.0)))
+        assert peak <= (10 + n * n // 4) * 8 * g.phase_index.size
 
 
 class TestConstructiveBound:

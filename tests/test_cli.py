@@ -265,9 +265,9 @@ class TestSolveCommand:
             i1_fields.append(lap)
             return i1(sigma, lap, n, S)
 
-        def spy_i2(sigma, hessian, lap, n, S):
+        def spy_i2(sigma, q, n, S):
             i2_calls.append(S)
-            return i2(sigma, hessian, lap, n, S)
+            return i2(sigma, q, n, S)
 
         monkeypatch.setattr(cli, "build_optimal_potential", spy_build)
         monkeypatch.setattr(cell_solver, "_i1_quadrature", spy_i1)
