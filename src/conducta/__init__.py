@@ -15,7 +15,6 @@ from .bounds import (
     BoundConfig,
     BoundReport,
     hs_upper,
-    milton_gap,
     optimize_S,
     theorem1_upper,
     three_phase_refined,
@@ -62,7 +61,6 @@ __all__ = [
     "john_nirenberg_fit",
     "lemma1_ratio",
     "load_grid",
-    "milton_gap",
     "optimize_S",
     "read_phase_config",
     "save_grid",

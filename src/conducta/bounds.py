@@ -35,7 +35,6 @@ __all__ = [
     "theorem1_upper",
     "three_phase_refined",
     "optimize_S",
-    "milton_gap",
 ]
 
 BOUND_NAMES = (
@@ -205,19 +204,3 @@ def optimize_S(ps: PhaseSet, cfg: BoundConfig | None = None) -> BoundReport:
             consider(x1, f1)
     return theorem1_upper(ps, best_S, cfg)
 
-
-def milton_gap(ps2: PhaseSet, sigma3: float) -> float:
-    """Bound discontinuity when a vanishing third phase of conductivity sigma3
-    is adjoined to a two-phase composite.
-
-    Returns H(sigma3) - H(sigma2) on the two-phase fractions, i.e. the limit
-    of the three-phase Hashin-Shtrikman bound as mu_3 -> 0+ minus the
-    two-phase bound.  Strictly positive whenever sigma3 > sigma2, which is the
-    counterintuitive jump first pointed out by Milton.
-    """
-    if ps2.num_phases != 2:
-        raise ValueError(f"milton_gap needs exactly 2 phases, got {ps2.num_phases}")
-    s2 = ps2.sup_sigma
-    if not s2 <= sigma3 < math.inf:
-        raise ValueError(f"sigma3 must be finite and >= sigma2 = {s2}, got {sigma3}")
-    return _theorem1_terms(ps2, sigma3, BoundConfig())[0] - _theorem1_terms(ps2, s2, BoundConfig())[0]

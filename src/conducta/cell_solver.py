@@ -41,18 +41,21 @@ equals the pointwise optimal field
     theta = n L / (sigma + (n-1) S) - n,
 
 with L = ``phases.shifted_harmonic_L`` of ``grid.phase_set``, inverted
-spectrally, with the Hessian obtained from the multiplier -k (x) k / |k|^2
-applied to the rfftn half spectrum of theta, which is also where
+spectrally on the rfftn half spectrum of theta, which is also where
 PotentialField.p_hat lives.  The split value I1 + I2 of the energy of
 the test field I + D^2 p is then a certified upper bound for sigma_bar on the
-same grid.  build_optimal_potential builds theta and p_hat; the Hessian, the
-Laplacian and the quadratures I1, I2 and I2_positive_part are computed when
-first read and kept, the three quadratures from one conductivity gather.  The
-quadratures stream the Hessian: they transform its n(n+1)/2 distinct entries
-one at a time and never hold the (n, n) stack, which only a reader of
-hessian_p, such as the BMO report, builds.  A p_hat with no nonzero entry
-makes no Hessian transform.  The BMO report reads no quadrature, and in 2D no
-Laplacian, so it computes none.
+same grid.  build_optimal_potential builds theta and p_hat; the Laplacian and
+the quadratures I1, I2 and I2_positive_part are computed when first read and
+kept, the three quadratures from one conductivity gather.  I2 and the BMO
+report see p only through its traceless Hessian T = D^2 p - (lap p / n) I,
+the exact Fourier multiplier -(k_i k_j - delta_ij |k|^2 / n) of p_hat, and
+both take its distinct entries from one generator: n(n+1)/2 - 1 transforms,
+the last diagonal entry being minus the sum of the others.  The quadratures
+stream the entries one at a time into the square |T|^2, a sum of squares and
+so nonnegative; traceless_hessian fills the (n, n) stack.  A p_hat with no
+nonzero entry makes no transform.  hessian_p, the plain multiplier -k_i k_j,
+is a reference no production path reads, and the BMO report reads no
+quadrature and no Laplacian, so it computes none.
 
 Both jobs follow one scale rule: compute on sigma / 2^e and S / 2^e (S = 0
 for the solve), 2^e the least power of two above sup sigma + (n-1) S, sup
@@ -364,17 +367,19 @@ def solve_effective_tensor(grid: VoxelGrid) -> EffectiveTensor:
 class PotentialField:
     """Optimal-Laplacian potential and its derived fields on one grid.
 
-    theta and p_hat are built with the field.  hessian_p, laplacian_p, I1,
-    I2 and I2_positive_part are computed on first read, once: a caller that
-    never reads them never pays for them.  The quadratures never read
-    hessian_p: they transform its distinct entries one at a time, so the
-    (n, n) stack exists only for a caller that reads it.  I1 is the
-    quadrature of the raw theta field and agrees with theorem 1's H(S) of
-    ``grid.phase_set``, the weighted mean ``bounds`` evaluates, to round-off.
-    I2 is never above I2_positive_part, which uses the positive part of
-    sigma - S and vanishes identically at S = sup sigma.  The quadratures
-    follow the module's scale rule; reading one raises the ValueError naming
-    the conductivity range on overflow.  Arrays are read-only.
+    theta and p_hat are built with the field; the field keeps owned,
+    read-only copies of them and raises ValueError unless theta is a real
+    array of the grid's shape and p_hat a complex one of its half-spectrum
+    shape.  hessian_p, laplacian_p, I1, I2 and I2_positive_part are computed
+    on first read, once: a caller that never reads them never pays for them.
+    The quadratures read the traceless Hessian entry by entry, never
+    hessian_p, which no production path reads.  I1 is the quadrature of the
+    raw theta field and agrees with theorem 1's H(S) of ``grid.phase_set``,
+    the weighted mean ``bounds`` evaluates, to round-off.  I2 is never above
+    I2_positive_part, which uses the positive part of sigma - S and vanishes
+    identically at S = sup sigma.  The quadratures follow the module's scale
+    rule; reading one raises the ValueError naming the conductivity range on
+    overflow.  Arrays are read-only.
     """
 
     grid: VoxelGrid
@@ -383,17 +388,28 @@ class PotentialField:
     p_hat: np.ndarray
 
     def __post_init__(self):
-        for name in ("theta", "p_hat"):
-            getattr(self, name).setflags(write=False)
+        shape = self.grid.shape
+        half = shape[:-1] + (shape[-1] // 2 + 1,)
+        for name, kinds, dtype, want in (("theta", "iuf", float, shape), ("p_hat", "c", complex, half)):
+            given = np.asarray(getattr(self, name))
+            if given.dtype.kind not in kinds or given.shape != want:
+                kind = "real" if dtype is float else "complex"
+                raise ValueError(f"{name} must be {kind} of shape {want}, got {given.dtype} of shape {given.shape}")
+            owned = np.array(given, dtype=dtype)  # a copy: freezing it leaves the caller's array writable
+            owned.setflags(write=False)
+            object.__setattr__(self, name, owned)
 
     @functools.cached_property
     def hessian_p(self) -> np.ndarray:
-        n = self.grid.dimension
+        """D^2 p, each entry the inverse transform of -k_i k_j p_hat: a reference no production path reads."""
+        ks = half_wavenumbers(self.grid.shape, zero_nyquist=False)[0]
+        n = len(ks)
         hessian = np.zeros((n, n) + self.grid.shape)
-        with _potential_overflow_raises(self.grid, self.S):
-            for i, j, h in _hessian_entries(self.p_hat, self.grid.shape, lambda i, j: hessian[i, j]):
-                if i != j:
-                    hessian[j, i] = h
+        if self.p_hat.any():  # else the zeros are the result
+            with _potential_overflow_raises(self.grid, self.S):
+                for i in range(n):
+                    for j in range(i, n):
+                        hessian[j, i] = _irfftn_into(-ks[i] * ks[j] * self.p_hat, hessian[i, j])
         hessian.setflags(write=False)
         return hessian
 
@@ -411,7 +427,7 @@ class PotentialField:
         n = self.grid.dimension
         with _potential_overflow_raises(self.grid, self.S):
             # streamed before the gather, so sigma is not held at the streaming's peak
-            q = _streamed_traceless_square(self.p_hat, self.laplacian_p)
+            q = _streamed_traceless_square(self.p_hat, self.grid.shape)
             sigma, S, e = _scale_down(self.grid, self.S)
             i1 = _i1_quadrature(sigma, self.theta, n, S)
             i2, i2_pos = _i2_quadrature(sigma, q, n, S)
@@ -435,50 +451,51 @@ def _i1_quadrature(sigma: np.ndarray, lap: np.ndarray, n: int, S: float) -> floa
     return float(np.mean(sigma * (n + lap) ** 2 / n + (n - 1) / n * S * lap**2)) / n
 
 
-def _hessian_entries(p_hat: np.ndarray, shape: tuple[int, ...], out_for):
-    """Yield (i, j, D_i D_j p) for i <= j in row-major order, each written into ``out_for(i, j)``.
+def _traceless_entries(p_hat: np.ndarray, shape: tuple[int, ...], out_for):
+    """Yield (i, j, T_ij) for i <= j in row-major order, each written into ``out_for(i, j)``.
 
-    Each entry is the inverse transform of -k_i k_j p_hat, through one
-    spectral scratch buffer.  A p_hat with no nonzero entry (theta with only
-    Nyquist content) makes no transform: the buffers, zero-filled by the
+    T = D^2 p - (lap p / n) I.  Each entry but the last diagonal one is the
+    inverse transform of -(k_i k_j - delta_ij |k|^2 / n) p_hat, through one
+    spectral scratch buffer; T_{n-1,n-1} is minus the sum of the other
+    diagonal entries, so the trace is 0 exactly and the 2D stack is
+    [[a, b], [b, -a]].  The diagonal entries are summed as they are made,
+    before the caller sees them.  A p_hat with no nonzero entry (theta with
+    only Nyquist content) makes no transform: the buffers, zero-filled by the
     caller, already hold the result.
     """
-    ks = half_wavenumbers(shape, zero_nyquist=False)[0]
+    n = len(shape)
+    ks, k2 = half_wavenumbers(shape, zero_nyquist=False)
+    k2 /= n  # the trace part of each diagonal multiplier
     spec = np.empty_like(p_hat) if p_hat.any() else None
-    for i in range(len(shape)):
-        for j in range(i, len(shape)):
+    trace = np.zeros(shape) if spec is not None else None  # the diagonal entries made so far
+    for i in range(n):
+        for j in range(i, n):
             out = out_for(i, j)
-            if spec is not None:
-                _irfftn_into(np.multiply(-ks[i] * ks[j], p_hat, out=spec), out)
+            if spec is not None and i == j == n - 1:
+                np.negative(trace, out=out)
+            elif spec is not None:
+                multiplier = k2 - ks[i] * ks[i] if i == j else -ks[i] * ks[j]
+                _irfftn_into(np.multiply(multiplier, p_hat, out=spec), out)
+                if i == j:
+                    trace += out
             yield i, j, out
 
 
-def _streamed_traceless_square(p_hat: np.ndarray, lap: np.ndarray) -> np.ndarray:
-    """|D^2 p|^2 - (lap p)^2 / n pointwise, clipped at 0, without holding the Hessian stack.
+def _streamed_traceless_square(p_hat: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """|T|^2 = sum_i T_ii^2 + 2 sum_{i<j} T_ij^2 pointwise, T the traceless Hessian, never held whole.
 
-    Adds each h_ij^2 to -lap^2 / n in the row-major (i, j) order of the full
-    n x n sum.  The entries are transformed one at a time into one buffer;
-    the square of an off-diagonal entry is kept, in a preallocated buffer,
-    only until its mirror term (j, i) is added.
+    The distinct entries arrive one at a time, in the row-major order of
+    ``_traceless_entries``, in one buffer; the square is a sum of squares,
+    so it is nonnegative with no clip.
     """
-    n = lap.ndim
-    q = -lap * lap / n
-    entry = np.zeros(lap.shape)
-    # after row i the squares of (a, b) with a <= i < b wait for their mirror term
-    spare = [np.empty(lap.shape) for _ in range(max((i + 1) * (n - 1 - i) for i in range(n)))]
-    waiting: dict[tuple[int, int], np.ndarray] = {}
-    for i, j, h in _hessian_entries(p_hat, lap.shape, lambda i, j: entry):
-        if i == j:
-            for a in range(i):
-                square = waiting.pop((a, i))
-                q += square
-                spare.append(square)
-            q += np.multiply(h, h, out=h)
-        else:
-            waiting[i, j] = np.multiply(h, h, out=spare.pop())
-            q += waiting[i, j]
-    # |M|^2 - (tr M)^2 / n >= 0 pointwise; clip float noise
-    return np.maximum(q, 0.0, out=q)
+    q = np.zeros(shape)
+    entry = np.zeros(shape)
+    for i, j, t in _traceless_entries(p_hat, shape, lambda i, j: entry):
+        square = np.multiply(t, t, out=t)
+        if i != j:
+            square *= 2.0
+        q += square
+    return q
 
 
 def build_optimal_potential(grid: VoxelGrid, S: float) -> PotentialField:
@@ -510,7 +527,7 @@ def build_optimal_potential(grid: VoxelGrid, S: float) -> PotentialField:
 
 
 def _i2_quadrature(sigma: np.ndarray, q: np.ndarray, n: int, S: float) -> tuple[float, float]:
-    """I2 and its positive part, from the clipped traceless square q of the Hessian."""
+    """I2 and its positive part, from the traceless square q of the Hessian."""
     weight = sigma - S
     i2 = float(np.mean(weight * q)) / n
     i2_pos = float(np.mean(np.maximum(weight, 0.0) * q)) / n
@@ -537,21 +554,17 @@ def constructive_upper(grid: VoxelGrid, S: float) -> float:
 def traceless_hessian(pf: PotentialField) -> np.ndarray:
     """D^2 p - (lap p / n) I as an (n, n, *grid) component stack.
 
-    In 2D the stack is [[a, b], [b, -a]] with a = (h00 - h11) / 2 and
-    b = h01, the traceless part of the Hessian matrix itself: its trace is 0
-    exactly, and a agrees with h00 - lap p / 2 to round-off.
+    Built from the same entries as the quadratures: each off-diagonal entry
+    is hessian_p's to the bit, and the last diagonal entry is minus the sum
+    of the others, so the trace is 0 exactly and the 2D stack is
+    [[a, b], [b, -a]] with a = T_00.  Reads neither hessian_p nor
+    laplacian_p.  Raises the potential's ValueError naming the conductivity
+    range when a value overflows.
     """
     n = pf.grid.dimension
-    h = pf.hessian_p
-    if n == 2:
-        out = np.empty_like(h)
-        a = np.subtract(h[0, 0], h[1, 1], out=out[0, 0])
-        a /= 2
-        out[0, 1] = out[1, 0] = h[0, 1]
-        np.negative(a, out=out[1, 1])
-        return out
-    out = h.copy()
-    for i in range(n):
-        out[i, i] -= pf.laplacian_p / n
-    return out
-
+    stack = np.zeros((n, n) + pf.grid.shape)
+    with _potential_overflow_raises(pf.grid, pf.S):
+        for i, j, t in _traceless_entries(pf.p_hat, pf.grid.shape, lambda i, j: stack[i, j]):
+            if i != j:
+                stack[j, i] = t
+    return stack

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from conducta.bmo import bmo_norm, john_nirenberg_fit, lemma1_ratio
-from conducta.bounds import BoundConfig, hs_upper, milton_gap, theorem1_upper, three_phase_refined, trivial_upper
+from conducta.bounds import BoundConfig, hs_upper, theorem1_upper, three_phase_refined, trivial_upper
 from conducta.cell_solver import (
     build_optimal_potential,
     constructive_value,
@@ -100,10 +100,11 @@ def test_criterion_3_asymptotic_convergence():
 
 def test_criterion_4_milton_discontinuity():
     ps2 = PhaseSet.from_pairs((1.0, 2.0), (0.5, 0.5), 3)
-    gap = milton_gap(ps2, 5.0)
+    # the HS bound of a vanishing third phase at 5.0, minus the two-phase HS bound
+    gap = theorem1_upper(ps2, 5.0).H_term - hs_upper(ps2).H_term
     assert gap > 1e-3
     assert abs(gap - 0.023719) < 1e-5
-    _ok(4, f"milton_gap = {gap:.9f} (> 1e-3, within 1e-5 of the regression value)")
+    _ok(4, f"Milton jump H(5) - H(sigma_2) = {gap:.9f} (> 1e-3, within 1e-5 of the regression value)")
 
 
 def test_criterion_5_solver_oracles():

@@ -12,6 +12,7 @@ from conducta import cell_solver
 from conducta.bounds import hs_upper, theorem1_upper
 from conducta.cell_solver import (
     EffectiveTensor,
+    PotentialField,
     _half_spectrum_dot,
     _irfftn_into,
     _spectral_cg,
@@ -94,6 +95,27 @@ class TestSolverConfig:
         tensor = EffectiveTensor(2, m, 1.0, (1, 1), (0.0, 0.0), 0.0)
         m[0, 0] = 5.0  # the caller's array stays writable
         assert tensor.matrix[0, 0] == 1.0
+
+    def test_potential_owns_and_checks_its_arrays(self):
+        # the field froze the caller's own arrays, kept views of them, and took any theta
+        g = generate_random(TWO_14, (8, 8), seed=2)
+        built = build_optimal_potential(g, 2.0)
+        base, p_hat = built.theta.copy(), built.p_hat.copy()
+        pf = PotentialField(g, 2.0, base[:], p_hat)
+        assert base.flags.writeable and p_hat.flags.writeable
+        base += 1.0
+        p_hat[0, 1] = 7.0
+        assert np.array_equal(pf.theta, built.theta) and np.array_equal(pf.p_hat, built.p_hat)
+        assert pf.I1 == built.I1
+        bad = [
+            (np.zeros(3), built.p_hat),
+            (built.theta + 0j, built.p_hat),
+            (built.theta, built.p_hat.real),
+            (built.theta, np.zeros((8, 8), complex)),
+        ]
+        for theta, p_hat in bad:
+            with pytest.raises(ValueError, match="must be (real|complex) of shape"):
+                PotentialField(g, 2.0, theta, p_hat)
 
     def test_tensor_symmetry_enforced(self):
         with pytest.raises(ValueError, match="symmetric"):
@@ -435,11 +457,12 @@ class TestTransformBudget:
         pf = build_optimal_potential(g, 2.0)
         # the build transforms theta only
         assert fft_counts(fft_log) == {"rfftn": 1}
-        # the quadratures stream the n(n+1)/2 distinct Hessian entries and
-        # read lap p; each inverse is n - 1 ifft passes and one irfft
+        # the quadratures stream the n(n+1)/2 - 1 transformed traceless entries
+        # (the last diagonal one is minus the others) and read lap p; each
+        # inverse is n - 1 ifft passes and one irfft
         entries = n * (n + 1) // 2
         pf.I1, pf.I2, constructive_value(pf), pf.laplacian_p
-        inverse = entries + 1
+        inverse = (entries - 1) + 1
         assert fft_counts(fft_log) == {"rfftn": 1, "irfft": inverse, "ifft": (n - 1) * inverse}
         # hessian_p transforms the entries again on first read, once
         pf.hessian_p
@@ -475,7 +498,8 @@ class TestTransformBudget:
         assert (pf.I2, pf.I2_positive_part, constructive_value(pf)) == (0.0, 0.0, 2.5)
         assert fft_counts(fft_log) == {"rfftn": 1, "irfft": 1, "ifft": n - 1}  # lap p only
         assert pf.hessian_p.shape == (n, n) + shape and not pf.hessian_p.any()
-        assert fft_counts(fft_log) == {"rfftn": 1, "irfft": 1, "ifft": n - 1}  # hessian_p made none
+        assert traceless_hessian(pf).shape == (n, n) + shape and not traceless_hessian(pf).any()
+        assert fft_counts(fft_log) == {"rfftn": 1, "irfft": 1, "ifft": n - 1}  # neither stack made one
 
 
 class TestOptimalPotential:
@@ -511,9 +535,11 @@ class TestOptimalPotential:
 
     def test_2d_traceless_hessian_is_the_stack_of_its_components(self):
         pf = build_optimal_potential(generate_random(TWO_14, (32, 32), seed=5), 2.0)
+        full = traceless_hessian(pf)
+        assert np.array_equal(full[1, 1], -full[0, 0]) and np.array_equal(full[1, 0], full[0, 1])
         h = pf.hessian_p
-        a, b = (h[0, 0] - h[1, 1]) / 2, h[0, 1]
-        assert np.array_equal(traceless_hessian(pf), np.array([[a, b], [b, -a]]))
+        assert np.array_equal(full[0, 1], h[0, 1])
+        assert np.abs(full[0, 0] - (h[0, 0] - h[1, 1]) / 2).max() <= 1e-12
 
     def test_homogeneous_all_zero(self):
         pf = build_optimal_potential(homogeneous(3.0), 1.0)
@@ -688,15 +714,20 @@ class TestI1I2:
 
     @pytest.mark.parametrize("shape", [(16, 16), (8, 8, 8), (4, 4, 4, 4)])
     def test_traceless_square_matches_reference_loop(self, shape):
-        # streamed entry by entry, in the order of the out-of-place loop over the full stack
+        # streamed entry by entry, in the row-major order of the distinct entries of the stack
         ps = PhaseSet.from_pairs((1.0, 2.0, 5.0), (0.4, 0.4, 0.2), len(shape))
         pf = build_optimal_potential(generate_random(ps, shape, seed=4), 2.0)
-        n, h, lap = len(shape), pf.hessian_p, pf.laplacian_p
-        q = -lap * lap / n
+        n, t = len(shape), traceless_hessian(pf)
+        q = np.zeros(shape)
         for i in range(n):
-            for j in range(n):
-                q = q + h[i, j] * h[i, j]
-        assert np.array_equal(_streamed_traceless_square(pf.p_hat, lap), np.maximum(q, 0.0))
+            for j in range(i, n):
+                q = q + (1.0 if i == j else 2.0) * (t[i, j] * t[i, j])
+        streamed = _streamed_traceless_square(pf.p_hat, shape)
+        assert np.array_equal(streamed, q) and streamed.min() >= 0.0
+        # the clipped |D^2 p|^2 - (lap p)^2 / n it replaces, to round-off
+        h, lap = pf.hessian_p, pf.laplacian_p
+        old = np.maximum(np.sum(h * h, axis=(0, 1)) - lap * lap / n, 0.0)
+        assert np.abs(streamed - old).max() <= 1e-12 * old.max()
 
     def test_i2_below_positive_part_and_zero_at_sup(self):
         g = generate_random(TWO_14, (32, 32), seed=9)
@@ -742,10 +773,19 @@ class TestMemory:
         n = len(shape)
         g = generate_random(PhaseSet.from_pairs((1.0, 2.0, 5.0), (0.4, 0.4, 0.2), n), shape, seed=1)
         constructive_value(build_optimal_potential(g, 3.0))
-        # theta, p_hat, lap p, the square, one Hessian entry and its spectrum, and at
-        # most n^2 / 4 off-diagonal squares waiting for their mirror term; never the stack
+        # theta, p_hat, lap p, the square, one traceless entry, its spectrum and
+        # the running trace; never the stack
         peak = peak_traced_bytes(lambda: constructive_value(build_optimal_potential(g, 3.0)))
-        assert peak <= (10 + n * n // 4) * 8 * g.phase_index.size
+        assert peak <= 11 * 8 * g.phase_index.size
+
+    @pytest.mark.parametrize("shape", [(32, 32, 32), (8, 8, 8, 8)])
+    def test_traceless_hessian_peak(self, shape):
+        n = len(shape)
+        g = generate_random(PhaseSet.from_pairs((1.0, 2.0, 5.0), (0.4, 0.4, 0.2), n), shape, seed=1)
+        traceless_hessian(build_optimal_potential(g, 3.0))
+        # the n^2 components and a few buffers; neither hessian_p nor lap p
+        peak = peak_traced_bytes(lambda: traceless_hessian(build_optimal_potential(g, 3.0)))
+        assert peak <= (n * n + 8) * 8 * g.phase_index.size
 
 
 class TestConstructiveBound:

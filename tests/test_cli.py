@@ -1029,8 +1029,8 @@ class TestBmoCommand:
 
     @pytest.mark.parametrize("dim, shape", [("2", "32"), ("3", "8")])
     def test_report_evaluates_no_quadrature(self, dim, shape, monkeypatch, capsys):
-        # the report prints none of I1, I2, I2_positive_part; in 2D the
-        # traceless Hessian needs no Laplacian either
+        # the report prints none of I1, I2, I2_positive_part, and the
+        # traceless Hessian needs neither the Laplacian nor the Hessian stack
         potentials, quadratures = [], []
         build = cli.build_optimal_potential
 
@@ -1043,7 +1043,7 @@ class TestBmoCommand:
         monkeypatch.setattr(cell_solver, "_i2_quadrature", lambda *a: quadratures.append("I2"))
         assert main(["bmo", "--dim", dim, "--shape", shape, "--count", "2"]) == 0
         assert len(potentials) == 2 and quadratures == []
-        assert all(("laplacian_p" in pf.__dict__) == (dim == "3") for pf in potentials)
+        assert not any({"laplacian_p", "hessian_p"} & pf.__dict__.keys() for pf in potentials)
 
     def test_corpus_report(self, capsys):
         assert main(["bmo", "--count", "2", "--shape", "32", "--seed", "5"]) == 0
