@@ -269,6 +269,16 @@ class TestMiltonGap:
     def test_strictly_positive_above_sigma2(self, ps2, ds):
         assert milton_jump(ps2, ps2.sup_sigma + ds) > 0.0
 
+    @pytest.mark.parametrize("sigma3", [2.5, 5.0, 20.0])
+    def test_is_the_limit_of_the_three_phase_hs_bound(self, sigma3):
+        # adjoin a third phase of fraction mu at sigma3: its HS bound exceeds the
+        # two-phase one by the jump plus O(mu), so the jump is the mu -> 0+ limit
+        ps2 = PhaseSet.from_pairs((1.0, 2.0), (0.5, 0.5), 3)
+        jump = milton_jump(ps2, sigma3)
+        for mu in (1e-4, 1e-6, 1e-8):
+            ps3 = PhaseSet.from_pairs((1.0, 2.0, sigma3), (0.5 - mu / 2, 0.5 - mu / 2, mu), 3)
+            assert abs(hs_upper(ps3).value - hs_upper(ps2).value - jump) <= sigma3 * mu
+
 
 class TestTailAtSupExactness:
     @given(phase_sets())

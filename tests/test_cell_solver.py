@@ -541,6 +541,24 @@ class TestOptimalPotential:
         assert np.array_equal(full[0, 1], h[0, 1])
         assert np.abs(full[0, 0] - (h[0, 0] - h[1, 1]) / 2).max() <= 1e-12
 
+    @pytest.mark.parametrize("shape", [(8, 8, 8), (4, 4, 4, 4)])
+    def test_traceless_hessian_is_symmetric_and_traceless(self, shape):
+        # beyond 2D too: the trace summed in row-major order is 0 exactly, each
+        # off-diagonal entry is hessian_p's to the bit, and each diagonal entry
+        # is h_ii - lap p / n to round-off
+        n = len(shape)
+        ps = PhaseSet.from_pairs((1.0, 2.0, 5.0), (0.4, 0.4, 0.2), n)
+        pf = build_optimal_potential(generate_random(ps, shape, seed=4), 2.0)
+        t, h, lap = traceless_hessian(pf), pf.hessian_p, pf.laplacian_p
+        trace = t[0, 0]
+        for i in range(1, n):
+            trace = trace + t[i, i]
+        assert not trace.any()
+        for i in range(n):
+            assert np.abs(t[i, i] - (h[i, i] - lap / n)).max() <= 1e-12 * np.abs(h).max()
+            for j in range(i + 1, n):
+                assert np.array_equal(t[i, j], h[i, j]) and np.array_equal(t[j, i], h[i, j])
+
     def test_homogeneous_all_zero(self):
         pf = build_optimal_potential(homogeneous(3.0), 1.0)
         assert np.abs(pf.theta).max() == 0.0
