@@ -7,13 +7,18 @@ whole block of voxels and the statistic is exact; restricting to dyadic
 cubes changes the constant relative to the all-cubes norm but not the
 structure, and the constant is free anyway.
 
-bmo_norm works on one centered copy of the field in dyadic order: each axis
-index is written as depth bits plus a remainder, the bits of all axes are
-interleaved most significant first and the remainders go innermost.  In that
-order every dyadic cube of every level is one contiguous run of voxels, so
-level k is a (components, cubes, voxels per cube) reshape and each reduction
-runs along the last axis.  bmo_norm is the only statistic that computes a
-norm: john_nirenberg_fit and lemma1_ratio take the float it returns.
+bmo_norm centers one component at a time into a copy in dyadic order: each
+axis index is written as depth bits plus a remainder, the remainders go
+outermost and the bits of all axes are interleaved least significant first,
+so the coarse bits are innermost.  In that order level k is a (voxels per
+cube, cubes) reshape: the 2^(k n) cube means form one short row, broadcast
+down the voxels of every cube, and a level with few cubes repeats its row
+of means to a few thousand entries, so that the subtract, the abs and the
+sum each run over long contiguous rows.  A level's cube sums are the sums of
+its cubes' 2^n children, built up from the finest level.  The copy and its
+one scratch buffer each hold one component.  bmo_norm is the only statistic
+that computes a norm: john_nirenberg_fit and lemma1_ratio take the float it
+returns.
 
 Matrix-valued fields are handled component-wise: each component is centered
 and measured on its own, and the norm is the maximum over components.  The
@@ -36,6 +41,8 @@ __all__ = [
     "john_nirenberg_fit",
     "lemma1_ratio",
 ]
+
+_ROW = 4096  # bmo_norm tiles the means of a level with fewer cubes to rows of about this length
 
 # the 48 geometric levels, as fractions of max|f|, at which john_nirenberg_fit samples the tail
 _LEVEL_FRACTIONS = np.geomspace(1e-3, 1.0 - 1e-9, 48)
@@ -69,33 +76,22 @@ def _centered(comp: np.ndarray) -> np.ndarray:
 
 
 def _dyadic_order(comp: np.ndarray, depth: int) -> np.ndarray:
-    """View of the (m, *spatial) stack with its axes in dyadic order.
+    """View of the (m, *spatial) stack with its axes in dyadic order, coarse bits innermost.
 
     Each spatial axis of length n splits into ``depth`` bits and the
-    remainder ``n >> depth``.  The bits of all axes are interleaved, most
-    significant first, and the remainders go innermost, so the first
-    ``k * dim`` bit axes index the dyadic cubes of side 2^-k and the axes
-    after them run over one cube.
+    remainder ``n >> depth``.  The remainders go outermost, then the bits of
+    all axes, interleaved, from the least significant to the most, so the
+    last ``k * dim`` axes index the dyadic cubes of side 2^-k and the axes
+    before them run over one cube.
     """
     dim = comp.ndim - 1
     split = [comp.shape[0]]
     for n in comp.shape[1:]:
         split.extend((2,) * depth + (n >> depth,))
     stride = depth + 1  # axes per spatial axis in ``split``
-    bits = [1 + d * stride + j for j in range(depth) for d in range(dim)]
     remainders = [1 + d * stride + depth for d in range(dim)]
-    return comp.reshape(split).transpose([0, *bits, *remainders])
-
-
-def _block_sums(blocks: np.ndarray) -> np.ndarray:
-    """Sums along the last axis; short rows are added column by column,
-    which avoids numpy's per-row reduction overhead."""
-    if blocks.shape[-1] >= 8:
-        return blocks.sum(axis=-1)
-    total = blocks[..., 0].copy()
-    for j in range(1, blocks.shape[-1]):
-        total += blocks[..., j]
-    return total
+    bits = [1 + d * stride + j for j in reversed(range(depth)) for d in range(dim)]
+    return comp.reshape(split).transpose([0, *remainders, *bits])
 
 
 def bmo_norm(field, spatial_ndim: int | None = None) -> float:
@@ -103,9 +99,9 @@ def bmo_norm(field, spatial_ndim: int | None = None) -> float:
     deviation from the cube mean, where depth = log2 of the smallest grid axis.
 
     2^depth must divide every axis, so that each dyadic cube is a whole block
-    of voxels.  The field is centered component-wise into one copy in dyadic
-    order (see the module docstring); each level then reduces contiguous
-    runs, reusing one scratch buffer.
+    of voxels.  Each component is centered into one copy in dyadic order (see
+    the module docstring); each level then reduces contiguous rows, reusing
+    one scratch buffer of the copy's size.
     """
     comp, spatial = _as_components(field, spatial_ndim)
     depth = min(spatial).bit_length() - 1
@@ -115,20 +111,26 @@ def bmo_norm(field, spatial_ndim: int | None = None) -> float:
         )
     m, dim = comp.shape[0], len(spatial)
     view = _dyadic_order(comp, depth)
-    mean = comp.mean(axis=tuple(range(1, comp.ndim))).reshape((m,) + (1,) * (view.ndim - 1))
-    z = np.empty(view.shape)  # C order in dyadic axes; a ufunc's own output would keep the grid's order
-    np.subtract(view, mean, out=z)
-    scratch = np.empty(z.size)
+    z = np.empty(view.shape[1:])  # C order in dyadic axes; a ufunc's own output would keep the grid's order
+    flat = z.reshape(-1)
+    scratch = np.empty(flat.size)
     best = 0.0
-    for k in range(depth + 1):
-        cubes = z.reshape(m, 1 << (k * dim), -1)
-        size = cubes.shape[-1]
-        if size == 1:  # single-voxel cubes have zero oscillation
-            continue
-        deviation = scratch.reshape(cubes.shape)
-        np.subtract(cubes, (_block_sums(cubes) / size)[..., None], out=deviation)
-        np.abs(deviation, out=deviation)
-        best = max(best, float(_block_sums(deviation).max()) / size)
+    for c in range(m):
+        np.subtract(view[c], comp[c].mean(), out=z)
+        sums = flat  # the cube sums of the current level, finest first
+        for k in range(depth, -1, -1):
+            cubes = 1 << (k * dim)
+            sums = sums.reshape(-1, cubes).sum(axis=0) if sums.size > cubes else sums
+            size = flat.size // cubes
+            if size == 1:  # single-voxel cubes have zero oscillation
+                continue
+            # rows of ``tile`` copies of the cube means, so that each pass runs over long rows
+            tile = math.gcd(size, max(1, _ROW // cubes))
+            deviation = scratch.reshape(-1, tile * cubes)
+            np.subtract(flat.reshape(deviation.shape), np.tile(sums / size, tile), out=deviation)
+            np.abs(deviation, out=deviation)
+            spread = deviation.sum(axis=0).reshape(tile, cubes).sum(axis=0)
+            best = max(best, float(spread.max()) / size)
     return best
 
 

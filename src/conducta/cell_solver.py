@@ -44,16 +44,21 @@ with L = ``phases.shifted_harmonic_L`` of ``grid.phase_set``, inverted
 spectrally on the rfftn half spectrum of theta, which is also where
 PotentialField.p_hat lives.  The split value I1 + I2 of the energy of
 the test field I + D^2 p is then a certified upper bound for sigma_bar on the
-same grid.  build_optimal_potential builds theta and p_hat; the Laplacian and
-the quadratures I1, I2 and I2_positive_part are computed when first read and
-kept, the three quadratures from one conductivity gather.  I2 and the BMO
-report see p only through its traceless Hessian T = D^2 p - (lap p / n) I,
-the exact Fourier multiplier -(k_i k_j - delta_ij |k|^2 / n) of p_hat, and
-both take its distinct entries from one generator: n(n+1)/2 - 1 transforms,
-the last diagonal entry being minus the sum of the others.  The quadratures
-stream the entries one at a time into the square |T|^2, a sum of squares and
-so nonnegative; traceless_hessian fills the (n, n) stack.  A p_hat with no
-nonzero entry makes no transform.  hessian_p, the plain multiplier -k_i k_j,
+same grid.  build_optimal_potential builds theta and p_hat.  theta is
+evaluated once per entry of the grid's conductivity table and gathered by
+phase_index, so the potential builds no conductivity field; p_hat is
+-theta_hat / |k|^2 with the mean and the Nyquist planes zeroed.  The
+Laplacian and the quadratures I1, I2 and I2_positive_part are computed when
+first read and kept, the three quadratures from one conductivity gather.
+I2 and the BMO report see p only through its traceless Hessian
+T = D^2 p - (lap p / n) I, the exact Fourier multiplier
+-(k_i k_j - delta_ij |k|^2 / n) of p_hat, and both take its distinct
+entries from one generator: n(n+1)/2 - 1 transforms, the last diagonal
+entry being minus the sum of the others.  The quadratures stream the
+entries one at a time into the square |T|^2, a sum of squares and so
+nonnegative; traceless_hessian fills the (n, n) stack, or only its first
+row, which in 2D holds every entry.  A p_hat with no nonzero entry makes no
+transform.  hessian_p, the plain multiplier -k_i k_j,
 is a reference no production path reads, and the BMO report reads no
 quadrature and no Laplacian, so it computes none.
 
@@ -117,21 +122,24 @@ def _iteration_cap(contrast: float) -> int:
     return math.ceil(root * math.log(2.0 * root / _RELATIVE_TOLERANCE))
 
 
-def _subnyquist_mask(shape: tuple[int, ...]) -> np.ndarray:
-    """Half-spectrum modes with no Nyquist component, excluding the mean."""
-    mask = np.ones(shape[:-1] + (shape[-1] // 2 + 1,), dtype=bool)
+def _zero_nyquist_and_mean(spec: np.ndarray, shape: tuple[int, ...]) -> None:
+    """Zero the half-spectrum modes with a Nyquist component, and the mean, in place."""
     for ax, n in enumerate(shape):
         if n % 2 == 0:
             sl = [slice(None)] * len(shape)
             sl[ax] = n // 2
-            mask[tuple(sl)] = False
-    mask[(0,) * len(shape)] = False
-    return mask
+            spec[tuple(sl)] = 0.0
+    spec[(0,) * len(shape)] = 0.0
+
+
+def _scale_exponent(grid: VoxelGrid, S: float = 0.0) -> int:
+    """e of the module's scale rule: 2^e is the least power of two above sup sigma + (n-1) S."""
+    return math.frexp(grid.phase_set.sup_sigma + (grid.dimension - 1) * S)[1]
 
 
 def _scale_down(grid: VoxelGrid, S: float = 0.0) -> tuple[np.ndarray, float, int]:
     """The grid's conductivity field and S, divided by 2^e of the module's scale rule, and e."""
-    e = math.frexp(grid.phase_set.sup_sigma + (grid.dimension - 1) * S)[1]
+    e = _scale_exponent(grid, S)
     sigma = grid.conductivity_field()
     np.ldexp(sigma, -e, out=sigma)
     return sigma, math.ldexp(S, -e), e
@@ -367,11 +375,13 @@ def solve_effective_tensor(grid: VoxelGrid) -> EffectiveTensor:
 class PotentialField:
     """Optimal-Laplacian potential and its derived fields on one grid.
 
-    theta and p_hat are built with the field; the field keeps owned,
-    read-only copies of them and raises ValueError unless theta is a real
-    array of the grid's shape and p_hat a complex one of its half-spectrum
-    shape.  hessian_p, laplacian_p, I1, I2 and I2_positive_part are computed
-    on first read, once: a caller that never reads them never pays for them.
+    theta and p_hat are built with the field.  Constructed directly, the
+    field keeps owned, read-only copies of them and raises ValueError unless
+    theta is a real array of the grid's shape and p_hat a complex one of its
+    half-spectrum shape; build_optimal_potential hands over the arrays it
+    has just made, frozen in place without a copy.  hessian_p, laplacian_p,
+    I1, I2 and I2_positive_part are computed on first read, once: a caller
+    that never reads them never pays for them.
     The quadratures read the traceless Hessian entry by entry, never
     hessian_p, which no production path reads.  I1 is the quadrature of the
     raw theta field and agrees with theorem 1's H(S) of ``grid.phase_set``,
@@ -398,6 +408,16 @@ class PotentialField:
             owned = np.array(given, dtype=dtype)  # a copy: freezing it leaves the caller's array writable
             owned.setflags(write=False)
             object.__setattr__(self, name, owned)
+
+    @classmethod
+    def _of_new_arrays(cls, grid: VoxelGrid, S: float, theta: np.ndarray, p_hat: np.ndarray) -> PotentialField:
+        """The field over arrays its caller has just built and holds no other reference to: frozen, not copied."""
+        field = object.__new__(cls)
+        for name, value in (("grid", grid), ("S", S), ("theta", theta), ("p_hat", p_hat)):
+            object.__setattr__(field, name, value)
+        theta.setflags(write=False)
+        p_hat.setflags(write=False)
+        return field
 
     @functools.cached_property
     def hessian_p(self) -> np.ndarray:
@@ -451,7 +471,7 @@ def _i1_quadrature(sigma: np.ndarray, lap: np.ndarray, n: int, S: float) -> floa
     return float(np.mean(sigma * (n + lap) ** 2 / n + (n - 1) / n * S * lap**2)) / n
 
 
-def _traceless_entries(p_hat: np.ndarray, shape: tuple[int, ...], out_for):
+def _traceless_entries(p_hat: np.ndarray, shape: tuple[int, ...], out_for, rows: int | None = None):
     """Yield (i, j, T_ij) for i <= j in row-major order, each written into ``out_for(i, j)``.
 
     T = D^2 p - (lap p / n) I.  Each entry but the last diagonal one is the
@@ -459,16 +479,18 @@ def _traceless_entries(p_hat: np.ndarray, shape: tuple[int, ...], out_for):
     spectral scratch buffer; T_{n-1,n-1} is minus the sum of the other
     diagonal entries, so the trace is 0 exactly and the 2D stack is
     [[a, b], [b, -a]].  The diagonal entries are summed as they are made,
-    before the caller sees them.  A p_hat with no nonzero entry (theta with
-    only Nyquist content) makes no transform: the buffers, zero-filled by the
-    caller, already hold the result.
+    before the caller sees them; with ``rows`` below n only the entries of
+    the first ``rows`` rows are made, and no sum is kept.  A p_hat with no
+    nonzero entry (theta with only Nyquist content) makes no transform: the
+    buffers, zero-filled by the caller, already hold the result.
     """
     n = len(shape)
+    rows = n if rows is None else rows
     ks, k2 = half_wavenumbers(shape, zero_nyquist=False)
     k2 /= n  # the trace part of each diagonal multiplier
     spec = np.empty_like(p_hat) if p_hat.any() else None
-    trace = np.zeros(shape) if spec is not None else None  # the diagonal entries made so far
-    for i in range(n):
+    trace = np.zeros(shape) if spec is not None and rows == n else None  # the diagonal entries made so far
+    for i in range(rows):
         for j in range(i, n):
             out = out_for(i, j)
             if spec is not None and i == j == n - 1:
@@ -476,7 +498,7 @@ def _traceless_entries(p_hat: np.ndarray, shape: tuple[int, ...], out_for):
             elif spec is not None:
                 multiplier = k2 - ks[i] * ks[i] if i == j else -ks[i] * ks[j]
                 _irfftn_into(np.multiply(multiplier, p_hat, out=spec), out)
-                if i == j:
+                if trace is not None and i == j:
                     trace += out
             yield i, j, out
 
@@ -510,20 +532,22 @@ def build_optimal_potential(grid: VoxelGrid, S: float) -> PotentialField:
     if not 0.0 < S < np.inf:
         raise ValueError(f"S must be finite and positive, got {S}")
     L = shifted_harmonic_L(grid.phase_set, S)
-    n = grid.dimension
-    sigma, scaled_S, e = _scale_down(grid, S)
+    n, shape = grid.dimension, grid.shape
+    e = _scale_exponent(grid, S)
+    # theta of each table entry; one no voxel carries gets sup sigma's, so it can neither raise nor be read
+    carried = set(grid.phase_set.conductivities)
+    table = [c if c in carried else grid.phase_set.sup_sigma for c in grid.phase_conductivities]
+    sigma = np.ldexp(table, -e)
     with _potential_overflow_raises(grid, S):
-        shape = sigma.shape
-        theta = n * math.ldexp(L, -e) / (sigma + (n - 1) * scaled_S) - n
-        del sigma
+        theta = (n * math.ldexp(L, -e) / (sigma + (n - 1) * math.ldexp(S, -e)) - n)[grid.phase_index]
         # p_hat = -theta_hat / k2 off the Nyquist planes and the mean, formed in theta_hat's buffer
         p_hat = np.fft.rfftn(theta)
         _, k2 = half_wavenumbers(shape, zero_nyquist=False)
-        mask = _subnyquist_mask(shape)
+        k2[(0,) * n] = 1.0  # the mean mode, zeroed below with the Nyquist planes
         np.negative(p_hat, out=p_hat)
-        np.divide(p_hat, k2, out=p_hat, where=mask)
-        np.copyto(p_hat, 0.0, where=~mask)
-        return PotentialField(grid=grid, S=float(S), theta=theta, p_hat=p_hat)
+        np.divide(p_hat, k2, out=p_hat)
+        _zero_nyquist_and_mean(p_hat, shape)
+        return PotentialField._of_new_arrays(grid, float(S), theta, p_hat)
 
 
 def _i2_quadrature(sigma: np.ndarray, q: np.ndarray, n: int, S: float) -> tuple[float, float]:
@@ -551,20 +575,27 @@ def constructive_upper(grid: VoxelGrid, S: float) -> float:
     return constructive_value(build_optimal_potential(grid, S))
 
 
-def traceless_hessian(pf: PotentialField) -> np.ndarray:
-    """D^2 p - (lap p / n) I as an (n, n, *grid) component stack.
+def traceless_hessian(pf: PotentialField, first_row: bool = False) -> np.ndarray:
+    """D^2 p - (lap p / n) I as an (n, n, *grid) component stack, or with
+    ``first_row`` only its row T_0j as an (n, *grid) stack.
 
     Built from the same entries as the quadratures: each off-diagonal entry
     is hessian_p's to the bit, and the last diagonal entry is minus the sum
     of the others, so the trace is 0 exactly and the 2D stack is
-    [[a, b], [b, -a]] with a = T_00.  Reads neither hessian_p nor
-    laplacian_p.  Raises the potential's ValueError naming the conductivity
-    range when a value overflows.
+    [[a, b], [b, -a]] with a = T_00.  In 2D the first row [a, b] holds every
+    entry, from 2 transforms; it is the full stack's row 0 to the bit.
+    Reads neither hessian_p nor laplacian_p.  Raises the potential's
+    ValueError naming the conductivity range when a value overflows.
     """
-    n = pf.grid.dimension
-    stack = np.zeros((n, n) + pf.grid.shape)
+    n, shape = pf.grid.dimension, pf.grid.shape
+    if first_row:
+        out = np.zeros((n,) + shape)
+        entries = _traceless_entries(pf.p_hat, shape, lambda i, j: out[j], rows=1)
+    else:
+        out = np.zeros((n, n) + shape)
+        entries = _traceless_entries(pf.p_hat, shape, lambda i, j: out[i, j])
     with _potential_overflow_raises(pf.grid, pf.S):
-        for i, j, t in _traceless_entries(pf.p_hat, pf.grid.shape, lambda i, j: stack[i, j]):
-            if i != j:
-                stack[j, i] = t
-    return stack
+        for i, j, t in entries:
+            if i != j and not first_row:
+                out[j, i] = t
+    return out

@@ -391,10 +391,11 @@ def _bmo_one(grid: VoxelGrid, label: str, s: float | None) -> tuple[str, float]:
     pf = build_optimal_potential(grid, s)
     osc = float(pf.theta.max() - pf.theta.min())
     osc_closed = oscillation_closed_form(emp, s)
-    field = traceless_hessian(pf)
     # 2D: the row [a, b] of [[a, b], [b, -a]] gives the full stack's norm and fit
     # and half its Frobenius mass 2 (a^2 + b^2); n >= 3: all n^2 components
-    field, mass_factor = (field[0], 2.0) if grid.dimension == 2 else (field, 1.0)
+    two_d = grid.dimension == 2
+    field, mass_factor = traceless_hessian(pf, first_row=two_d), (2.0 if two_d else 1.0)
+    del pf  # theta and p_hat are not read again
     est = bmo_norm(field, spatial_ndim=grid.dimension)
     # a homogeneous grid, or a theta with only Nyquist content, which p drops
     if est == 0.0:
@@ -503,6 +504,7 @@ def _add_corpus_flags(p, count: int):
     p.add_argument("--seed", default=0)
 
 
+@functools.cache  # one parser per process: main and run_replay both read it
 def build_parser() -> _Parser:
     parser = _Parser(prog="conducta", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

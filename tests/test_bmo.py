@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conducta.bmo import bmo_norm, john_nirenberg_fit, lemma1_ratio
 from conducta.cell_solver import build_optimal_potential, traceless_hessian
@@ -30,6 +33,68 @@ def brute_force_bmo(components):
                 cube = comp[tuple(slice(i * s, (i + 1) * s) for i, s in zip(corner, sides))]
                 best = max(best, float(np.abs(cube - cube.mean()).mean()))
     return best
+
+
+def per_level_bmo(components):
+    """bmo_norm one level at a time: every component in dyadic order with the
+    coarse bits outermost, so a cube is a contiguous run, summed along the last axis."""
+    m, spatial = components.shape[0], components.shape[1:]
+    dim, depth = len(spatial), min(spatial).bit_length() - 1
+    split = [m]
+    for n in spatial:
+        split.extend((2,) * depth + (n >> depth,))
+    bits = [1 + d * (depth + 1) + j for j in range(depth) for d in range(dim)]
+    remainders = [1 + d * (depth + 1) + depth for d in range(dim)]
+    view = components.reshape(split).transpose([0, *bits, *remainders])
+    mean = components.mean(axis=tuple(range(1, components.ndim)))
+    z = np.empty(view.shape)
+    np.subtract(view, mean.reshape((m,) + (1,) * (view.ndim - 1)), out=z)
+
+    def block_sums(blocks):  # short rows are added column by column
+        if blocks.shape[-1] >= 8:
+            return blocks.sum(axis=-1)
+        total = blocks[..., 0].copy()
+        for j in range(1, blocks.shape[-1]):
+            total += blocks[..., j]
+        return total
+
+    best = 0.0
+    for k in range(depth + 1):
+        cubes = z.reshape(m, 1 << (k * dim), -1)
+        size = cubes.shape[-1]
+        if size > 1:
+            deviation = np.abs(cubes - (block_sums(cubes) / size)[..., None])
+            best = max(best, float(block_sums(deviation).max()) / size)
+    return best
+
+
+# 2D to 4D; (8, 32), (32, 8), (8, 24), (4, 16, 8) and (2, 4, 4, 8) have axes whose remainder n >> depth exceeds 1
+ORACLE_SHAPES = [
+    (8, 8), (16, 16), (8, 32), (32, 8), (8, 24), (4, 4, 4), (4, 16, 8), (8, 8, 8), (4, 4, 4, 4), (2, 4, 4, 8),
+]
+
+
+class TestBmoNormOracle:
+    """bmo_norm against the per-level reference it replaced, which sums each cube in another order."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.sampled_from(ORACLE_SHAPES), st.sampled_from([1, 2, 9]), st.data())
+    def test_within_4_ulp_of_the_per_level_reference(self, shape, m, data):
+        elements = st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False)
+        f = data.draw(arrays(np.float64, (m,) + shape, elements=elements))
+        expected = per_level_bmo(f)
+        assert abs(bmo_norm(f, spatial_ndim=len(shape)) - expected) <= 4 * math.ulp(expected)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(ORACLE_SHAPES), st.sampled_from([1, 2, 9]), st.floats(-1e300, 1e300, allow_nan=False))
+    def test_constant_fields_are_exactly_zero(self, shape, m, value):
+        f = np.full((m,) + shape, value)
+        assert per_level_bmo(f) == 0.0
+        assert bmo_norm(f, spatial_ndim=len(shape)) == 0.0
+
+    def test_reference_matches_brute_force(self):
+        f = np.random.default_rng(3).standard_normal((2, 8, 16))
+        assert per_level_bmo(f) == pytest.approx(brute_force_bmo(f), rel=1e-12)
 
 
 class TestBmoNorm:
@@ -74,9 +139,9 @@ class TestBmoNorm:
         assert bmo_norm(f, spatial_ndim=spatial_ndim) == pytest.approx(expected, rel=1e-12)
 
     def test_scratch_memory_below_three_fields(self):
-        # one centered copy in dyadic order plus one scratch buffer of its size
+        # one centered component in dyadic order plus one scratch buffer of its size, for all four
         f = np.random.default_rng(2).standard_normal((2, 2, 256, 256))
-        assert peak_traced_bytes(lambda: bmo_norm(f, spatial_ndim=2)) <= 3 * f.nbytes
+        assert peak_traced_bytes(lambda: bmo_norm(f, spatial_ndim=2)) <= 3 * f[0, 0].nbytes
 
     def test_matrix_field_component_wise_max(self):
         f = sign_field((16, 16))
@@ -267,8 +332,8 @@ class TestDistinctTraceless:
         for S in (ps.inf_sigma, 0.5 * (ps.inf_sigma + ps.sup_sigma), ps.sup_sigma, 2.0 * ps.sup_sigma):
             pf = build_optimal_potential(g, S)
             full = traceless_hessian(pf)
-            pair = full[0]  # traceless_hessian(pf)[0], what conducta bmo passes in 2D
-            assert pair.shape == (2, n, n)
+            pair = traceless_hessian(pf, first_row=True)  # what conducta bmo passes in 2D
+            assert pair.shape == (2, n, n) and np.array_equal(pair, full[0])
             est = bmo_norm(full, spatial_ndim=2)
             assert est > 0.0
             assert bmo_norm(pair, spatial_ndim=2) == est

@@ -117,6 +117,19 @@ class TestSolverConfig:
             with pytest.raises(ValueError, match="must be (real|complex) of shape"):
                 PotentialField(g, 2.0, theta, p_hat)
 
+    def test_potential_is_built_over_its_own_arrays(self, monkeypatch):
+        # build_optimal_potential hands its fresh theta and p_hat over frozen, without the checked copies
+        checks = []
+        post_init = PotentialField.__post_init__
+        monkeypatch.setattr(PotentialField, "__post_init__", lambda pf: checks.append(pf) or post_init(pf))
+        g = generate_random(TWO_14, (8, 8), seed=2)
+        built = build_optimal_potential(g, 2.0)
+        assert checks == []
+        assert built.theta.flags.owndata and built.p_hat.flags.owndata
+        assert not built.theta.flags.writeable and not built.p_hat.flags.writeable
+        direct = PotentialField(g, 2.0, built.theta, built.p_hat)
+        assert checks == [direct] and direct.theta is not built.theta and direct.p_hat is not built.p_hat
+
     def test_tensor_symmetry_enforced(self):
         with pytest.raises(ValueError, match="symmetric"):
             EffectiveTensor(2, np.array([[1.0, 0.5], [0.0, 1.0]]), 1.0, (1, 1), (0.0, 0.0), 0.0)
@@ -532,6 +545,36 @@ class TestOptimalPotential:
         assert values[0] == values[1]
         assert late.hessian_p.tobytes() == hessian.tobytes()
         assert early.hessian_p is hessian
+
+    @pytest.mark.parametrize("shape", [(16, 16), (8, 8, 8), (4, 4, 4, 4)])
+    def test_first_row_is_the_stacks_row_bit_for_bit(self, shape, fft_log):
+        n = len(shape)
+        ps = PhaseSet.from_pairs((1.0, 2.0, 5.0), (0.4, 0.4, 0.2), n)
+        pf = build_optimal_potential(generate_random(ps, shape, seed=5), 2.0)
+        start = len(fft_log)
+        row = traceless_hessian(pf, first_row=True)
+        # one inverse transform per entry of the row, each numpy's irfftn passes
+        assert fft_counts(fft_log[start:]) == {"irfft": n, "ifft": n * (n - 1)}
+        assert row.shape == (n,) + shape and np.array_equal(row, traceless_hessian(pf)[0])
+
+    def test_theta_ignores_a_conductivity_no_voxel_carries(self):
+        # at S = 1e-300 the unused 1e-300 scales to sigma / 2^e = 0 and S / 2^e = 0: its theta would divide by 0
+        idx = np.random.default_rng(0).integers(0, 2, (8, 8)).astype(np.uint8)
+        carried = build_optimal_potential(VoxelGrid(idx, (1e300, 4e300)), 1e-300)
+        pf = build_optimal_potential(VoxelGrid(idx, (1e300, 4e300, 1e-300)), 1e-300)
+        assert np.array_equal(pf.theta, carried.theta) and np.array_equal(pf.p_hat, carried.p_hat)
+
+    @pytest.mark.parametrize("shape", [(16, 16), (8, 16), (4, 4, 8)])
+    def test_theta_is_the_formula_on_the_conductivity_field(self, shape):
+        # the phase table's theta, gathered, is the pointwise formula bit for bit
+        n = len(shape)
+        g = generate_random(PhaseSet.from_pairs((0.3, 2.0, 7.0), (0.4, 0.4, 0.2), n), shape, seed=6)
+        S = 1.7
+        e = math.frexp(7.0 + (n - 1) * S)[1]
+        L = shifted_harmonic_L(g.phase_set, S)
+        sigma = np.ldexp(g.conductivity_field(), -e)
+        expected = n * math.ldexp(L, -e) / (sigma + (n - 1) * math.ldexp(S, -e)) - n
+        assert np.array_equal(build_optimal_potential(g, S).theta, expected)
 
     def test_2d_traceless_hessian_is_the_stack_of_its_components(self):
         pf = build_optimal_potential(generate_random(TWO_14, (32, 32), seed=5), 2.0)

@@ -4,6 +4,7 @@ import json
 import math
 import re
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,8 @@ from conducta import cell_solver, cli
 from conducta.cli import build_parser, main
 from conducta.microstructure import VoxelGrid, generate_laminate, generate_random, save_grid
 from conducta.phases import PhaseSet
+
+from conftest import peak_traced_bytes
 
 THREE_CFG = """dimension = 3
 phase = 1.0 0.4
@@ -283,15 +286,14 @@ class TestSolveCommand:
         assert len(i1_fields) == 6
 
     def test_one_conductivity_gather_per_solve_and_potential(self, tmp_path, monkeypatch, capsys):
-        # constructive_value gathered again after the potential's quadratures: 10 for 3 shifts
         gathers = []
         gather = VoxelGrid.conductivity_field
         monkeypatch.setattr(VoxelGrid, "conductivity_field", lambda grid: gathers.append(grid) or gather(grid))
         path = tmp_path / "g.cnda"
         save_grid(generate_random(PhaseSet.from_pairs((1.0, 4.0), (0.5, 0.5), 2), (32, 32), seed=0), path)
         assert main(["solve", "--grid", str(path), "--S", "auto"]) == 0
-        # the solve, then the potential and its quadratures at each of the 3 shifts
-        assert len(gathers) == 7
+        # the solve, then the quadratures at each of the 3 shifts; the potential reads the phase table
+        assert len(gathers) == 4
 
     def test_overflow_exit_two_without_iterating(self, tmp_path, capsys):
         # (1, 1e308) overflowed in rfftn; 1000 NaN iterations took 1.56 s before exit 2,
@@ -430,6 +432,19 @@ class TestVerifyCommand:
         manifest = tmp_path / "a.csv.manifest.json"
         assert main(["replay", str(manifest)]) == 0
         assert a.read_bytes() == first
+
+    def test_parser_built_once_per_process(self, tmp_path, monkeypatch):
+        # replay built the parser twice, in main and again in run_replay
+        a = tmp_path / "a.csv"
+        build_parser.cache_clear()
+        inits = []
+        init = cli._Parser.__init__
+        monkeypatch.setattr(cli._Parser, "__init__", lambda self, *a, **kw: inits.append(1) or init(self, *a, **kw))
+        assert main(self.ARGS + ["--out", str(a)]) == 0
+        one_build = len(inits)  # the parser and its subcommand parsers
+        assert one_build > 0
+        assert main(["replay", str(tmp_path / "a.csv.manifest.json")]) == 0
+        assert len(inits) == one_build and build_parser() is build_parser()
 
     def test_workers_do_not_change_output(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -1084,6 +1099,20 @@ class TestBmoCommand:
         monkeypatch.setattr(cli, "bmo_norm", spy)
         assert main(["bmo", "--dim", str(dim), "--count", "2", "--shape", "8"]) == 0
         assert [math.prod(shape) for shape in stacks] == [components] * 2
+
+    @pytest.mark.parametrize("shape, fields", [((256, 256), 8.0), ((32, 32, 32), 30.5)])
+    def test_row_peak_memory(self, shape, fields):
+        # tracemalloc peak of one report row, in real fields of the grid, on a second call.
+        # 2D holds the pair [a, b] alone; with the (2, 2) stack behind it the peak was 10.6
+        g = generate_random(PhaseSet.from_pairs((1.0, 2.0, 5.0), (0.4, 0.4, 0.2), len(shape)), shape, seed=1)
+        cli._bmo_one(g, "g", None)
+        assert peak_traced_bytes(lambda: cli._bmo_one(g, "g", None)) <= fields * 8 * g.phase_index.size
+
+    def test_2d_row_makes_one_forward_and_two_inverse_transforms(self, fft_log):
+        g = generate_random(PhaseSet.from_pairs((1.0, 2.0, 5.0), (0.4, 0.4, 0.2), 2), (32, 32), seed=1)
+        cli._bmo_one(g, "g", None)
+        # rfftn of theta, then T_00 and T_01, each numpy's irfftn passes: one ifft and one irfft
+        assert Counter(name for name, _ in fft_log) == {"rfftn": 1, "ifft": 2, "irfft": 2}
 
     def test_near_constant_field_has_an_ok_row(self, capsys):
         # the traceless Hessian's norm is 7.7e-14 here; b, B and the Lemma-1
