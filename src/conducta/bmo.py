@@ -199,6 +199,7 @@ def lemma1_ratio(field, labels, bmo: float, spatial_ndim: int | None = None) -> 
     comp = _centered(comp)
     np.square(comp, out=comp)  # comp is a fresh copy
     energy = comp.sum(axis=0).ravel()
+    del comp  # freed before bincount widens the labels to intp
     labels = labels.ravel()
     # entry j: the voxels labelled j or above; j = 0 is the whole cube, and a
     # label no voxel carries repeats the next entry, so it changes no maximum

@@ -62,6 +62,15 @@ transform.  hessian_p, the plain multiplier -k_i k_j,
 is a reference no production path reads, and the BMO report reads no
 quadrature and no Laplacian, so it computes none.
 
+Every potential-path multiplier reads one wavenumber table,
+``half_wavenumbers(shape, zero_nyquist=False)`` of the last shape asked
+for, built once and kept read-only by ``_potential_wavenumbers``: the
+potentials of a corpus grid, its quadratures and its traceless Hessian
+share it, and nothing writes to it.  The solve never holds it: it builds
+its own Nyquist-zeroed table, whose |k|^2 is freed once the Green operator
+is formed, and drops the potential's on entry, so no potential table is
+alive during a CG solve.
+
 Both jobs follow one scale rule: compute on sigma / 2^e and S / 2^e (S = 0
 for the solve), 2^e the least power of two above sup sigma + (n-1) S, sup
 sigma read from ``grid.phase_set`` like every range this module names, and
@@ -130,6 +139,20 @@ def _zero_nyquist_and_mean(spec: np.ndarray, shape: tuple[int, ...]) -> None:
             sl[ax] = n // 2
             spec[tuple(sl)] = 0.0
     spec[(0,) * len(shape)] = 0.0
+
+
+@functools.lru_cache(maxsize=1)
+def _potential_wavenumbers(shape: tuple[int, ...]) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """``half_wavenumbers(shape, zero_nyquist=False)`` of the last shape asked for, built once and read-only.
+
+    Every potential-path multiplier reads it; nothing writes to it, so it is
+    safe to share across threads.  solve_effective_tensor clears it on entry,
+    so no potential table is alive during a CG solve.
+    """
+    ks, k2 = half_wavenumbers(shape, zero_nyquist=False)
+    for a in (*ks, k2):
+        a.setflags(write=False)
+    return tuple(ks), k2
 
 
 def _scale_exponent(grid: VoxelGrid, S: float = 0.0) -> int:
@@ -222,30 +245,29 @@ def _spectral_cg(apply_op, green: np.ndarray, dot, b: np.ndarray, max_iter: int,
     Raises ConvergenceError after max_iter iterations, naming the certified
     error reached, or as soon as a residual is not finite (an overflow would
     otherwise run every remaining iteration on NaNs).  ``b`` is overwritten:
-    it becomes the residual, and x, r, z and p are updated in place through
-    one scratch buffer.
+    it becomes the residual.  The loop holds x, r, p and the array
+    ``apply_op`` returns, which CG then overwrites as its scratch: alpha ap,
+    alpha p and z = G r pass through it in turn, before the next call.
     """
     b_norm = float(np.sqrt(dot(b, b)))
     if b_norm == 0.0:
         return np.zeros_like(b), 0, 0.0
     x = np.zeros_like(b)
     r = b
-    z = green * r
-    p = z.copy()
-    tmp = np.empty_like(b)
-    rz = dot(r, z)
+    p = green * r  # z = G r, the first search direction
+    rz = dot(r, p)
     residual, error = 1.0, energy_error(rz)
     for it in range(1, max_iter + 1):
         ap = apply_op(p)
         alpha = rz / dot(p, ap)
-        x += np.multiply(alpha, p, out=tmp)
-        r -= np.multiply(alpha, ap, out=tmp)
+        r -= np.multiply(alpha, ap, out=ap)
+        x += np.multiply(alpha, p, out=ap)
         residual = float(np.sqrt(dot(r, r))) / b_norm
         if residual <= _RELATIVE_TOLERANCE:
             return x, it, residual
         if not math.isfinite(residual):
             raise ConvergenceError(f"cell solve for {label} hit a non-finite residual", residual, it)
-        np.multiply(green, r, out=z)
+        z = np.multiply(green, r, out=ap)
         rz_new = dot(r, z)
         error = energy_error(rz_new)
         if error <= _ENERGY_TOLERANCE:
@@ -274,6 +296,7 @@ def solve_effective_tensor(grid: VoxelGrid) -> EffectiveTensor:
     if contrast > _MAX_CONTRAST:
         message = f"cell solve on conductivities in {span} cannot converge: the contrast {contrast:.12g}"
         raise ConvergenceError(f"{message} exceeds {_MAX_CONTRAST:.12g}", math.nan, 0)
+    _potential_wavenumbers.cache_clear()  # the solve holds its own, Nyquist-zeroed table and no other
     sigma, _, e = _scale_down(grid)
     with _overflow_raises(lambda: ConvergenceError(f"cell solve overflows on conductivities in {span}", math.nan, 0)):
         n = grid.dimension
@@ -293,7 +316,7 @@ def solve_effective_tensor(grid: VoxelGrid) -> EffectiveTensor:
             return sigma0 / sigma_lo * rz / squared_voxels / harm
 
         # owned by this call: every transform writes into them, never into a fresh array;
-        # apply_operator returns div_hat itself, which CG reads before the next call
+        # apply_operator returns div_hat itself, which CG reads and then uses as scratch before the next call
         real = np.empty(shape)
         spec = np.empty(green.shape, dtype=complex)
         div_hat = np.empty_like(spec)
@@ -422,7 +445,7 @@ class PotentialField:
     @functools.cached_property
     def hessian_p(self) -> np.ndarray:
         """D^2 p, each entry the inverse transform of -k_i k_j p_hat: a reference no production path reads."""
-        ks = half_wavenumbers(self.grid.shape, zero_nyquist=False)[0]
+        ks = _potential_wavenumbers(self.grid.shape)[0]
         n = len(ks)
         hessian = np.zeros((n, n) + self.grid.shape)
         if self.p_hat.any():  # else the zeros are the result
@@ -435,7 +458,7 @@ class PotentialField:
 
     @functools.cached_property
     def laplacian_p(self) -> np.ndarray:
-        _, k2 = half_wavenumbers(self.grid.shape, zero_nyquist=False)
+        _, k2 = _potential_wavenumbers(self.grid.shape)
         with _potential_overflow_raises(self.grid, self.S):
             lap = _irfftn_into(-k2 * self.p_hat, np.empty(self.grid.shape))
         lap.setflags(write=False)
@@ -486,8 +509,8 @@ def _traceless_entries(p_hat: np.ndarray, shape: tuple[int, ...], out_for, rows:
     """
     n = len(shape)
     rows = n if rows is None else rows
-    ks, k2 = half_wavenumbers(shape, zero_nyquist=False)
-    k2 /= n  # the trace part of each diagonal multiplier
+    ks, k2 = _potential_wavenumbers(shape)
+    k2 = k2 / n  # the trace part of each diagonal multiplier; the shared table stays as it is
     spec = np.empty_like(p_hat) if p_hat.any() else None
     trace = np.zeros(shape) if spec is not None and rows == n else None  # the diagonal entries made so far
     for i in range(rows):
@@ -540,12 +563,14 @@ def build_optimal_potential(grid: VoxelGrid, S: float) -> PotentialField:
     sigma = np.ldexp(table, -e)
     with _potential_overflow_raises(grid, S):
         theta = (n * math.ldexp(L, -e) / (sigma + (n - 1) * math.ldexp(S, -e)) - n)[grid.phase_index]
-        # p_hat = -theta_hat / k2 off the Nyquist planes and the mean, formed in theta_hat's buffer
+        # p_hat = -theta_hat / k2 off the Nyquist planes and the mean, formed in theta_hat's buffer;
+        # every mode but the mean (flat index 0, where k2 is 0) is divided through flat views, which
+        # write into p_hat as rfftn returns it C-contiguous; the mean is zeroed below
         p_hat = np.fft.rfftn(theta)
-        _, k2 = half_wavenumbers(shape, zero_nyquist=False)
-        k2[(0,) * n] = 1.0  # the mean mode, zeroed below with the Nyquist planes
+        _, k2 = _potential_wavenumbers(shape)
         np.negative(p_hat, out=p_hat)
-        np.divide(p_hat, k2, out=p_hat)
+        modes = p_hat.reshape(-1)[1:]
+        np.divide(modes, k2.reshape(-1)[1:], out=modes)
         _zero_nyquist_and_mean(p_hat, shape)
         return PotentialField._of_new_arrays(grid, float(S), theta, p_hat)
 

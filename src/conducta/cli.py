@@ -401,8 +401,10 @@ def _bmo_one(grid: VoxelGrid, label: str, s: float | None) -> tuple[str, float]:
     if est == 0.0:
         return f"{label:<14}{'degenerate':>12}" + f"{'-':>20}" * 6 + f"{_g(osc):>20}{_g(osc_closed):>20}", 0.0
     fit = john_nirenberg_fit(field, est, spatial_ndim=grid.dimension)
-    # level labels from the k-entry table: equal conductivities share a label, ordered as the conductivities
-    labels = np.unique(grid.phase_conductivities, return_inverse=True)[1][grid.phase_index]
+    # level labels from a uint8 rank table of the k <= 255 conductivities, gathered by phase_index:
+    # equal conductivities share a rank, ordered as the conductivities, one byte a voxel
+    ranks = np.unique(grid.phase_conductivities, return_inverse=True)[1].astype(np.uint8)
+    labels = ranks[grid.phase_index]
     max_ratio = mass_factor * lemma1_ratio(field, labels, est, spatial_ndim=grid.dimension)
     row = (
         f"{label:<14}{'ok':>12}{_g(est):>20}{_g(fit.b):>20}{_g(fit.B):>20}"

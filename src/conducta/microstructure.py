@@ -163,7 +163,13 @@ def generate_random(ps: PhaseSet, shape: tuple[int, ...], seed: int, mode: str =
     """Random microstructure with target fractions, deterministic in the seed.
 
     ``iid`` assigns every voxel independently, so the empirical fractions are
-    only statistically close to the target.  ``smooth`` thresholds a Gaussian
+    only statistically close to the target.  It draws one uniform u per voxel
+    and counts the entries of the normalized cumulative fractions at or below
+    it, which is ``Generator.choice(k, size=shape, p=fractions)`` byte for
+    byte (the same draws, the same cdf, the same count as its
+    ``searchsorted(side="right")``) without choice's int64 field: the last
+    entry is 1, above every u, so only the first k - 1 are compared.
+    ``smooth`` thresholds a Gaussian
     noise field, low-passed at the fixed correlation length of 4 voxels of
     axis 0, at the target quantiles, which reproduces the fractions to within
     one voxel.
@@ -172,7 +178,13 @@ def generate_random(ps: PhaseSet, shape: tuple[int, ...], seed: int, mode: str =
     rng = np.random.default_rng(seed)
     k = ps.num_phases
     if mode == "iid":
-        index = rng.choice(k, size=shape, p=np.asarray(ps.fractions)).astype(np.uint8)
+        u = rng.random(shape)
+        cdf = np.cumsum(ps.fractions)
+        cdf /= cdf[-1]
+        index = np.zeros(shape, dtype=np.uint8)
+        above = np.empty(shape, dtype=bool)
+        for c in cdf[:-1]:
+            index += np.greater_equal(u, c, out=above)
     elif mode == "smooth":
         field = _smooth_noise(rng, shape)
         counts = _largest_remainder_counts(ps.fractions, field.size)

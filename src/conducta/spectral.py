@@ -1,5 +1,12 @@
 """Wavenumbers of the periodic unit cell on the ``numpy.fft.rfftn`` half spectrum,
-shared by every Fourier multiplier: the cell solve, the potential and the smooth-noise filter."""
+shared by every Fourier multiplier: the cell solve, the potential and the smooth-noise filter.
+
+Each call builds fresh, writable arrays.  The potential's table (without
+Nyquist zeroing) is built once per shape and kept read-only in
+``cell_solver``; the cell solve builds its own Nyquist-zeroed table each
+call and never holds the potential's; the smooth-noise filter builds one
+per grid it draws.
+"""
 
 from __future__ import annotations
 

@@ -173,6 +173,42 @@ class TestWavenumbers:
                 assert np.array_equal(np.broadcast_to(hk, hk2.shape), g[..., :m])
 
 
+class TestPotentialTable:
+    """The potential path's one shared wavenumber table: read-only, built once a shape, never held by a solve."""
+
+    def test_table_is_read_only_and_equal_to_half_wavenumbers(self):
+        ks, k2 = cell_solver._potential_wavenumbers((8, 16))
+        want_ks, want_k2 = half_wavenumbers((8, 16), zero_nyquist=False)
+        assert np.array_equal(k2, want_k2) and all(np.array_equal(a, b) for a, b in zip(ks, want_ks))
+        for a in (*ks, k2):
+            with pytest.raises(ValueError, match="read-only"):
+                a[(0,) * a.ndim] = 1.0
+
+    def test_two_potentials_on_one_shape_build_the_table_once(self, monkeypatch):
+        calls = []
+
+        def counting(shape, zero_nyquist):
+            calls.append((shape, zero_nyquist))
+            return half_wavenumbers(shape, zero_nyquist)
+
+        cell_solver._potential_wavenumbers.cache_clear()
+        monkeypatch.setattr(cell_solver, "half_wavenumbers", counting)
+        g = generate_random(PhaseSet.from_pairs((1.0, 2.0, 5.0), (0.4, 0.4, 0.2), 2), (32, 32), seed=1)
+        for S in (2.0, 3.0):
+            pf = build_optimal_potential(g, S)
+            constructive_value(pf)
+            traceless_hessian(pf)
+        cell_solver._potential_wavenumbers.cache_clear()
+        assert calls == [((32, 32), False)]
+
+    def test_no_potential_table_is_cached_after_a_solve(self):
+        g = generate_random(TWO_14, (16, 16), seed=1)
+        constructive_value(build_optimal_potential(g, 2.0))
+        assert cell_solver._potential_wavenumbers.cache_info().currsize == 1
+        solve_effective_tensor(g)
+        assert cell_solver._potential_wavenumbers.cache_info().currsize == 0
+
+
 class TestEffectiveTensor:
     def test_homogeneous_exact_no_iterations(self):
         t = solve_effective_tensor(homogeneous(3.0))

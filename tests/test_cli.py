@@ -1108,6 +1108,24 @@ class TestBmoCommand:
         cli._bmo_one(g, "g", None)
         assert peak_traced_bytes(lambda: cli._bmo_one(g, "g", None)) <= fields * 8 * g.phase_index.size
 
+    def test_level_labels_are_one_byte_ranks(self, monkeypatch):
+        # equal conductivities share a rank; the ratio is that of the int64 labels np.unique gave
+        ratios = []
+        lemma1 = cli.lemma1_ratio
+
+        def spy(field, labels, bmo, spatial_ndim=None):
+            assert labels.dtype == np.uint8
+            wide = np.unique(g.phase_conductivities, return_inverse=True)[1][g.phase_index]
+            assert np.array_equal(labels, wide)
+            ratios.append((lemma1(field, labels, bmo, spatial_ndim), lemma1(field, wide, bmo, spatial_ndim)))
+            return ratios[-1][0]
+
+        monkeypatch.setattr(cli, "lemma1_ratio", spy)
+        idx = generate_random(PhaseSet.from_pairs((1.0, 2.0, 3.0, 4.0), (0.25,) * 4, 2), (32, 32), seed=3).phase_index
+        g = VoxelGrid(idx, (5.0, 1.0, 5.0, 2.0))
+        cli._bmo_one(g, "g", None)
+        assert len(ratios) == 1 and ratios[0][0] == ratios[0][1]
+
     def test_2d_row_makes_one_forward_and_two_inverse_transforms(self, fft_log):
         g = generate_random(PhaseSet.from_pairs((1.0, 2.0, 5.0), (0.4, 0.4, 0.2), 2), (32, 32), seed=1)
         cli._bmo_one(g, "g", None)

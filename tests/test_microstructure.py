@@ -4,7 +4,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conducta.errors import GridFormatError
 from conducta.microstructure import (
@@ -146,6 +146,29 @@ class TestRandom:
     def test_unknown_mode(self):
         with pytest.raises(ValueError, match="mode"):
             generate_random(TWO, (16, 16), seed=0, mode="sorted")
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        weights=st.lists(st.one_of(st.just(1e-6), st.floats(1e-6, 1.0)), min_size=1, max_size=6),
+        shape=st.lists(st.sampled_from([2, 4, 8, 16]), min_size=2, max_size=4).filter(lambda s: math.prod(s) <= 4096),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_iid_is_generator_choice_byte_for_byte(self, weights, shape, seed):
+        # every iid corpus grid verify and bmo draw is the one Generator.choice gave
+        fractions = np.asarray(weights) / math.fsum(weights)
+        ps = PhaseSet(tuple(float(c) for c in range(1, len(weights) + 1)), tuple(fractions.tolist()), len(shape))
+        got = generate_random(ps, tuple(shape), seed=seed).phase_index
+        want = np.random.default_rng(seed).choice(ps.num_phases, size=tuple(shape), p=ps.fractions).astype(np.uint8)
+        assert got.tobytes() == want.tobytes()
+
+    def test_iid_draw_equal_to_a_cdf_entry_lands_above_it(self):
+        # choice's searchsorted(side="right") counts a cdf entry equal to the draw
+        u0 = float(np.random.default_rng(7).random())
+        ps = PhaseSet((1.0, 2.0), (u0, 1.0 - u0), 2)
+        assert np.cumsum(ps.fractions)[0] == u0 and math.fsum(ps.fractions) == 1.0
+        got = generate_random(ps, (2, 2), seed=7).phase_index
+        assert got[0, 0] == 1
+        assert np.array_equal(got, np.random.default_rng(7).choice(2, size=(2, 2), p=ps.fractions))
 
     def test_iid_fractions_statistical(self):
         # fixed seeds; worst deviation observed is well inside 2/sqrt(M)
