@@ -30,10 +30,9 @@ zero corrector, whose gradients need no transform.
 
 Past the one forward transform of sigma (or theta), whose result is kept,
 every transform writes into buffers allocated once per call: a forward one
-through ``rfftn(..., out=)``, an inverse one as numpy's own ``irfftn``
-passes (``ifft`` in place over every axis but the last, then ``irfft`` into
-the real field).  Both are bit for bit numpy's allocating transforms,
-without a fresh array per pass.
+through ``rfftn(..., out=)``, an inverse one through
+``spectral.irfftn_into``.  Both are bit for bit numpy's allocating
+transforms, without a fresh array per pass.
 
 Second, the constructive upper bound: the scalar potential p whose Laplacian
 equals the pointwise optimal field
@@ -48,28 +47,19 @@ same grid.  build_optimal_potential builds theta and p_hat.  theta is
 evaluated once per entry of the grid's conductivity table and gathered by
 phase_index, so the potential builds no conductivity field; p_hat is
 -theta_hat / |k|^2 with the mean and the Nyquist planes zeroed.  The
-Laplacian and the quadratures I1, I2 and I2_positive_part are computed when
-first read and kept, the three quadratures from one conductivity gather.
-I2 and the BMO report see p only through its traceless Hessian
-T = D^2 p - (lap p / n) I, the exact Fourier multiplier
+quadratures I1, I2 and I2_positive_part are computed when first read and
+kept, from one conductivity gather; the Laplacian they need is transformed
+there and not kept.  I2 and the BMO report see p only through its
+traceless Hessian T = D^2 p - (lap p / n) I, the exact Fourier multiplier
 -(k_i k_j - delta_ij |k|^2 / n) of p_hat, and both take its distinct
 entries from one generator: n(n+1)/2 - 1 transforms, the last diagonal
 entry being minus the sum of the others.  The quadratures stream the
 entries one at a time into the square |T|^2, a sum of squares and so
 nonnegative; traceless_hessian fills the (n, n) stack, or only its first
 row, which in 2D holds every entry.  A p_hat with no nonzero entry makes no
-transform.  hessian_p, the plain multiplier -k_i k_j,
-is a reference no production path reads, and the BMO report reads no
-quadrature and no Laplacian, so it computes none.
-
-Every potential-path multiplier reads one wavenumber table,
-``half_wavenumbers(shape, zero_nyquist=False)`` of the last shape asked
-for, built once and kept read-only by ``_potential_wavenumbers``: the
-potentials of a corpus grid, its quadratures and its traceless Hessian
-share it, and nothing writes to it.  The solve never holds it: it builds
-its own Nyquist-zeroed table, whose |k|^2 is freed once the Green operator
-is formed, and drops the potential's on entry, so no potential table is
-alive during a CG solve.
+transform.  The BMO report reads no quadrature, so it computes no Laplacian.
+Every potential-path multiplier reads ``spectral.shared_wavenumbers``, which
+the solve clears on entry.
 
 Both jobs follow one scale rule: compute on sigma / 2^e and S / 2^e (S = 0
 for the solve), 2^e the least power of two above sup sigma + (n-1) S, sup
@@ -85,7 +75,7 @@ Differentiation conventions (these are constraints, not taste):
 * First-derivative multipliers zero the Nyquist frequency on even axes; an
   odd multiplier there cannot produce a real field.
 * The potential p is supported on modes with no Nyquist component (and zero
-  mean).  laplacian_p is therefore theta with its Nyquist-plane content
+  mean).  lap p is therefore theta with its Nyquist-plane content
   removed, i.e. theta at grid resolution; the raw theta field is stored
   separately and is what PotentialField.I1 integrates, matching theorem 1's
   H(S), the weighted mean L sum mu_i sigma_i / (sigma_i + (n-1)S) of
@@ -108,7 +98,7 @@ import numpy as np
 from .errors import ConvergenceError
 from .microstructure import VoxelGrid
 from .phases import shifted_harmonic_L
-from .spectral import half_wavenumbers
+from .spectral import half_wavenumbers, irfftn_into, shared_wavenumbers
 
 __all__ = [
     "EffectiveTensor",
@@ -141,18 +131,9 @@ def _zero_nyquist_and_mean(spec: np.ndarray, shape: tuple[int, ...]) -> None:
     spec[(0,) * len(shape)] = 0.0
 
 
-@functools.lru_cache(maxsize=1)
-def _potential_wavenumbers(shape: tuple[int, ...]) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-    """``half_wavenumbers(shape, zero_nyquist=False)`` of the last shape asked for, built once and read-only.
-
-    Every potential-path multiplier reads it; nothing writes to it, so it is
-    safe to share across threads.  solve_effective_tensor clears it on entry,
-    so no potential table is alive during a CG solve.
-    """
-    ks, k2 = half_wavenumbers(shape, zero_nyquist=False)
-    for a in (*ks, k2):
-        a.setflags(write=False)
-    return tuple(ks), k2
+def _check_shift(S: float) -> None:
+    if not 0.0 < S < np.inf:
+        raise ValueError(f"S must be finite and positive, got {S}")
 
 
 def _scale_exponent(grid: VoxelGrid, S: float = 0.0) -> int:
@@ -201,18 +182,6 @@ class EffectiveTensor:
     @property
     def eigenvalues(self) -> np.ndarray:
         return np.linalg.eigvalsh(self.matrix)
-
-
-def _irfftn_into(spec: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``np.fft.irfftn(spec, s=out.shape, axes=all)`` written into ``out``, bit for bit.
-
-    Runs numpy's own passes in numpy's order: ``ifft`` in place over axes
-    0..n-2, then ``irfft`` of length ``out.shape[-1]`` on the last axis into
-    ``out``.  ``spec`` is overwritten.
-    """
-    for ax in range(spec.ndim - 1):
-        np.fft.ifft(spec, axis=ax, out=spec)
-    return np.fft.irfft(spec, n=out.shape[-1], axis=-1, out=out)
 
 
 def _half_spectrum_dot(shape: tuple[int, ...]):
@@ -296,7 +265,7 @@ def solve_effective_tensor(grid: VoxelGrid) -> EffectiveTensor:
     if contrast > _MAX_CONTRAST:
         message = f"cell solve on conductivities in {span} cannot converge: the contrast {contrast:.12g}"
         raise ConvergenceError(f"{message} exceeds {_MAX_CONTRAST:.12g}", math.nan, 0)
-    _potential_wavenumbers.cache_clear()  # the solve holds its own, Nyquist-zeroed table and no other
+    shared_wavenumbers.cache_clear()  # the solve holds its own, Nyquist-zeroed table and no other
     sigma, _, e = _scale_down(grid)
     with _overflow_raises(lambda: ConvergenceError(f"cell solve overflows on conductivities in {span}", math.nan, 0)):
         n = grid.dimension
@@ -325,7 +294,7 @@ def solve_effective_tensor(grid: VoxelGrid) -> EffectiveTensor:
 
         def gradient(u_hat, axis, out):
             np.multiply(grad_multipliers[axis], u_hat, out=spec)
-            return _irfftn_into(spec, out)
+            return irfftn_into(spec, out)
 
         def apply_operator(u_hat):
             for axis in range(n):
@@ -400,13 +369,12 @@ class PotentialField:
 
     theta and p_hat are built with the field.  Constructed directly, the
     field keeps owned, read-only copies of them and raises ValueError unless
-    theta is a real array of the grid's shape and p_hat a complex one of its
-    half-spectrum shape; build_optimal_potential hands over the arrays it
-    has just made, frozen in place without a copy.  hessian_p, laplacian_p,
+    S is finite and positive, theta is a real array of the grid's shape and
+    p_hat a complex one of its half-spectrum shape; build_optimal_potential
+    hands over the arrays it has just made, frozen in place without a copy.
     I1, I2 and I2_positive_part are computed on first read, once: a caller
-    that never reads them never pays for them.
-    The quadratures read the traceless Hessian entry by entry, never
-    hessian_p, which no production path reads.  I1 is the quadrature of the
+    that never reads them never pays for them.  The quadratures read the
+    traceless Hessian entry by entry.  I1 is the quadrature of the
     raw theta field and agrees with theorem 1's H(S) of ``grid.phase_set``,
     the weighted mean ``bounds`` evaluates, to round-off.  I2 is never above
     I2_positive_part, which uses the positive part of sigma - S and vanishes
@@ -421,6 +389,7 @@ class PotentialField:
     p_hat: np.ndarray
 
     def __post_init__(self):
+        _check_shift(self.S)
         shape = self.grid.shape
         half = shape[:-1] + (shape[-1] // 2 + 1,)
         for name, kinds, dtype, want in (("theta", "iuf", float, shape), ("p_hat", "c", complex, half)):
@@ -443,28 +412,6 @@ class PotentialField:
         return field
 
     @functools.cached_property
-    def hessian_p(self) -> np.ndarray:
-        """D^2 p, each entry the inverse transform of -k_i k_j p_hat: a reference no production path reads."""
-        ks = _potential_wavenumbers(self.grid.shape)[0]
-        n = len(ks)
-        hessian = np.zeros((n, n) + self.grid.shape)
-        if self.p_hat.any():  # else the zeros are the result
-            with _potential_overflow_raises(self.grid, self.S):
-                for i in range(n):
-                    for j in range(i, n):
-                        hessian[j, i] = _irfftn_into(-ks[i] * ks[j] * self.p_hat, hessian[i, j])
-        hessian.setflags(write=False)
-        return hessian
-
-    @functools.cached_property
-    def laplacian_p(self) -> np.ndarray:
-        _, k2 = _potential_wavenumbers(self.grid.shape)
-        with _potential_overflow_raises(self.grid, self.S):
-            lap = _irfftn_into(-k2 * self.p_hat, np.empty(self.grid.shape))
-        lap.setflags(write=False)
-        return lap
-
-    @functools.cached_property
     def _quadratures(self) -> tuple[float, float, float, float]:
         """(I1, I2, I2_positive_part, constructive_value), from one conductivity gather."""
         n = self.grid.dimension
@@ -474,7 +421,9 @@ class PotentialField:
             sigma, S, e = _scale_down(self.grid, self.S)
             i1 = _i1_quadrature(sigma, self.theta, n, S)
             i2, i2_pos = _i2_quadrature(sigma, q, n, S)
-            constructive = _i1_quadrature(sigma, self.laplacian_p, n, S) + i2_pos
+            _, k2 = shared_wavenumbers(self.grid.shape)
+            lap = irfftn_into(-k2 * self.p_hat, np.empty(self.grid.shape))  # lap p, the grid-resolved theta
+            constructive = _i1_quadrature(sigma, lap, n, S) + i2_pos
             return tuple(np.ldexp((i1, i2, i2_pos, constructive), e).tolist())
 
     I1 = property(lambda self: self._quadratures[0])
@@ -509,7 +458,7 @@ def _traceless_entries(p_hat: np.ndarray, shape: tuple[int, ...], out_for, rows:
     """
     n = len(shape)
     rows = n if rows is None else rows
-    ks, k2 = _potential_wavenumbers(shape)
+    ks, k2 = shared_wavenumbers(shape)
     k2 = k2 / n  # the trace part of each diagonal multiplier; the shared table stays as it is
     spec = np.empty_like(p_hat) if p_hat.any() else None
     trace = np.zeros(shape) if spec is not None and rows == n else None  # the diagonal entries made so far
@@ -520,7 +469,7 @@ def _traceless_entries(p_hat: np.ndarray, shape: tuple[int, ...], out_for, rows:
                 np.negative(trace, out=out)
             elif spec is not None:
                 multiplier = k2 - ks[i] * ks[i] if i == j else -ks[i] * ks[j]
-                _irfftn_into(np.multiply(multiplier, p_hat, out=spec), out)
+                irfftn_into(np.multiply(multiplier, p_hat, out=spec), out)
                 if trace is not None and i == j:
                     trace += out
             yield i, j, out
@@ -544,7 +493,7 @@ def _streamed_traceless_square(p_hat: np.ndarray, shape: tuple[int, ...]) -> np.
 
 
 def build_optimal_potential(grid: VoxelGrid, S: float) -> PotentialField:
-    """Construct theta and p; D^2 p, lap p and the split values I1, I2 follow on first read.
+    """Construct theta and p; the split values I1, I2 follow on first read.
 
     L is ``phases.shifted_harmonic_L`` of ``grid.phase_set``, so theta has
     zero mean up to round-off, and the zero-frequency coefficient of p is set
@@ -552,8 +501,7 @@ def build_optimal_potential(grid: VoxelGrid, S: float) -> PotentialField:
     sigma + (n-1) S overflows, or naming the conductivity range when a value
     overflows.
     """
-    if not 0.0 < S < np.inf:
-        raise ValueError(f"S must be finite and positive, got {S}")
+    _check_shift(S)
     L = shifted_harmonic_L(grid.phase_set, S)
     n, shape = grid.dimension, grid.shape
     e = _scale_exponent(grid, S)
@@ -567,7 +515,7 @@ def build_optimal_potential(grid: VoxelGrid, S: float) -> PotentialField:
         # every mode but the mean (flat index 0, where k2 is 0) is divided through flat views, which
         # write into p_hat as rfftn returns it C-contiguous; the mean is zeroed below
         p_hat = np.fft.rfftn(theta)
-        _, k2 = _potential_wavenumbers(shape)
+        _, k2 = shared_wavenumbers(shape)
         np.negative(p_hat, out=p_hat)
         modes = p_hat.reshape(-1)[1:]
         np.divide(modes, k2.reshape(-1)[1:], out=modes)
@@ -605,11 +553,11 @@ def traceless_hessian(pf: PotentialField, first_row: bool = False) -> np.ndarray
     ``first_row`` only its row T_0j as an (n, *grid) stack.
 
     Built from the same entries as the quadratures: each off-diagonal entry
-    is hessian_p's to the bit, and the last diagonal entry is minus the sum
-    of the others, so the trace is 0 exactly and the 2D stack is
-    [[a, b], [b, -a]] with a = T_00.  In 2D the first row [a, b] holds every
-    entry, from 2 transforms; it is the full stack's row 0 to the bit.
-    Reads neither hessian_p nor laplacian_p.  Raises the potential's
+    is the inverse transform of -k_i k_j p_hat, and the last diagonal entry
+    is minus the sum of the others, so the trace is 0 exactly and the 2D
+    stack is [[a, b], [b, -a]] with a = T_00.  In 2D the first row [a, b]
+    holds every entry, from 2 transforms; it is the full stack's row 0 to the
+    bit.  Raises the potential's
     ValueError naming the conductivity range when a value overflows.
     """
     n, shape = pf.grid.dimension, pf.grid.shape

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import GridFormatError
 from .phases import PhaseSet
-from .spectral import half_wavenumbers
+from .spectral import irfftn_into, shared_wavenumbers
 
 __all__ = [
     "VoxelGrid",
@@ -54,20 +54,25 @@ class VoxelGrid:
     phase_conductivities: tuple[float, ...]
 
     def __post_init__(self):
-        idx = np.array(self.phase_index, dtype=np.uint8, order="C")  # owned: no view of the caller's array
-        if idx.ndim < 2:
-            raise ValueError(f"grid must have at least 2 axes, got {idx.ndim}")
-        for n in idx.shape:
+        given = np.asarray(self.phase_index)
+        if given.dtype.kind not in "biu":
+            raise ValueError(f"phase indices must be integers, got dtype {given.dtype}")
+        if given.ndim < 2:
+            raise ValueError(f"grid must have at least 2 axes, got {given.ndim}")
+        for n in given.shape:
             if n < 2 or n & (n - 1):
-                raise ValueError(f"grid shape must be powers of two >= 2, got {idx.shape}")
+                raise ValueError(f"grid shape must be powers of two >= 2, got {given.shape}")
         sig = tuple(float(c) for c in self.phase_conductivities)
         if not 1 <= len(sig) <= 255:
             raise ValueError(f"number of conductivities must be in [1, 255], got {len(sig)}")
         bad = [c for c in sig if not np.finfo(float).tiny <= c < math.inf]  # normal, as PhaseSet requires
         if bad:
             raise ValueError(f"conductivities must be finite and positive, got {bad[0]}")
-        if idx.size and int(idx.max()) >= len(sig):
-            raise ValueError("phase index out of range for the conductivity table")
+        # checked before the cast to uint8, which would wrap 256 to 0 and -255 to 1
+        for extreme in (int(given.min()), int(given.max())):
+            if not 0 <= extreme < len(sig):
+                raise ValueError(f"phase index {extreme} out of range [0, {len(sig)}) of the conductivity table")
+        idx = np.array(given, dtype=np.uint8, order="C")  # owned: no view of the caller's array
         idx.setflags(write=False)
         object.__setattr__(self, "phase_index", idx)
         object.__setattr__(self, "phase_conductivities", sig)
@@ -154,9 +159,9 @@ def _smooth_noise(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarra
     # Gaussian low-pass in Fourier space
     noise = rng.standard_normal(shape)
     ell = _CORRELATION_LENGTH / shape[0]
-    _, k2 = half_wavenumbers(shape, zero_nyquist=False)
+    _, k2 = shared_wavenumbers(shape)
     kernel = np.exp(-0.5 * ell * ell * k2)
-    return np.fft.irfftn(np.fft.rfftn(noise) * kernel, s=shape, axes=tuple(range(len(shape))))
+    return irfftn_into(np.fft.rfftn(noise) * kernel, noise)
 
 
 def generate_random(ps: PhaseSet, shape: tuple[int, ...], seed: int, mode: str = "iid") -> VoxelGrid:

@@ -1,14 +1,23 @@
-"""Wavenumbers of the periodic unit cell on the ``numpy.fft.rfftn`` half spectrum,
-shared by every Fourier multiplier: the cell solve, the potential and the smooth-noise filter.
+"""The spectral kernel: wavenumbers of the periodic unit cell on the
+``numpy.fft.rfftn`` half spectrum, and the inverse transform back to the grid,
+shared by every Fourier multiplier: the cell solve, the potential and the
+smooth-noise filter.  No other module builds wavenumbers or runs an inverse
+transform.
 
-Each call builds fresh, writable arrays.  The potential's table (without
-Nyquist zeroing) is built once per shape and kept read-only in
-``cell_solver``; the cell solve builds its own Nyquist-zeroed table each
-call and never holds the potential's; the smooth-noise filter builds one
-per grid it draws.
+``half_wavenumbers`` builds fresh, writable arrays.  ``shared_wavenumbers``
+is the one table without Nyquist zeroing, ``half_wavenumbers(shape,
+zero_nyquist=False)`` of the last shape asked for, built once and kept
+read-only: the smooth-noise filter of a drawn grid, the potentials of that
+grid, their quadratures and their traceless Hessian share it, and nothing
+writes to it.  The cell solve never holds it: it builds its own
+Nyquist-zeroed table, whose |k|^2 is freed once the Green operator is
+formed, and clears the shared one on entry, so no shared table is alive
+during a CG solve.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -38,3 +47,24 @@ def half_wavenumbers(shape: tuple[int, ...], zero_nyquist: bool) -> tuple[list[n
     for k in ks:
         k2 = k2 + k * k
     return ks, k2
+
+
+@functools.lru_cache(maxsize=1)
+def shared_wavenumbers(shape: tuple[int, ...]) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """``half_wavenumbers(shape, zero_nyquist=False)`` of the last shape asked for, built once and read-only."""
+    ks, k2 = half_wavenumbers(shape, zero_nyquist=False)
+    for a in (*ks, k2):
+        a.setflags(write=False)
+    return tuple(ks), k2
+
+
+def irfftn_into(spec: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``np.fft.irfftn(spec, s=out.shape, axes=all)`` written into ``out``, bit for bit.
+
+    Runs numpy's own passes in numpy's order: ``ifft`` in place over axes
+    0..n-2, then ``irfft`` of length ``out.shape[-1]`` on the last axis into
+    ``out``.  ``spec`` is overwritten.
+    """
+    for ax in range(spec.ndim - 1):
+        np.fft.ifft(spec, axis=ax, out=spec)
+    return np.fft.irfft(spec, n=out.shape[-1], axis=-1, out=out)

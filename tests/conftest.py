@@ -57,6 +57,32 @@ def level_labels(levels):
     return np.unique(levels, return_inverse=True)[1].reshape(levels.shape)
 
 
+def hessian_and_laplacian(p_hat, shape):
+    """(D^2 p, lap p) of the rfftn half spectrum ``p_hat``, by numpy alone.
+
+    An oracle independent of ``conducta.spectral``: per-axis 2 pi fftfreq
+    modes, the last axis halved as rfftn halves it, |k|^2 summed axis by axis
+    from zero, and each entry numpy's irfftn of the multiplier -k_i k_j (or
+    -|k|^2) times p_hat, so it is bit for bit what the same multiplier gives
+    in the library.  D^2 p is the (n, n, *shape) stack.
+    """
+    n, axes = len(shape), tuple(range(len(shape)))
+    ks = []
+    for ax, m in enumerate(shape):
+        k = 2.0 * np.pi * np.fft.fftfreq(m, d=1.0 / m)
+        if ax == n - 1:
+            k = k[: m // 2 + 1]
+        ks.append(k.reshape([-1 if a == ax else 1 for a in axes]))
+    k2 = 0.0
+    for k in ks:
+        k2 = k2 + k * k
+    hessian = np.empty((n, n) + tuple(shape))
+    for i in range(n):
+        for j in range(i, n):
+            hessian[i, j] = hessian[j, i] = np.fft.irfftn(-ks[i] * ks[j] * p_hat, s=shape, axes=axes)
+    return hessian, np.fft.irfftn(-k2 * p_hat, s=shape, axes=axes)
+
+
 def peak_traced_bytes(fn) -> int:
     """Peak bytes tracemalloc traced while ``fn()`` ran, counted from the call."""
     tracemalloc.start()

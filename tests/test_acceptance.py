@@ -25,7 +25,7 @@ from conducta.microstructure import (
 )
 from conducta.phases import PhaseSet, oscillation_closed_form, shifted_harmonic_L
 
-from conftest import level_labels, random_phase_set
+from conftest import hessian_and_laplacian, level_labels, random_phase_set
 
 
 def _ok(num, text):
@@ -175,8 +175,9 @@ def test_criterion_7_constructive_proof_consistency():
             worst["margin"] = min(worst["margin"], (cu - sb) / sb)
             assert cu >= sb - 1e-5 * sb
             # (d) Hessian-Laplacian energy identity
-            h2 = float(np.sum(pf.hessian_p**2, axis=(0, 1)).mean())
-            l2 = float((pf.laplacian_p**2).mean())
+            h, lap = hessian_and_laplacian(pf.p_hat, grid.shape)
+            h2 = float(np.sum(h**2, axis=(0, 1)).mean())
+            l2 = float((lap**2).mean())
             dev = abs(h2 - l2) / max(1.0, l2)
             worst["hess"] = max(worst["hess"], dev)
             assert dev <= 1e-8

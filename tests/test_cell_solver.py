@@ -8,13 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conducta import cell_solver
+from conducta import cell_solver, spectral
 from conducta.bounds import hs_upper, theorem1_upper
 from conducta.cell_solver import (
     EffectiveTensor,
     PotentialField,
     _half_spectrum_dot,
-    _irfftn_into,
     _spectral_cg,
     _streamed_traceless_square,
     build_optimal_potential,
@@ -31,9 +30,9 @@ from conducta.microstructure import (
     generate_random,
 )
 from conducta.phases import PhaseSet, oscillation_closed_form, shifted_harmonic_L
-from conducta.spectral import half_wavenumbers
+from conducta.spectral import half_wavenumbers, irfftn_into, shared_wavenumbers
 
-from conftest import peak_traced_bytes, random_phase_set
+from conftest import hessian_and_laplacian, peak_traced_bytes, random_phase_set
 
 TWO_14 = PhaseSet.from_pairs((1.0, 4.0), (0.5, 0.5), 2)
 
@@ -84,7 +83,7 @@ class TestSolverConfig:
     def test_result_arrays_are_read_only(self):
         g = generate_random(TWO_14, (8, 8), seed=2)
         pf = build_optimal_potential(g, 2.0)
-        arrays = [pf.p_hat, pf.theta, pf.hessian_p, solve_effective_tensor(g).matrix, g.phase_index]
+        arrays = [pf.p_hat, pf.theta, solve_effective_tensor(g).matrix, g.phase_index]
         for arr in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 arr[(0,) * arr.ndim] = 1
@@ -116,6 +115,20 @@ class TestSolverConfig:
         for theta, p_hat in bad:
             with pytest.raises(ValueError, match="must be (real|complex) of shape"):
                 PotentialField(g, 2.0, theta, p_hat)
+
+    @pytest.mark.parametrize("S", [-1.0, 0.0, math.nan, math.inf, -math.inf])
+    def test_potential_rejects_a_shift_that_is_not_finite_and_positive(self, S):
+        # NaN gave I1 = I2 = nan, and inf gave I1 = inf, I2 = -inf
+        built = build_optimal_potential(generate_random(TWO_14, (8, 8), seed=2), 2.0)
+        with pytest.raises(ValueError, match=re.escape(f"S must be finite and positive, got {S}")):
+            PotentialField(built.grid, S, built.theta, built.p_hat)
+
+    def test_potential_keeps_seven_public_attributes(self):
+        pf = build_optimal_potential(generate_random(TWO_14, (8, 8), seed=2), 2.0)
+        public = {name for name in dir(pf) if not name.startswith("_")}
+        assert public == {"grid", "S", "theta", "p_hat", "I1", "I2", "I2_positive_part"}
+        constructive_value(pf)
+        assert {name for name in vars(pf) if not name.startswith("_")} == {"grid", "S", "theta", "p_hat"}
 
     def test_potential_is_built_over_its_own_arrays(self, monkeypatch):
         # build_optimal_potential hands its fresh theta and p_hat over frozen, without the checked copies
@@ -174,39 +187,54 @@ class TestWavenumbers:
 
 
 class TestPotentialTable:
-    """The potential path's one shared wavenumber table: read-only, built once a shape, never held by a solve."""
+    """spectral's one shared wavenumber table: read-only, built once a shape, never held by a solve."""
 
     def test_table_is_read_only_and_equal_to_half_wavenumbers(self):
-        ks, k2 = cell_solver._potential_wavenumbers((8, 16))
+        ks, k2 = shared_wavenumbers((8, 16))
         want_ks, want_k2 = half_wavenumbers((8, 16), zero_nyquist=False)
         assert np.array_equal(k2, want_k2) and all(np.array_equal(a, b) for a, b in zip(ks, want_ks))
         for a in (*ks, k2):
             with pytest.raises(ValueError, match="read-only"):
                 a[(0,) * a.ndim] = 1.0
 
-    def test_two_potentials_on_one_shape_build_the_table_once(self, monkeypatch):
+    @pytest.fixture
+    def table_builds(self, monkeypatch):
+        """The shapes ``shared_wavenumbers`` built a table for, from an empty cache."""
         calls = []
 
         def counting(shape, zero_nyquist):
             calls.append((shape, zero_nyquist))
             return half_wavenumbers(shape, zero_nyquist)
 
-        cell_solver._potential_wavenumbers.cache_clear()
-        monkeypatch.setattr(cell_solver, "half_wavenumbers", counting)
+        shared_wavenumbers.cache_clear()
+        monkeypatch.setattr(spectral, "half_wavenumbers", counting)
+        yield calls
+        shared_wavenumbers.cache_clear()
+
+    def test_two_potentials_on_one_shape_build_the_table_once(self, table_builds):
         g = generate_random(PhaseSet.from_pairs((1.0, 2.0, 5.0), (0.4, 0.4, 0.2), 2), (32, 32), seed=1)
         for S in (2.0, 3.0):
             pf = build_optimal_potential(g, S)
             constructive_value(pf)
             traceless_hessian(pf)
-        cell_solver._potential_wavenumbers.cache_clear()
-        assert calls == [((32, 32), False)]
+        assert table_builds == [((32, 32), False)]
+
+    @pytest.mark.parametrize("shape", [(32, 32), (8, 8, 8)])
+    def test_smooth_draw_and_its_potentials_build_the_table_once(self, shape, table_builds):
+        ps = PhaseSet.from_pairs((1.0, 2.0, 5.0), (0.4, 0.4, 0.2), len(shape))
+        g = generate_random(ps, shape, seed=1, mode="smooth")
+        for S in (2.0, 3.0):
+            pf = build_optimal_potential(g, S)
+            constructive_value(pf)
+            traceless_hessian(pf)
+        assert table_builds == [(shape, False)]
 
     def test_no_potential_table_is_cached_after_a_solve(self):
         g = generate_random(TWO_14, (16, 16), seed=1)
         constructive_value(build_optimal_potential(g, 2.0))
-        assert cell_solver._potential_wavenumbers.cache_info().currsize == 1
+        assert shared_wavenumbers.cache_info().currsize == 1
         solve_effective_tensor(g)
-        assert cell_solver._potential_wavenumbers.cache_info().currsize == 0
+        assert shared_wavenumbers.cache_info().currsize == 0
 
 
 class TestEffectiveTensor:
@@ -238,8 +266,8 @@ class TestEffectiveTensor:
         pf = build_optimal_potential(g, 2.0)
         assert pf.p_hat.shape == shape[:-1] + (shape[-1] // 2 + 1,)
         # p varies along the normal only: D^2 p has one entry, lap p
-        hessian = pf.hessian_p.copy()
-        assert np.abs(hessian[normal, normal] - pf.laplacian_p).max() < 1e-12
+        hessian, lap = hessian_and_laplacian(pf.p_hat, shape)
+        assert np.abs(hessian[normal, normal] - lap).max() < 1e-12
         hessian[normal, normal] = 0.0
         assert np.abs(hessian).max() < 1e-12
 
@@ -374,8 +402,9 @@ class TestScaleAndContrast:
         base = build_optimal_potential(VoxelGrid(idx, (1.0, 2.0, 5.0)), S)
         scaled_grid = VoxelGrid(idx, tuple(math.ldexp(c, m) for c in (1.0, 2.0, 5.0)))
         scaled = build_optimal_potential(scaled_grid, math.ldexp(S, m))
-        for name in ("theta", "hessian_p", "laplacian_p"):
-            assert np.array_equal(getattr(scaled, name), getattr(base, name))
+        assert np.array_equal(scaled.theta, base.theta)
+        for a, b in zip(hessian_and_laplacian(scaled.p_hat, idx.shape), hessian_and_laplacian(base.p_hat, idx.shape)):
+            assert np.array_equal(a, b)
         for value in (lambda pf: pf.I1, lambda pf: pf.I2, lambda pf: pf.I2_positive_part, constructive_value):
             assert value(scaled) == np.ldexp(value(base), m)
 
@@ -453,7 +482,7 @@ class TestIrfftnInto:
         spec = rng.standard_normal(half) + 1j * rng.standard_normal(half)
         expected = np.fft.irfftn(spec, s=shape, axes=tuple(range(len(shape))))
         out = np.empty(shape)
-        assert _irfftn_into(spec.copy(), out) is out
+        assert irfftn_into(spec.copy(), out) is out
         assert np.array_equal(out, expected)
 
 
@@ -497,7 +526,9 @@ class TestTransformBudget:
     def test_smooth_generation_uses_one_real_transform_pair(self, shape, fft_log):
         ps = PhaseSet.from_pairs((1.0, 2.0, 5.0), (0.4, 0.4, 0.2), len(shape))
         generate_random(ps, shape, seed=3, mode="smooth")
-        assert fft_counts(fft_log) == {"rfftn": 1, "irfftn": 1}
+        # the inverse is numpy's irfftn passes, into the noise field's buffer
+        assert fft_counts(fft_log) == {"rfftn": 1, "irfft": 1, "ifft": len(shape) - 1}
+        assert fft_log[-1] == ("irfft", True)
 
     @pytest.mark.parametrize("shape", [(32, 32), (8, 8, 8), (4, 4, 4, 4)])
     def test_potential_uses_real_transforms(self, shape, fft_log):
@@ -507,16 +538,11 @@ class TestTransformBudget:
         # the build transforms theta only
         assert fft_counts(fft_log) == {"rfftn": 1}
         # the quadratures stream the n(n+1)/2 - 1 transformed traceless entries
-        # (the last diagonal one is minus the others) and read lap p; each
+        # (the last diagonal one is minus the others) and transform lap p; each
         # inverse is n - 1 ifft passes and one irfft
         entries = n * (n + 1) // 2
-        pf.I1, pf.I2, constructive_value(pf), pf.laplacian_p
+        pf.I1, pf.I2, constructive_value(pf), pf.I2_positive_part
         inverse = (entries - 1) + 1
-        assert fft_counts(fft_log) == {"rfftn": 1, "irfft": inverse, "ifft": (n - 1) * inverse}
-        # hessian_p transforms the entries again on first read, once
-        pf.hessian_p
-        pf.hessian_p
-        inverse += entries
         assert fft_counts(fft_log) == {"rfftn": 1, "irfft": inverse, "ifft": (n - 1) * inverse}
         assert all(given_out for name, given_out in fft_log if name != "rfftn")
 
@@ -546,9 +572,9 @@ class TestTransformBudget:
         # p = 0: the test field is I, whose energy is the arithmetic mean
         assert (pf.I2, pf.I2_positive_part, constructive_value(pf)) == (0.0, 0.0, 2.5)
         assert fft_counts(fft_log) == {"rfftn": 1, "irfft": 1, "ifft": n - 1}  # lap p only
-        assert pf.hessian_p.shape == (n, n) + shape and not pf.hessian_p.any()
         assert traceless_hessian(pf).shape == (n, n) + shape and not traceless_hessian(pf).any()
         assert fft_counts(fft_log) == {"rfftn": 1, "irfft": 1, "ifft": n - 1}  # neither stack made one
+        assert not any(field.any() for field in hessian_and_laplacian(pf.p_hat, shape))
 
 
 class TestOptimalPotential:
@@ -563,24 +589,20 @@ class TestOptimalPotential:
         gathers = []
         field = VoxelGrid.conductivity_field
         monkeypatch.setattr(VoxelGrid, "conductivity_field", lambda grid: gathers.append(1) or field(grid))
-        first = [pf.laplacian_p, pf.I1, pf.I2, pf.I2_positive_part]
+        first = [pf.I1, pf.I2, pf.I2_positive_part, constructive_value(pf)]
         assert len(gathers) == 1  # the three quadratures share one conductivity gather
-        assert [pf.laplacian_p, pf.I1, pf.I2, pf.I2_positive_part] == first
-        assert pf.laplacian_p is first[0]
+        assert [pf.I1, pf.I2, pf.I2_positive_part, constructive_value(pf)] == first
         assert len(gathers) == 1
-        with pytest.raises(ValueError, match="read-only"):
-            pf.laplacian_p[0, 0] = 1
 
     @pytest.mark.parametrize("shape", [(32, 32), (8, 8, 8), (4, 4, 4, 4)])
     def test_hessian_read_before_or_after_the_quadratures(self, shape):
         n = len(shape)
         g = generate_random(PhaseSet.from_pairs((1.0, 2.0, 5.0), (0.4, 0.4, 0.2), n), shape, seed=3)
         early, late = build_optimal_potential(g, 2.5), build_optimal_potential(g, 2.5)
-        hessian = early.hessian_p
+        hessian = traceless_hessian(early)
         values = [(pf.I1, pf.I2, pf.I2_positive_part, constructive_value(pf)) for pf in (early, late)]
         assert values[0] == values[1]
-        assert late.hessian_p.tobytes() == hessian.tobytes()
-        assert early.hessian_p is hessian
+        assert traceless_hessian(late).tobytes() == hessian.tobytes()
 
     @pytest.mark.parametrize("shape", [(16, 16), (8, 8, 8), (4, 4, 4, 4)])
     def test_first_row_is_the_stacks_row_bit_for_bit(self, shape, fft_log):
@@ -616,19 +638,19 @@ class TestOptimalPotential:
         pf = build_optimal_potential(generate_random(TWO_14, (32, 32), seed=5), 2.0)
         full = traceless_hessian(pf)
         assert np.array_equal(full[1, 1], -full[0, 0]) and np.array_equal(full[1, 0], full[0, 1])
-        h = pf.hessian_p
+        h, _ = hessian_and_laplacian(pf.p_hat, (32, 32))
         assert np.array_equal(full[0, 1], h[0, 1])
         assert np.abs(full[0, 0] - (h[0, 0] - h[1, 1]) / 2).max() <= 1e-12
 
     @pytest.mark.parametrize("shape", [(8, 8, 8), (4, 4, 4, 4)])
     def test_traceless_hessian_is_symmetric_and_traceless(self, shape):
         # beyond 2D too: the trace summed in row-major order is 0 exactly, each
-        # off-diagonal entry is hessian_p's to the bit, and each diagonal entry
-        # is h_ii - lap p / n to round-off
+        # off-diagonal entry is numpy's D^2 p entry to the bit, and each
+        # diagonal entry is h_ii - lap p / n to round-off
         n = len(shape)
         ps = PhaseSet.from_pairs((1.0, 2.0, 5.0), (0.4, 0.4, 0.2), n)
         pf = build_optimal_potential(generate_random(ps, shape, seed=4), 2.0)
-        t, h, lap = traceless_hessian(pf), pf.hessian_p, pf.laplacian_p
+        t, (h, lap) = traceless_hessian(pf), hessian_and_laplacian(pf.p_hat, shape)
         trace = t[0, 0]
         for i in range(1, n):
             trace = trace + t[i, i]
@@ -641,7 +663,7 @@ class TestOptimalPotential:
     def test_homogeneous_all_zero(self):
         pf = build_optimal_potential(homogeneous(3.0), 1.0)
         assert np.abs(pf.theta).max() == 0.0
-        assert np.abs(pf.hessian_p).max() == 0.0
+        assert not any(field.any() for field in hessian_and_laplacian(pf.p_hat, (8, 8)))
         assert pf.I2 == 0.0 and pf.I2_positive_part == 0.0
         assert pf.I1 == pytest.approx(3.0, rel=1e-14)
 
@@ -671,36 +693,41 @@ class TestOptimalPotential:
         assert pf.p_hat[0, 0] == 0.0
 
     @pytest.mark.parametrize("shape", [(32, 32), (8, 16, 8)])
-    def test_fields_equal_numpy_inverse_of_the_multipliers(self, shape):
+    def test_fields_equal_numpy_inverse_of_the_multipliers(self, shape, monkeypatch):
+        # the off-diagonal traceless entries and the Laplacian the constructive
+        # value integrates are numpy's inverses of their multipliers, bit for bit
         n = len(shape)
         g = generate_random(PhaseSet.from_pairs((1.0, 4.0, 9.0), (0.3, 0.5, 0.2), n), shape, seed=8)
         pf = build_optimal_potential(g, 2.5)
-        ks, k2 = half_wavenumbers(shape, zero_nyquist=False)
-        axes = tuple(range(n))
-        assert np.array_equal(pf.laplacian_p, np.fft.irfftn(-k2 * pf.p_hat, s=shape, axes=axes))
+        integrated = []
+        i1 = cell_solver._i1_quadrature
+        monkeypatch.setattr(cell_solver, "_i1_quadrature", lambda sigma, lap, *a: integrated.append(lap) or i1(sigma, lap, *a))
+        constructive_value(pf)
+        h, lap = hessian_and_laplacian(pf.p_hat, shape)
+        assert len(integrated) == 2 and integrated[0] is pf.theta and np.array_equal(integrated[1], lap)
+        t = traceless_hessian(pf)
         for i in range(n):
             for j in range(n):
-                h = np.fft.irfftn(-ks[min(i, j)] * ks[max(i, j)] * pf.p_hat, s=shape, axes=axes)
-                assert np.array_equal(pf.hessian_p[i, j], h)
+                assert i == j or np.array_equal(t[i, j], h[i, j])
 
     def test_hessian_trace_is_laplacian_pointwise(self):
         g = generate_random(TWO_14, (32, 32), seed=3)
         pf = build_optimal_potential(g, 2.0)
-        trace = pf.hessian_p[0, 0] + pf.hessian_p[1, 1]
-        assert np.abs(trace - pf.laplacian_p).max() < 1e-10
+        h, lap = hessian_and_laplacian(pf.p_hat, (32, 32))
+        assert np.abs(h[0, 0] + h[1, 1] - lap).max() < 1e-10
 
     def test_hessian_laplacian_energy_identity(self):
         for seed, S in ((4, 1.0), (5, 2.5)):
             g = generate_random(TWO_14, (64, 64), seed=seed)
-            pf = build_optimal_potential(g, S)
-            h2 = float(np.sum(pf.hessian_p**2, axis=(0, 1)).mean())
-            l2 = float((pf.laplacian_p**2).mean())
+            h, lap = hessian_and_laplacian(build_optimal_potential(g, S).p_hat, (64, 64))
+            h2 = float(np.sum(h**2, axis=(0, 1)).mean())
+            l2 = float((lap**2).mean())
             assert abs(h2 - l2) <= 1e-8 * max(1.0, l2)
 
     def test_pointwise_matrix_inequality(self):
         g = generate_random(TWO_14, (32, 32), seed=6)
-        pf = build_optimal_potential(g, 1.5)
-        raw = np.sum(pf.hessian_p**2, axis=(0, 1)) - pf.laplacian_p**2 / 2
+        h, lap = hessian_and_laplacian(build_optimal_potential(g, 1.5).p_hat, (32, 32))
+        raw = np.sum(h**2, axis=(0, 1)) - lap**2 / 2
         assert raw.min() > -1e-12
 
     def test_traceless_energy_below_theta_energy(self):
@@ -822,7 +849,7 @@ class TestI1I2:
         streamed = _streamed_traceless_square(pf.p_hat, shape)
         assert np.array_equal(streamed, q) and streamed.min() >= 0.0
         # the clipped |D^2 p|^2 - (lap p)^2 / n it replaces, to round-off
-        h, lap = pf.hessian_p, pf.laplacian_p
+        h, lap = hessian_and_laplacian(pf.p_hat, shape)
         old = np.maximum(np.sum(h * h, axis=(0, 1)) - lap * lap / n, 0.0)
         assert np.abs(streamed - old).max() <= 1e-12 * old.max()
 
@@ -845,7 +872,8 @@ class TestI1I2:
         n = g.dimension
         for S in (0.7, 1.5, 3.0):
             pf = build_optimal_potential(g, S)
-            q = np.sum(pf.hessian_p**2, axis=(0, 1)) - pf.laplacian_p**2 / n
+            h, lap = hessian_and_laplacian(pf.p_hat, (32, 32))
+            q = np.sum(h**2, axis=(0, 1)) - lap**2 / n
             thresholds = [S] + [t for t in np.unique(sigma) if t > S]
             integral = 0.0
             for lo, hi in zip(thresholds, thresholds[1:]):
@@ -880,7 +908,7 @@ class TestMemory:
         n = len(shape)
         g = generate_random(PhaseSet.from_pairs((1.0, 2.0, 5.0), (0.4, 0.4, 0.2), n), shape, seed=1)
         traceless_hessian(build_optimal_potential(g, 3.0))
-        # the n^2 components and a few buffers; neither hessian_p nor lap p
+        # the n^2 components and a few buffers; no Laplacian
         peak = peak_traced_bytes(lambda: traceless_hessian(build_optimal_potential(g, 3.0)))
         assert peak <= (n * n + 8) * 8 * g.phase_index.size
 

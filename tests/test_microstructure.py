@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import struct
 
 import numpy as np
@@ -37,6 +38,26 @@ class TestVoxelGrid:
     def test_index_range_checked(self):
         with pytest.raises(ValueError, match="index"):
             VoxelGrid(np.full((4, 4), 2, np.uint8), (1.0, 2.0))
+
+    @pytest.mark.parametrize("bad, message", [
+        (256, "phase index 256 out of range [0, 2)"),  # the uint8 cast stored it as 0
+        (-255, "phase index -255 out of range [0, 2)"),  # and this as 1
+        (-1, "phase index -1 out of range [0, 2)"),
+        (1.7, "phase indices must be integers, got dtype float64"),  # and this as 1
+        (1.0, "phase indices must be integers, got dtype float64"),
+        ("1", "phase indices must be integers, got dtype <U1"),
+        (1 + 0j, "phase indices must be integers, got dtype complex128"),
+    ], ids=["256", "-255", "-1", "1.7", "1.0", "str", "complex"])
+    def test_index_rejected_before_the_cast(self, bad, message):
+        idx = np.array([[0, 1], [1, 0]], dtype=np.asarray(bad).dtype)
+        idx[0, 1] = bad
+        with pytest.raises(ValueError, match=re.escape(message)):
+            VoxelGrid(idx, (1.0, 2.0))
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int8, np.uint16, np.uint64, bool])
+    def test_in_range_integer_and_bool_indices_accepted(self, dtype):
+        g = VoxelGrid(np.array([[0, 1], [1, 0]], dtype=dtype), (1.0, 2.0))
+        assert g.phase_index.dtype == np.uint8 and g.phase_index.tolist() == [[0, 1], [1, 0]]
 
     @pytest.mark.parametrize("sigma", [0.0, -1.0, math.inf, -math.inf, math.nan, 1e-310, 5e-324])
     def test_conductivities_finite_and_positive(self, sigma):

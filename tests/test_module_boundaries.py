@@ -1,11 +1,13 @@
-"""No conducta module imports a private (underscore) name from another, and
-the closed forms stay grid-free.
+"""No conducta module imports a private (underscore) name from another, the
+closed forms stay grid-free, and ``spectral`` is the one spectral kernel.
 
 A private name is free to change with its own module; a second module that
 imports it would silently depend on it.  Shared helpers are public names.
 ``phases`` and ``bounds`` hold every closed form of the phase set; they import
 only the standard library, ``conducta.phases`` and ``conducta.errors``, so no
-numpy array or voxel grid can reach them.
+numpy array or voxel grid can reach them.  Only ``spectral`` builds
+wavenumbers (``fftfreq``) or runs an inverse transform; every other module
+inverts through ``spectral.irfftn_into``.
 """
 
 import ast
@@ -92,3 +94,46 @@ def test_non_stdlib_imports_are_found():
     assert non_stdlib_imports(source) == [
         "numpy", "conducta.microstructure", "conducta.cell_solver", "conducta.bmo", "scipy.special"
     ]
+
+
+KERNEL = "spectral.py"  # the one module that builds wavenumbers and inverts transforms
+KERNEL_NAMES = {"fftfreq", "rfftfreq", "ifft", "ifft2", "ifftn", "irfft", "irfft2", "irfftn"}
+
+
+def kernel_names(source: str) -> list[str]:
+    """Every use of a wavenumber or inverse-transform name in ``source``: attribute, bare name or import."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [alias.name.rsplit(".", 1)[-1] for alias in node.names]
+        else:
+            continue
+        found.extend(name for name in names if name in KERNEL_NAMES)
+    return found
+
+
+def test_only_the_spectral_kernel_builds_wavenumbers_or_inverts():
+    offenders = {
+        path.name: names
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != KERNEL and (names := kernel_names(path.read_text(encoding="utf-8")))
+    }
+    assert offenders == {}
+    assert sorted(set(kernel_names((PACKAGE / KERNEL).read_text(encoding="utf-8")))) == ["fftfreq", "ifft", "irfft"]
+
+
+def test_kernel_names_are_found():
+    source = (
+        '"""irfftn in a docstring is no use."""\n'
+        "import numpy.fft.irfftn\n"
+        "from numpy.fft import fftfreq, rfftn\n"
+        "from .spectral import irfftn_into\n"
+        "x = np.fft.ifft(a)\n"
+        "y = irfft(b, out=c)\n"
+        "z = np.fft.rfftn(d), np.fft.ifftn(e)\n"
+    )
+    assert kernel_names(source) == ["irfftn", "fftfreq", "ifft", "irfft", "ifftn"]
