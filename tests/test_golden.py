@@ -9,7 +9,10 @@ The files were recorded with numpy 2.4 on x86-64.  A refactor must leave
 them unchanged; a change that is meant to move the numbers re-records them
 on purpose, in a commit of its own, with
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py bounds_default solve_2d
+
+which rewrites only the named cases' files; with no name it rewrites all of
+them, and an unknown name rewrites nothing.
 """
 
 import os
@@ -77,16 +80,31 @@ def test_output_matches_golden(name, workdir, monkeypatch):
     assert body == (GOLDEN / f"{name}.txt").read_bytes()
 
 
-def record() -> None:
+def test_record_writes_only_the_named_cases(tmp_path, monkeypatch):
+    monkeypatch.setattr(sys.modules[__name__], "GOLDEN", tmp_path)
+    record(["sweep_fullE", "bounds_default"])
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bounds_default.txt", "sweep_fullE.txt"]
+    for p in tmp_path.iterdir():
+        assert p.read_bytes() == (Path(__file__).resolve().parent / "golden" / p.name).read_bytes()
+    with pytest.raises(SystemExit, match="unknown golden case"):
+        record(["bounds_default", "bounds_typo"])
+    assert len(list(tmp_path.iterdir())) == 2
+
+
+def record(names: list[str]) -> None:
+    """Rewrite the golden files of the named cases, or of every case when ``names`` is empty."""
     import tempfile
 
+    unknown = sorted(set(names) - CASES.keys())
+    if unknown:
+        raise SystemExit(f"unknown golden case(s) {', '.join(unknown)}; the cases are {', '.join(sorted(CASES))}")
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as d:
         cwd = os.getcwd()
         os.chdir(d)
         try:
             write_inputs(Path(d))
-            for name in sorted(CASES):
+            for name in sorted(names or CASES):
                 code, body = run_case(name)
                 if code != 0:
                     raise SystemExit(f"{name}: exit code {code}")
@@ -97,5 +115,5 @@ def record() -> None:
 
 
 if __name__ == "__main__":
-    record()
+    record(sys.argv[1:])
     sys.exit(0)
