@@ -17,7 +17,6 @@ from .bounds import (
     hs_upper,
     optimize_S,
     theorem1_upper,
-    three_phase_refined,
     trivial_upper,
 )
 from .cell_solver import (
@@ -66,7 +65,6 @@ __all__ = [
     "save_grid",
     "solve_effective_tensor",
     "theorem1_upper",
-    "three_phase_refined",
     "traceless_hessian",
     "trivial_upper",
 ]

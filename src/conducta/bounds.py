@@ -7,9 +7,7 @@ phases above S through the tail of the distribution function, which
 
 * the trivial bound (arithmetic mean of sigma) needs no shift,
 * the Hashin-Shtrikman upper bound is theorem 1 at S = sup sigma, where the
-  tail integral and hence E vanish,
-* the three-phase refinement is theorem 1 at S = sigma_2 with the simplified
-  E form.
+  tail integral and hence E vanish.
 
 E carries a dimensional constant C that is not known explicitly; it defaults
 to 1 and is always recorded in the report, so every refined value is to be
@@ -33,7 +31,6 @@ __all__ = [
     "trivial_upper",
     "hs_upper",
     "theorem1_upper",
-    "three_phase_refined",
     "optimize_S",
 ]
 
@@ -42,7 +39,6 @@ BOUND_NAMES = (
     "hashin_shtrikman",
     "theorem1",
     "theorem1_simplified",
-    "three_phase_refined",
 )
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -133,22 +129,6 @@ def theorem1_upper(ps: PhaseSet, S: float, cfg: BoundConfig | None = None) -> Bo
     H, E, L = _theorem1_terms(ps, S, cfg)
     name = "theorem1_simplified" if cfg.use_simplified_E else "theorem1"
     return BoundReport(name, H + E, S_used=S, H_term=H, E_term=E, L_value=L, C_used=cfg.C)
-
-
-def three_phase_refined(ps: PhaseSet, cfg: BoundConfig | None = None) -> BoundReport:
-    """Three-phase refinement: theorem 1 at S = sigma_2 with the simplified E.
-
-    Whatever cfg.use_simplified_E says, E is the simplified form
-    C osc^2 (sigma_3 - sigma_2) mu_3 (1 - log mu_3)^2 / (sigma_1 + (n-1) sigma_2)^2,
-    so the value converges to the two-phase Hashin-Shtrikman bound of the
-    first two phases as mu_3 goes to zero.
-    """
-    C = (cfg or BoundConfig()).C
-    if ps.num_phases != 3:
-        raise ValueError(f"three_phase_refined needs exactly 3 phases, got {ps.num_phases}")
-    S = ps.conductivities[1]
-    H, E, L = _theorem1_terms(ps, S, BoundConfig(C))
-    return BoundReport("three_phase_refined", H + E, S_used=S, H_term=H, E_term=E, L_value=L, C_used=C)
 
 
 def optimize_S(ps: PhaseSet, cfg: BoundConfig | None = None) -> BoundReport:

@@ -26,7 +26,6 @@ from .bounds import (
     hs_upper,
     optimize_S,
     theorem1_upper,
-    three_phase_refined,
     trivial_upper,
 )
 from .cell_solver import (
@@ -46,6 +45,7 @@ EXIT_VIOLATION = 3
 
 _SLACK_TOL = 1e-6  # relative slack below which a bound counts as violated
 _VOXEL_BUDGET = 2**24  # largest corpus grid, checked before anything is allocated
+_MAX_SWEEP_POINTS = 10**6  # 10**4 rows took 7.2 s and 924 KB, so this is already ~12 minutes and ~92 MB of text
 
 # removed options, with the one value old manifests can replay byte for byte
 _RETIRED_OPTIONS = {"search_points": 64, "S_tolerance": 1e-6, "sample_levels": 48, "include_zero": True,
@@ -99,6 +99,19 @@ def _bound_cfg(options: dict) -> BoundConfig:
     return BoundConfig(C=options["C"], use_simplified_E=not options["full_E"])
 
 
+def _representable(report: BoundReport, row: str = "") -> BoundReport:
+    """``report`` itself; ValueError naming the bound, S and ``row`` if its value overflowed.
+
+    H is a weighted mean of finite conductivities, so only E can overflow.
+    """
+    if not math.isfinite(report.value):
+        raise ValueError(
+            f"{report.bound_name} at S = {_g(report.S_used)}{row} is not representable:"
+            f" its E term overflows to {_g(report.E_term)}"
+        )
+    return report
+
+
 def _shift(text: str) -> float:
     """The shift parameter S written as ``text``; ConfigError unless finite and positive."""
     try:
@@ -136,13 +149,10 @@ def run_bounds(options: dict) -> int:
     if s is not None:
         reports.append(theorem1_upper(ps, s, cfg))
     reports.append(optimize_S(ps, cfg))
-    if ps.num_phases == 3:
-        reports.append(three_phase_refined(ps, cfg))
-    for r in reports:  # H is a weighted mean of finite conductivities, so only E can overflow
-        if not math.isfinite(r.value):
-            raise ValueError(
-                f"{r.bound_name} at S = {_g(r.S_used)} is not representable: its E term overflows to {_g(r.E_term)}"
-            )
+    if ps.num_phases == 3:  # the three-phase refinement: theorem 1 at sigma_2, simplified E even under --full-E
+        reports.append(theorem1_upper(ps, ps.conductivities[1], BoundConfig(C=cfg.C)))
+    for r in reports:
+        _representable(r)
     lines = [
         "# conducta bounds",
         f"config: {options['config']}",
@@ -160,8 +170,8 @@ def run_bounds(options: dict) -> int:
 # ----------------------------------------------------------------- sweep
 
 def run_sweep(options: dict) -> int:
-    if options["points"] < 1:
-        raise ConfigError(f"--points must be an integer >= 1, got {options['points']!r}")
+    if not 1 <= options["points"] <= _MAX_SWEEP_POINTS:
+        raise ConfigError(f"--points must be an integer in [1, {_MAX_SWEEP_POINTS}], got {options['points']!r}")
     ps = read_phase_config(options["config"])
     if ps.num_phases != 3:
         raise ConfigError(f"sweep needs a 3-phase config, got {ps.num_phases} phases")
@@ -174,16 +184,15 @@ def run_sweep(options: dict) -> int:
     m1, m2 = ps.fractions[0] / base, ps.fractions[1] / base
     two_phase = PhaseSet.from_pairs((s1, s2), (m1, m2), ps.dimension)
     hs2 = hs_upper(two_phase).value
+    gap_cfg = BoundConfig(C=cfg.C)  # the gap keeps the simplified E under --full-E
 
     mu3_values = list(np.geomspace(hi, lo, options["points"])) + [0.0]
 
     rows = ["mu3,trivial,hs,theorem1_opt,S_opt,two_phase_hs,gap"]
     for mu3 in mu3_values:
-        if mu3 > 0.0:
-            sub = PhaseSet.from_pairs((s1, s2, s3), (m1 * (1 - mu3), m2 * (1 - mu3), mu3), ps.dimension)
-            gap = three_phase_refined(sub, cfg).value - hs2
-        else:
-            sub, gap = two_phase, 0.0
+        # at mu3 = 0 from_pairs drops the third phase: theorem 1 at the two-phase sup is HS2, and the gap 0
+        sub = PhaseSet.from_pairs((s1, s2, s3), (m1 * (1 - mu3), m2 * (1 - mu3), mu3), ps.dimension)
+        gap = _representable(theorem1_upper(sub, s2, gap_cfg), f" on the mu3 = {_g(mu3)} row").value - hs2
         opt = optimize_S(sub, cfg)
         rows.append(
             ",".join(

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from conducta.bmo import bmo_norm, john_nirenberg_fit, lemma1_ratio
-from conducta.bounds import BoundConfig, hs_upper, theorem1_upper, three_phase_refined, trivial_upper
+from conducta.bounds import BoundConfig, hs_upper, theorem1_upper, trivial_upper
 from conducta.cell_solver import (
     build_optimal_potential,
     constructive_value,
@@ -38,7 +38,7 @@ def test_criterion_1_closed_form_regression():
     # hand evaluation: -10 + (0.4/11 + 0.4/12 + 0.2/15)^-1 = 280/137
     assert abs(hs - 2.0437956204379564) < 1e-9
 
-    refined = three_phase_refined(ps, BoundConfig(C=1.0)).value
+    refined = theorem1_upper(ps, 2.0, BoundConfig(C=1.0)).value  # the three-phase refinement, S = sigma_2
     # hand evaluation of the refined three-phase formula at S = sigma_2:
     #   -(n-1) s2 + (sum mu_i (s_i + (n-1) s2)^-1)^-1
     #   + C (s3-s1)^2 (s3-s2) mu3 (1 - ln mu3)^2 / (s1 + (n-1) s2)^2
@@ -49,7 +49,7 @@ def test_criterion_1_closed_form_regression():
     )
     assert abs(hand - 4.535772459616748) < 1e-12
     assert abs(refined - hand) < 1e-9
-    _ok(1, f"hs={hs:.12f}, three_phase_refined={refined:.12f} match hand evaluation to 1e-9")
+    _ok(1, f"hs={hs:.12f}, theorem1(S=sigma_2)={refined:.12f} match hand evaluation to 1e-9")
 
 
 def test_criterion_2_theorem1_hs_consistency():
@@ -84,7 +84,7 @@ def test_criterion_3_asymptotic_convergence():
         ps = PhaseSet.from_pairs(
             (s1, s2, s3), (base[0] * (1 - mu3), base[1] * (1 - mu3), mu3), n
         )
-        diffs.append(abs(three_phase_refined(ps, BoundConfig(C=1.0)).value - hs2))
+        diffs.append(abs(theorem1_upper(ps, s2, BoundConfig(C=1.0)).value - hs2))
     # Lipschitz modulus of the H part in mu3: |L3 - L2| <= |h2 - 1/w3| L2 Lmax mu3
     L_max = max(
         1.0 / (h2 * (1 - mu3) + mu3 / w[2]) for mu3 in mu3_values

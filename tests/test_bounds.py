@@ -11,7 +11,6 @@ from conducta.bounds import (
     hs_upper,
     optimize_S,
     theorem1_upper,
-    three_phase_refined,
     trivial_upper,
 )
 from conducta.phases import PhaseSet, oscillation_closed_form, shifted_harmonic_L, tail_integral
@@ -174,21 +173,7 @@ class TestTheorem1:
 
 
 class TestThreePhaseRefined:
-    def test_matches_theorem1_at_sigma2(self):
-        r = three_phase_refined(THREE, BoundConfig(C=1.0))
-        t = theorem1_upper(THREE, 2.0, BoundConfig(C=1.0, use_simplified_E=True))
-        assert (r.value, r.H_term, r.E_term, r.L_value) == (t.value, t.H_term, t.E_term, t.L_value)
-
-    @given(phase_sets(min_phases=3, max_phases=3), st.floats(0.1, 5.0), st.booleans())
-    def test_matches_theorem1_randomized(self, ps, C, simplified):
-        # the refinement always takes the simplified E, whatever the config says
-        r = three_phase_refined(ps, BoundConfig(C=C, use_simplified_E=simplified))
-        t = theorem1_upper(ps, ps.conductivities[1], BoundConfig(C=C, use_simplified_E=True))
-        assert (r.value, r.H_term, r.E_term, r.L_value, r.C_used) == (t.value, t.H_term, t.E_term, t.L_value, C)
-
-    def test_rejects_wrong_phase_count(self):
-        with pytest.raises(ValueError, match="3 phases"):
-            three_phase_refined(TWO_14)
+    """The three-phase refinement: theorem 1 at S = sigma_2 with the simplified E."""
 
     def test_mu3_to_zero_convergence_rate(self):
         two = PhaseSet.from_pairs((1.0, 2.0), (0.5, 0.5), 3)
@@ -198,7 +183,7 @@ class TestThreePhaseRefined:
             ps = PhaseSet.from_pairs(
                 (1.0, 2.0, 5.0), (0.5 * (1 - mu3), 0.5 * (1 - mu3), mu3), 3
             )
-            diff = abs(three_phase_refined(ps, BoundConfig(C=1.0)).value - hs2)
+            diff = abs(theorem1_upper(ps, 2.0, BoundConfig(C=1.0)).value - hs2)
             bound = 16 * 3 * mu3 * (1 - math.log(mu3)) ** 2 / 25
             assert diff <= 2.0 * bound + 10.0 * mu3
             if prev is not None:

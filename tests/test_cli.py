@@ -41,9 +41,15 @@ class TestBoundsCommand:
         out = capsys.readouterr().out
         assert "trivial" in out and "2.2" in out
         assert "2.04379562044" in out          # hashin_shtrikman
-        assert "4.53577245962" in out          # three_phase_refined at S = sigma_2
-        assert "three_phase_refined" in out
+        # the three-phase refinement, last: theorem 1 at S = sigma_2
+        assert out.splitlines()[-1].split()[:3] == ["theorem1_simplified", "4.53577245962", "2"]
         assert "modulo the dimensional constant C" in out
+
+    def test_three_phase_row_keeps_simplified_E_under_full_E(self, three_cfg, capsys):
+        assert main(["bounds", "--config", three_cfg, "--full-E", "--C", "0.3"]) == 0
+        rows = [line.split() for line in capsys.readouterr().out.splitlines() if line.startswith("theorem1")]
+        assert [row[0] for row in rows] == ["theorem1", "theorem1_simplified"]  # optimizer, then S = sigma_2
+        assert rows[1][1:3] == ["2.70546857999", "2"]
 
     def test_single_phase_all_columns_equal_sigma(self, tmp_path, capsys):
         p = tmp_path / "one.cfg"
@@ -57,7 +63,7 @@ class TestBoundsCommand:
     def test_user_S_row(self, three_cfg, capsys):
         assert main(["bounds", "--config", three_cfg, "--S", "2.0"]) == 0
         out = capsys.readouterr().out
-        assert out.count("theorem1_simplified") == 2  # user S row + optimizer row
+        assert out.count("theorem1_simplified") == 3  # user S row, optimizer row and the S = sigma_2 row
 
     def test_huge_user_S_row_is_the_arithmetic_mean(self, three_cfg, capsys):
         # H = -(n-1) S + L cancelled every digit: the row printed -2.97403381696e+284
@@ -111,14 +117,14 @@ class TestBoundsCommand:
         assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_overflowing_E_term_exits_one(self, tmp_path, capsys):
-        # printed three_phase_refined inf with E_term inf and exited 0: the
+        # printed the sigma_2 row's value inf with E_term inf and exited 0: the
         # simplified E at S = sigma_2 is about 5e898 here
         p = tmp_path / "huge.cfg"
         p.write_text("dimension = 3\nphase = 1 0.4\nphase = 2 0.4\nphase = 1e300 0.2\n")
         assert main(["bounds", "--config", str(p)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: three_phase_refined at S = 2 is not representable: its E term overflows to inf\n"
+        assert captured.err == "error: theorem1_simplified at S = 2 is not representable: its E term overflows to inf\n"
 
     def test_shift_parsed_before_config(self, three_cfg, monkeypatch, capsys):
         # --S x printed numpy's "could not convert string to float: 'x'"
@@ -158,25 +164,50 @@ class TestSweepCommand:
         assert abs(float(last_nonzero[2]) - float(last_nonzero[5])) > 1e-3
 
     def test_huge_third_phase_bounds_stay_finite(self, tmp_path, capsys):
-        # every mu3 > 0 row printed hs nan and theorem1_opt inf.  The gap
-        # column stays inf: theorem 1 at S = sigma_2 is about 1e898 here.
+        # osc sigma^2 overflows here: squared before dividing, every mu3 > 0 row
+        # printed hs nan and theorem1_opt inf
         p = tmp_path / "huge.cfg"
-        p.write_text("dimension = 3\nphase = 1 0.4\nphase = 2 0.4\nphase = 1e300 0.2\n")
+        p.write_text("dimension = 3\nphase = 1e150 0.4\nphase = 2e150 0.4\nphase = 1e200 0.2\n")
         assert main(["sweep", "--config", str(p), "--points", "3"]) == 0
         header, *rows = capsys.readouterr().out.splitlines()
-        assert len(rows) == 4 and "nan" not in "".join(rows)
+        assert len(rows) == 4
         for row in rows:
-            values = dict(zip(header.split(","), map(float, row.split(","))))
-            assert all(math.isfinite(v) for name, v in values.items() if name != "gap")
+            assert all(math.isfinite(float(v)) for v in row.split(","))
+
+    def test_overflowing_gap_exits_one(self, tmp_path, capsys):
+        # printed inf in every mu3 > 0 gap cell and exited 0, where bounds on
+        # the same config exits 1
+        p = tmp_path / "huge.cfg"
+        p.write_text("dimension = 3\nphase = 1 0.4\nphase = 100 0.4\nphase = 1000 0.2\n")
+        assert main(["sweep", "--config", str(p), "--C", "1e308"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: theorem1_simplified at S = 100 on the mu3 = 0.1 row is not representable:"
+            " its E term overflows to inf\n"
+        )
+        assert main(["bounds", "--config", str(p), "--C", "1e308"]) == 1
+        assert capsys.readouterr().err == (
+            "error: theorem1_simplified at S = 100 is not representable: its E term overflows to inf\n"
+        )
 
     @pytest.mark.parametrize("points", ["-2", "0"])
     def test_points_at_least_one(self, points, three_cfg, capsys):
         # -2 exited 1 with numpy's "Number of samples, -2, must be non-negative",
         # 0 exited 0 with no sweep row
         assert main(["sweep", "--config", three_cfg, "--points", points]) == 1
-        assert capsys.readouterr().err == f"error: --points must be an integer >= 1, got {points}\n"
+        assert capsys.readouterr().err == f"error: --points must be an integer in [1, 1000000], got {points}\n"
 
-    @pytest.mark.parametrize("points", [-2, 0])
+    @pytest.mark.parametrize("points", ["1000001", "1000000000000"])
+    def test_points_at_most_a_million(self, points, three_cfg, monkeypatch, capsys):
+        # 10**12 crashed in np.geomspace with numpy's _ArrayMemoryError (7.28 TiB)
+        reads = []
+        monkeypatch.setattr(cli, "read_phase_config", lambda path: reads.append(path))
+        assert main(["sweep", "--config", three_cfg, "--points", points]) == 1
+        assert capsys.readouterr().err == f"error: --points must be an integer in [1, 1000000], got {points}\n"
+        assert reads == []
+
+    @pytest.mark.parametrize("points", [-2, 0, 10**12])
     def test_replayed_points_at_least_one(self, points, three_cfg, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
         assert main(["sweep", "--config", three_cfg, "--points", "2", "--out", str(out)]) == 0
@@ -186,7 +217,7 @@ class TestSweepCommand:
         path = tmp_path / "edited.manifest.json"
         path.write_text(json.dumps(manifest))
         assert main(["replay", str(path)]) == 1
-        assert "--points must be an integer >= 1" in capsys.readouterr().err and not out.exists()
+        assert "--points must be an integer in [1, 1000000]" in capsys.readouterr().err and not out.exists()
 
     def test_rejects_two_phase_config(self, tmp_path, capsys):
         p = tmp_path / "two.cfg"
