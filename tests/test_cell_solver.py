@@ -486,6 +486,15 @@ class TestIrfftnInto:
         assert np.array_equal(out, expected)
 
 
+class TestHalfSpectrumDot:
+    @pytest.mark.parametrize("shape", [(8, 8), (6, 5), (4, 6, 2), (5, 1), (3, 4, 7)])
+    def test_is_the_real_space_dot_by_parseval(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        x, y = rng.standard_normal(shape), rng.standard_normal(shape)
+        value = _half_spectrum_dot(shape)(np.fft.rfftn(x), np.fft.rfftn(y))
+        assert value == pytest.approx(x.size * float(np.sum(x * y)), rel=1e-12, abs=1e-12 * x.size**2)
+
+
 class TestTransformBudget:
     @pytest.mark.parametrize("shape", [(64, 64), (16, 16, 16), (8, 8, 8, 8)])
     def test_solve_uses_2n_real_transforms_per_iteration(self, shape, fft_log):
