@@ -81,11 +81,12 @@ def test_output_matches_golden(name, workdir, monkeypatch):
 
 
 def test_record_writes_only_the_named_cases(tmp_path, monkeypatch):
+    committed = GOLDEN
     monkeypatch.setattr(sys.modules[__name__], "GOLDEN", tmp_path)
     record(["sweep_fullE", "bounds_default"])
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bounds_default.txt", "sweep_fullE.txt"]
     for p in tmp_path.iterdir():
-        assert p.read_bytes() == (Path(__file__).resolve().parent / "golden" / p.name).read_bytes()
+        assert p.read_bytes() == (committed / p.name).read_bytes()
     with pytest.raises(SystemExit, match="unknown golden case"):
         record(["bounds_default", "bounds_typo"])
     assert len(list(tmp_path.iterdir())) == 2
