@@ -131,11 +131,6 @@ def _zero_nyquist_and_mean(spec: np.ndarray, shape: tuple[int, ...]) -> None:
     spec[(0,) * len(shape)] = 0.0
 
 
-def _check_shift(S: float) -> None:
-    if not 0.0 < S < np.inf:
-        raise ValueError(f"S must be finite and positive, got {S}")
-
-
 def _scale_exponent(grid: VoxelGrid, S: float = 0.0) -> int:
     """e of the module's scale rule: 2^e is the least power of two above sup sigma + (n-1) S."""
     return math.frexp(grid.phase_set.sup_sigma + (grid.dimension - 1) * S)[1]
@@ -159,25 +154,35 @@ def _overflow_raises(make_error):
         raise make_error() from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EffectiveTensor:
-    """Effective tensor from the cell problem, with solve diagnostics."""
+    """Effective tensor from the cell problem, with solve diagnostics.
 
-    dimension: int
+    dimension and sigma_bar = tr A / n are read off the matrix.  Equality
+    and hashing go by identity.
+    """
+
     matrix: np.ndarray
-    sigma_bar: float
     iterations: tuple[int, ...]
     residuals: tuple[float, ...]
     flux_discrepancy: float
 
     def __post_init__(self):
         m = np.array(self.matrix, dtype=float)  # an owned copy: freezing it leaves the caller's array writable
-        if m.shape != (self.dimension, self.dimension):
-            raise ValueError(f"matrix shape {m.shape} does not match dimension {self.dimension}")
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise ValueError(f"matrix must be square, got shape {m.shape}")
         if not np.allclose(m, m.T, rtol=0.0, atol=1e-10 * max(1.0, float(np.abs(m).max()))):
             raise ValueError("effective tensor must be symmetric")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
+
+    @property
+    def dimension(self) -> int:
+        return self.matrix.shape[0]
+
+    @property
+    def sigma_bar(self) -> float:
+        return float(np.trace(self.matrix)) / self.dimension
 
     @property
     def eigenvalues(self) -> np.ndarray:
@@ -352,26 +357,21 @@ def solve_effective_tensor(grid: VoxelGrid) -> EffectiveTensor:
             for j in range(n):
                 flux[i, j] = float(np.mean(np.multiply(sigma, total_gradients[j][i], out=tmp)))
         matrix, flux = np.ldexp(matrix, e), np.ldexp(flux, e)
-        sigma_bar = float(np.trace(matrix)) / n
         return EffectiveTensor(
-            dimension=n,
             matrix=matrix,
-            sigma_bar=sigma_bar,
             iterations=tuple(iterations),
             residuals=tuple(residuals),
             flux_discrepancy=float(np.abs(matrix - flux).max()),
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class PotentialField:
     """Optimal-Laplacian potential and its derived fields on one grid.
 
-    theta and p_hat are built with the field.  Constructed directly, the
-    field keeps owned, read-only copies of them and raises ValueError unless
-    S is finite and positive, theta is a real array of the grid's shape and
-    p_hat a complex one of its half-spectrum shape; build_optimal_potential
-    hands over the arrays it has just made, frozen in place without a copy.
+    Only build_optimal_potential makes one, over the theta and p_hat it has
+    just built, frozen in place; calling the class raises TypeError.
+    Equality and hashing go by identity.
     I1, I2 and I2_positive_part are computed on first read, once: a caller
     that never reads them never pays for them.  The quadratures read the
     traceless Hessian entry by entry.  I1 is the quadrature of the
@@ -388,28 +388,8 @@ class PotentialField:
     theta: np.ndarray
     p_hat: np.ndarray
 
-    def __post_init__(self):
-        _check_shift(self.S)
-        shape = self.grid.shape
-        half = shape[:-1] + (shape[-1] // 2 + 1,)
-        for name, kinds, dtype, want in (("theta", "iuf", float, shape), ("p_hat", "c", complex, half)):
-            given = np.asarray(getattr(self, name))
-            if given.dtype.kind not in kinds or given.shape != want:
-                kind = "real" if dtype is float else "complex"
-                raise ValueError(f"{name} must be {kind} of shape {want}, got {given.dtype} of shape {given.shape}")
-            owned = np.array(given, dtype=dtype)  # a copy: freezing it leaves the caller's array writable
-            owned.setflags(write=False)
-            object.__setattr__(self, name, owned)
-
-    @classmethod
-    def _of_new_arrays(cls, grid: VoxelGrid, S: float, theta: np.ndarray, p_hat: np.ndarray) -> PotentialField:
-        """The field over arrays its caller has just built and holds no other reference to: frozen, not copied."""
-        field = object.__new__(cls)
-        for name, value in (("grid", grid), ("S", S), ("theta", theta), ("p_hat", p_hat)):
-            object.__setattr__(field, name, value)
-        theta.setflags(write=False)
-        p_hat.setflags(write=False)
-        return field
+    def __init__(self, *args, **kwargs):
+        raise TypeError("a PotentialField is made only by build_optimal_potential")
 
     @functools.cached_property
     def _quadratures(self) -> tuple[float, float, float, float]:
@@ -501,7 +481,8 @@ def build_optimal_potential(grid: VoxelGrid, S: float) -> PotentialField:
     sigma + (n-1) S overflows, or naming the conductivity range when a value
     overflows.
     """
-    _check_shift(S)
+    if not 0.0 < S < np.inf:
+        raise ValueError(f"S must be finite and positive, got {S}")
     L = shifted_harmonic_L(grid.phase_set, S)
     n, shape = grid.dimension, grid.shape
     e = _scale_exponent(grid, S)
@@ -520,7 +501,12 @@ def build_optimal_potential(grid: VoxelGrid, S: float) -> PotentialField:
         modes = p_hat.reshape(-1)[1:]
         np.divide(modes, k2.reshape(-1)[1:], out=modes)
         _zero_nyquist_and_mean(p_hat, shape)
-        return PotentialField._of_new_arrays(grid, float(S), theta, p_hat)
+    theta.setflags(write=False)
+    p_hat.setflags(write=False)
+    field = object.__new__(PotentialField)  # past the class's __init__, which refuses every caller
+    for name, value in (("grid", grid), ("S", float(S)), ("theta", theta), ("p_hat", p_hat)):
+        object.__setattr__(field, name, value)
+    return field
 
 
 def _i2_quadrature(sigma: np.ndarray, q: np.ndarray, n: int, S: float) -> tuple[float, float]:

@@ -177,8 +177,11 @@ def run_sweep(options: dict) -> int:
         raise ConfigError(f"sweep needs a 3-phase config, got {ps.num_phases} phases")
     cfg = _bound_cfg(options)
     lo, hi = options["mu3_min"], options["mu3_max"]
-    if not 0.0 < lo <= hi < 1.0:
-        raise ConfigError(f"--mu3-min and --mu3-max must satisfy 0 < mu3_min <= mu3_max < 1, got {lo!r} and {hi!r}")
+    if not sys.float_info.min <= lo <= hi < 1.0:  # a subnormal is not the value its flag names: 1e-320 is 9.99988867183e-321
+        raise ConfigError(
+            f"--mu3-min and --mu3-max must satisfy {sys.float_info.min!r} <= mu3_min <= mu3_max < 1,"
+            f" got {lo!r} and {hi!r}"
+        )
     s1, s2, s3 = ps.conductivities
     base = ps.fractions[0] + ps.fractions[1]
     m1, m2 = ps.fractions[0] / base, ps.fractions[1] / base

@@ -46,9 +46,9 @@ VERSION = 1
 _CORRELATION_LENGTH = 4.0  # of the smooth mode's noise filter, in voxels of axis 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VoxelGrid:
-    """Periodic piecewise-constant conductivity on a uniform voxel grid."""
+    """Periodic piecewise-constant conductivity on a uniform voxel grid; equality and hashing go by identity."""
 
     phase_index: np.ndarray
     phase_conductivities: tuple[float, ...]

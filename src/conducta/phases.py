@@ -183,6 +183,8 @@ def parse_phase_config(text: str) -> PhaseSet:
         key = key.strip()
         rest = rest.strip()
         if key == "dimension":
+            if dimension is not None:
+                raise ConfigError("'dimension' is given twice", line=lineno)
             try:
                 dimension = int(rest)
             except ValueError:

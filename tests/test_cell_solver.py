@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 import warnings
@@ -91,37 +92,29 @@ class TestSolverConfig:
     def test_tensor_owns_its_matrix(self):
         # the tensor kept the caller's float array and froze it
         m = np.eye(2)
-        tensor = EffectiveTensor(2, m, 1.0, (1, 1), (0.0, 0.0), 0.0)
+        tensor = EffectiveTensor(m, (1, 1), (0.0, 0.0), 0.0)
         m[0, 0] = 5.0  # the caller's array stays writable
         assert tensor.matrix[0, 0] == 1.0
 
-    def test_potential_owns_and_checks_its_arrays(self):
-        # the field froze the caller's own arrays, kept views of them, and took any theta
-        g = generate_random(TWO_14, (8, 8), seed=2)
-        built = build_optimal_potential(g, 2.0)
-        base, p_hat = built.theta.copy(), built.p_hat.copy()
-        pf = PotentialField(g, 2.0, base[:], p_hat)
-        assert base.flags.writeable and p_hat.flags.writeable
-        base += 1.0
-        p_hat[0, 1] = 7.0
-        assert np.array_equal(pf.theta, built.theta) and np.array_equal(pf.p_hat, built.p_hat)
-        assert pf.I1 == built.I1
-        bad = [
-            (np.zeros(3), built.p_hat),
-            (built.theta + 0j, built.p_hat),
-            (built.theta, built.p_hat.real),
-            (built.theta, np.zeros((8, 8), complex)),
+    def test_tensor_reads_dimension_and_sigma_bar_off_its_matrix(self):
+        # a tensor took sigma_bar 5.0 beside a matrix of trace / n 1.0, and a float dimension
+        tensor = EffectiveTensor(np.diag([1.0, 2.0, 6.0]), (1, 1, 1), (0.0, 0.0, 0.0), 0.0)
+        assert tensor.dimension == 3 and type(tensor.dimension) is int
+        assert tensor.sigma_bar == 3.0
+        assert [f.name for f in dataclasses.fields(EffectiveTensor)] == [
+            "matrix", "iterations", "residuals", "flux_discrepancy"
         ]
-        for theta, p_hat in bad:
-            with pytest.raises(ValueError, match="must be (real|complex) of shape"):
-                PotentialField(g, 2.0, theta, p_hat)
+
+    @pytest.mark.parametrize("matrix", [np.zeros((2, 3)), np.zeros(2), np.zeros((2, 2, 2))])
+    def test_tensor_rejects_a_matrix_that_is_not_square(self, matrix):
+        with pytest.raises(ValueError, match=re.escape(f"matrix must be square, got shape {matrix.shape}")):
+            EffectiveTensor(matrix, (1, 1), (0.0, 0.0), 0.0)
 
     @pytest.mark.parametrize("S", [-1.0, 0.0, math.nan, math.inf, -math.inf])
     def test_potential_rejects_a_shift_that_is_not_finite_and_positive(self, S):
         # NaN gave I1 = I2 = nan, and inf gave I1 = inf, I2 = -inf
-        built = build_optimal_potential(generate_random(TWO_14, (8, 8), seed=2), 2.0)
         with pytest.raises(ValueError, match=re.escape(f"S must be finite and positive, got {S}")):
-            PotentialField(built.grid, S, built.theta, built.p_hat)
+            build_optimal_potential(generate_random(TWO_14, (8, 8), seed=2), S)
 
     def test_potential_keeps_seven_public_attributes(self):
         pf = build_optimal_potential(generate_random(TWO_14, (8, 8), seed=2), 2.0)
@@ -130,22 +123,32 @@ class TestSolverConfig:
         constructive_value(pf)
         assert {name for name in vars(pf) if not name.startswith("_")} == {"grid", "S", "theta", "p_hat"}
 
-    def test_potential_is_built_over_its_own_arrays(self, monkeypatch):
-        # build_optimal_potential hands its fresh theta and p_hat over frozen, without the checked copies
-        checks = []
-        post_init = PotentialField.__post_init__
-        monkeypatch.setattr(PotentialField, "__post_init__", lambda pf: checks.append(pf) or post_init(pf))
-        g = generate_random(TWO_14, (8, 8), seed=2)
-        built = build_optimal_potential(g, 2.0)
-        assert checks == []
+    def test_potential_is_built_over_its_own_arrays(self):
+        # a field made directly took an S its theta and p_hat were not built at:
+        # on a 16^2 iid (1, 4) grid, S = 1 over the arrays of S = 4 gave I1 2.12449,
+        # neither H(1) = 1.97674 nor H(4) = 2.28993
+        g = generate_random(TWO_14, (16, 16), seed=0)
+        built = build_optimal_potential(g, 4.0)
+        for args in [(g, 1.0, built.theta, built.p_hat), ()]:
+            with pytest.raises(TypeError, match="made only by build_optimal_potential"):
+                PotentialField(*args)
         assert built.theta.flags.owndata and built.p_hat.flags.owndata
         assert not built.theta.flags.writeable and not built.p_hat.flags.writeable
-        direct = PotentialField(g, 2.0, built.theta, built.p_hat)
-        assert checks == [direct] and direct.theta is not built.theta and direct.p_hat is not built.p_hat
+        assert built.I1 == pytest.approx(2.28993, abs=5e-6)
+        assert build_optimal_potential(g, 1.0).I1 == pytest.approx(1.97674, abs=5e-6)
 
     def test_tensor_symmetry_enforced(self):
         with pytest.raises(ValueError, match="symmetric"):
-            EffectiveTensor(2, np.array([[1.0, 0.5], [0.0, 1.0]]), 1.0, (1, 1), (0.0, 0.0), 0.0)
+            EffectiveTensor(np.array([[1.0, 0.5], [0.0, 1.0]]), (1, 1), (0.0, 0.0), 0.0)
+
+    @pytest.mark.parametrize("build", [solve_effective_tensor, lambda g: build_optimal_potential(g, 2.0)],
+                             ids=["EffectiveTensor", "PotentialField"])
+    def test_records_compare_and_hash_by_identity(self, build):
+        # == raised "truth value of an array is ambiguous", and hash raised "unhashable type"
+        g = generate_random(TWO_14, (8, 8), seed=2)
+        a, b = build(g), build(g)
+        assert a == a and a != b
+        assert hash(a) == hash(a) and len({a, a, b}) == 2
 
 
 class TestWavenumbers:

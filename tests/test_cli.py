@@ -219,6 +219,17 @@ class TestSweepCommand:
         assert main(["replay", str(path)]) == 1
         assert "--points must be an integer in [1, 1000000]" in capsys.readouterr().err and not out.exists()
 
+    def test_replayed_subnormal_mu3_min_is_refused(self, three_cfg, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--config", three_cfg, "--points", "2", "--out", str(out)]) == 0
+        manifest = json.loads((tmp_path / "sweep.csv.manifest.json").read_text())
+        manifest["options"]["mu3_min"] = 1e-320
+        out.unlink()
+        path = tmp_path / "edited.manifest.json"
+        path.write_text(json.dumps(manifest))
+        assert main(["replay", str(path)]) == 1
+        assert "--mu3-min and --mu3-max must satisfy" in capsys.readouterr().err and not out.exists()
+
     def test_rejects_two_phase_config(self, tmp_path, capsys):
         p = tmp_path / "two.cfg"
         p.write_text("dimension = 2\nphase = 1 0.5\nphase = 4 0.5\n")
@@ -938,6 +949,8 @@ class TestNonFiniteInputs:
             ["--mu3-min=-1e-3"],
             ["--mu3-min", "nan"],
             ["--mu3-min", "0.2", "--mu3-max", "0.1"],
+            # a subnormal: it printed its own value 9.99988867183e-321 and exited 0
+            ["--mu3-min", "1e-320"],
         ],
     )
     def test_sweep_needs_finite_mu3_range_in_unit_interval(self, flags, three_cfg, capsys):

@@ -88,6 +88,13 @@ class TestVoxelGrid:
         # a cache that outlived the grid would hand an equal grid the same object
         assert VoxelGrid(g.phase_index, g.phase_conductivities).phase_set is not g.phase_set
 
+    def test_grids_compare_and_hash_by_identity(self):
+        # == raised "truth value of an array is ambiguous", and hash raised "unhashable type"
+        g = generate_random(THREE, (16, 16), seed=3)
+        twin = VoxelGrid(g.phase_index, g.phase_conductivities)
+        assert g == g and g != twin
+        assert hash(g) == hash(g) and len({g, g, twin}) == 2
+
     def test_phase_set_cannot_be_assigned(self):
         g = generate_random(THREE, (16, 16), seed=3)
         with pytest.raises(dataclasses.FrozenInstanceError):

@@ -258,6 +258,11 @@ phase = 5.0 0.2
         with pytest.raises(ConfigError, match="line 2"):
             parse_phase_config("dimension = 2\nphase = a b\n")
 
+    def test_second_dimension_reports_line(self):
+        # the last dimension line won: this ran bounds in 2D and exited 0
+        with pytest.raises(ConfigError, match="line 2: 'dimension' is given twice"):
+            parse_phase_config("dimension = 3\ndimension = 2\nphase = 1.0 1.0\n")
+
     def test_missing_dimension(self):
         with pytest.raises(ConfigError, match="dimension"):
             parse_phase_config("phase = 1.0 1.0\n")
