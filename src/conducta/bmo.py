@@ -140,7 +140,9 @@ def john_nirenberg_fit(field, bmo: float, spatial_ndim: int | None = None) -> Jo
     The superlevel measure is sampled at 48 geometric levels up to max|f|,
     b is fitted by log-linear regression on the decaying region (measure <=
     1/2), and B is then the smallest prefactor making the inequality hold at
-    every sampled level, so max_violation <= 0 by construction.  The levels
+    every sampled level, so max_violation <= 0 by construction.  With fewer
+    than two levels in the decaying region, or no decay among them, b falls
+    back to ||f||_BMO / max|f - mean f|.  The levels
     are fixed fractions of max|f|, so b, B and max_violation do not depend on
     the field's scale; only a field whose norm is 0 is rejected.
     """
@@ -157,12 +159,9 @@ def john_nirenberg_fit(field, bmo: float, spatial_ndim: int | None = None) -> Jo
 
     positive = measure > 0.0
     decaying = positive & (measure <= 0.5)
-    if int(decaying.sum()) >= 2:
-        slope = np.polyfit(levels[decaying], np.log(measure[decaying]), 1)[0]
-        b = -float(slope) * bmo
-    else:
-        b = bmo / s_max
-    if b <= 0.0:
+    slope = np.polyfit(levels[decaying], np.log(measure[decaying]), 1)[0] if int(decaying.sum()) >= 2 else 0.0
+    b = -float(slope) * bmo
+    if b <= 0.0:  # fewer than two decaying levels, or no decay among them
         b = bmo / s_max
 
     log_b_term = b * levels[positive] / bmo

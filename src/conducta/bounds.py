@@ -20,12 +20,11 @@ which is how the three-phase specialization at S = sigma_2 is usually written.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .phases import PhaseSet, oscillation_closed_form, shifted_harmonic_L, tail_integral
 
 __all__ = [
-    "BOUND_NAMES",
     "BoundConfig",
     "BoundReport",
     "trivial_upper",
@@ -33,13 +32,6 @@ __all__ = [
     "theorem1_upper",
     "optimize_S",
 ]
-
-BOUND_NAMES = (
-    "trivial",
-    "hashin_shtrikman",
-    "theorem1",
-    "theorem1_simplified",
-)
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _S_SEARCH_POINTS = 64  # grid points of optimize_S's scan of (0, sup sigma]
@@ -63,9 +55,16 @@ class BoundConfig:
             raise ValueError(f"C must be finite and positive, got {self.C}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class BoundReport:
-    """One evaluated bound; value = H_term + E_term whenever both are present."""
+    """One evaluated bound, with the terms it was computed from.
+
+    Only trivial_upper, hs_upper and theorem1_upper (which optimize_S
+    returns) make one; calling the class raises TypeError.  bound_name is
+    trivial, hashin_shtrikman, theorem1 or theorem1_simplified; a term the
+    bound has no use for is None, and where H_term and E_term are both set,
+    E_term >= 0 and value = H_term + E_term exactly.
+    """
 
     bound_name: str
     value: float
@@ -75,20 +74,22 @@ class BoundReport:
     L_value: float | None = None
     C_used: float | None = None
 
-    def __post_init__(self):
-        if self.bound_name not in BOUND_NAMES:
-            raise ValueError(f"unknown bound name {self.bound_name!r}")
-        if self.E_term is not None and self.E_term < 0.0:
-            raise ValueError(f"E term must be nonnegative, got {self.E_term}")
-        if self.H_term is not None and self.E_term is not None:
-            if abs(self.value - (self.H_term + self.E_term)) > 1e-12 * max(1.0, abs(self.value)):
-                raise ValueError("value must equal H_term + E_term")
+    def __init__(self, *args, **kwargs):
+        raise TypeError("a BoundReport is made only by trivial_upper, hs_upper and theorem1_upper")
+
+
+def _report(**values) -> BoundReport:
+    """A BoundReport of ``values``, past the class's __init__, which refuses every caller; a field not given is None."""
+    report = object.__new__(BoundReport)
+    for f in fields(BoundReport):
+        object.__setattr__(report, f.name, values.get(f.name))
+    return report
 
 
 def trivial_upper(ps: PhaseSet) -> BoundReport:
     """Arithmetic mean of sigma: the bound from the zero test field."""
     value = math.fsum(m * s for s, m in zip(ps.conductivities, ps.fractions))
-    return BoundReport("trivial", value)
+    return _report(bound_name="trivial", value=value)
 
 
 def hs_upper(ps: PhaseSet) -> BoundReport:
@@ -99,7 +100,7 @@ def hs_upper(ps: PhaseSet) -> BoundReport:
     """
     S = ps.sup_sigma
     H, E, L = _theorem1_terms(ps, S, BoundConfig())
-    return BoundReport("hashin_shtrikman", H + E, S_used=S, H_term=H, E_term=E, L_value=L)
+    return _report(bound_name="hashin_shtrikman", value=H + E, S_used=S, H_term=H, E_term=E, L_value=L)
 
 
 def _theorem1_terms(ps: PhaseSet, S: float, cfg: BoundConfig) -> tuple[float, float, float]:
@@ -128,7 +129,7 @@ def theorem1_upper(ps: PhaseSet, S: float, cfg: BoundConfig | None = None) -> Bo
     cfg = cfg or BoundConfig()
     H, E, L = _theorem1_terms(ps, S, cfg)
     name = "theorem1_simplified" if cfg.use_simplified_E else "theorem1"
-    return BoundReport(name, H + E, S_used=S, H_term=H, E_term=E, L_value=L, C_used=cfg.C)
+    return _report(bound_name=name, value=H + E, S_used=S, H_term=H, E_term=E, L_value=L, C_used=cfg.C)
 
 
 def optimize_S(ps: PhaseSet, cfg: BoundConfig | None = None) -> BoundReport:
@@ -139,36 +140,33 @@ def optimize_S(ps: PhaseSet, cfg: BoundConfig | None = None) -> BoundReport:
     S is scanned on a grid of _S_SEARCH_POINTS (64) that includes every
     sigma_i (the tail integral has kinks there), then the bracket around the
     best grid point is refined by golden section down to _S_TOLERANCE (1e-6).
-    Ties are resolved toward the larger S.
+    "Best" is one rule, for the grid point and for the result among every S
+    evaluated: the least value, ties resolved toward the larger S.
     """
     cfg = cfg or BoundConfig()
     sup = ps.sup_sigma
+    evaluated: list[tuple[float, float]] = []  # every (S, H + E) computed, in order
 
     def value(S: float) -> float:
         H, E, _ = _theorem1_terms(ps, S, cfg)
+        evaluated.append((S, H + E))
         return H + E
+
+    def best_S() -> float:
+        return min(evaluated, key=lambda pair: (pair[1], -pair[0]))[0]
 
     points = sorted(
         {sup * (k / _S_SEARCH_POINTS) for k in range(1, _S_SEARCH_POINTS + 1)}
         | set(ps.conductivities)
     )
-    values = [value(S) for S in points]
-    best_v = min(values)
-    i = max(idx for idx, v in enumerate(values) if v == best_v)
-    best_S = points[i]
-
-    def consider(S: float, v: float):
-        nonlocal best_S, best_v
-        if v < best_v or (v == best_v and S > best_S):
-            best_S, best_v = S, v
-
+    for S in points:
+        value(S)
+    i = points.index(best_S())
     lo = points[i - 1] if i > 0 else points[0] / 2.0
     hi = points[i + 1] if i + 1 < len(points) else sup
     x1 = hi - _GOLDEN * (hi - lo)
     x2 = lo + _GOLDEN * (hi - lo)
     f1, f2 = value(x1), value(x2)
-    consider(x1, f1)
-    consider(x2, f2)
     for _ in range(200):
         if hi - lo <= _S_TOLERANCE:
             break
@@ -176,11 +174,9 @@ def optimize_S(ps: PhaseSet, cfg: BoundConfig | None = None) -> BoundReport:
             lo, x1, f1 = x1, x2, f2
             x2 = lo + _GOLDEN * (hi - lo)
             f2 = value(x2)
-            consider(x2, f2)
         else:
             hi, x2, f2 = x2, x1, f1
             x1 = hi - _GOLDEN * (hi - lo)
             f1 = value(x1)
-            consider(x1, f1)
-    return theorem1_upper(ps, best_S, cfg)
+    return theorem1_upper(ps, best_S(), cfg)
 

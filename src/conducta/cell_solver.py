@@ -154,10 +154,21 @@ def _overflow_raises(make_error):
         raise make_error() from None
 
 
-@dataclass(frozen=True, eq=False)
+def _record(cls, **fields):
+    """A ``cls`` holding ``fields``, made past the class's __init__, which refuses every caller."""
+    record = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(record, name, value)
+    return record
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class EffectiveTensor:
     """Effective tensor from the cell problem, with solve diagnostics.
 
+    Only solve_effective_tensor makes one, over the read-only, exactly
+    symmetric matrix it has just assembled, with one iteration count and one
+    residual per direction; calling the class raises TypeError.
     dimension and sigma_bar = tr A / n are read off the matrix.  Equality
     and hashing go by identity.
     """
@@ -167,14 +178,8 @@ class EffectiveTensor:
     residuals: tuple[float, ...]
     flux_discrepancy: float
 
-    def __post_init__(self):
-        m = np.array(self.matrix, dtype=float)  # an owned copy: freezing it leaves the caller's array writable
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"matrix must be square, got shape {m.shape}")
-        if not np.allclose(m, m.T, rtol=0.0, atol=1e-10 * max(1.0, float(np.abs(m).max()))):
-            raise ValueError("effective tensor must be symmetric")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+    def __init__(self, *args, **kwargs):
+        raise TypeError("an EffectiveTensor is made only by solve_effective_tensor")
 
     @property
     def dimension(self) -> int:
@@ -357,12 +362,9 @@ def solve_effective_tensor(grid: VoxelGrid) -> EffectiveTensor:
             for j in range(n):
                 flux[i, j] = float(np.mean(np.multiply(sigma, total_gradients[j][i], out=tmp)))
         matrix, flux = np.ldexp(matrix, e), np.ldexp(flux, e)
-        return EffectiveTensor(
-            matrix=matrix,
-            iterations=tuple(iterations),
-            residuals=tuple(residuals),
-            flux_discrepancy=float(np.abs(matrix - flux).max()),
-        )
+        matrix.setflags(write=False)
+        return _record(EffectiveTensor, matrix=matrix, iterations=tuple(iterations), residuals=tuple(residuals),
+                       flux_discrepancy=float(np.abs(matrix - flux).max()))
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -503,10 +505,7 @@ def build_optimal_potential(grid: VoxelGrid, S: float) -> PotentialField:
         _zero_nyquist_and_mean(p_hat, shape)
     theta.setflags(write=False)
     p_hat.setflags(write=False)
-    field = object.__new__(PotentialField)  # past the class's __init__, which refuses every caller
-    for name, value in (("grid", grid), ("S", float(S)), ("theta", theta), ("p_hat", p_hat)):
-        object.__setattr__(field, name, value)
-    return field
+    return _record(PotentialField, grid=grid, S=float(S), theta=theta, p_hat=p_hat)
 
 
 def _i2_quadrature(sigma: np.ndarray, q: np.ndarray, n: int, S: float) -> tuple[float, float]:

@@ -474,11 +474,15 @@ def run_replay(options: dict) -> int:
         if type(value) is not type(fixed) or value != fixed:  # 1 is not true, nor 64.0 the int 64
             raise ConfigError(f"manifest records the removed option {key}={value!r}; only {fixed!r} replays")
     actions = build_parser()._option_actions[command]
-    missing = sorted(actions.keys() - recorded.keys())
+    unknown = sorted(recorded.keys() - actions.keys() - _RETIRED_OPTIONS.keys())
+    if unknown:
+        raise ConfigError(f"{command} manifest records unknown option(s) {', '.join(unknown)}")
+    # every option the runner reads must be recorded; the hidden --workers, which it does not read, may be absent
+    missing = sorted(key for key, a in actions.items() if key not in recorded and a.help != argparse.SUPPRESS)
     if missing:
         raise ConfigError(f"{command} manifest lacks option(s) {', '.join(missing)}")
     for key, action in sorted(actions.items()):
-        if key not in _CORPUS_KINDS and not _fits(action, recorded[key]):
+        if key in recorded and key not in _CORPUS_KINDS and not _fits(action, recorded[key]):
             raise ConfigError(f"manifest records {key}={recorded[key]!r}, a value {action.option_strings[0]} cannot take")
     return _RUNNERS[command](_checked_corpus(command, recorded))
 
@@ -559,9 +563,10 @@ def build_parser() -> _Parser:
     p = sub.add_parser("replay", help="re-run a saved manifest")
     p.add_argument("manifest")
 
-    # the options each command's runner reads, so replay can name a missing or ill-typed one
+    # every option of each command, the hidden --workers included, so replay can name an unknown,
+    # missing or ill-typed one
     parser._option_actions = {
-        name: {a.dest: a for a in cmd._actions if a.dest != "help" and a.help != argparse.SUPPRESS}
+        name: {a.dest: a for a in cmd._actions if a.dest != "help"}
         for name, cmd in sub.choices.items()
     }
     return parser

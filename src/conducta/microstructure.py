@@ -116,15 +116,8 @@ def generate_laminate(ps: PhaseSet, axis: int, shape: tuple[int, ...]) -> VoxelG
         raise ValueError(f"axis {axis} out of range for shape {shape}")
     n_axis = shape[axis]
     widths = [round(m * n_axis) for m in ps.fractions]
-    for w, m in zip(widths, ps.fractions):
-        if w < 1 or abs(w - m * n_axis) > 0.5 + 1e-9:
-            raise ValueError(
-                f"fractions {ps.fractions} not representable on {n_axis} voxels along axis {axis}"
-            )
-    if sum(widths) != n_axis:
-        raise ValueError(
-            f"fractions {ps.fractions} not representable on {n_axis} voxels along axis {axis}"
-        )
+    if sum(widths) != n_axis or any(w < 1 or abs(w - m * n_axis) > 0.5 + 1e-9 for w, m in zip(widths, ps.fractions)):
+        raise ValueError(f"fractions {ps.fractions} not representable on {n_axis} voxels along axis {axis}")
     profile = np.repeat(np.arange(len(widths), dtype=np.uint8), widths)
     expand = [np.newaxis] * len(shape)
     expand[axis] = slice(None)

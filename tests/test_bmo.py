@@ -161,6 +161,12 @@ class TestJohnNirenberg:
         # any b works as long as B >= exp(b * s / norm) over the support
         assert fit.B >= math.exp(fit.b * 0.999 / est) * (1 - 1e-9)
 
+    def test_fit_without_a_decaying_level_falls_back_to_norm_over_max(self):
+        # |f - mean f| is 1 everywhere, so no sampled level has 0 < measure <= 1/2
+        f = sign_field()
+        est = bmo_norm(f)
+        assert john_nirenberg_fit(f, est).b == est / float(np.abs(f - f.mean()).max())
+
     def test_traceless_hessian_has_exponential_tail(self):
         g = generate_random(TWO_14, (64, 64), seed=1)
         pf = build_optimal_potential(g, 2.5)

@@ -1,10 +1,12 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conducta import bounds
 from conducta.bounds import (
     BoundConfig,
     BoundReport,
@@ -15,7 +17,7 @@ from conducta.bounds import (
 )
 from conducta.phases import PhaseSet, oscillation_closed_form, shifted_harmonic_L, tail_integral
 
-from conftest import phase_sets
+from conftest import phase_sets, random_phase_set
 
 THREE = PhaseSet.from_pairs((1.0, 2.0, 5.0), (0.4, 0.4, 0.2), 3)
 TWO_14 = PhaseSet.from_pairs((1.0, 4.0), (0.5, 0.5), 2)
@@ -37,13 +39,25 @@ class TestConfigAndReport:
                 BoundConfig(C=C)
 
     def test_report_validation(self):
-        with pytest.raises(ValueError, match="name"):
-            BoundReport("nope", 1.0)
-        with pytest.raises(ValueError, match="E term"):
-            BoundReport("theorem1", 1.0, H_term=2.0, E_term=-1.0)
-        with pytest.raises(ValueError, match="H_term"):
-            BoundReport("theorem1", 1.0, H_term=2.0, E_term=3.0)
-        BoundReport("theorem1", 5.0, H_term=2.0, E_term=3.0)
+        # BoundReport("theorem1", 5.0, H_term=2.0, E_term=3.0) was accepted: a theorem-1 report with no S, L or C
+        for args, kwargs in [(("theorem1", 5.0), {"H_term": 2.0, "E_term": 3.0}), (("trivial", 1.0), {}), ((), {})]:
+            with pytest.raises(TypeError, match="made only by trivial_upper, hs_upper and theorem1_upper"):
+                BoundReport(*args, **kwargs)
+        rng = np.random.default_rng(29)
+        for k in range(1, 6):
+            for n in range(2, 6):
+                ps = random_phase_set(rng, k, n)
+                S = float(rng.uniform(0.1, 1.2)) * ps.sup_sigma
+                for cfg in (BoundConfig(C=0.3), BoundConfig(C=0.3, use_simplified_E=False)):
+                    trivial, hs = trivial_upper(ps), hs_upper(ps)
+                    at_S, best = theorem1_upper(ps, S, cfg), optimize_S(ps, cfg)
+                    for r in (trivial, hs, at_S, best):
+                        assert r.bound_name in ("trivial", "hashin_shtrikman", "theorem1", "theorem1_simplified")
+                        if r.H_term is not None and r.E_term is not None:
+                            assert r.E_term >= 0.0 and r.value == r.H_term + r.E_term
+                    name = "theorem1_simplified" if cfg.use_simplified_E else "theorem1"
+                    assert at_S.bound_name == best.bound_name == name and at_S.C_used == best.C_used == 0.3
+                    assert trivial.S_used is None and hs.C_used is None
 
 
 class TestTrivial:
@@ -219,6 +233,34 @@ class TestOptimizeS:
         r = optimize_S(ps, BoundConfig(C=1.0))
         assert r.S_used == ps.sup_sigma
         assert r.value == pytest.approx(hs_upper(ps).value, rel=1e-15)
+
+    @pytest.mark.parametrize(
+        "ps,C",
+        [
+            (PhaseSet.from_pairs((3.0,), (1.0,), 3), 1.0),  # every value H = 3 up to round-off
+            (PhaseSet.from_pairs((3.0,), (1.0,), 2), 1.0),
+            (THREE, 1.0),
+            (THREE, 0.05),
+            (TWO_14, 0.3),
+            (PhaseSet.from_pairs((1.0, 2.0, 5.0), (0.499, 0.499, 0.002), 3), 0.1),  # an interior optimum
+        ],
+    )
+    def test_result_is_the_best_evaluated_S(self, ps, C, monkeypatch):
+        # one rule picks the result among every evaluated S: the least value, ties toward the larger S
+        calls = []
+        terms = bounds._theorem1_terms
+
+        def spy(ps, S, cfg):
+            H, E, L = terms(ps, S, cfg)
+            calls.append((S, H + E))
+            return H, E, L
+
+        monkeypatch.setattr(bounds, "_theorem1_terms", spy)
+        r = optimize_S(ps, BoundConfig(C=C))
+        *evaluated, final = calls  # the last call is theorem1_upper's, at the S chosen
+        least = min(v for _, v in evaluated)
+        assert r.S_used == final[0] == max(S for S, v in evaluated if v == least)
+        assert r.value == least
 
     @given(phase_sets(max_phases=4), st.floats(0.1, 3.0))
     def test_never_above_probed_values(self, ps, C):

@@ -36,6 +36,7 @@ from conducta.spectral import half_wavenumbers, irfftn_into, shared_wavenumbers
 from conftest import hessian_and_laplacian, peak_traced_bytes, random_phase_set
 
 TWO_14 = PhaseSet.from_pairs((1.0, 4.0), (0.5, 0.5), 2)
+THREE_3D = PhaseSet.from_pairs((1.0, 2.0, 5.0), (0.4, 0.4, 0.2), 3)
 
 
 def homogeneous(c=3.0, shape=(8, 8)):
@@ -90,25 +91,23 @@ class TestSolverConfig:
                 arr[(0,) * arr.ndim] = 1
 
     def test_tensor_owns_its_matrix(self):
-        # the tensor kept the caller's float array and froze it
-        m = np.eye(2)
-        tensor = EffectiveTensor(m, (1, 1), (0.0, 0.0), 0.0)
-        m[0, 0] = 5.0  # the caller's array stays writable
-        assert tensor.matrix[0, 0] == 1.0
+        matrix = solve_effective_tensor(generate_random(TWO_14, (8, 8), seed=2)).matrix
+        assert matrix.flags.owndata and not matrix.flags.writeable
 
     def test_tensor_reads_dimension_and_sigma_bar_off_its_matrix(self):
         # a tensor took sigma_bar 5.0 beside a matrix of trace / n 1.0, and a float dimension
-        tensor = EffectiveTensor(np.diag([1.0, 2.0, 6.0]), (1, 1, 1), (0.0, 0.0, 0.0), 0.0)
+        tensor = solve_effective_tensor(generate_random(THREE_3D, (8, 8, 8), seed=3))
         assert tensor.dimension == 3 and type(tensor.dimension) is int
-        assert tensor.sigma_bar == 3.0
+        assert tensor.sigma_bar == float(np.trace(tensor.matrix)) / 3
         assert [f.name for f in dataclasses.fields(EffectiveTensor)] == [
             "matrix", "iterations", "residuals", "flux_discrepancy"
         ]
 
-    @pytest.mark.parametrize("matrix", [np.zeros((2, 3)), np.zeros(2), np.zeros((2, 2, 2))])
-    def test_tensor_rejects_a_matrix_that_is_not_square(self, matrix):
-        with pytest.raises(ValueError, match=re.escape(f"matrix must be square, got shape {matrix.shape}")):
-            EffectiveTensor(matrix, (1, 1), (0.0, 0.0), 0.0)
+    def test_tensor_is_made_only_by_the_solve(self):
+        # a tensor made directly took 1 iteration and 3 residuals beside a 2 x 2 matrix
+        for args in [(np.eye(2), (1,), (0.0, 0.0, 0.0), 0.0), ()]:
+            with pytest.raises(TypeError, match="made only by solve_effective_tensor"):
+                EffectiveTensor(*args)
 
     @pytest.mark.parametrize("S", [-1.0, 0.0, math.nan, math.inf, -math.inf])
     def test_potential_rejects_a_shift_that_is_not_finite_and_positive(self, S):
@@ -137,9 +136,20 @@ class TestSolverConfig:
         assert built.I1 == pytest.approx(2.28993, abs=5e-6)
         assert build_optimal_potential(g, 1.0).I1 == pytest.approx(1.97674, abs=5e-6)
 
-    def test_tensor_symmetry_enforced(self):
-        with pytest.raises(ValueError, match="symmetric"):
-            EffectiveTensor(np.array([[1.0, 0.5], [0.0, 1.0]]), (1, 1), (0.0, 0.0), 0.0)
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            generate_laminate(PhaseSet.from_pairs((1.0, 2.0, 5.0), (0.5, 0.25, 0.25), 3), 1, (4, 8, 4)),
+            generate_random(THREE_3D, (8, 8, 8), seed=3),
+        ],
+        ids=["laminate", "iid"],
+    )
+    def test_tensor_symmetry_enforced(self, grid):
+        # the solve assigns each entry to [i, j] and [j, i], so A is symmetric exactly, with one
+        # iteration count and one residual per direction
+        tensor = solve_effective_tensor(grid)
+        assert np.array_equal(tensor.matrix, tensor.matrix.T)
+        assert len(tensor.iterations) == len(tensor.residuals) == 3
 
     @pytest.mark.parametrize("build", [solve_effective_tensor, lambda g: build_optimal_potential(g, 2.0)],
                              ids=["EffectiveTensor", "PotentialField"])

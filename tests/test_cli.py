@@ -876,6 +876,7 @@ class TestReplayManifests:
             ("verify", "full_E", 0),
             ("verify", "mode", "grid"),
             ("verify", "mode", None),
+            ("verify", "workers", "many"),
             ("bmo", "S", None),
             ("bmo", "grid", 5),
             ("bmo", "mode", 1),
@@ -900,6 +901,31 @@ class TestReplayManifests:
         out, manifest = bounds_manifest
         first = out.read_bytes()
         manifest["options"].update(C=1, S="opt")
+        assert self.replay(tmp_path, manifest) == 0
+        assert out.read_bytes() == first
+
+    @pytest.mark.parametrize(
+        "extra,named",
+        [({"full-E": True}, "full-E"), ({"seeds": 7}, "seeds"), ({"full-E": True, "seeds": 7}, "full-E, seeds")],
+    )
+    def test_unknown_key_exit_one(self, extra, named, bounds_manifest, tmp_path, capsys):
+        # a typo of full_E and a key no option has replayed with exit 0, without the full E and without a word
+        out, manifest = bounds_manifest
+        manifest["options"].update(extra)
+        out.unlink()
+        capsys.readouterr()
+        assert self.replay(tmp_path, manifest) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: bounds manifest records unknown option(s) {named}\n"
+        assert captured.out == "" and not out.exists()
+
+    def test_fresh_verify_manifest_with_workers_replays(self, tmp_path):
+        out = tmp_path / "v.csv"
+        assert main(["verify", "--count", "1", "--shape", "8", "--workers", "3", "--out", str(out)]) == 0
+        first = out.read_bytes()
+        manifest = json.loads((tmp_path / "v.csv.manifest.json").read_text())
+        assert manifest["options"]["workers"] == 3
+        out.unlink()
         assert self.replay(tmp_path, manifest) == 0
         assert out.read_bytes() == first
 
