@@ -15,10 +15,34 @@ cube, cubes) reshape: the 2^(k n) cube means form one short row, broadcast
 down the voxels of every cube, and a level with few cubes repeats its row
 of means to a few thousand entries, so that the subtract, the abs and the
 sum each run over long contiguous rows.  A level's cube sums are the sums of
-its cubes' 2^n children, built up from the finest level.  The copy and its
-one scratch buffer each hold one component.  bmo_norm is the only statistic
-that computes a norm: john_nirenberg_fit and lemma1_ratio take the float it
-returns.
+its cubes' 2^n children, built up from the finest level.
+
+Only the levels that can hold the maximum are measured.  For a cube of s
+voxels with mean m, Cauchy-Schwarz gives mean|z - m| <= sqrt(mean z^2 - m^2).
+With S1 the cube sums of z and S2 those of (z / 2^e)^2, where 2^e is the
+least power of two above max|z| (at least 2^-1021, so that 2^-e is a
+float; no square overflows), a level's bound is
+
+    2^e sqrt(max over its cubes of (s S2 - (S1 / 2^e)^2) + slack) / s.
+
+The slack 4 s eps s max S2 covers the round-off of the sums, squares and
+products in any order of summation, and s^2 2^-1070 the underflow of the
+squares.  The bound is then multiplied by (1 + 4 s eps), which covers the
+round-off of the measurement itself, and the smallest normal float is
+added, which covers results that are subnormal.  The levels are measured
+in descending bound, and a component ends at the first level whose bound
+is below best, the largest value measured so far over all components.
+Where a cube sum could overflow (2 N max|z| is not finite, N the voxels of
+the grid), every bound is infinite, so every level is measured.  So the
+result is the all-levels value bit for bit.  A component whose mean or
+max|z| is not finite is rejected before any bound is formed.  A measured
+level rebuilds its cube sums through the same chain, so they are the same
+bits as the bound's.  The copy and one scratch buffer of its size hold one
+component: the scratch holds the scaled squares, then the bound's
+temporaries, then each measured level's deviations.  bmo_norm is the only
+statistic that computes a norm: john_nirenberg_fit and lemma1_ratio take
+the float it returns, and both reject a field with a NaN or inf, or whose
+centering or squares overflow.
 
 Matrix-valued fields are handled component-wise: each component is centered
 and measured on its own, and the norm is the maximum over components.  The
@@ -31,6 +55,8 @@ absorbs the component count.
 from __future__ import annotations
 
 import math
+import sys
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +68,7 @@ __all__ = [
     "lemma1_ratio",
 ]
 
+_EPS = sys.float_info.epsilon
 _ROW = 4096  # bmo_norm tiles the means of a level with fewer cubes to rows of about this length
 
 # the 48 geometric levels, as fractions of max|f|, at which john_nirenberg_fit samples the tail
@@ -94,14 +121,64 @@ def _dyadic_order(comp: np.ndarray, depth: int) -> np.ndarray:
     return comp.reshape(split).transpose([0, *remainders, *bits])
 
 
+def _cube_sums(values: np.ndarray, cube_counts: list[int]) -> Iterator[np.ndarray]:
+    """Cube sums of ``values``, in dyadic order, for each of ``cube_counts``, finest first.
+
+    Each level adds up its cubes' 2^n children, so every caller that walks
+    the chain to a level gets the same bits.
+    """
+    for cubes in cube_counts:
+        values = values.reshape(-1, cubes).sum(axis=0)
+        yield values
+
+
+def _level_bound(sums: np.ndarray, squares: np.ndarray, e: int, scratch: np.ndarray) -> float:
+    """Upper bound on the largest mean oscillation that measuring one level can return.
+
+    ``sums`` and ``squares`` are the level's cube sums of z and of
+    (z / 2^e)^2, and ``scratch``, one component's size, takes the
+    temporaries.  The Cauchy-Schwarz bound, its slack and its factor for the
+    measurement's round-off are those of the module docstring.  No cube sum
+    may have overflowed.
+    """
+    cubes = sums.size
+    size = scratch.size // cubes
+    spread, mean_sq = scratch[:cubes], scratch[cubes : 2 * cubes]
+    np.multiply(sums, math.ldexp(1.0, -e), out=mean_sq)
+    np.square(mean_sq, out=mean_sq)
+    np.multiply(squares, size, out=spread)
+    np.subtract(spread, mean_sq, out=spread)
+    slack = 4 * size * _EPS * size * float(squares.max()) + size * size * 2.0**-1070
+    root = math.sqrt(float(spread.max()) + slack) / size
+    return math.ldexp(root, e) * (1.0 + 4 * size * _EPS) + sys.float_info.min
+
+
+def _level_oscillation(flat: np.ndarray, cube_counts: list[int], scratch: np.ndarray) -> float:
+    """Largest mean absolute deviation from the cube mean over the cubes of the last of ``cube_counts``."""
+    for sums in _cube_sums(flat, cube_counts):  # the chain the bound walked, so the same bits
+        pass
+    cubes = sums.size
+    size = flat.size // cubes
+    # rows of ``tile`` copies of the cube means, so that each pass runs over long rows
+    tile = math.gcd(size, max(1, _ROW // cubes))
+    deviation = scratch.reshape(-1, tile * cubes)
+    np.subtract(flat.reshape(deviation.shape), np.tile(sums / size, tile), out=deviation)
+    np.abs(deviation, out=deviation)
+    spread = deviation.sum(axis=0).reshape(tile, cubes).sum(axis=0)
+    return float(spread.max()) / size
+
+
 def bmo_norm(field, spatial_ndim: int | None = None) -> float:
     """Max over dyadic cubes of side 2^-k, k = 0..depth, of the mean absolute
     deviation from the cube mean, where depth = log2 of the smallest grid axis.
 
     2^depth must divide every axis, so that each dyadic cube is a whole block
-    of voxels.  Each component is centered into one copy in dyadic order (see
-    the module docstring); each level then reduces contiguous rows, reusing
-    one scratch buffer of the copy's size.
+    of voxels.  Each component is centered into one copy in dyadic order;
+    each level gets a rigorous upper bound from its cube sums, and only the
+    levels whose bound can still beat the running maximum are measured (see
+    the module docstring), so the result is the all-levels value bit for
+    bit.  A component whose mean or max|f - mean f| is not finite raises
+    ValueError.
     """
     comp, spatial = _as_components(field, spatial_ndim)
     depth = min(spatial).bit_length() - 1
@@ -114,23 +191,34 @@ def bmo_norm(field, spatial_ndim: int | None = None) -> float:
     z = np.empty(view.shape[1:])  # C order in dyadic axes; a ufunc's own output would keep the grid's order
     flat = z.reshape(-1)
     scratch = np.empty(flat.size)
+    # cubes per level, finest first; single-voxel cubes have zero oscillation and are left out
+    counts = [cubes for k in range(depth, -1, -1) if (cubes := 1 << (k * dim)) < flat.size]
     best = 0.0
     for c in range(m):
-        np.subtract(view[c], comp[c].mean(), out=z)
-        sums = flat  # the cube sums of the current level, finest first
-        for k in range(depth, -1, -1):
-            cubes = 1 << (k * dim)
-            sums = sums.reshape(-1, cubes).sum(axis=0) if sums.size > cubes else sums
-            size = flat.size // cubes
-            if size == 1:  # single-voxel cubes have zero oscillation
-                continue
-            # rows of ``tile`` copies of the cube means, so that each pass runs over long rows
-            tile = math.gcd(size, max(1, _ROW // cubes))
-            deviation = scratch.reshape(-1, tile * cubes)
-            np.subtract(flat.reshape(deviation.shape), np.tile(sums / size, tile), out=deviation)
-            np.abs(deviation, out=deviation)
-            spread = deviation.sum(axis=0).reshape(tile, cubes).sum(axis=0)
-            best = max(best, float(spread.max()) / size)
+        mean = float(comp[c].mean())
+        if not math.isfinite(mean):
+            raise ValueError(f"component {c} of the field has the non-finite mean {mean}: "
+                             "it holds a NaN or inf, or its sum overflows")
+        np.subtract(view[c], mean, out=z)
+        top = float(max(flat.max(), -flat.min()))
+        if not math.isfinite(top):
+            raise ValueError(f"component {c} of the field minus its mean is non-finite: the subtraction overflows")
+        # 2^e is the least power of two above max|z|, at least 2^-1021 so that 2^-e is a float
+        e = max(math.frexp(top)[1], -1021)
+        if 2.0 * flat.size * top < math.inf:  # no cube sum can overflow
+            np.multiply(flat, math.ldexp(1.0, -e), out=scratch)
+            np.square(scratch, out=scratch)
+            bounds = [
+                _level_bound(sums, squares, e, scratch)
+                for sums, squares in zip(_cube_sums(flat, counts), _cube_sums(scratch, counts))
+            ]
+        else:
+            bounds = [math.inf] * len(counts)
+        # measure in descending bound, until no bound can beat the maximum
+        for bound, i in sorted(zip(bounds, range(len(counts))), reverse=True):
+            if bound < best:
+                break
+            best = max(best, _level_oscillation(flat, counts[: i + 1], scratch))
     return best
 
 
@@ -144,13 +232,16 @@ def john_nirenberg_fit(field, bmo: float, spatial_ndim: int | None = None) -> Jo
     than two levels in the decaying region, or no decay among them, b falls
     back to ||f||_BMO / max|f - mean f|.  The levels
     are fixed fractions of max|f|, so b, B and max_violation do not depend on
-    the field's scale; only a field whose norm is 0 is rejected.
+    the field's scale; only a field whose norm is 0 is rejected, and one
+    holding a NaN or inf, whose max|f - mean f| is not finite.
     """
     comp, _ = _as_components(field, spatial_ndim)
     values = _centered(comp).ravel()  # a fresh copy: made absolute and sorted in place
     np.abs(values, out=values)
     values.sort()
-    s_max = float(values[-1])
+    s_max = float(values[-1])  # NaN sorts last
+    if not math.isfinite(s_max):
+        raise ValueError(f"max |f - mean f| is the non-finite {s_max}: f holds a NaN or inf, or f - mean f overflows")
     if bmo <= 0.0 or s_max == 0.0:
         raise ValueError("degenerate field: BMO norm 0, no tail to fit")
     total = values.size
@@ -185,7 +276,9 @@ def lemma1_ratio(field, labels, bmo: float, spatial_ndim: int | None = None) -> 
     labels share a level, and a larger label is a higher level; a label that
     no voxel carries adds no set.  Every superlevel set is a union of level
     sets, so the masses and measures of all of them are suffix sums of one
-    per-label bincount.  Float labels raise ValueError naming the dtype.
+    per-label bincount.  Float labels raise ValueError naming the dtype, and
+    negative ones naming their minimum; a field holding a NaN or inf raises
+    ValueError when its total quadratic mass is not finite.
     """
     comp, spatial = _as_components(field, spatial_ndim)
     labels = np.asarray(labels)
@@ -193,6 +286,8 @@ def lemma1_ratio(field, labels, bmo: float, spatial_ndim: int | None = None) -> 
         raise ValueError(f"labels shape {labels.shape} does not match field grid {spatial}")
     if labels.dtype.kind not in "iu":
         raise ValueError(f"labels must be an integer array, got dtype {labels.dtype}")
+    if labels.dtype.kind == "i" and (lowest := int(labels.min())) < 0:
+        raise ValueError(f"labels must be nonnegative, got minimum {lowest}")
     if bmo <= 0.0:
         raise ValueError("field has zero BMO norm")
     comp = _centered(comp)
@@ -203,5 +298,8 @@ def lemma1_ratio(field, labels, bmo: float, spatial_ndim: int | None = None) -> 
     # entry j: the voxels labelled j or above; j = 0 is the whole cube, and a
     # label no voxel carries repeats the next entry, so it changes no maximum
     mass = np.cumsum(np.bincount(labels, weights=energy)[::-1])[::-1] / labels.size
+    if not math.isfinite(mass[0]):  # the whole cube's mass
+        raise ValueError(f"the quadratic mass of the field is the non-finite {mass[0]}: "
+                         "it holds a NaN or inf, or its squares overflow")
     measure = np.cumsum(np.bincount(labels)[::-1])[::-1] / labels.size
     return float((mass / (bmo**2 * (1.0 - np.log(measure)) ** 2 * measure)).max())

@@ -404,11 +404,15 @@ def _bmo_one(grid: VoxelGrid, label: str, s: float | None) -> tuple[str, float]:
     osc = float(pf.theta.max() - pf.theta.min())
     osc_closed = oscillation_closed_form(emp, s)
     # 2D: the row [a, b] of [[a, b], [b, -a]] gives the full stack's norm and fit
-    # and half its Frobenius mass 2 (a^2 + b^2); n >= 3: all n^2 components
+    # and half its Frobenius mass 2 (a^2 + b^2); n >= 3: all n^2 components, the
+    # norm a max over the upper triangle's rows T_ii..T_in, since T_ji = T_ij
     two_d = grid.dimension == 2
     field, mass_factor = traceless_hessian(pf, first_row=two_d), (2.0 if two_d else 1.0)
     del pf  # theta and p_hat are not read again
-    est = bmo_norm(field, spatial_ndim=grid.dimension)
+    if two_d:
+        est = bmo_norm(field, spatial_ndim=2)
+    else:
+        est = max(bmo_norm(field[i, i:], spatial_ndim=grid.dimension) for i in range(grid.dimension))
     # a homogeneous grid, or a theta with only Nyquist content, which p drops
     if est == 0.0:
         return f"{label:<14}{'degenerate':>12}" + f"{'-':>20}" * 6 + f"{_g(osc):>20}{_g(osc_closed):>20}", 0.0

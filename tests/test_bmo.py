@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from conducta import bmo, cli
 from conducta.bmo import bmo_norm, john_nirenberg_fit, lemma1_ratio
 from conducta.cell_solver import build_optimal_potential, traceless_hessian
 from conducta.microstructure import VoxelGrid, generate_random
@@ -95,6 +96,101 @@ class TestBmoNormOracle:
     def test_reference_matches_brute_force(self):
         f = np.random.default_rng(3).standard_normal((2, 8, 16))
         assert per_level_bmo(f) == pytest.approx(brute_force_bmo(f), rel=1e-12)
+
+
+def every_level_norm(f, spatial_ndim):
+    """bmo_norm with every level's bound infinite, so that every level is measured."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bmo, "_level_bound", lambda *args: math.inf)
+        return bmo_norm(f, spatial_ndim=spatial_ndim)
+
+
+class TestLevelBounds:
+    """bmo_norm measures only the levels whose bound can beat the running maximum."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from(ORACLE_SHAPES + [(64, 64), (16, 16, 16)]),
+        st.sampled_from([1, 2, 9]),
+        st.sampled_from(["normal", "ties", "sign"]),
+        st.integers(-1000, 1000),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_equals_the_every_level_norm_bit_for_bit(self, shape, m, kind, k, seed):
+        rng = np.random.default_rng(seed)
+        if kind == "sign":  # the maximum is the whole cube's
+            f = np.stack([(j + 1) * sign_field(shape) for j in range(m)])
+        elif kind == "ties":  # few distinct values, so cube means and deviations tie
+            f = np.round(2.0 * rng.standard_normal((m,) + shape))
+        else:
+            f = rng.standard_normal((m,) + shape)
+        f = np.ldexp(f, k)
+        assert bmo_norm(f, spatial_ndim=len(shape)) == every_level_norm(f, len(shape))
+
+    @pytest.mark.parametrize("kind", ["cube_sum_overflows", "huge"])
+    def test_every_level_measured_where_a_cube_sum_could_overflow(self, kind):
+        if kind == "cube_sum_overflows":  # mean 0, but one 2 x 2 cube sums to inf
+            f = np.zeros((16, 16))
+            f[0:2, 0:2], f[0:2, 8:10] = 1e308, -1e308
+        else:  # 2 N max|f - mean f| overflows, though no cube sum does
+            f = np.ldexp(np.random.default_rng(1).standard_normal((16, 16)), 1015)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert bmo_norm(f) == every_level_norm(f, None)
+            assert (bmo_norm(f) == math.inf) == (kind == "cube_sum_overflows")
+
+    def test_bmo_2d_row_measures_at_most_two_levels(self, monkeypatch):
+        # a row of the bmo-2d benchmark (--dim 2 --shape 256 --num-phases 3, first corpus seed 1000000):
+        # the maximum sits at the 2 x 2 cubes, and every other level's bound is below it
+        args = vars(cli.build_parser().parse_args(["bmo", "--dim", "2", "--shape", "256", "--num-phases", "3"]))
+        options = cli._checked_corpus("bmo", {key: value for key, value in args.items() if key != "command"})
+        g = cli._corpus_grid(1_000_000, options)
+        ps = g.phase_set
+        field = traceless_hessian(build_optimal_potential(g, 0.5 * (ps.inf_sigma + ps.sup_sigma)), first_row=True)
+        measured = []
+        oscillation = bmo._level_oscillation
+
+        def spy(flat, cube_counts, scratch):
+            measured.append(cube_counts[-1])
+            return oscillation(flat, cube_counts, scratch)
+
+        monkeypatch.setattr(bmo, "_level_oscillation", spy)
+        est = bmo_norm(field, spatial_ndim=2)
+        assert 1 <= len(measured) <= 2  # of 2 components x 8 levels
+        monkeypatch.undo()
+        assert est == every_level_norm(field, 2)
+
+
+class TestNonFiniteFields:
+    """A NaN or inf is rejected by a ValueError, from numbers each statistic computes anyway."""
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejected_by_all_three_statistics(self, bad):
+        f = np.random.default_rng(0).standard_normal((16, 16))
+        f[3, 4] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            bmo_norm(f)
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
+            john_nirenberg_fit(f, 1.0)
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
+            lemma1_ratio(f, level_labels(np.ones((16, 16))), 1.0)
+
+    def test_overflowing_centering_rejected(self):
+        # every value is finite and so is the mean, but 1.7e308 - mean f overflows
+        f = np.array([[1.7e308, -1.7e308], [-1.7e308, -0.05e308]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            for statistic in (
+                lambda: bmo_norm(f),
+                lambda: john_nirenberg_fit(f, 1.0),
+                lambda: lemma1_ratio(f, np.zeros((2, 2), np.uint8), 1.0),
+            ):
+                with pytest.raises(ValueError, match="non-finite"):
+                    statistic()
+
+    def test_second_component_rejected(self):
+        f = np.random.default_rng(0).standard_normal((2, 16, 16))
+        f[1, 5, 5] = math.inf
+        with pytest.raises(ValueError, match=r"component 1 .*non-finite"):
+            bmo_norm(f, spatial_ndim=2)
 
 
 class TestBmoNorm:
@@ -257,6 +353,14 @@ class TestLemma1Ratio:
         got = lemma1_ratio(f, level_labels(levels), est, spatial_ndim=spatial_ndim)
         assert got == pytest.approx(brute_force_lemma1(f, levels, est), rel=1e-12)
 
+    @pytest.mark.parametrize("dtype", [np.int8, np.int64])
+    def test_negative_labels_rejected(self, dtype):
+        f = sign_field()
+        labels = np.zeros((32, 32), dtype)
+        labels[7, 9] = -3
+        with pytest.raises(ValueError, match="labels must be nonnegative, got minimum -3"):
+            lemma1_ratio(f, labels, bmo_norm(f))
+
     def test_float_labels_rejected(self):
         f = sign_field()
         with pytest.raises(ValueError, match="integer array, got dtype float64"):
@@ -358,7 +462,7 @@ class TestDistinctTraceless:
         assert np.allclose(full[0, 0], h[0, 0] - lap / 2, rtol=0.0, atol=1e-12)
 
     def test_3d_keeps_the_full_stack(self):
-        # in 3D every one of the nine components reaches the statistics
+        # in 3D all nine components reach john_nirenberg_fit and lemma1_ratio
         ps = PhaseSet.from_pairs((1.0, 4.0), (0.5, 0.5), 3)
         pf = build_optimal_potential(generate_random(ps, (8, 8, 8), seed=3), 2.0)
         full = traceless_hessian(pf)

@@ -1157,9 +1157,12 @@ class TestBmoCommand:
         assert main(["bmo", "--count", "3", "--shape", "8", "--S", "2.5"]) == 0
         assert events == ["draw", "row"] * 3
 
-    @pytest.mark.parametrize("dim, components", [(2, 2), (3, 9), (4, 16)])
+    @pytest.mark.parametrize("dim, components", [(2, 2), (3, 6), (4, 10)])
     def test_norm_sees_distinct_components(self, dim, components, monkeypatch, capsys):
-        # in 2D the traceless Hessian [[a, b], [b, -a]] reaches the statistics as the pair [a, b]
+        # in 2D the traceless Hessian [[a, b], [b, -a]] reaches the norm as the pair [a, b];
+        # n >= 3: as the rows T_ii..T_in of its upper triangle, one call each
+        rows = [(2,)] if dim == 2 else [(dim - i,) for i in range(dim)]
+        assert sum(math.prod(shape) for shape in rows) == components
         stacks = []
         norm = cli.bmo_norm
 
@@ -1169,7 +1172,24 @@ class TestBmoCommand:
 
         monkeypatch.setattr(cli, "bmo_norm", spy)
         assert main(["bmo", "--dim", str(dim), "--count", "2", "--shape", "8"]) == 0
-        assert [math.prod(shape) for shape in stacks] == [components] * 2
+        assert stacks == rows * 2
+
+    @pytest.mark.parametrize("mode", ["iid", "smooth"])
+    def test_3d_norm_over_the_upper_triangle_is_the_full_stack_norm(self, mode, monkeypatch, capsys):
+        # T_ji = T_ij, so the max over the rows T_ii..T_in is the nine-component norm, bit for bit
+        seen = []
+        fit = cli.john_nirenberg_fit
+
+        def spy(field, bmo, spatial_ndim=None):
+            seen.append((bmo, cli.bmo_norm(field, spatial_ndim=spatial_ndim), field.shape[:2]))
+            return fit(field, bmo, spatial_ndim)
+
+        monkeypatch.setattr(cli, "john_nirenberg_fit", spy)
+        argv = ["bmo", "--dim", "3", "--shape", "16", "--num-phases", "3", "--count", "3", "--mode", mode]
+        assert main(argv) == 0
+        assert len(seen) == 3
+        for est, full, components in seen:
+            assert components == (3, 3) and est == full > 0.0
 
     @pytest.mark.parametrize("shape, fields", [((256, 256), 8.0), ((32, 32, 32), 30.5)])
     def test_row_peak_memory(self, shape, fields):
