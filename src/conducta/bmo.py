@@ -41,8 +41,8 @@ bits as the bound's.  The copy and one scratch buffer of its size hold one
 component: the scratch holds the scaled squares, then the bound's
 temporaries, then each measured level's deviations.  bmo_norm is the only
 statistic that computes a norm: john_nirenberg_fit and lemma1_ratio take
-the float it returns, and both reject a field with a NaN or inf, or whose
-centering or squares overflow.
+the float it returns, and both reject a field holding a NaN or inf, or
+whose centering overflows (lemma1_ratio also one whose squares overflow).
 
 Matrix-valued fields are handled component-wise: each component is centered
 and measured on its own, and the norm is the maximum over components.  The
