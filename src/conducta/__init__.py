@@ -3,14 +3,14 @@
 Closed-form upper bounds (trivial, Hashin-Shtrikman, and a distribution-tail
 refinement with a free shift parameter), a spectral cell-problem solver to
 validate them on voxel microstructures, the constructive test-field pipeline
-behind the refined bound, and dyadic BMO / John-Nirenberg analysis of the
+behind the refined bound, and the dyadic BMO norm and Lemma-1 ratio of the
 potential fields.
 
 The package root exports the documented API; helpers and the intermediate
 terms of the bounds stay importable from their submodules.
 """
 
-from .bmo import bmo_norm, john_nirenberg_fit, lemma1_ratio
+from .bmo import bmo_norm, lemma1_ratio
 from .bounds import (
     BoundConfig,
     BoundReport,
@@ -57,7 +57,6 @@ __all__ = [
     "generate_laminate",
     "generate_random",
     "hs_upper",
-    "john_nirenberg_fit",
     "lemma1_ratio",
     "load_grid",
     "optimize_S",

@@ -1,4 +1,4 @@
-"""Dyadic BMO norms, John-Nirenberg tail fits, and empirical lemma constants.
+"""Dyadic BMO norms and empirical Lemma-1 constants.
 
 The BMO norm here is the L1 mean oscillation taken over dyadic cubes only
 (all cubes of side 2^-k, k = 0..depth, with depth = log2 of the smallest
@@ -40,9 +40,10 @@ level rebuilds its cube sums through the same chain, so they are the same
 bits as the bound's.  The copy and one scratch buffer of its size hold one
 component: the scratch holds the scaled squares, then the bound's
 temporaries, then each measured level's deviations.  bmo_norm is the only
-statistic that computes a norm: john_nirenberg_fit and lemma1_ratio take
-the float it returns, and both reject a field holding a NaN or inf, or
-whose centering overflows (lemma1_ratio also one whose squares overflow).
+statistic that computes a norm: lemma1_ratio takes the float it returns.
+Both reject a field holding a NaN or inf from its per-component means,
+before any centering, and one whose centering overflows (lemma1_ratio also
+one whose squares overflow).
 
 Matrix-valued fields are handled component-wise: each component is centered
 and measured on its own, and the norm is the maximum over components.  The
@@ -50,6 +51,10 @@ quadratic mass used by lemma1_ratio is the sum of squares over the components
 passed; on a full stack that is the Frobenius square, matching how the
 traceless Hessian enters the tail-bound pipeline, so the empirical constant
 absorbs the component count.
+
+No John-Nirenberg tail constants are fitted: the bound's constant C comes
+from the Lemma-1 ratio alone, and a fitted b and B did not converge under
+voxel splitting, because max|f| / ||f||_BMO grows with the resolution.
 """
 
 from __future__ import annotations
@@ -57,31 +62,16 @@ from __future__ import annotations
 import math
 import sys
 from collections.abc import Iterator
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "JohnNirenbergFit",
     "bmo_norm",
-    "john_nirenberg_fit",
     "lemma1_ratio",
 ]
 
 _EPS = sys.float_info.epsilon
 _ROW = 4096  # bmo_norm tiles the means of a level with fewer cubes to rows of about this length
-
-# the 48 geometric levels, as fractions of max|f|, at which john_nirenberg_fit samples the tail
-_LEVEL_FRACTIONS = np.geomspace(1e-3, 1.0 - 1e-9, 48)
-
-
-@dataclass(frozen=True)
-class JohnNirenbergFit:
-    """Fitted tail constants: |{|f| > s}| <= B exp(-b s / ||f||_BMO)."""
-
-    b: float
-    B: float
-    max_violation: float
 
 
 def _as_components(field, spatial_ndim: int | None) -> tuple[np.ndarray, tuple[int, ...]]:
@@ -97,9 +87,18 @@ def _as_components(field, spatial_ndim: int | None) -> tuple[np.ndarray, tuple[i
     return comp, spatial
 
 
-def _centered(comp: np.ndarray) -> np.ndarray:
-    axes = tuple(range(1, comp.ndim))
-    return comp - comp.mean(axis=axes, keepdims=True)
+def _finite_means(comp: np.ndarray) -> np.ndarray:
+    """Per-component means of the (m, *spatial) stack, shaped to broadcast over it.
+
+    A component whose mean is not finite raises ValueError, before any
+    centering can compute inf - inf.
+    """
+    means = comp.mean(axis=tuple(range(1, comp.ndim)), keepdims=True)
+    for c, mean in enumerate(means.ravel().tolist()):
+        if not math.isfinite(mean):
+            raise ValueError(f"component {c} of the field has the non-finite mean {mean}: "
+                             "it holds a NaN or inf, or its sum overflows")
+    return means
 
 
 def _dyadic_order(comp: np.ndarray, depth: int) -> np.ndarray:
@@ -193,13 +192,10 @@ def bmo_norm(field, spatial_ndim: int | None = None) -> float:
     scratch = np.empty(flat.size)
     # cubes per level, finest first; single-voxel cubes have zero oscillation and are left out
     counts = [cubes for k in range(depth, -1, -1) if (cubes := 1 << (k * dim)) < flat.size]
+    means = _finite_means(comp).ravel().tolist()
     best = 0.0
     for c in range(m):
-        mean = float(comp[c].mean())
-        if not math.isfinite(mean):
-            raise ValueError(f"component {c} of the field has the non-finite mean {mean}: "
-                             "it holds a NaN or inf, or its sum overflows")
-        np.subtract(view[c], mean, out=z)
+        np.subtract(view[c], means[c], out=z)
         top = float(max(flat.max(), -flat.min()))
         if not math.isfinite(top):
             raise ValueError(f"component {c} of the field minus its mean is non-finite: the subtraction overflows")
@@ -222,48 +218,6 @@ def bmo_norm(field, spatial_ndim: int | None = None) -> float:
     return best
 
 
-def john_nirenberg_fit(field, bmo: float, spatial_ndim: int | None = None) -> JohnNirenbergFit:
-    """Fit exponential tail constants to the distribution of |f|.
-
-    The superlevel measure is sampled at 48 geometric levels up to max|f|,
-    b is fitted by log-linear regression on the decaying region (measure <=
-    1/2), and B is then the smallest prefactor making the inequality hold at
-    every sampled level, so max_violation <= 0 by construction.  With fewer
-    than two levels in the decaying region, or no decay among them, b falls
-    back to ||f||_BMO / max|f - mean f|.  The levels
-    are fixed fractions of max|f|, so b, B and max_violation do not depend on
-    the field's scale; only a field whose norm is 0 is rejected, and one
-    holding a NaN or inf, whose max|f - mean f| is not finite.
-    """
-    comp, _ = _as_components(field, spatial_ndim)
-    values = _centered(comp).ravel()  # a fresh copy: made absolute and sorted in place
-    np.abs(values, out=values)
-    values.sort()
-    s_max = float(values[-1])  # NaN sorts last
-    if not math.isfinite(s_max):
-        raise ValueError(f"max |f - mean f| is the non-finite {s_max}: f holds a NaN or inf, or f - mean f overflows")
-    if bmo <= 0.0 or s_max == 0.0:
-        raise ValueError("degenerate field: BMO norm 0, no tail to fit")
-    total = values.size
-    levels = s_max * _LEVEL_FRACTIONS
-    measure = (total - np.searchsorted(values, levels, side="right")) / total
-
-    positive = measure > 0.0
-    decaying = positive & (measure <= 0.5)
-    slope = np.polyfit(levels[decaying], np.log(measure[decaying]), 1)[0] if int(decaying.sum()) >= 2 else 0.0
-    b = -float(slope) * bmo
-    if b <= 0.0:  # fewer than two decaying levels, or no decay among them
-        b = bmo / s_max
-
-    log_b_term = b * levels[positive] / bmo
-    log_B = float((np.log(measure[positive]) + log_b_term).max())
-    B = math.exp(log_B) * (1.0 + 1e-12)
-    violation = float(
-        (np.log(measure[positive]) - math.log(B) + log_b_term).max()
-    )
-    return JohnNirenbergFit(b=b, B=B, max_violation=violation)
-
-
 def lemma1_ratio(field, labels, bmo: float, spatial_ndim: int | None = None) -> float:
     """Largest ratio of the quadratic mass of f on A to ||f||^2 (1 - log|A|)^2 |A|
     over the superlevel sets A = {labels > t} of an integer label field, the
@@ -277,8 +231,10 @@ def lemma1_ratio(field, labels, bmo: float, spatial_ndim: int | None = None) -> 
     no voxel carries adds no set.  Every superlevel set is a union of level
     sets, so the masses and measures of all of them are suffix sums of one
     per-label bincount.  Float labels raise ValueError naming the dtype, and
-    negative ones naming their minimum; a field holding a NaN or inf raises
-    ValueError when its total quadratic mass is not finite.
+    negative ones naming their minimum.  A field holding a NaN or inf raises
+    ValueError from its per-component means, before it is centered, and one
+    whose centering or squares overflow when its total quadratic mass is not
+    finite.
     """
     comp, spatial = _as_components(field, spatial_ndim)
     labels = np.asarray(labels)
@@ -290,7 +246,7 @@ def lemma1_ratio(field, labels, bmo: float, spatial_ndim: int | None = None) -> 
         raise ValueError(f"labels must be nonnegative, got minimum {lowest}")
     if bmo <= 0.0:
         raise ValueError("field has zero BMO norm")
-    comp = _centered(comp)
+    comp = comp - _finite_means(comp)
     np.square(comp, out=comp)  # comp is a fresh copy
     energy = comp.sum(axis=0).ravel()
     del comp  # freed before bincount widens the labels to intp
@@ -300,6 +256,6 @@ def lemma1_ratio(field, labels, bmo: float, spatial_ndim: int | None = None) -> 
     mass = np.cumsum(np.bincount(labels, weights=energy)[::-1])[::-1] / labels.size
     if not math.isfinite(mass[0]):  # the whole cube's mass
         raise ValueError(f"the quadratic mass of the field is the non-finite {mass[0]}: "
-                         "it holds a NaN or inf, or its squares overflow")
+                         "its centering or its squares overflow")
     measure = np.cumsum(np.bincount(labels)[::-1])[::-1] / labels.size
     return float((mass / (bmo**2 * (1.0 - np.log(measure)) ** 2 * measure)).max())

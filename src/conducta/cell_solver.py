@@ -493,7 +493,7 @@ def build_optimal_potential(grid: VoxelGrid, S: float) -> PotentialField:
     table = [c if c in carried else grid.phase_set.sup_sigma for c in grid.phase_conductivities]
     sigma = np.ldexp(table, -e)
     with _potential_overflow_raises(grid, S):
-        theta = (n * math.ldexp(L, -e) / (sigma + (n - 1) * math.ldexp(S, -e)) - n)[grid.phase_index]
+        theta = np.take(n * math.ldexp(L, -e) / (sigma + (n - 1) * math.ldexp(S, -e)) - n, grid.phase_index)
         # p_hat = -theta_hat / k2 off the Nyquist planes and the mean, formed in theta_hat's buffer;
         # every mode but the mean (flat index 0, where k2 is 0) is divided through flat views, which
         # write into p_hat as rfftn returns it C-contiguous; the mean is zeroed below

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bmo import bmo_norm, john_nirenberg_fit, lemma1_ratio
+from .bmo import bmo_norm, lemma1_ratio
 from .bounds import (
     BoundConfig,
     BoundReport,
@@ -403,7 +403,7 @@ def _bmo_one(grid: VoxelGrid, label: str, s: float | None) -> tuple[str, float]:
     pf = build_optimal_potential(grid, s)
     osc = float(pf.theta.max() - pf.theta.min())
     osc_closed = oscillation_closed_form(emp, s)
-    # 2D: the row [a, b] of [[a, b], [b, -a]] gives the full stack's norm and fit
+    # 2D: the row [a, b] of [[a, b], [b, -a]] gives the full stack's norm
     # and half its Frobenius mass 2 (a^2 + b^2); n >= 3: all n^2 components, the
     # norm a max over the upper triangle's rows T_ii..T_in, since T_ji = T_ij
     two_d = grid.dimension == 2
@@ -416,16 +416,15 @@ def _bmo_one(grid: VoxelGrid, label: str, s: float | None) -> tuple[str, float]:
     # a homogeneous grid, or a theta with only Nyquist content, which p drops
     if est == 0.0:
         return f"{label:<14}{'degenerate':>12}" + f"{'-':>20}" * 6 + f"{_g(osc):>20}{_g(osc_closed):>20}", 0.0
-    fit = john_nirenberg_fit(field, est, spatial_ndim=grid.dimension)
     # level labels from a uint8 rank table of the k <= 255 conductivities, gathered by phase_index:
     # equal conductivities share a rank, ordered as the conductivities, one byte a voxel
     ranks = np.unique(grid.phase_conductivities, return_inverse=True)[1].astype(np.uint8)
-    labels = ranks[grid.phase_index]
+    labels = np.take(ranks, grid.phase_index)
     max_ratio = mass_factor * lemma1_ratio(field, labels, est, spatial_ndim=grid.dimension)
+    # b, B and max_violation are not computed (no John-Nirenberg fit): their columns print "-"
     row = (
-        f"{label:<14}{'ok':>12}{_g(est):>20}{_g(fit.b):>20}{_g(fit.B):>20}"
-        f"{_g(fit.max_violation):>20}{_g(max_ratio):>20}{_g(est / osc):>20}"
-        f"{_g(osc):>20}{_g(osc_closed):>20}"
+        f"{label:<14}{'ok':>12}{_g(est):>20}" + f"{'-':>20}" * 3
+        + f"{_g(max_ratio):>20}{_g(est / osc):>20}{_g(osc):>20}{_g(osc_closed):>20}"
     )
     return row, max_ratio
 
@@ -558,7 +557,7 @@ def build_parser() -> _Parser:
     _add_bound_flags(p)
     p.add_argument("--out")
 
-    p = sub.add_parser("bmo", help="BMO / tail-fit report for a grid or a seeded corpus")
+    p = sub.add_parser("bmo", help="BMO / Lemma-1 report")
     p.add_argument("--grid")
     p.add_argument("--S", default="mid", help="shift parameter: a number, or 'mid'")
     _add_corpus_flags(p, count=6)

@@ -90,7 +90,7 @@ class VoxelGrid:
         return self.phase_index.size
 
     def conductivity_field(self) -> np.ndarray:
-        return np.asarray(self.phase_conductivities, dtype=float)[self.phase_index]
+        return np.take(np.asarray(self.phase_conductivities, dtype=float), self.phase_index)
 
     @functools.cached_property
     def phase_set(self) -> PhaseSet:

@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from conducta.bmo import bmo_norm, john_nirenberg_fit, lemma1_ratio
+from conducta.bmo import bmo_norm, lemma1_ratio
 from conducta.bounds import BoundConfig, hs_upper, theorem1_upper, trivial_upper
 from conducta.cell_solver import (
     build_optimal_potential,
@@ -211,9 +211,6 @@ def test_criterion_8_bmo_lemma_constants():
             )
             field = traceless_hessian(pf)
             est = bmo_norm(field, spatial_ndim=2)
-            fit = john_nirenberg_fit(field, est, spatial_ndim=2)
-            assert fit.b > 0.0
-            assert fit.max_violation <= 0.0
             # the largest ratio over the superlevel sets {sigma > t} and the whole cube
             ratios.append(lemma1_ratio(field, level_labels(grid.conductivity_field()), bmo=est, spatial_ndim=2))
             checked += 1
@@ -224,7 +221,7 @@ def test_criterion_8_bmo_lemma_constants():
     _ok(
         8,
         f"{len(ratios)} lemma1 ratios on {checked} fields below empirical C = {empirical_C:.6f}; "
-        f"all fits b > 0 with max_violation <= 0; osc theta dev {osc_worst:.2e}",
+        f"osc theta dev {osc_worst:.2e}",
     )
 
 

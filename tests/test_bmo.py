@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conducta import bmo, cli
-from conducta.bmo import bmo_norm, john_nirenberg_fit, lemma1_ratio
+from conducta.bmo import bmo_norm, lemma1_ratio
 from conducta.cell_solver import build_optimal_potential, traceless_hessian
 from conducta.microstructure import VoxelGrid, generate_random
 from conducta.phases import PhaseSet
@@ -164,14 +164,13 @@ class TestNonFiniteFields:
     """A NaN or inf is rejected by a ValueError, from numbers each statistic computes anyway."""
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    def test_rejected_by_all_three_statistics(self, bad):
+    def test_rejected_by_both_statistics(self, bad):
+        # from the means, before any centering: inf - inf warned ahead of the ValueError
         f = np.random.default_rng(0).standard_normal((16, 16))
         f[3, 4] = bad
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(ValueError, match="component 0 .*non-finite mean"):
             bmo_norm(f)
-        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
-            john_nirenberg_fit(f, 1.0)
-        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(ValueError, match="component 0 .*non-finite mean"):
             lemma1_ratio(f, level_labels(np.ones((16, 16))), 1.0)
 
     def test_overflowing_centering_rejected(self):
@@ -180,7 +179,6 @@ class TestNonFiniteFields:
         with np.errstate(over="ignore", invalid="ignore"):
             for statistic in (
                 lambda: bmo_norm(f),
-                lambda: john_nirenberg_fit(f, 1.0),
                 lambda: lemma1_ratio(f, np.zeros((2, 2), np.uint8), 1.0),
             ):
                 with pytest.raises(ValueError, match="non-finite"):
@@ -191,6 +189,8 @@ class TestNonFiniteFields:
         f[1, 5, 5] = math.inf
         with pytest.raises(ValueError, match=r"component 1 .*non-finite"):
             bmo_norm(f, spatial_ndim=2)
+        with pytest.raises(ValueError, match=r"component 1 .*non-finite"):
+            lemma1_ratio(f, level_labels(np.ones((16, 16))), 1.0, spatial_ndim=2)
 
 
 class TestBmoNorm:
@@ -246,70 +246,6 @@ class TestBmoNorm:
         assert est == pytest.approx(3.0 * bmo_norm(f), rel=1e-13)
 
 
-class TestJohnNirenberg:
-    def test_two_valued_field_finite_fit(self):
-        f = sign_field()
-        est = bmo_norm(f)
-        fit = john_nirenberg_fit(f, est)
-        assert fit.b > 0.0
-        assert np.isfinite(fit.B)
-        assert fit.max_violation <= 0.0
-        # any b works as long as B >= exp(b * s / norm) over the support
-        assert fit.B >= math.exp(fit.b * 0.999 / est) * (1 - 1e-9)
-
-    def test_fit_without_a_decaying_level_falls_back_to_norm_over_max(self):
-        # |f - mean f| is 1 everywhere, so no sampled level has 0 < measure <= 1/2
-        f = sign_field()
-        est = bmo_norm(f)
-        assert john_nirenberg_fit(f, est).b == est / float(np.abs(f - f.mean()).max())
-
-    def test_traceless_hessian_has_exponential_tail(self):
-        g = generate_random(TWO_14, (64, 64), seed=1)
-        pf = build_optimal_potential(g, 2.5)
-        field = traceless_hessian(pf)
-        est = bmo_norm(field, spatial_ndim=2)
-        fit = john_nirenberg_fit(field, est, spatial_ndim=2)
-        assert fit.b > 0.0
-        assert fit.max_violation <= 0.0
-
-    def test_fitted_b_scale_invariant(self):
-        g = generate_random(TWO_14, (64, 64), seed=1)
-        field = traceless_hessian(build_optimal_potential(g, 2.5))
-        fit = john_nirenberg_fit(field, bmo_norm(field, spatial_ndim=2), spatial_ndim=2)
-        scaled = 3.7 * field
-        fit_s = john_nirenberg_fit(scaled, bmo_norm(scaled, spatial_ndim=2), spatial_ndim=2)
-        assert fit_s.b == pytest.approx(fit.b, rel=1e-9)
-
-    @pytest.mark.parametrize("scale", [2.0**45, 2.0**-45])
-    def test_statistics_independent_of_scale(self, scale):
-        # scaling by a power of two is exact, so b, B and the Lemma-1 ratio
-        # come out bit for bit; at 2**-45 the norm (2.6e-14) was rejected as
-        # a "degenerate (near-constant) field"
-        ps = PhaseSet.from_pairs((1.0, 2.0, 5.0), (0.4, 0.4, 0.2), 2)
-        g = generate_random(ps, (64, 64), seed=3)
-        field = traceless_hessian(build_optimal_potential(g, 2.0))
-        labels = level_labels(g.conductivity_field())
-
-        def statistics(f):
-            est = bmo_norm(f, spatial_ndim=2)
-            return john_nirenberg_fit(f, est, spatial_ndim=2), lemma1_ratio(f, labels, est, spatial_ndim=2)
-
-        assert statistics(scale * field) == statistics(field)
-
-    def test_field_left_unchanged(self):
-        f = np.random.default_rng(6).standard_normal((2, 2, 16, 16))
-        before = f.copy()
-        john_nirenberg_fit(f, bmo_norm(f, spatial_ndim=2), spatial_ndim=2)
-        lemma1_ratio(f, level_labels(np.ones((16, 16))), bmo_norm(f, spatial_ndim=2), spatial_ndim=2)
-        assert np.array_equal(f, before)
-
-    def test_degenerate_field_rejected(self):
-        f = np.zeros((16, 16))
-        est = bmo_norm(f)
-        with pytest.raises(ValueError, match="degenerate"):
-            john_nirenberg_fit(f, est)
-
-
 def brute_force_lemma1(field, levels, bmo):
     """Max ratio over {levels > t} for every level t but the top, and the
     whole cube, one boolean mask at a time."""
@@ -325,6 +261,27 @@ def brute_force_lemma1(field, levels, bmo):
 
 
 class TestLemma1Ratio:
+    @pytest.mark.parametrize("scale", [2.0**45, 2.0**-45])
+    def test_statistics_independent_of_scale(self, scale):
+        # scaling by a power of two is exact, so the norm scales and the
+        # Lemma-1 ratio comes out bit for bit; at 2**-45 the norm (2.6e-14)
+        # was rejected as a "degenerate (near-constant) field"
+        ps = PhaseSet.from_pairs((1.0, 2.0, 5.0), (0.4, 0.4, 0.2), 2)
+        g = generate_random(ps, (64, 64), seed=3)
+        field = traceless_hessian(build_optimal_potential(g, 2.0))
+        labels = level_labels(g.conductivity_field())
+        est = bmo_norm(field, spatial_ndim=2)
+        assert bmo_norm(scale * field, spatial_ndim=2) == scale * est
+        assert lemma1_ratio(scale * field, labels, scale * est, spatial_ndim=2) == lemma1_ratio(
+            field, labels, est, spatial_ndim=2
+        )
+
+    def test_field_left_unchanged(self):
+        f = np.random.default_rng(6).standard_normal((2, 2, 16, 16))
+        before = f.copy()
+        lemma1_ratio(f, level_labels(np.ones((16, 16))), bmo_norm(f, spatial_ndim=2), spatial_ndim=2)
+        assert np.array_equal(f, before)
+
     def test_full_cube_ratio(self):
         f = sign_field()
         est = bmo_norm(f)
@@ -447,7 +404,6 @@ class TestDistinctTraceless:
             est = bmo_norm(full, spatial_ndim=2)
             assert est > 0.0
             assert bmo_norm(pair, spatial_ndim=2) == est
-            assert john_nirenberg_fit(pair, est, spatial_ndim=2) == john_nirenberg_fit(full, est, spatial_ndim=2)
             assert 2.0 * lemma1_ratio(pair, levels, est, spatial_ndim=2) == pytest.approx(
                 lemma1_ratio(full, levels, est, spatial_ndim=2), rel=1e-12
             )
@@ -462,7 +418,7 @@ class TestDistinctTraceless:
         assert np.allclose(full[0, 0], h[0, 0] - lap / 2, rtol=0.0, atol=1e-12)
 
     def test_3d_keeps_the_full_stack(self):
-        # in 3D all nine components reach john_nirenberg_fit and lemma1_ratio
+        # in 3D all nine components reach lemma1_ratio
         ps = PhaseSet.from_pairs((1.0, 4.0), (0.5, 0.5), 3)
         pf = build_optimal_potential(generate_random(ps, (8, 8, 8), seed=3), 2.0)
         full = traceless_hessian(pf)

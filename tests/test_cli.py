@@ -1176,15 +1176,16 @@ class TestBmoCommand:
 
     @pytest.mark.parametrize("mode", ["iid", "smooth"])
     def test_3d_norm_over_the_upper_triangle_is_the_full_stack_norm(self, mode, monkeypatch, capsys):
-        # T_ji = T_ij, so the max over the rows T_ii..T_in is the nine-component norm, bit for bit
+        # T_ji = T_ij, so the max over the rows T_ii..T_in is the nine-component norm, bit for bit;
+        # lemma1_ratio still receives the full 3x3 stack with that norm
         seen = []
-        fit = cli.john_nirenberg_fit
+        lemma1 = cli.lemma1_ratio
 
-        def spy(field, bmo, spatial_ndim=None):
+        def spy(field, labels, bmo, spatial_ndim=None):
             seen.append((bmo, cli.bmo_norm(field, spatial_ndim=spatial_ndim), field.shape[:2]))
-            return fit(field, bmo, spatial_ndim)
+            return lemma1(field, labels, bmo, spatial_ndim)
 
-        monkeypatch.setattr(cli, "john_nirenberg_fit", spy)
+        monkeypatch.setattr(cli, "lemma1_ratio", spy)
         argv = ["bmo", "--dim", "3", "--shape", "16", "--num-phases", "3", "--count", "3", "--mode", mode]
         assert main(argv) == 0
         assert len(seen) == 3
@@ -1224,8 +1225,8 @@ class TestBmoCommand:
         assert Counter(name for name, _ in fft_log) == {"rfftn": 1, "ifft": 2, "irfft": 2}
 
     def test_near_constant_field_has_an_ok_row(self, capsys):
-        # the traceless Hessian's norm is 7.7e-14 here; b, B and the Lemma-1
-        # ratio do not depend on the field's scale, and this exited 1 with
+        # the traceless Hessian's norm is 7.7e-14 here; the Lemma-1 ratio does
+        # not depend on the field's scale, and this exited 1 with
         # "degenerate (near-constant) field"
         argv = ["bmo", "--count", "1", "--shape", "32", "--num-phases", "2", "--sigma-min", "1"]
         rows = []
@@ -1234,7 +1235,26 @@ class TestBmoCommand:
             rows.append(capsys.readouterr().out.splitlines()[4].split())
         for row in rows:
             assert row[1] == "ok"
-            assert row[3:5] + row[6:7] == ["4.02208474406", "3.39300995745", "0.953897590329"]
+            assert row[3:7] == ["-", "-", "-", "0.953897590329"]
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_ok_rows_print_dashes_for_the_tail_constants(self, dim, tmp_path, capsys):
+        # b, B and max_violation are not computed; every other value cell is a finite number
+        if dim == 2:
+            argv, count = ["bmo", "--shape", "32", "--count", "3", "--num-phases", "3"], 3
+        else:
+            path = tmp_path / "grid.cnda"
+            ps = PhaseSet.from_pairs((1.0, 2.0, 5.0), (0.4, 0.4, 0.2), 3)
+            save_grid(generate_random(ps, (16,) * 3, seed=1), path)
+            argv, count = ["bmo", "--grid", str(path)], 1
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        header, rows = lines[3].split(), [line.split() for line in lines[4 : 4 + count]]
+        assert [header[i] for i in (3, 4, 5)] == ["b", "B", "max_violation"]
+        for row in rows:
+            assert row[1] == "ok" and len(row) == len(header) == 10
+            assert [i for i, cell in enumerate(row) if cell == "-"] == [3, 4, 5]
+            assert all(math.isfinite(float(row[i])) for i in (2, 6, 7, 8, 9))
 
     @pytest.mark.parametrize("hi, code, message", [
         (1e308, 0, ""),
@@ -1253,4 +1273,5 @@ class TestBmoCommand:
         assert captured.err == (f"error: {message}\n" if message else "")
         if code == 0:
             row = captured.out.splitlines()[4].split()
-            assert row[1] == "ok" and all(math.isfinite(float(v)) for v in row[2:])
+            assert row[1] == "ok" and row[3:6] == ["-", "-", "-"]
+            assert all(math.isfinite(float(v)) for v in row[2:3] + row[6:])
