@@ -165,7 +165,7 @@ class TestNonFiniteFields:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_rejected_by_both_statistics(self, bad):
-        # from the means, before any centering: inf - inf warned ahead of the ValueError
+        # rejected from the means, before any centering computes inf - inf, so nothing warns
         f = np.random.default_rng(0).standard_normal((16, 16))
         f[3, 4] = bad
         with pytest.raises(ValueError, match="component 0 .*non-finite mean"):
