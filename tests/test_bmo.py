@@ -282,6 +282,37 @@ class TestLemma1Ratio:
         lemma1_ratio(f, level_labels(np.ones((16, 16))), bmo_norm(f, spatial_ndim=2), spatial_ndim=2)
         assert np.array_equal(f, before)
 
+    def test_ratio_scale_invariant(self):
+        # a scale that is not a power of two rounds, so the ratio agrees to round-off
+        g = generate_random(TWO_14, (64, 64), seed=1)
+        field = traceless_hessian(build_optimal_potential(g, 2.5))
+        labels = level_labels(g.conductivity_field())
+        scaled = 3.7 * field
+        ratio = lemma1_ratio(field, labels, bmo_norm(field, spatial_ndim=2), spatial_ndim=2)
+        ratio_s = lemma1_ratio(scaled, labels, bmo_norm(scaled, spatial_ndim=2), spatial_ndim=2)
+        assert ratio_s == pytest.approx(ratio, rel=1e-12)
+
+    def test_degenerate_field_rejected(self):
+        f = np.zeros((16, 16))
+        est = bmo_norm(f)
+        assert est == 0.0
+        for norm in (est, -1.0):
+            with pytest.raises(ValueError, match="zero BMO norm"):
+                lemma1_ratio(f, level_labels(np.ones((16, 16))), norm)
+
+    def test_spike_set_outweighs_the_whole_cube(self):
+        # one voxel of 1 in 32^2 zeros: its 2x2 cube gives the norm 3/8, and
+        # the set {f > 0} of measure 1/N has the larger ratio
+        f = np.zeros((32, 32))
+        f[0, 0] = 1.0
+        n = f.size
+        est = bmo_norm(f)
+        assert est == 0.375
+        spike = (1 - 1 / n) ** 2 / (est**2 * (1 + math.log(n)) ** 2)
+        whole = (n - 1) / n**2 / est**2
+        assert spike > 10 * whole
+        assert lemma1_ratio(f, (f > 0).astype(np.uint8), est) == pytest.approx(spike, rel=1e-12)
+
     def test_full_cube_ratio(self):
         f = sign_field()
         est = bmo_norm(f)
