@@ -12,7 +12,6 @@ terms of the bounds stay importable from their submodules.
 
 from .bmo import bmo_norm, lemma1_ratio
 from .bounds import (
-    BoundConfig,
     BoundReport,
     hs_upper,
     optimize_S,
@@ -41,7 +40,6 @@ from .phases import PhaseSet, read_phase_config
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundConfig",
     "BoundReport",
     "ConfigError",
     "ConvergenceError",

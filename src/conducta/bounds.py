@@ -11,10 +11,9 @@ phases above S through the tail of the distribution function, which
 
 E carries a dimensional constant C that is not known explicitly; it defaults
 to 1 and is always recorded in the report, so every refined value is to be
-read "modulo the constant C".  The full E is C (osc theta / n)^2 times the
-tail integral, with osc theta from ``phases.oscillation_closed_form``; the
-simplified E form (default) drops its L^2 / (sup sigma + (n-1)S)^2 factor,
-which is how the three-phase specialization at S = sigma_2 is usually written.
+read "modulo the constant C".  E is C (osc theta / n)^2 times the tail
+integral, with osc theta from ``phases.oscillation_closed_form``.  The
+three-phase refinement is theorem 1 at S = sigma_2.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ from dataclasses import dataclass, fields
 from .phases import PhaseSet, oscillation_closed_form, shifted_harmonic_L, tail_integral
 
 __all__ = [
-    "BoundConfig",
     "BoundReport",
     "trivial_upper",
     "hs_upper",
@@ -38,30 +36,13 @@ _S_SEARCH_POINTS = 64  # grid points of optimize_S's scan of (0, sup sigma]
 _S_TOLERANCE = 1e-6  # width at which optimize_S's golden-section search stops
 
 
-@dataclass(frozen=True)
-class BoundConfig:
-    """Evaluation settings for the refined bound.
-
-    C is the dimensional constant in the E term, finite and positive;
-    use_simplified_E drops the L^2 / (sup sigma + (n-1)S)^2 factor of E (see
-    the module docstring).
-    """
-
-    C: float = 1.0
-    use_simplified_E: bool = True
-
-    def __post_init__(self):
-        if not 0.0 < self.C < math.inf:
-            raise ValueError(f"C must be finite and positive, got {self.C}")
-
-
 @dataclass(frozen=True, init=False)
 class BoundReport:
     """One evaluated bound, with the terms it was computed from.
 
     Only trivial_upper, hs_upper and theorem1_upper (which optimize_S
     returns) make one; calling the class raises TypeError.  bound_name is
-    trivial, hashin_shtrikman, theorem1 or theorem1_simplified; a term the
+    trivial, hashin_shtrikman or theorem1; a term the
     bound has no use for is None, and where H_term and E_term are both set,
     E_term >= 0 and value = H_term + E_term exactly.
     """
@@ -99,40 +80,43 @@ def hs_upper(ps: PhaseSet) -> BoundReport:
     and the value is H(sup sigma).  The report records S, H, E and L, no C.
     """
     S = ps.sup_sigma
-    H, E, L = _theorem1_terms(ps, S, BoundConfig())
+    H, E, L = _theorem1_terms(ps, S, 1.0)
     return _report(bound_name="hashin_shtrikman", value=H + E, S_used=S, H_term=H, E_term=E, L_value=L)
 
 
-def _theorem1_terms(ps: PhaseSet, S: float, cfg: BoundConfig) -> tuple[float, float, float]:
-    """(H, E, L) at S; H(S) = -(n-1) S + L(S) is nondecreasing in S and below the arithmetic mean."""
+def _theorem1_terms(ps: PhaseSet, S: float, C: float) -> tuple[float, float, float]:
+    """(H, E, L) at S; H(S) = -(n-1) S + L(S) is nondecreasing in S and below the arithmetic mean.
+
+    ValueError unless the constant C is finite and positive.
+    """
+    if not 0.0 < C < math.inf:
+        raise ValueError(f"C must be finite and positive, got {C}")
     shift = (ps.dimension - 1) * S
     L = shifted_harmonic_L(ps, S)
     # -(n-1) S + L as the weighted mean of sigma it equals, which cancels no digits when (n-1) S >> H
     H = L * math.fsum(m * s / (s + shift) for s, m in zip(ps.conductivities, ps.fractions))
     tail = tail_integral(ps, S)
-    # osc theta / n, or its simplified form; squared only once divided, so no product overflows
-    r = ps.osc_sigma / (ps.inf_sigma + shift) if cfg.use_simplified_E else oscillation_closed_form(ps, S) / ps.dimension
-    E = cfg.C * r * r * tail
+    r = oscillation_closed_form(ps, S) / ps.dimension  # squared only once divided, so no product overflows
+    E = C * r * r * tail
     return H, E, L
 
 
-def theorem1_upper(ps: PhaseSet, S: float, cfg: BoundConfig | None = None) -> BoundReport:
+def theorem1_upper(ps: PhaseSet, S: float, C: float = 1.0) -> BoundReport:
     """Refined upper bound H(S) + E(S) at a given shift parameter S > 0.
 
     Any finite S > 0 is accepted; for S >= sup sigma the tail integral
     vanishes, so E = 0 and the value reduces to H(S) (equal to the
-    Hashin-Shtrikman bound at S = sup sigma exactly).  The report records S,
-    H, E, L and C.
+    Hashin-Shtrikman bound at S = sup sigma exactly).  C, the constant of
+    the E term, must be finite and positive.  The report records S, H, E, L
+    and C.
     """
     if not 0.0 < S < math.inf:
         raise ValueError(f"S must be finite and positive, got {S}")
-    cfg = cfg or BoundConfig()
-    H, E, L = _theorem1_terms(ps, S, cfg)
-    name = "theorem1_simplified" if cfg.use_simplified_E else "theorem1"
-    return _report(bound_name=name, value=H + E, S_used=S, H_term=H, E_term=E, L_value=L, C_used=cfg.C)
+    H, E, L = _theorem1_terms(ps, S, C)
+    return _report(bound_name="theorem1", value=H + E, S_used=S, H_term=H, E_term=E, L_value=L, C_used=C)
 
 
-def optimize_S(ps: PhaseSet, cfg: BoundConfig | None = None) -> BoundReport:
+def optimize_S(ps: PhaseSet, C: float = 1.0) -> BoundReport:
     """Minimize the refined bound over the shift parameter S in (0, sup sigma].
 
     The search never needs to leave (0, sup sigma]: the tail integral is
@@ -143,12 +127,11 @@ def optimize_S(ps: PhaseSet, cfg: BoundConfig | None = None) -> BoundReport:
     "Best" is one rule, for the grid point and for the result among every S
     evaluated: the least value, ties resolved toward the larger S.
     """
-    cfg = cfg or BoundConfig()
     sup = ps.sup_sigma
     evaluated: list[tuple[float, float]] = []  # every (S, H + E) computed, in order
 
     def value(S: float) -> float:
-        H, E, _ = _theorem1_terms(ps, S, cfg)
+        H, E, _ = _theorem1_terms(ps, S, C)
         evaluated.append((S, H + E))
         return H + E
 
@@ -178,5 +161,5 @@ def optimize_S(ps: PhaseSet, cfg: BoundConfig | None = None) -> BoundReport:
             hi, x2, f2 = x2, x1, f1
             x1 = hi - _GOLDEN * (hi - lo)
             f1 = value(x1)
-    return theorem1_upper(ps, best_S(), cfg)
+    return theorem1_upper(ps, best_S(), C)
 

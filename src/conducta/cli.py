@@ -21,7 +21,6 @@ import numpy as np
 
 from .bmo import bmo_norm, lemma1_ratio
 from .bounds import (
-    BoundConfig,
     BoundReport,
     hs_upper,
     optimize_S,
@@ -95,10 +94,6 @@ def _save_manifest(manifest: RunManifest) -> None:
         Path(str(out) + ".manifest.json").write_text(manifest.to_json())
 
 
-def _bound_cfg(options: dict) -> BoundConfig:
-    return BoundConfig(C=options["C"], use_simplified_E=not options["full_E"])
-
-
 def _representable(report: BoundReport, row: str = "") -> BoundReport:
     """``report`` itself; ValueError naming the bound, S and ``row`` if its value overflowed.
 
@@ -123,6 +118,13 @@ def _shift(text: str) -> float:
     return s
 
 
+def _constant(C: float) -> float:
+    """The constant C of the E term; ConfigError unless finite and positive."""
+    if not 0.0 < C < math.inf:
+        raise ConfigError(f"C must be finite and positive, got {C}")
+    return C
+
+
 # ----------------------------------------------------------------- bounds
 
 _BOUND_COLUMNS = ("bound", "value", "S", "H_term", "E_term", "L", "C")
@@ -144,13 +146,13 @@ def _bound_row(report: BoundReport) -> str:
 def run_bounds(options: dict) -> int:
     s = None if options["S"] == "opt" else _shift(options["S"])
     ps = read_phase_config(options["config"])
-    cfg = _bound_cfg(options)
+    C = options["C"]
     reports = [trivial_upper(ps), hs_upper(ps)]
     if s is not None:
-        reports.append(theorem1_upper(ps, s, cfg))
-    reports.append(optimize_S(ps, cfg))
-    if ps.num_phases == 3:  # the three-phase refinement: theorem 1 at sigma_2, simplified E even under --full-E
-        reports.append(theorem1_upper(ps, ps.conductivities[1], BoundConfig(C=cfg.C)))
+        reports.append(theorem1_upper(ps, s, C))
+    reports.append(optimize_S(ps, C))
+    if ps.num_phases == 3:  # the three-phase refinement: theorem 1 at sigma_2
+        reports.append(theorem1_upper(ps, ps.conductivities[1], C))
     for r in reports:
         _representable(r)
     lines = [
@@ -175,7 +177,7 @@ def run_sweep(options: dict) -> int:
     ps = read_phase_config(options["config"])
     if ps.num_phases != 3:
         raise ConfigError(f"sweep needs a 3-phase config, got {ps.num_phases} phases")
-    cfg = _bound_cfg(options)
+    C = options["C"]
     lo, hi = options["mu3_min"], options["mu3_max"]
     if not sys.float_info.min <= lo <= hi < 1.0:  # a subnormal is not the value its flag names: 1e-320 is 9.99988867183e-321
         raise ConfigError(
@@ -187,7 +189,6 @@ def run_sweep(options: dict) -> int:
     m1, m2 = ps.fractions[0] / base, ps.fractions[1] / base
     two_phase = PhaseSet.from_pairs((s1, s2), (m1, m2), ps.dimension)
     hs2 = hs_upper(two_phase).value
-    gap_cfg = BoundConfig(C=cfg.C)  # the gap keeps the simplified E under --full-E
 
     mu3_values = list(np.geomspace(hi, lo, options["points"])) + [0.0]
 
@@ -195,8 +196,8 @@ def run_sweep(options: dict) -> int:
     for mu3 in mu3_values:
         # at mu3 = 0 from_pairs drops the third phase: theorem 1 at the two-phase sup is HS2, and the gap 0
         sub = PhaseSet.from_pairs((s1, s2, s3), (m1 * (1 - mu3), m2 * (1 - mu3), mu3), ps.dimension)
-        gap = _representable(theorem1_upper(sub, s2, gap_cfg), f" on the mu3 = {_g(mu3)} row").value - hs2
-        opt = optimize_S(sub, cfg)
+        gap = _representable(theorem1_upper(sub, s2, C), f" on the mu3 = {_g(mu3)} row").value - hs2
+        opt = optimize_S(sub, C)
         rows.append(
             ",".join(
                 _g(v)
@@ -230,7 +231,7 @@ def _resolve_s_list(s_spec: str, ps: PhaseSet) -> list[float]:
 def run_solve(options: dict) -> int:
     grid = load_grid(options["grid"])
     emp = grid.phase_set
-    cfg = _bound_cfg(options)  # every flag is checked before the solve
+    C = _constant(options["C"])  # every flag is checked before the solve
     s_values = _resolve_s_list(options["S"], emp)
     tensor = solve_effective_tensor(grid)
 
@@ -261,7 +262,7 @@ def run_solve(options: dict) -> int:
     checks = [
         ("trivial", trivial_upper(emp).value, True),
         ("hashin_shtrikman", hs_upper(emp).value, True),
-        (f"theorem1_opt(C={_g(cfg.C)})", optimize_S(emp, cfg).value, False),
+        (f"theorem1_opt(C={_g(C)})", optimize_S(emp, C).value, False),
     ]
     for name, bound, hard in checks:
         slack = (bound - tensor.sigma_bar) / bound
@@ -354,14 +355,14 @@ _VERIFY_HEADER = (
 )
 
 
-def _verify_one(seed: int, options: dict, bound_cfg: BoundConfig) -> tuple[str, bool]:
+def _verify_one(seed: int, options: dict, C: float) -> tuple[str, bool]:
     """CSV row of one corpus grid, and whether a hard bound was violated."""
     grid = _corpus_grid(seed, options)
     tensor = solve_effective_tensor(grid)
     emp = grid.phase_set
     triv = trivial_upper(emp).value
     hs = hs_upper(emp).value
-    opt = optimize_S(emp, bound_cfg)
+    opt = optimize_S(emp, C)
     mid_s = 0.5 * (emp.inf_sigma + emp.sup_sigma)
     constructive = constructive_value(build_optimal_potential(grid, mid_s))
     sb = tensor.sigma_bar
@@ -374,15 +375,15 @@ def _verify_one(seed: int, options: dict, bound_cfg: BoundConfig) -> tuple[str, 
 
 def run_verify(options: dict) -> int:
     count, base_seed = options["count"], options["seed"]
-    bound_cfg = _bound_cfg(options)  # checked before the first grid
-    results = [_verify_one(base_seed + i, options, bound_cfg) for i in range(count)]
+    C = _constant(options["C"])  # checked before the first grid
+    results = [_verify_one(base_seed + i, options, C) for i in range(count)]
 
     _emit("\n".join([_VERIFY_HEADER] + [row for row, _ in results]) + "\n", options["out"])
 
     violations = sum(violated for _, violated in results)
     print(
         f"verify: {count} grids, {violations} violation(s)"
-        f" (theorem1 reported with C={_g(options['C'])}, not enforced)",
+        f" (theorem1 reported with C={_g(C)}, not enforced)",
         file=sys.stderr,
     )
     if violations:
@@ -510,7 +511,6 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_bound_flags(p):
     p.add_argument("--C", type=float, default=1.0, help="dimensional constant in the E term")
-    p.add_argument("--full-E", dest="full_E", action="store_true", help="use the non-simplified E term")
 
 
 def _add_corpus_flags(p, count: int):

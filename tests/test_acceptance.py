@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from conducta.bmo import bmo_norm, lemma1_ratio
-from conducta.bounds import BoundConfig, hs_upper, theorem1_upper, trivial_upper
+from conducta.bounds import hs_upper, theorem1_upper, trivial_upper
 from conducta.cell_solver import (
     build_optimal_potential,
     constructive_value,
@@ -38,16 +38,15 @@ def test_criterion_1_closed_form_regression():
     # hand evaluation: -10 + (0.4/11 + 0.4/12 + 0.2/15)^-1 = 280/137
     assert abs(hs - 2.0437956204379564) < 1e-9
 
-    refined = theorem1_upper(ps, 2.0, BoundConfig(C=1.0)).value  # the three-phase refinement, S = sigma_2
-    # hand evaluation of the refined three-phase formula at S = sigma_2:
-    #   -(n-1) s2 + (sum mu_i (s_i + (n-1) s2)^-1)^-1
-    #   + C (s3-s1)^2 (s3-s2) mu3 (1 - ln mu3)^2 / (s1 + (n-1) s2)^2
-    hand = (
-        -4.0
-        + 1.0 / (0.4 / 5 + 0.4 / 6 + 0.2 / 9)
-        + 16.0 * 3.0 * 0.2 * (1 - math.log(0.2)) ** 2 / 25.0
-    )
-    assert abs(hand - 4.535772459616748) < 1e-12
+    refined = theorem1_upper(ps, 2.0, 1.0).value  # the three-phase refinement, S = sigma_2
+    # hand evaluation of the refined three-phase formula at S = sigma_2, with L = L(s2):
+    #   -(n-1) s2 + L
+    #   + C (s3-s1)^2 (s3-s2) mu3 (1 - ln mu3)^2 / (s1 + (n-1) s2)^2 * (L / (s3 + (n-1) s2))^2
+    L = 1.0 / (0.4 / 5 + 0.4 / 6 + 0.2 / 9)
+    hand = -4.0 + L + 16.0 * 3.0 * 0.2 * (1 - math.log(0.2)) ** 2 / 25.0 * (L / 9.0) ** 2
+    assert abs(hand - 3.05277000867287) < 1e-12
+    # below the closed form without the factor (L / (s3 + (n-1) s2))^2 <= 1, which earlier releases printed
+    assert hand < 4.535772459616748
     assert abs(refined - hand) < 1e-9
     _ok(1, f"hs={hs:.12f}, theorem1(S=sigma_2)={refined:.12f} match hand evaluation to 1e-9")
 
@@ -60,9 +59,8 @@ def test_criterion_2_theorem1_hs_consistency():
         n = int(rng.choice((2, 3)))
         ps = random_phase_set(rng, k, n, sigma_range=(0.1, 20.0))
         hs = hs_upper(ps).value
-        for cfg in (BoundConfig(), BoundConfig(use_simplified_E=False)):
-            t1 = theorem1_upper(ps, ps.sup_sigma, cfg).value
-            worst = max(worst, abs(t1 - hs) / abs(hs))
+        t1 = theorem1_upper(ps, ps.sup_sigma).value
+        worst = max(worst, abs(t1 - hs) / abs(hs))
     assert worst <= 1e-12
     _ok(2, f"theorem1(S=sup sigma) == hs on 1000 random phase sets (worst rel dev {worst:.2e})")
 
@@ -84,7 +82,7 @@ def test_criterion_3_asymptotic_convergence():
         ps = PhaseSet.from_pairs(
             (s1, s2, s3), (base[0] * (1 - mu3), base[1] * (1 - mu3), mu3), n
         )
-        diffs.append(abs(theorem1_upper(ps, s2, BoundConfig(C=1.0)).value - hs2))
+        diffs.append(abs(theorem1_upper(ps, s2, 1.0).value - hs2))
     # Lipschitz modulus of the H part in mu3: |L3 - L2| <= |h2 - 1/w3| L2 Lmax mu3
     L_max = max(
         1.0 / (h2 * (1 - mu3) + mu3 / w[2]) for mu3 in mu3_values

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from conducta import bounds
 from conducta.bounds import (
-    BoundConfig,
     BoundReport,
     hs_upper,
     optimize_S,
@@ -32,11 +31,12 @@ def scaled(ps, lam):
     return PhaseSet.from_pairs([lam * s for s in ps.conductivities], ps.fractions, ps.dimension)
 
 
-class TestConfigAndReport:
-    def test_config_validation(self):
-        for C in (0.0, math.inf, math.nan):
-            with pytest.raises(ValueError, match="finite and positive"):
-                BoundConfig(C=C)
+class TestConstantAndReport:
+    @pytest.mark.parametrize("C", [0.0, -1.0, math.inf, math.nan])
+    def test_C_must_be_finite_and_positive(self, C):
+        for bound in (lambda: theorem1_upper(THREE, 2.0, C), lambda: optimize_S(THREE, C)):
+            with pytest.raises(ValueError, match=f"C must be finite and positive, got {C}"):
+                bound()
 
     def test_report_validation(self):
         # BoundReport("theorem1", 5.0, H_term=2.0, E_term=3.0) was accepted: a theorem-1 report with no S, L or C
@@ -48,16 +48,14 @@ class TestConfigAndReport:
             for n in range(2, 6):
                 ps = random_phase_set(rng, k, n)
                 S = float(rng.uniform(0.1, 1.2)) * ps.sup_sigma
-                for cfg in (BoundConfig(C=0.3), BoundConfig(C=0.3, use_simplified_E=False)):
-                    trivial, hs = trivial_upper(ps), hs_upper(ps)
-                    at_S, best = theorem1_upper(ps, S, cfg), optimize_S(ps, cfg)
-                    for r in (trivial, hs, at_S, best):
-                        assert r.bound_name in ("trivial", "hashin_shtrikman", "theorem1", "theorem1_simplified")
-                        if r.H_term is not None and r.E_term is not None:
-                            assert r.E_term >= 0.0 and r.value == r.H_term + r.E_term
-                    name = "theorem1_simplified" if cfg.use_simplified_E else "theorem1"
-                    assert at_S.bound_name == best.bound_name == name and at_S.C_used == best.C_used == 0.3
-                    assert trivial.S_used is None and hs.C_used is None
+                trivial, hs = trivial_upper(ps), hs_upper(ps)
+                at_S, best = theorem1_upper(ps, S, 0.3), optimize_S(ps, 0.3)
+                for r in (trivial, hs, at_S, best):
+                    assert r.bound_name in ("trivial", "hashin_shtrikman", "theorem1")
+                    if r.H_term is not None and r.E_term is not None:
+                        assert r.E_term >= 0.0 and r.value == r.H_term + r.E_term
+                assert at_S.bound_name == best.bound_name == "theorem1" and at_S.C_used == best.C_used == 0.3
+                assert trivial.S_used is None and hs.C_used is None
 
 
 class TestTrivial:
@@ -93,10 +91,10 @@ class TestHTermAndHS:
         assert h_term(ps, S) <= hs_upper(ps).value + tol
         assert hs_upper(ps).value <= trivial_upper(ps).value + tol
 
-    @given(phase_sets(), st.floats(0.1, 5.0), st.booleans())
-    def test_hs_is_theorem1_at_sup(self, ps, C, simplified):
+    @given(phase_sets(), st.floats(0.1, 5.0))
+    def test_hs_is_theorem1_at_sup(self, ps, C):
         r = hs_upper(ps)
-        t = theorem1_upper(ps, ps.sup_sigma, BoundConfig(C=C, use_simplified_E=simplified))
+        t = theorem1_upper(ps, ps.sup_sigma, C)
         assert (r.value, r.S_used, r.H_term, r.E_term, r.L_value) == (t.value, t.S_used, t.H_term, t.E_term, t.L_value)
         assert r.E_term == 0.0 and r.C_used is None
 
@@ -124,23 +122,22 @@ class TestHTermAndHS:
 
 class TestTheorem1:
     def test_equals_hs_at_sup(self):
-        for cfg in (BoundConfig(), BoundConfig(use_simplified_E=False)):
-            r = theorem1_upper(THREE, THREE.sup_sigma, cfg)
-            assert r.E_term == 0.0
-            assert r.value == pytest.approx(hs_upper(THREE).value, rel=1e-15)
+        r = theorem1_upper(THREE, THREE.sup_sigma)
+        assert r.E_term == 0.0
+        assert r.value == pytest.approx(hs_upper(THREE).value, rel=1e-15)
 
-    def test_hand_value_simplified(self):
-        cfg = BoundConfig(C=1.0, use_simplified_E=True)
-        r = theorem1_upper(THREE, 2.0, cfg)
+    def test_hand_value(self):
+        r = theorem1_upper(THREE, 2.0, 1.0)
         tail = 0.2 * (1 - math.log(0.2)) ** 2 * 3
+        # osc theta / n = L osc sigma / ((inf sigma + 4)(sup sigma + 4)) = (225/38) 4 / (5 * 9) = 10/19
         assert r.H_term == pytest.approx(-4 + 225.0 / 38.0, rel=1e-13)
-        assert r.E_term == pytest.approx(16 * tail / 25, rel=1e-13)
-        assert r.value == pytest.approx(-4 + 225.0 / 38.0 + 16 * tail / 25, rel=1e-13)
+        assert r.E_term == pytest.approx(100 * tail / 361, rel=1e-13)
+        assert r.value == pytest.approx(-4 + 225.0 / 38.0 + 100 * tail / 361, rel=1e-13)
 
     def test_single_phase_any_S_any_C(self):
         ps = PhaseSet.from_pairs((3.0,), (1.0,), 3)
         for s in (0.5, 3.0, 9.0):
-            r = theorem1_upper(ps, s, BoundConfig(C=123.0))
+            r = theorem1_upper(ps, s, 123.0)
             assert r.E_term == 0.0
             assert r.value == pytest.approx(3.0, rel=1e-13)
 
@@ -151,32 +148,32 @@ class TestTheorem1:
 
     @pytest.mark.parametrize("C", [1.0, 0.3])
     @pytest.mark.parametrize("ps", [THREE, TWO_14], ids=["three-3d", "two-2d"])
-    def test_full_E_is_C_osc_theta_over_n_squared_times_tail(self, ps, C):
+    def test_E_is_C_osc_theta_over_n_squared_times_tail(self, ps, C):
         n = ps.dimension
         for S in (0.5, 1.0, 2.5, 3.9):
             r = oscillation_closed_form(ps, S) / n
-            E = theorem1_upper(ps, S, BoundConfig(C=C, use_simplified_E=False)).E_term
+            E = theorem1_upper(ps, S, C).E_term
             assert E == C * r * r * tail_integral(ps, S)
 
     def test_rejects_a_shift_whose_sum_overflows(self):
         # (n-1) S = 2e308 made the harmonic sum 0, a ZeroDivisionError
-        for cfg in (BoundConfig(), BoundConfig(use_simplified_E=False)):
-            with pytest.raises(ValueError, match="S = 1e\\+308 overflows in dimension n = 3"):
-                theorem1_upper(THREE, 1e308, cfg)
+        with pytest.raises(ValueError, match="S = 1e\\+308 overflows in dimension n = 3"):
+            theorem1_upper(THREE, 1e308)
 
-    def test_full_E_below_simplified(self):
-        full = theorem1_upper(THREE, 2.0, BoundConfig(use_simplified_E=False))
-        simp = theorem1_upper(THREE, 2.0, BoundConfig(use_simplified_E=True))
-        assert 0.0 < full.E_term <= simp.E_term
-        assert full.bound_name == "theorem1"
-        assert simp.bound_name == "theorem1_simplified"
+    @given(phase_sets(), st.floats(0.02, 1.0), st.floats(0.1, 10.0))
+    def test_E_below_the_retired_closed_form(self, ps, frac, C):
+        # E = C (osc theta / n)^2 tail carries the factor (L / (sup sigma + (n-1)S))^2 <= 1
+        # that the closed form C (osc sigma / (inf sigma + (n-1)S))^2 tail, the E of earlier releases, drops
+        S = frac * ps.sup_sigma
+        E = theorem1_upper(ps, S, C).E_term
+        r = ps.osc_sigma / (ps.inf_sigma + (ps.dimension - 1) * S)
+        assert 0.0 <= E <= C * r * r * tail_integral(ps, S) * (1 + 1e-14)
 
     @given(phase_sets(), st.floats(0.02, 1.0), st.floats(0.1, 10.0))
     def test_scaling_covariance(self, ps, frac, lam):
         S = frac * ps.sup_sigma
-        cfg = BoundConfig(C=0.7)
-        base = theorem1_upper(ps, S, cfg).value
-        scaled_value = theorem1_upper(scaled(ps, lam), lam * S, cfg).value
+        base = theorem1_upper(ps, S, 0.7).value
+        scaled_value = theorem1_upper(scaled(ps, lam), lam * S, 0.7).value
         assert scaled_value == pytest.approx(lam * base, rel=1e-11)
         assert trivial_upper(scaled(ps, lam)).value == pytest.approx(
             lam * trivial_upper(ps).value, rel=1e-11
@@ -187,7 +184,7 @@ class TestTheorem1:
 
 
 class TestThreePhaseRefined:
-    """The three-phase refinement: theorem 1 at S = sigma_2 with the simplified E."""
+    """The three-phase refinement: theorem 1 at S = sigma_2."""
 
     def test_mu3_to_zero_convergence_rate(self):
         two = PhaseSet.from_pairs((1.0, 2.0), (0.5, 0.5), 3)
@@ -197,7 +194,7 @@ class TestThreePhaseRefined:
             ps = PhaseSet.from_pairs(
                 (1.0, 2.0, 5.0), (0.5 * (1 - mu3), 0.5 * (1 - mu3), mu3), 3
             )
-            diff = abs(theorem1_upper(ps, 2.0, BoundConfig(C=1.0)).value - hs2)
+            diff = abs(theorem1_upper(ps, 2.0, 1.0).value - hs2)
             bound = 16 * 3 * mu3 * (1 - math.log(mu3)) ** 2 / 25
             assert diff <= 2.0 * bound + 10.0 * mu3
             if prev is not None:
@@ -212,25 +209,25 @@ class TestOptimizeS:
         assert r.value == pytest.approx(3.0, rel=1e-13)
 
     def test_huge_C_falls_back_to_hs(self):
-        r = optimize_S(THREE, BoundConfig(C=1e6))
+        r = optimize_S(THREE, 1e6)
         assert r.S_used == THREE.sup_sigma
         assert r.value == pytest.approx(hs_upper(THREE).value, rel=1e-15)
 
     def test_regression_interior_optimum(self):
         # dense 1e5-point grid + ternary refinement oracle, frozen:
-        # C=0.1, sigma=(1,2,5), mu=(0.499,0.499,0.002), n=3 ->
-        #   S* = 2.5015652..., V* = 1.4776812665...
+        # C=0.3, sigma=(1,2,5), mu=(0.499,0.499,0.002), n=3 ->
+        #   S* = 2.4626793..., V* = 1.4806214406...
         ps = PhaseSet.from_pairs((1.0, 2.0, 5.0), (0.499, 0.499, 0.002), 3)
-        r = optimize_S(ps, BoundConfig(C=0.1))
-        assert r.value == pytest.approx(1.4776812665380568, abs=1e-8)
-        assert abs(r.S_used - 2.5015652049982746) < 1e-3
+        r = optimize_S(ps, 0.3)
+        assert r.value == pytest.approx(1.4806214406069556, abs=1e-8)
+        assert abs(r.S_used - 2.462679369789508) < 1e-3
         assert r.S_used < ps.sup_sigma
         assert r.value < hs_upper(ps).value
 
     def test_same_set_with_unit_C_stays_at_hs(self):
         # at C=1 the tail term outweighs the H gain everywhere below sup sigma
         ps = PhaseSet.from_pairs((1.0, 2.0, 5.0), (0.499, 0.499, 0.002), 3)
-        r = optimize_S(ps, BoundConfig(C=1.0))
+        r = optimize_S(ps, 1.0)
         assert r.S_used == ps.sup_sigma
         assert r.value == pytest.approx(hs_upper(ps).value, rel=1e-15)
 
@@ -242,7 +239,7 @@ class TestOptimizeS:
             (THREE, 1.0),
             (THREE, 0.05),
             (TWO_14, 0.3),
-            (PhaseSet.from_pairs((1.0, 2.0, 5.0), (0.499, 0.499, 0.002), 3), 0.1),  # an interior optimum
+            (PhaseSet.from_pairs((1.0, 2.0, 5.0), (0.499, 0.499, 0.002), 3), 0.3),  # an interior optimum
         ],
     )
     def test_result_is_the_best_evaluated_S(self, ps, C, monkeypatch):
@@ -250,13 +247,13 @@ class TestOptimizeS:
         calls = []
         terms = bounds._theorem1_terms
 
-        def spy(ps, S, cfg):
-            H, E, L = terms(ps, S, cfg)
+        def spy(ps, S, C):
+            H, E, L = terms(ps, S, C)
             calls.append((S, H + E))
             return H, E, L
 
         monkeypatch.setattr(bounds, "_theorem1_terms", spy)
-        r = optimize_S(ps, BoundConfig(C=C))
+        r = optimize_S(ps, C)
         *evaluated, final = calls  # the last call is theorem1_upper's, at the S chosen
         least = min(v for _, v in evaluated)
         assert r.S_used == final[0] == max(S for S, v in evaluated if v == least)
@@ -264,12 +261,20 @@ class TestOptimizeS:
 
     @given(phase_sets(max_phases=4), st.floats(0.1, 3.0))
     def test_never_above_probed_values(self, ps, C):
-        cfg = BoundConfig(C=C)
-        r = optimize_S(ps, cfg)
+        r = optimize_S(ps, C)
         tol = 1e-12 * max(1.0, r.value)
         assert r.value <= hs_upper(ps).value + tol
         for frac in (0.25, 0.5, 0.75, 1.0):
-            assert r.value <= theorem1_upper(ps, frac * ps.sup_sigma, cfg).value + tol
+            assert r.value <= theorem1_upper(ps, frac * ps.sup_sigma, C).value + tol
+
+    @given(
+        st.floats(0.1, 10.0), st.floats(1.001, 1e3), st.floats(0.001, 0.999), st.integers(2, 5)
+    )
+    def test_two_phases_never_below_hs(self, sigma, contrast, mu, n):
+        # two phases attain HS (the coated-sphere assemblage), so theorem 1 at C = 1 may not fall below it;
+        # past n = 5 it does, by 5.2e-8 relative at n = 6, until the default C rises with n
+        ps = PhaseSet.from_pairs((sigma, sigma * contrast), (1 - mu, mu), n)
+        assert optimize_S(ps).value >= hs_upper(ps).value * (1 - 1e-13)
 
 
 def milton_jump(ps2: PhaseSet, sigma3: float) -> float:

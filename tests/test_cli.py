@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from conducta import cell_solver, cli
+from conducta.bounds import theorem1_upper
 from conducta.cli import build_parser, main
 from conducta.microstructure import VoxelGrid, generate_laminate, generate_random, save_grid
 from conducta.phases import PhaseSet
@@ -42,14 +43,16 @@ class TestBoundsCommand:
         assert "trivial" in out and "2.2" in out
         assert "2.04379562044" in out          # hashin_shtrikman
         # the three-phase refinement, last: theorem 1 at S = sigma_2
-        assert out.splitlines()[-1].split()[:3] == ["theorem1_simplified", "4.53577245962", "2"]
+        assert out.splitlines()[-1].split()[:3] == ["theorem1", "3.05277000867", "2"]
         assert "modulo the dimensional constant C" in out
 
-    def test_three_phase_row_keeps_simplified_E_under_full_E(self, three_cfg, capsys):
-        assert main(["bounds", "--config", three_cfg, "--full-E", "--C", "0.3"]) == 0
+    def test_three_phase_row_is_theorem1_at_sigma_2(self, three_cfg, capsys):
+        # the sigma_2 row kept the E of earlier releases, 2.70546857999 here, whatever the optimizer row used
+        assert main(["bounds", "--config", three_cfg, "--C", "0.3"]) == 0
         rows = [line.split() for line in capsys.readouterr().out.splitlines() if line.startswith("theorem1")]
-        assert [row[0] for row in rows] == ["theorem1", "theorem1_simplified"]  # optimizer, then S = sigma_2
-        assert rows[1][1:3] == ["2.70546857999", "2"]
+        assert [row[0] for row in rows] == ["theorem1", "theorem1"]  # optimizer, then S = sigma_2
+        r = theorem1_upper(PhaseSet.from_pairs((1.0, 2.0, 5.0), (0.4, 0.4, 0.2), 3), 2.0, 0.3)
+        assert rows[1][1:] == [cli._g(v) for v in (r.value, 2.0, r.H_term, r.E_term, r.L_value, 0.3)]
 
     def test_single_phase_all_columns_equal_sigma(self, tmp_path, capsys):
         p = tmp_path / "one.cfg"
@@ -63,11 +66,13 @@ class TestBoundsCommand:
     def test_user_S_row(self, three_cfg, capsys):
         assert main(["bounds", "--config", three_cfg, "--S", "2.0"]) == 0
         out = capsys.readouterr().out
-        assert out.count("theorem1_simplified") == 3  # user S row, optimizer row and the S = sigma_2 row
+        rows = [line.split() for line in out.splitlines() if line.startswith("theorem1")]
+        # user S row, optimizer row and the S = sigma_2 row
+        assert [(row[0], row[2]) for row in rows] == [("theorem1", "2"), ("theorem1", "5"), ("theorem1", "2")]
 
     def test_huge_user_S_row_is_the_arithmetic_mean(self, three_cfg, capsys):
         # H = -(n-1) S + L cancelled every digit: the row printed -2.97403381696e+284
-        assert main(["bounds", "--config", three_cfg, "--S", "1e300", "--full-E"]) == 0
+        assert main(["bounds", "--config", three_cfg, "--S", "1e300"]) == 0
         (row,) = [line.split() for line in capsys.readouterr().out.splitlines() if "1e+300" in line]
         assert row[:5] == ["theorem1", "2.2", "1e+300", "2.2", "0"]
 
@@ -87,14 +92,14 @@ class TestBoundsCommand:
         assert capsys.readouterr().err == f"error: conductivity must be finite and positive, got {sigma}\n"
 
     def test_huge_contrast_hs_finite_with_zero_E(self, tmp_path, capsys):
-        # squaring osc before dividing printed "hashin_shtrikman nan" and "theorem1_simplified inf"
+        # squaring osc before dividing printed "hashin_shtrikman nan" and "theorem1 inf"
         p = tmp_path / "huge.cfg"
         p.write_text("dimension = 2\nphase = 1 0.5\nphase = 1e200 0.5\n")
         assert main(["bounds", "--config", str(p)]) == 0
         rows = {line.split()[0]: line.split() for line in capsys.readouterr().out.splitlines() if line[:1].isalpha()}
         assert rows["hashin_shtrikman"][1] == "3.33333333333e+199"
         assert rows["hashin_shtrikman"][4] == "0"
-        assert rows["theorem1_simplified"][1] == "3.33333333333e+199"
+        assert rows["theorem1"][1] == "3.33333333333e+199"
         # the optimize_S scan point sup * k / 64 overflowed from k = 9 on:
         # "S must be finite and nonnegative, got inf", an S nobody gave
         p.write_text("dimension = 2\nphase = 1e307 0.5\nphase = 2e307 0.5\n")
@@ -102,7 +107,7 @@ class TestBoundsCommand:
         rows = {line.split()[0]: line.split() for line in capsys.readouterr().out.splitlines() if line[:1].isalpha()}
         assert rows["hashin_shtrikman"][1] == "1.42857142857e+307"
         assert rows["trivial"][1] == "1.5e+307"
-        assert rows["theorem1_simplified"][1:5] == ["1.42857142857e+307", "2e+307", "1.42857142857e+307", "0"]
+        assert rows["theorem1"][1:5] == ["1.42857142857e+307", "2e+307", "1.42857142857e+307", "0"]
 
     @pytest.mark.parametrize("text, message", [
         ("dimension = 2\nphase 1 1\n", "line 2: expected 'key = value'"),
@@ -117,14 +122,14 @@ class TestBoundsCommand:
         assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_overflowing_E_term_exits_one(self, tmp_path, capsys):
-        # printed the sigma_2 row's value inf with E_term inf and exited 0: the
-        # simplified E at S = sigma_2 is about 5e898 here
+        # printed the sigma_2 row's value inf with E_term inf and exited 0: E at
+        # S = sigma_2 is (osc theta / n)^2 = 54.5^2 times a tail of 1.02e306 here, about 3e309
         p = tmp_path / "huge.cfg"
-        p.write_text("dimension = 3\nphase = 1 0.4\nphase = 2 0.4\nphase = 1e300 0.2\n")
+        p.write_text("dimension = 3\nphase = 1 0.01\nphase = 2 0.01\nphase = 1e306 0.98\n")
         assert main(["bounds", "--config", str(p)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: theorem1_simplified at S = 2 is not representable: its E term overflows to inf\n"
+        assert captured.err == "error: theorem1 at S = 2 is not representable: its E term overflows to inf\n"
 
     def test_shift_parsed_before_config(self, three_cfg, monkeypatch, capsys):
         # --S x printed numpy's "could not convert string to float: 'x'"
@@ -183,12 +188,12 @@ class TestSweepCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
-            "error: theorem1_simplified at S = 100 on the mu3 = 0.1 row is not representable:"
+            "error: theorem1 at S = 100 on the mu3 = 0.1 row is not representable:"
             " its E term overflows to inf\n"
         )
         assert main(["bounds", "--config", str(p), "--C", "1e308"]) == 1
         assert capsys.readouterr().err == (
-            "error: theorem1_simplified at S = 100 is not representable: its E term overflows to inf\n"
+            "error: theorem1 at S = 100 is not representable: its E term overflows to inf\n"
         )
 
     @pytest.mark.parametrize("points", ["-2", "0"])
@@ -865,15 +870,12 @@ class TestReplayManifests:
             ("bounds", "C", None),
             ("bounds", "C", True),
             ("bounds", "C", "2"),
-            ("bounds", "full_E", "yes"),
-            ("bounds", "full_E", 1),
             ("bounds", "S", None),
             ("bounds", "S", 2.0),
             ("sweep", "points", 2.5),
             ("sweep", "points", True),
             ("sweep", "mu3_max", "0.1"),
             ("solve", "grid", None),
-            ("verify", "full_E", 0),
             ("verify", "mode", "grid"),
             ("verify", "mode", None),
             ("verify", "workers", "many"),
@@ -883,8 +885,8 @@ class TestReplayManifests:
         ],
     )
     def test_ill_typed_option_exit_one(self, command, key, value, three_cfg, tmp_path, capsys):
-        # at the parent "out": true wrote to fd 1 and closed it, "config": 5 and
-        # "C": null were TypeErrors and "full_E": "yes" selected the full E
+        # at the parent "out": true wrote to fd 1 and closed it, and "config": 5 and
+        # "C": null were TypeErrors
         out = tmp_path / "run.out"
         assert main([*COMMAND_ARGV[command](three_cfg, tmp_path), "--out", str(out)]) == 0
         manifest = json.loads((tmp_path / "run.out.manifest.json").read_text())
@@ -909,7 +911,7 @@ class TestReplayManifests:
         [({"full-E": True}, "full-E"), ({"seeds": 7}, "seeds"), ({"full-E": True, "seeds": 7}, "full-E, seeds")],
     )
     def test_unknown_key_exit_one(self, extra, named, bounds_manifest, tmp_path, capsys):
-        # a typo of full_E and a key no option has replayed with exit 0, without the full E and without a word
+        # a key no option has replayed with exit 0, without a word
         out, manifest = bounds_manifest
         manifest["options"].update(extra)
         out.unlink()
@@ -917,6 +919,22 @@ class TestReplayManifests:
         assert self.replay(tmp_path, manifest) == 1
         captured = capsys.readouterr()
         assert captured.err == f"error: bounds manifest records unknown option(s) {named}\n"
+        assert captured.out == "" and not out.exists()
+
+    @pytest.mark.parametrize("value", [True, False])
+    @pytest.mark.parametrize("command", ["bounds", "verify"])
+    def test_full_E_is_refused(self, command, value, three_cfg, tmp_path, capsys):
+        # --full-E is removed with the second E term, and no recorded value replays its output:
+        # true kept that E in the sigma_2 row and the sweep gap only, false used it everywhere
+        out = tmp_path / "run.out"
+        assert main([*COMMAND_ARGV[command](three_cfg, tmp_path), "--out", str(out)]) == 0
+        manifest = json.loads((tmp_path / "run.out.manifest.json").read_text())
+        manifest["options"]["full_E"] = value
+        out.unlink()
+        capsys.readouterr()
+        assert self.replay(tmp_path, manifest) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {command} manifest records unknown option(s) full_E\n"
         assert captured.out == "" and not out.exists()
 
     def test_fresh_verify_manifest_with_workers_replays(self, tmp_path):
@@ -1026,7 +1044,7 @@ class TestShiftOverflow:
         assert capsys.readouterr().err == self.MESSAGE
         assert solves == drawn == []
 
-    @pytest.mark.parametrize("flags", [[], ["--full-E"], ["--S", "2"]])
+    @pytest.mark.parametrize("flags", [[], ["--C", "0.3"], ["--S", "2"]])
     def test_huge_phase_exit_one(self, flags, tmp_path, capsys):
         # the HS row at S = sup sigma = 1e308 was a ZeroDivisionError traceback
         cfg = tmp_path / "huge.cfg"

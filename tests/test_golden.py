@@ -35,9 +35,8 @@ phase = 5.0 0.2
 
 CASES = {
     "bounds_default": ["bounds", "--config", "three.cfg"],
-    "bounds_S2_fullE": ["bounds", "--config", "three.cfg", "--S", "2.0", "--full-E", "--C", "0.3"],
+    "bounds_S2_C03": ["bounds", "--config", "three.cfg", "--S", "2.0", "--C", "0.3"],
     "sweep_default": ["sweep", "--config", "three.cfg"],
-    "sweep_fullE": ["sweep", "--config", "three.cfg", "--full-E"],
     "verify_2d_smooth": ["verify", "--count", "3", "--shape", "32", "--dim", "2",
                          "--num-phases", "3", "--mode", "smooth", "--seed", "4"],
     "verify_3d": ["verify", "--count", "2", "--shape", "16", "--dim", "3", "--seed", "7"],
@@ -83,8 +82,8 @@ def test_output_matches_golden(name, workdir, monkeypatch):
 def test_record_writes_only_the_named_cases(tmp_path, monkeypatch):
     committed = GOLDEN
     monkeypatch.setattr(sys.modules[__name__], "GOLDEN", tmp_path)
-    record(["sweep_fullE", "bounds_default"])
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["bounds_default.txt", "sweep_fullE.txt"]
+    record(["solve_2d", "bounds_default"])
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bounds_default.txt", "solve_2d.txt"]
     for p in tmp_path.iterdir():
         assert p.read_bytes() == (committed / p.name).read_bytes()
     with pytest.raises(SystemExit, match="unknown golden case"):
