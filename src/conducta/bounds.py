@@ -42,9 +42,9 @@ class BoundReport:
 
     Only trivial_upper, hs_upper and theorem1_upper (which optimize_S
     returns) make one; calling the class raises TypeError.  bound_name is
-    trivial, hashin_shtrikman or theorem1; a term the
-    bound has no use for is None, and where H_term and E_term are both set,
-    E_term >= 0 and value = H_term + E_term exactly.
+    trivial, hashin_shtrikman or theorem1; a term the bound has no use for is
+    None, and where H_term and E_term are both set, E_term >= 0 and
+    value = H_term + E_term exactly.
     """
 
     bound_name: str
