@@ -23,10 +23,13 @@ the certified error reached; past kappa = 1e-8 / eps round-off reaches the
 target, so the solve fails before any transform.
 The reported tensor uses the energy bilinear form, which is variationally
 one-sided; the mismatch against the flux average is kept as a convergence
-diagnostic.  Each direction's corrector is kept as its half spectrum; the
-n^2 total gradients e_i + grad u_i exist only for the tensor assembly, once
-the CG buffers are freed.  A direction whose right-hand side vanishes has a
-zero corrector, whose gradients need no transform.
+diagnostic.  Each direction's corrector is kept as its half spectrum and
+the last right-hand side is formed in the buffer of sigma's transform, so
+the solve peaks in CG: two real fields, the Green operator and n + 4 half
+spectra (scratch, div sigma grad, x, r, p and n - 1 correctors).  A and the
+flux are then assembled one axis at a time from the n total gradients
+(e_j + grad u_j) along it, in n reused real buffers, so the n^2 gradients
+never exist at once; a zero corrector's gradients need no transform.
 
 Past the one forward transform of sigma (or theta), whose result is kept,
 every transform writes into buffers allocated once per call: a forward one
@@ -321,11 +324,14 @@ def solve_effective_tensor(grid: VoxelGrid) -> EffectiveTensor:
         iterations: list[int] = []
         residuals: list[float] = []
         for i in range(n):
+            # the last right-hand side is formed in sigma_hat's buffer, so sigma_hat
+            # is never held beside the n - 1 kept correctors
+            b = np.multiply(grad_multipliers[i], sigma_hat, out=sigma_hat if i == n - 1 else None)
             u_hat, its, res = _spectral_cg(
                 apply_operator,
                 green,
                 dot,
-                grad_multipliers[i] * sigma_hat,
+                b,
                 cap,
                 f"direction {i} on conductivities in {span} of contrast {contrast:.12g}",
                 energy_error,
@@ -334,33 +340,24 @@ def solve_effective_tensor(grid: VoxelGrid) -> EffectiveTensor:
             iterations.append(its)
             residuals.append(res)
 
-        # the n^2 total gradients e_i + grad u_i exist only from here on, with
-        # every solve buffer but sigma and the spectral scratch freed; a zero
-        # corrector has zero gradients, which need no transform
-        del green, sigma_hat, div_hat, real
-        total_gradients: list[list[np.ndarray]] = []
-        for i in range(n):
-            u_hat, correctors[i] = correctors[i], None  # kept no longer than its gradients
-            grads = [np.zeros(shape) for _ in range(n)]
-            if u_hat is not None:
-                for axis in range(n):
-                    gradient(u_hat, axis, grads[axis])
-            grads[i] += 1.0
-            total_gradients.append(grads)
-        del u_hat, spec
-
-        grad_dot, tmp = np.empty(shape), np.empty(shape)
-        matrix = np.empty((n, n))
-        for i in range(n):
-            for j in range(i, n):
-                grad_dot.fill(0.0)
-                for ax in range(n):
-                    grad_dot += np.multiply(total_gradients[i][ax], total_gradients[j][ax], out=tmp)
-                matrix[i, j] = matrix[j, i] = float(np.mean(np.multiply(sigma, grad_dot, out=grad_dot)))
-        flux = np.empty((n, n))
-        for i in range(n):
-            for j in range(n):
-                flux[i, j] = float(np.mean(np.multiply(sigma, total_gradients[j][i], out=tmp)))
+        # the n total gradients (e_j + grad u_j) along one axis at a time, in n reused buffers
+        del green, sigma_hat, b, u_hat, div_hat
+        grads, tmp = [real] + [np.empty(shape) for _ in range(n - 1)], np.empty(shape)
+        matrix, flux = np.zeros((n, n)), np.empty((n, n))
+        for ax in range(n):
+            for j, (g, u_hat) in enumerate(zip(grads, correctors)):
+                if u_hat is None:
+                    g.fill(0.0)  # a zero corrector's gradients need no transform
+                else:
+                    gradient(u_hat, ax, g)
+                if j == ax:
+                    g += 1.0
+                flux[ax, j] = float(np.mean(np.multiply(sigma, g, out=tmp)))
+            for i in range(n):
+                for j in range(i, n):
+                    np.multiply(grads[i], grads[j], out=tmp)
+                    matrix[i, j] += float(np.mean(np.multiply(sigma, tmp, out=tmp)))
+        matrix = np.triu(matrix) + np.triu(matrix, 1).T  # mirrored: nothing below the diagonal was added to
         matrix, flux = np.ldexp(matrix, e), np.ldexp(flux, e)
         matrix.setflags(write=False)
         return _record(EffectiveTensor, matrix=matrix, iterations=tuple(iterations), residuals=tuple(residuals),

@@ -487,6 +487,55 @@ def fft_counts(log) -> dict[str, int]:
     return dict(Counter(name for name, _ in log))
 
 
+class TestAssembly:
+    """The tensor assembled one axis at a time, against the energy form of all n^2 total gradients."""
+
+    @pytest.fixture
+    def correctors(self, monkeypatch):
+        """Each CG direction's corrector half spectrum, as _spectral_cg returns it."""
+        log = []
+        spectral_cg = cell_solver._spectral_cg
+
+        def capturing(*args, **kwargs):
+            result = spectral_cg(*args, **kwargs)
+            log.append(result[0])
+            return result
+
+        monkeypatch.setattr(cell_solver, "_spectral_cg", capturing)
+        return log
+
+    @pytest.mark.parametrize("shape", [(64, 64), (16, 16, 16), (8, 8, 8, 8)])
+    def test_matrix_is_the_energy_form_of_all_gradients(self, shape, correctors):
+        n, axes = len(shape), tuple(range(len(shape)))
+        g = generate_random(PhaseSet.from_pairs((1.0, 2.0, 5.0), (0.4, 0.4, 0.2), n), shape, seed=11)
+        t = solve_effective_tensor(g)
+        assert len(correctors) == n and min(t.iterations) > 0
+        sigma = g.conductivity_field()
+        ks, _ = half_wavenumbers(shape, zero_nyquist=True)
+        # total[i][ax] = (e_i + grad u_i)_ax, every one held at once
+        total = [[np.fft.irfftn(1j * ks[ax] * u_hat, s=shape, axes=axes) + float(i == ax) for ax in range(n)]
+                 for i, u_hat in enumerate(correctors)]
+        energy, flux = np.empty((n, n)), np.empty((n, n))
+        for i in range(n):
+            for j in range(n):
+                grad_dot = np.zeros(shape)
+                for ax in range(n):
+                    grad_dot += total[i][ax] * total[j][ax]
+                energy[i, j] = np.mean(sigma * grad_dot)
+                flux[i, j] = np.mean(sigma * total[j][i])
+        # the per-axis means are summed in another order: last bits only
+        assert np.abs(t.matrix - energy).max() <= 8 * np.spacing(np.abs(energy).max())
+        # the flux is today's operation on the same gradients, so it keeps its bits
+        assert t.flux_discrepancy == np.abs(t.matrix - flux).max()
+
+    @pytest.mark.parametrize("shape", [(8, 8), (16, 4), (4, 4, 4), (2, 2, 2, 2)])
+    def test_homogeneous_grid_gives_sigma_identity_without_a_transform(self, shape, correctors, fft_log):
+        t = solve_effective_tensor(homogeneous(3.0, shape))
+        assert len(correctors) == len(shape) and not any(u.any() for u in correctors)
+        assert fft_log == [("rfftn", False)]
+        assert np.array_equal(t.matrix, 3.0 * np.eye(len(shape))) and t.flux_discrepancy == 0.0
+
+
 class TestIrfftnInto:
     @pytest.mark.parametrize("shape", [(8, 8), (6, 10), (7, 9), (64, 64), (4, 6, 8), (5, 7, 9), (16, 16, 16)])
     def test_equals_numpy_irfftn_bit_for_bit(self, shape):
@@ -912,8 +961,13 @@ class TestMemory:
         n = len(shape)
         g = generate_random(PhaseSet.from_pairs((1.0, 2.0, 5.0), (0.4, 0.4, 0.2), n), shape, seed=1)
         solve_effective_tensor(g)
-        # the n^2 total gradients, which exist only at the tensor assembly, and a few solve buffers
-        assert peak_traced_bytes(lambda: solve_effective_tensor(g)) <= (n * n + 7) * 8 * g.phase_index.size
+        real, half = 8 * g.phase_index.size, 16 * math.prod(shape[:-1]) * (shape[-1] // 2 + 1)
+        # CG's buffers: sigma and the real scratch, the Green operator (a real half
+        # spectrum) and n + 4 half spectra (scratch, div_hat, x, r, p and n - 1
+        # correctors); one more half spectrum for numpy's cast buffer of G r, and
+        # 64 KiB of small arrays.  O(n): the n^2 total gradients would not fit.
+        bound = 2 * real + half // 2 + (n + 5) * half + 2**16
+        assert peak_traced_bytes(lambda: solve_effective_tensor(g)) <= bound
 
     @pytest.mark.parametrize("shape", [(32, 32, 32), (8, 8, 8, 8)])
     def test_potential_and_quadratures_peak(self, shape):
