@@ -151,7 +151,8 @@ def run_bounds(options: dict) -> int:
     if s is not None:
         reports.append(theorem1_upper(ps, s, C))
     reports.append(optimize_S(ps, C))
-    if ps.num_phases == 3:  # the three-phase refinement: theorem 1 at sigma_2
+    # the three-phase refinement: theorem 1 at sigma_2, unless the user's row already is
+    if ps.num_phases == 3 and s != ps.conductivities[1]:
         reports.append(theorem1_upper(ps, ps.conductivities[1], C))
     for r in reports:
         _representable(r)

@@ -67,8 +67,8 @@ class TestBoundsCommand:
         assert main(["bounds", "--config", three_cfg, "--S", "2.0"]) == 0
         out = capsys.readouterr().out
         rows = [line.split() for line in out.splitlines() if line.startswith("theorem1")]
-        # user S row, optimizer row and the S = sigma_2 row
-        assert [(row[0], row[2]) for row in rows] == [("theorem1", "2"), ("theorem1", "5"), ("theorem1", "2")]
+        # user S row and optimizer row; the S = sigma_2 row would repeat the user's
+        assert [(row[0], row[2]) for row in rows] == [("theorem1", "2"), ("theorem1", "5")]
 
     def test_huge_user_S_row_is_the_arithmetic_mean(self, three_cfg, capsys):
         # H = -(n-1) S + L cancelled every digit: the row printed -2.97403381696e+284
