@@ -25,11 +25,13 @@ The reported tensor uses the energy bilinear form, which is variationally
 one-sided; the mismatch against the flux average is kept as a convergence
 diagnostic.  Each direction's corrector is kept as its half spectrum and
 the last right-hand side is formed in the buffer of sigma's transform, so
-the solve peaks in CG: two real fields, the Green operator and n + 4 half
-spectra (scratch, div sigma grad, x, r, p and n - 1 correctors).  A and the
-flux are then assembled one axis at a time from the n total gradients
-(e_j + grad u_j) along it, in n reused real buffers, so the n^2 gradients
-never exist at once; a zero corrector's gradients need no transform.
+CG holds two real fields, the Green operator and n + 4 half spectra
+(scratch, div sigma grad, x, r, p and n - 1 correctors).  A and the flux
+are then assembled one axis at a time from the n total gradients
+(e_j + grad u_j) along it, in n reused real buffers and one scratch, so the
+n^2 gradients never exist at once: the assembly holds n + 2 real fields and
+n + 1 half spectra, less than CG in 3D, about as much in 4D and more from
+5D on.  A zero corrector's gradients need no transform.
 
 Past the one forward transform of sigma (or theta), whose result is kept,
 every transform writes into buffers allocated once per call: a forward one

@@ -288,8 +288,9 @@ def _checked_corpus(command: str, options: dict) -> dict:
     manifests both pass through here, and a hand-written manifest is held to
     the command line's limits.  The corpus needs ``dim >= 2``, a power-of-two
     ``shape >= 2`` with ``dim**2 * shape**dim <= 9 * _VOXEL_BUDGET`` (set when
-    the solve held dim**2 gradient fields; it now holds two real fields, the
-    Green operator and dim + 4 half spectra; checked before any array exists),
+    the solve held dim**2 gradient fields; it now holds O(dim) fields, and the
+    bmo report from 3D on the dim**2 Hessian entries; checked before any array
+    exists),
     ``count >= 1``, ``num_phases`` in [1, 100] (_corpus_grid redraws the
     conductivities until every gap is at least 1e-3 of the range, which past
     about 100 phases practically never happens, and with 3 or more phases never

@@ -962,11 +962,13 @@ class TestMemory:
         g = generate_random(PhaseSet.from_pairs((1.0, 2.0, 5.0), (0.4, 0.4, 0.2), n), shape, seed=1)
         solve_effective_tensor(g)
         real, half = 8 * g.phase_index.size, 16 * math.prod(shape[:-1]) * (shape[-1] // 2 + 1)
-        # CG's buffers: sigma and the real scratch, the Green operator (a real half
-        # spectrum) and n + 4 half spectra (scratch, div_hat, x, r, p and n - 1
-        # correctors); one more half spectrum for numpy's cast buffer of G r, and
+        # CG: sigma and the real scratch, the Green operator (a real half spectrum),
+        # n + 4 half spectra (scratch, div_hat, x, r, p and n - 1 correctors) and
+        # numpy's cast buffer of G r, at most one more; the assembly: sigma, n
+        # gradients and a scratch, n correctors and the spectral scratch; and
         # 64 KiB of small arrays.  O(n): the n^2 total gradients would not fit.
-        bound = 2 * real + half // 2 + (n + 5) * half + 2**16
+        cg = 2 * real + half // 2 + (n + 5) * half
+        bound = max(cg, (n + 2) * real + (n + 1) * half) + 2**16
         assert peak_traced_bytes(lambda: solve_effective_tensor(g)) <= bound
 
     @pytest.mark.parametrize("shape", [(32, 32, 32), (8, 8, 8, 8)])
